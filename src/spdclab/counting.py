@@ -20,6 +20,7 @@ Model notes
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, replace
 
@@ -28,6 +29,9 @@ import numpy as np
 from .errors import DomainError, EstimateUndefinedError
 
 _GUARD_MAX_EXPECTED_CLICKS = 1e8
+
+# rows rendered per write in TagStream.dump_csv
+_DUMP_CHUNK_ROWS = 1 << 16
 
 PAIR_CHANNELS = ("1", "2")
 HERALDED_CHANNELS = ("h", "1", "2")
@@ -99,23 +103,55 @@ class TagStream:
 
     def __post_init__(self):
         limit = self.integration_time_ms * 1e6  # ns
+        # the tests are negated so that NaN fails them
         for label, times in self.channels.items():
-            if len(times) and (np.any(np.diff(times) <= 0)):
+            if len(times) and not np.all(np.diff(times) > 0):
                 raise DomainError(f"channel {label}: timestamps not strictly increasing")
-            if len(times) and (times[0] < 0 or times[-1] >= limit):
+            if len(times) and not (times[0] >= 0 and times[-1] < limit):
                 raise DomainError(f"channel {label}: timestamps outside [0, window)")
 
     def dump_csv(self, path) -> None:
-        """``channel,timestamp_ns`` rows, sorted by timestamp."""
-        rows = []
-        for label, times in self.channels.items():
-            rows.extend((float(t), label) for t in times)
-        rows.sort()
+        """``channel,timestamp_ns`` rows, sorted by timestamp and then by
+        label, written as ``csv.writer`` writes them (CRLF line ends, the
+        csv module's quoting of the label) with the timestamp as ``%.6f``.
+
+        The rows are rendered in chunks from integer digits: ``floor(t)``
+        and ``t - floor(t)`` are exact, so ``rint((t - floor(t)) * 1e6)``
+        is the correctly rounded fraction unless the product lies within
+        1e-9 of a .5 boundary (its rounding error is below 6e-11).  Those
+        rows take their digits from ``f"{t:.6f}"``: values such as
+        0.4731885, whose product rounds across the boundary, and the exact
+        half-even ties, which odd multiples of 1/128 ns are at t >= 2**31 ns.
+        """
+        labels = sorted(self.channels)
+        times = np.concatenate(
+            [np.asarray(self.channels[label], dtype=float) for label in labels] + [np.empty(0)])
+        codes = np.repeat(np.arange(len(labels)), [len(self.channels[label]) for label in labels])
+        # the stable sort keeps equal timestamps in label order
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        # a prefix per (label, sign): "-0.0" passes validation and prints "-0.000000"
+        codes = 2 * codes[order] + np.signbit(times)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["channel", "timestamp_ns"])
-            for t, label in rows:
-                writer.writerow([label, f"{t:.6f}"])
+            prefixes = []
+            for label in labels:
+                line = io.StringIO()
+                csv.writer(line).writerow([label, ""])
+                prefix = line.getvalue()[:-len(writer.dialect.lineterminator)]
+                prefixes += [prefix.encode(fh.encoding), (prefix + "-").encode(fh.encoding)]
+            line_end = writer.dialect.lineterminator.encode(fh.encoding)
+            width = max((len(p) for p in prefixes), default=0)
+            prefix_bytes = np.zeros((len(prefixes), width), dtype=np.uint8)
+            prefix_used = np.zeros((len(prefixes), width), dtype=bool)
+            for k, p in enumerate(prefixes):
+                prefix_bytes[k, :len(p)] = np.frombuffer(p, dtype=np.uint8)
+                prefix_used[k, :len(p)] = True
+            for lo in range(0, len(times), _DUMP_CHUNK_ROWS):
+                rows = slice(lo, lo + _DUMP_CHUNK_ROWS)
+                fh.write(_render_rows(times[rows], prefix_bytes[codes[rows]],
+                                      prefix_used[codes[rows]], line_end).decode(fh.encoding))
 
     @classmethod
     def load_csv(cls, path, integration_time_ms: float) -> "TagStream":
@@ -129,6 +165,45 @@ class TagStream:
                 per_channel.setdefault(row[0], []).append(float(row[1]))
         channels = {k: np.sort(np.array(v)) for k, v in sorted(per_channel.items())}
         return cls(channels=channels, integration_time_ms=integration_time_ms)
+
+
+def _digits(values, columns: int):
+    """The last ``columns`` decimal digits of the nonnegative integers
+    ``values`` as ASCII, one row each, zero-padded."""
+    digits = np.empty((columns, len(values)), dtype=np.uint8)
+    for k in range(columns - 1, -1, -1):
+        quotient = values // 10
+        digits[k] = values - 10 * quotient
+        values = quotient
+    digits += ord("0")
+    return digits.T
+
+
+def _render_rows(times, prefix_bytes, prefix_used, line_end: bytes) -> bytes:
+    """One row per timestamp: its prefix (the used bytes of a row of
+    ``prefix_bytes``), ``f"{abs(t):.6f}"`` and ``line_end``."""
+    whole = np.floor(times)
+    scaled = (times - whole) * 1e6
+    frac = np.rint(scaled).astype(np.int64)
+    whole = whole.astype(np.int64) + frac // 1_000_000  # a rounded-up 1.000000 carries
+    for k in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) < 1e-9):
+        digits, decimals = f"{abs(times[k]):.6f}".split(".")
+        whole[k], frac[k] = int(digits), int(decimals)
+
+    n_whole = len(str(int(whole.max())))
+    start = prefix_bytes.shape[1]
+    point = start + n_whole
+    out = np.empty((len(times), point + 7 + len(line_end)), dtype=np.uint8)
+    used = np.ones(out.shape, dtype=bool)
+    out[:, :start] = prefix_bytes
+    used[:, :start] = prefix_used
+    out[:, start:point] = _digits(whole, n_whole)
+    # no leading zeros before the units digit
+    used[:, start:point - 1] = whole[:, None] >= 10 ** np.arange(n_whole - 1, 0, -1)
+    out[:, point] = ord(".")
+    out[:, point + 1:point + 7] = _digits(frac, 6)
+    out[:, point + 7:] = np.frombuffer(line_end, dtype=np.uint8)
+    return out[used].tobytes()
 
 
 def _jitter(rng, times_ns, chain: DetectionChain):
@@ -194,15 +269,29 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
         dark = rng.uniform(0.0, window_ns, n_dark)
         merged = np.concatenate([photon, dark])
         merged = merged[(merged >= 0.0) & (merged < window_ns)]
-        channels[label] = np.unique(np.sort(merged))
+        channels[label] = np.unique(merged)
     return TagStream(channels=channels, integration_time_ms=chain.integration_time_ms, seed=seed)
 
 
-def match_coincidences(a: np.ndarray, b: np.ndarray, window_ns: float) -> int:
-    """Greedy earliest-match two-pointer pairing; each click pairs with at
-    most one partner.  A match requires |t_a - t_b| <= window."""
-    if np.any(np.diff(a) < 0) or np.any(np.diff(b) < 0):
-        raise DomainError("coincidence matching requires sorted streams")
+def _clusters(streams, split):
+    """Cut the merged timeline of the sorted, nonempty ``streams`` between
+    adjacent clicks x <= y wherever ``split(x, y)`` holds.  Returns, per
+    stream, the index of its first click in each cluster and its number of
+    clicks in each cluster."""
+    times = np.concatenate(streams)
+    order = np.argsort(times, kind="stable")
+    merged = times[order]
+    last = np.flatnonzero(split(merged[:-1], merged[1:]))  # last click before each cut
+    side = np.repeat(np.arange(len(streams), dtype=np.int8), [len(s) for s in streams])[order]
+    firsts, counts = [], []
+    for k, s in enumerate(streams):
+        first = np.concatenate(([0], np.cumsum(side == k)[last]))
+        firsts.append(first)
+        counts.append(np.diff(first, append=len(s)))
+    return firsts, counts
+
+
+def _match_pairs_loop(a, b, window_ns: float) -> int:
     i = j = matches = 0
     while i < len(a) and j < len(b):
         dt = a[i] - b[j]
@@ -217,26 +306,38 @@ def match_coincidences(a: np.ndarray, b: np.ndarray, window_ns: float) -> int:
     return matches
 
 
-def match_coincidences_bruteforce(a, b, window_ns: float) -> int:
-    """All-pairs greedy earliest-match oracle (quadratic; test use only)."""
-    used_b = set()
-    matches = 0
-    for t in a:
-        for j, u in enumerate(b):
-            if j in used_b:
-                continue
-            if u > t + window_ns:
-                break
-            if abs(t - u) <= window_ns:
-                used_b.add(j)
-                matches += 1
-                break
+def match_coincidences(a: np.ndarray, b: np.ndarray, window_ns: float) -> int:
+    """Greedy earliest-match two-pointer pairing; each click pairs with at
+    most one partner.  A match requires |t_a - t_b| <= window.
+
+    The count is computed per cluster of the merged timeline, cut wherever
+    two adjacent merged clicks x < y have fl(y - x) > window (fl: the
+    float64 result).  Rounding is monotone, so every a <= x and b >= y (or
+    b <= x and a >= y) have fl(|a - b|) >= fl(y - x) > window: while the
+    two pointers sit in different clusters the two-pointer walk matches
+    nothing and advances the one in the earlier cluster.  Both pointers
+    therefore enter each cluster at its first click on their side, and the
+    walk inside it is the walk over that cluster's clicks alone; the count
+    is the sum of the per-cluster counts.  A cluster with clicks from one
+    stream only matches nothing.  A cluster of one a and one b is two
+    adjacent clicks with fl(|a - b|) <= window, which always match.  Only
+    the rest, clusters with two or more clicks on one side and at least one
+    on the other, run the loop.
+    """
+    if np.any(np.diff(a) < 0) or np.any(np.diff(b) < 0):
+        raise DomainError("coincidence matching requires sorted streams")
+    if len(a) == 0 or len(b) == 0:
+        return 0
+    # written as "not <=" so that a NaN (sorted last) is cut off alone
+    (fa, fb), (na, nb) = _clusters((a, b), lambda x, y: ~(y - x <= window_ns))
+    matches = int(np.count_nonzero((na == 1) & (nb == 1)))
+    for k in np.flatnonzero((na > 0) & (nb > 0) & (na + nb > 2)):
+        matches += _match_pairs_loop(a[fa[k]:fa[k] + na[k]].tolist(),
+                                     b[fb[k]:fb[k] + nb[k]].tolist(), window_ns)
     return matches
 
 
-def match_triples(h, a, b, window_ns: float) -> int:
-    """Greedy triple coincidences: a herald click plus one click on each of
-    the two transmission channels within the window."""
+def _match_triples_loop(h, a, b, window_ns: float) -> int:
     i = j = matches = 0
     for t in h:
         while i < len(a) and a[i] < t - window_ns:
@@ -247,6 +348,45 @@ def match_triples(h, a, b, window_ns: float) -> int:
             matches += 1
             i += 1
             j += 1
+    return matches
+
+
+def match_triples(h, a, b, window_ns: float) -> int:
+    """Greedy triple coincidences: a herald click plus one click on each of
+    the two transmission channels within the window.  For each herald t in
+    order, the earliest unused a and b clicks not below fl(t - window) are
+    taken if both are <= fl(t + window).
+
+    The count is computed per cluster of the merged timeline of h, a and
+    b, cut between adjacent merged clicks x < y wherever fl(y - window) > x
+    and y > fl(x + window), the loop's own expressions.  Rounding is
+    monotone, so a herald t >= y has fl(t - window) >= fl(y - window) > x:
+    every a or b click <= x lies below it and is skipped.  A herald t <= x
+    has fl(t + window) <= fl(x + window) < y, so no click >= y can match
+    it, and fl(t - window) <= t < y, so none is skipped.  Hence the a and b
+    pointers enter each cluster at its first click on their side, leave it
+    only by the heralds of that cluster or later ones, and the loop inside
+    it is the loop over that cluster's clicks alone; the count is the sum
+    of the per-cluster counts.  A cluster without clicks on each of the
+    three channels counts 0.  A cluster of exactly one h, one a and one b
+    counts 1 iff a >= fl(h - window), a <= fl(h + window), and the same for
+    b.  Only the rest run the loop.
+    """
+    if np.any(np.diff(h) < 0) or np.any(np.diff(a) < 0) or np.any(np.diff(b) < 0):
+        raise DomainError("coincidence matching requires sorted streams")
+    if len(h) == 0 or len(a) == 0 or len(b) == 0:
+        return 0
+    # written as "not <=" so that a NaN (sorted last) is cut off alone
+    (fh, fa, fb), (nh, na, nb) = _clusters(
+        (h, a, b), lambda x, y: ~((y - window_ns <= x) | (y <= x + window_ns)))
+    single = (nh == 1) & (na == 1) & (nb == 1)
+    t, u, v = h[fh[single]], a[fa[single]], b[fb[single]]
+    lo, hi = t - window_ns, t + window_ns
+    matches = int(np.count_nonzero((u >= lo) & (u <= hi) & (v >= lo) & (v <= hi)))
+    for k in np.flatnonzero((nh > 0) & (na > 0) & (nb > 0) & ~single):
+        matches += _match_triples_loop(h[fh[k]:fh[k] + nh[k]].tolist(),
+                                       a[fa[k]:fa[k] + na[k]].tolist(),
+                                       b[fb[k]:fb[k] + nb[k]].tolist(), window_ns)
     return matches
 
 

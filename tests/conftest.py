@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,54 @@ def entanglement_time_cw_oracle(cfg, lambda_p_nm, beta_fs2, n=2 ** 16,
     jta = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(amp))) * d_omega / np.sqrt(2.0 * np.pi)
     tau = np.fft.fftshift(np.fft.fftfreq(n, d=d_omega / (2.0 * np.pi)))
     return _fwhm_linear(tau, np.abs(jta) ** 2) / FS
+
+
+def match_coincidences_bruteforce(a, b, window_ns: float) -> int:
+    """All-pairs greedy earliest-match oracle for
+    ``counting.match_coincidences`` (quadratic)."""
+    used_b = set()
+    matches = 0
+    for t in a:
+        for j, u in enumerate(b):
+            if j in used_b:
+                continue
+            if u > t + window_ns:
+                break
+            if abs(t - u) <= window_ns:
+                used_b.add(j)
+                matches += 1
+                break
+    return matches
+
+
+def match_triples_bruteforce(h, a, b, window_ns: float) -> int:
+    """Quadratic oracle for ``counting.match_triples``: for each herald t
+    in order, the earliest unused a >= t - w and the earliest unused
+    b >= t - w are both taken if both are <= t + w."""
+    used_a, used_b = set(), set()
+    matches = 0
+    for t in h:
+        ia = next((k for k, u in enumerate(a) if k not in used_a and u >= t - window_ns), None)
+        ib = next((k for k, v in enumerate(b) if k not in used_b and v >= t - window_ns), None)
+        if ia is not None and ib is not None and a[ia] <= t + window_ns and b[ib] <= t + window_ns:
+            used_a.add(ia)
+            used_b.add(ib)
+            matches += 1
+    return matches
+
+
+def dump_csv_reference(tags, path) -> None:
+    """Row-by-row ``csv.writer`` tag dump, the reference for
+    ``counting.TagStream.dump_csv``."""
+    rows = []
+    for label, times in tags.channels.items():
+        rows.extend((float(t), label) for t in times)
+    rows.sort()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["channel", "timestamp_ns"])
+        for t, label in rows:
+            writer.writerow([label, f"{t:.6f}"])
 
 
 def assert_close(value, expected, rel, label=""):

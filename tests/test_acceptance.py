@@ -12,7 +12,7 @@ import pytest
 from spdclab import analysis, biphoton, counting as ct, dispersion, etpa, phasematch
 
 from conftest import (BETA_FIBER_FS2, LAMBDA_P_NM, THETA_DEG_MEASURED_C,
-                      entanglement_time_cw_oracle)
+                      entanglement_time_cw_oracle, match_coincidences_bruteforce)
 
 
 def _verdict(number, description, ok, detail=""):
@@ -217,7 +217,7 @@ def test_criterion_7_numerical_properties(jsa_1024, jta_free_1024, material):
         a = np.sort(rng.uniform(0, 1e5, rng.integers(0, 900)))
         b = np.sort(rng.uniform(0, 1e5, rng.integers(0, 900)))
         w = float(rng.uniform(0.1, 200.0))
-        if ct.match_coincidences(a, b, w) != ct.match_coincidences_bruteforce(a, b, w):
+        if ct.match_coincidences(a, b, w) != match_coincidences_bruteforce(a, b, w):
             matcher_ok = False
             break
 

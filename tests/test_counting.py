@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from spdclab import counting as ct
 from spdclab.errors import DomainError, EstimateUndefinedError
 
+from conftest import dump_csv_reference, match_coincidences_bruteforce, match_triples_bruteforce
+
 
 # ---------------------------------------------------------------------------
 # efficiency arithmetic
@@ -50,22 +52,57 @@ def test_matcher_requires_sorted():
         ct.match_coincidences(np.array([1.0, 0.0]), np.array([0.0]), 1.0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    a=st.lists(st.floats(0, 1e4, allow_nan=False), max_size=400),
-    b=st.lists(st.floats(0, 1e4, allow_nan=False), max_size=400),
-    w=st.floats(0.01, 50.0),
-)
-def test_two_pointer_equals_bruteforce(a, b, w):
-    a = np.sort(np.array(a))
-    b = np.sort(np.array(b))
-    assert ct.match_coincidences(a, b, w) == ct.match_coincidences_bruteforce(a, b, w)
+@st.composite
+def _streams(draw, n_streams, max_size):
+    """Sorted click streams and a window: either arbitrary floats, or an
+    integer grid with a window of a whole or half number of grid steps,
+    where equal timestamps across streams and gaps of exactly w and 2w
+    occur."""
+    if draw(st.booleans()):
+        clicks = st.integers(0, 1000).map(float)
+        w = draw(st.integers(1, 8)) / 2.0
+    else:
+        clicks = st.floats(0, 1e4, allow_nan=False)
+        w = draw(st.floats(0.01, 50.0))
+    streams = [np.sort(np.array(draw(st.lists(clicks, max_size=max_size))))
+               for _ in range(n_streams)]
+    return (*streams, w)
+
+
+# 400 examples: each of the two input kinds gets about 200
+@settings(max_examples=400, deadline=None)
+@given(case=_streams(2, 400))
+def test_two_pointer_equals_bruteforce(case):
+    a, b, w = case
+    assert ct.match_coincidences(a, b, w) == match_coincidences_bruteforce(a, b, w)
+
+
+def test_matchers_ignore_trailing_nan():
+    """A NaN timestamp, which np.sort puts last, matches nothing."""
+    nan = np.nan
+    assert ct.match_coincidences(np.array([nan]), np.array([1.0]), 1.0) == 0
+    assert ct.match_coincidences(np.array([1.0, nan]), np.array([1.5, nan]), 1.0) == 1
+    h, a, b = np.array([1.0, nan]), np.array([1.2, nan]), np.array([nan])
+    assert ct.match_triples(h, a, b, 1.0) == 0
+    assert ct.match_triples(h, a, np.array([0.8]), 1.0) == 1
 
 
 def test_triples_trivial():
     h = np.array([10.0])
     assert ct.match_triples(h, np.array([10.3]), np.array([9.8]), 1.0) == 1
     assert ct.match_triples(h, np.array([12.0]), np.array([9.8]), 1.0) == 0
+
+
+def test_triples_require_sorted():
+    with pytest.raises(DomainError):
+        ct.match_triples(np.array([0.0]), np.array([1.0, 0.0]), np.array([0.0]), 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_streams(3, 150))
+def test_triples_equal_bruteforce(case):
+    h, a, b, w = case
+    assert ct.match_triples(h, a, b, w) == match_triples_bruteforce(h, a, b, w)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +164,52 @@ def test_tagstream_validation_and_io(tmp_path):
         ct.TagStream({"1": np.array([1.0, 1.0])}, 100.0)
     with pytest.raises(DomainError):
         ct.TagStream({"1": np.array([-1.0])}, 100.0)
+    for times in ([np.nan], [1.0, np.nan], [np.nan, 1.0]):
+        with pytest.raises(DomainError):
+            ct.TagStream({"1": np.array(times)}, 100.0)
     tags = ct.simulate_tags(ct.SourceRates(1450.0, 7.0), ct.DetectionChain(), seed=5)
     path = tmp_path / "tags.csv"
     tags.dump_csv(path)
     loaded = ct.TagStream.load_csv(path, 100.0)
     for label in tags.channels:
         assert np.allclose(loaded.channels[label], tags.channels[label], atol=1e-6)
+
+
+# 5 s streams, so that timestamps may pass 2**31 ns
+_DUMP_CASES = {
+    # enough equal timestamps that an unstable sort would reorder them
+    "label-tie-break": {"2": list(np.arange(300) * 0.25) + [80.0],
+                        "h": list(np.arange(300) * 0.25),
+                        "1": list(np.arange(1, 300) * 0.25) + [75.5]},
+    "half-even-ties": {"1": [0.0078125, 0.0234375, 2.0 ** 31 + 0.0078125,
+                             2.0 ** 31 + 0.0234375]},
+    # the float product (t - floor(t)) * 1e6 rounds across the .5 boundary
+    "near-half-boundary": {"1": [0.4731885, 1.7551675, 123.7247895, 4096.6234015]},
+    "round-up-carry": {"1": [2.9999996, 9.9999999, 999.9999996],
+                       "2": [0.0000005, 0.1234565, 1.0000005]},
+    "empty-channel": {"1": [], "2": [3.5]},
+    "empty-stream": {},
+    "quoted-label-negative-zero": {"x,y": [-0.0, 1.0], "": [0.0]},
+}
+
+
+def _assert_dump_identical(tags, tmp_path):
+    tags.dump_csv(tmp_path / "tags.csv")
+    dump_csv_reference(tags, tmp_path / "reference.csv")
+    assert (tmp_path / "tags.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(_DUMP_CASES))
+def test_dump_csv_bytes_equal_reference(case, tmp_path):
+    channels = {label: np.array(times, dtype=float) for label, times in _DUMP_CASES[case].items()}
+    _assert_dump_identical(ct.TagStream(channels, 5000.0), tmp_path)
+
+
+def test_dump_csv_bytes_equal_reference_simulated(tmp_path):
+    chain = ct.DetectionChain(topology="heralded", integration_time_ms=3000.0, dark_rate_hz=100.0)
+    tags = ct.simulate_tags(ct.SourceRates(1450.0, 100.0), chain, seed=8)
+    assert sum(len(t) for t in tags.channels.values()) > 2 * ct._DUMP_CHUNK_ROWS
+    _assert_dump_identical(tags, tmp_path)
 
 
 # ---------------------------------------------------------------------------
