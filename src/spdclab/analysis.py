@@ -116,7 +116,7 @@ def ingest_rate_table(path) -> RateTable:
             except ValueError as exc:
                 raise TableParseError(f"malformed number: {exc}",
                                       line_number=lineno) from exc
-            if any(v < 0 for v in values[1:7:2]) or any(v < 0 for v in values):
+            if any(v < 0 for v in values):
                 raise TableParseError("negative rate or uncertainty",
                                       line_number=lineno)
             try:
@@ -126,15 +126,6 @@ def ingest_rate_table(path) -> RateTable:
     if not rows:
         raise TableParseError(f"rate table has a header but no rows: {path}")
     return RateTable(tuple(rows))
-
-
-def write_rate_table(table: RateTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for r in table.rows:
-            writer.writerow([r.p_spdc_pW, r.r_s1, r.r_s1_err, r.r_s2, r.r_s2_err,
-                             r.r_coin, r.r_coin_err, r.mode, r.label])
 
 
 # ---------------------------------------------------------------------------

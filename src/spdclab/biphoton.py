@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import json
 import numpy as np
 
+from ._ascii import digits
 from .constants import C0, TWO_PI, NM, MM, FS, wavelength_nm_to_omega, omega_to_wavelength_nm
 from .dispersion import group_index
 from .errors import CoverageError, DomainError
@@ -364,12 +365,42 @@ def entanglement_time_gvm(cfg: CrystalConfig, lambda_s_nm: float, lambda_i_nm: f
 
 def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path) -> None:
     """Write the intensity matrix as CSV with axis header rows plus a JSON
-    sidecar carrying units and the domain tag."""
-    units = "rad/s" if js.domain == "spectral" else "s"
-    with open(csv_path, "w") as fh:
-        fh.write("# axis_s: " + " ".join(f"{v:.12e}" for v in js.axis_s) + "\n")
-        fh.write("# axis_i: " + " ".join(f"{v:.12e}" for v in js.axis_i) + "\n")
+    sidecar carrying units and the domain tag.
+
+    The CSV holds exactly the bytes of the writer it replaces::
+
+        "# axis_s: " + " ".join(f"{v:.12e}" for v in js.axis_s) + "\\n"
+        "# axis_i: " + " ".join(f"{v:.12e}" for v in js.axis_i) + "\\n"
         np.savetxt(fh, js.intensity(), delimiter=",", fmt="%.12e")
+
+    i.e. every value as ``'%.12e' % v``, ``,``-joined rows ending in
+    ``\\n``.  The values are rendered from integer digits in chunks of at
+    most ``_EXPORT_CHUNK_VALUES`` (see :func:`_render_e12`).
+
+    Rounding error: for a finite v with decimal exponent E = floor(log10|v|)
+    the text is the 13-digit mantissa M = round-half-even(Q) of the exact
+    Q = |v| 10**(12 - E) in [1e12, 1e13), or 1.000000000000e(E+1) when M
+    rounds up to 1e13.  The renderer computes q = fl(|v| fl(10**(12 - E)))
+    from the correctly rounded power of ten in ``_POW10``.  For
+    -290 <= E <= 308 that power and q are normal floats, so
+    q = Q (1 + d1)(1 + d2) with |d1|, |d2| <= 2**-53, and
+    |q - Q| <= 2**-52 (1 + 2**-54) Q < 2.3e-3 for Q below 1e13 + 1.
+    Unless q - floor(q) lies within ``_HALF_WINDOW`` = 2.5e-3 of 1/2, no .5
+    boundary lies between q and Q, so rint(q) = M (q < 2**53, so floor and
+    rint are exact).  The other values take their text from ``'%.12e' % v``:
+    non-finite values, nonzero values below 1e-290 (E outside the range
+    above) and those inside the window, which includes the exact half-even
+    ties such as 1234567890123.5.  An E misjudged by one at a power of ten
+    gives the same text: q then lies within 2.3e-3 of 1e12 or 1e13 and
+    rounds to 1.000000000000eE either way.
+    """
+    units = "rad/s" if js.domain == "spectral" else "s"
+    with open(csv_path, "wb") as fh:
+        fh.write(b"# axis_s: ")
+        _write_e12(fh, js.axis_s[None, :], b" ")
+        fh.write(b"# axis_i: ")
+        _write_e12(fh, js.axis_i[None, :], b" ")
+        _write_e12(fh, js.intensity(), b",")
     sidecar = {
         "domain": js.domain,
         "axis_units": units,
@@ -379,6 +410,79 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path) -> None:
     with open(sidecar_path, "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# values rendered per write in export_matrix_csv
+_EXPORT_CHUNK_VALUES = 1 << 16
+
+# fl(10**k) for k = -_POW10_ZERO .. 308, correctly rounded by float()
+_POW10_ZERO = 307
+_POW10 = np.array([float(f"1e{k}") for k in range(-_POW10_ZERO, 309)])
+
+# smallest |v| whose 10**(12 - E) is a normal float even when E is misjudged
+_MIN_SCALED = 1e-290
+
+# half-width of the window around .5 whose values fall back to '%.12e'
+_HALF_WINDOW = 2.5e-3
+
+
+def _write_e12(fh, matrix, delimiter: bytes) -> None:
+    """Write the rows of ``matrix`` to the binary file ``fh`` as ``'%.12e'``
+    fields joined by ``delimiter``, each row ending in ``\\n``."""
+    n_cols = matrix.shape[1]
+    flat = matrix.ravel()
+    for lo in range(0, flat.size, _EXPORT_CHUNK_VALUES):
+        fh.write(_render_e12(flat[lo:lo + _EXPORT_CHUNK_VALUES], lo, n_cols, delimiter))
+
+
+def _render_e12(values, first: int, n_cols: int, delimiter: bytes) -> bytes:
+    """``'%.12e' % v`` plus its separator for each value of a flat run of a
+    row-major matrix that starts at flat index ``first``: ``\\n`` after the
+    last column, ``delimiter`` after the others.
+
+    Each field is a 21-byte slot, ``-d.dddddddddddde+ddd`` plus the
+    separator; the sign and the exponent's hundreds digit are dropped when
+    unused.  The error bound that decides which values take the fallback is
+    in :func:`export_matrix_csv`.
+    """
+    magnitude = np.abs(values)
+    scaled = (magnitude >= _MIN_SCALED) & (magnitude <= np.finfo(float).max)
+    magnitude = np.where(scaled, magnitude, 1.0)
+    exponent = np.floor(np.log10(magnitude)).astype(np.int64)
+    q = magnitude * _POW10[_POW10_ZERO + 12 - exponent]
+    exponent += (q >= 1e13).astype(np.int64) - (q < 1e12)
+    q = magnitude * _POW10[_POW10_ZERO + 12 - exponent]
+    mantissa = np.rint(q)
+    fallback = scaled & (np.abs(q - np.floor(q) - 0.5) < _HALF_WINDOW)
+    fallback |= ~scaled & (values != 0)
+    carry = mantissa == 1e13  # 9.999999999999|5.. rounds up to 1.000000000000e(E+1)
+    mantissa[carry] = 1e12
+    exponent += carry
+    mantissa = mantissa.astype(np.int64)
+    zero = values == 0
+    mantissa[zero] = 0
+    exponent[zero] = 0
+
+    out = np.empty((len(values), 21), dtype=np.uint8)
+    used = np.ones(out.shape, dtype=bool)
+    out[:, 0] = ord("-")
+    used[:, 0] = np.signbit(values)
+    mantissa_digits = digits(mantissa, 13)
+    out[:, 1] = mantissa_digits[:, 0]
+    out[:, 2] = ord(".")
+    out[:, 3:15] = mantissa_digits[:, 1:]
+    out[:, 15] = ord("e")
+    out[:, 16] = np.where(exponent < 0, ord("-"), ord("+"))
+    out[:, 17:20] = digits(np.abs(exponent), 3)
+    used[:, 17] = np.abs(exponent) >= 100
+    row_end = np.arange(first + 1, first + len(values) + 1) % n_cols == 0
+    out[:, 20] = np.where(row_end, ord("\n"), ord(delimiter))
+    rows = np.flatnonzero(fallback)
+    if len(rows):
+        texts = ["%.12e" % v for v in values[rows].tolist()]
+        out[rows, :20] = np.array(texts, dtype="S20").view(np.uint8).reshape(len(rows), 20)
+        used[rows, :20] = np.arange(20) < np.array([len(t) for t in texts])[:, None]
+    return out[used].tobytes()
 
 
 def import_jsi_csv(csv_path, axis_units: str = "nm") -> JointSpectrum:
@@ -402,6 +506,11 @@ def import_jsi_csv(csv_path, axis_units: str = "nm") -> JointSpectrum:
     axis_s, axis_i = axes
     if intensity.shape != (len(axis_s), len(axis_i)):
         raise DomainError("matrix shape does not match axis headers")
+    bad = np.argwhere(~np.isfinite(intensity))
+    if len(bad):
+        row, col = bad[0]
+        raise DomainError(f"measured intensity is not finite at matrix row {row}, "
+                          f"column {col} (0-based): {intensity[row, col]}")
     if np.any(intensity < 0):
         raise DomainError("measured intensity must be nonnegative")
 

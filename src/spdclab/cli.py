@@ -277,9 +277,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"spdclab: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except TableParseError as exc:
-        print(f"spdclab: {exc}", file=sys.stderr)
-        return 1
     except SpdclabError as exc:
         print(f"spdclab: {exc}", file=sys.stderr)
         return 1

@@ -4,8 +4,9 @@ Internal unit system is SI (rad/s, meters, seconds).  Boundary APIs accept
 nm, degC, mm, fs and friends because those are the units used at the bench.
 """
 
-from scipy.constants import c as C0  # vacuum speed of light, m/s
-from scipy.constants import Avogadro as N_AVOGADRO  # 1/mol
+# exact by the SI definitions
+C0 = 299792458.0  # vacuum speed of light, m/s
+N_AVOGADRO = 6.02214076e23  # 1/mol
 
 TWO_PI = 6.283185307179586
 

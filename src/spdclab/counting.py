@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._ascii import digits
 from .errors import DomainError, EstimateUndefinedError
 
 _GUARD_MAX_EXPECTED_CLICKS = 1e8
@@ -167,18 +168,6 @@ class TagStream:
         return cls(channels=channels, integration_time_ms=integration_time_ms)
 
 
-def _digits(values, columns: int):
-    """The last ``columns`` decimal digits of the nonnegative integers
-    ``values`` as ASCII, one row each, zero-padded."""
-    digits = np.empty((columns, len(values)), dtype=np.uint8)
-    for k in range(columns - 1, -1, -1):
-        quotient = values // 10
-        digits[k] = values - 10 * quotient
-        values = quotient
-    digits += ord("0")
-    return digits.T
-
-
 def _render_rows(times, prefix_bytes, prefix_used, line_end: bytes) -> bytes:
     """One row per timestamp: its prefix (the used bytes of a row of
     ``prefix_bytes``), ``f"{abs(t):.6f}"`` and ``line_end``."""
@@ -187,8 +176,8 @@ def _render_rows(times, prefix_bytes, prefix_used, line_end: bytes) -> bytes:
     frac = np.rint(scaled).astype(np.int64)
     whole = whole.astype(np.int64) + frac // 1_000_000  # a rounded-up 1.000000 carries
     for k in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) < 1e-9):
-        digits, decimals = f"{abs(times[k]):.6f}".split(".")
-        whole[k], frac[k] = int(digits), int(decimals)
+        whole_text, frac_text = f"{abs(times[k]):.6f}".split(".")
+        whole[k], frac[k] = int(whole_text), int(frac_text)
 
     n_whole = len(str(int(whole.max())))
     start = prefix_bytes.shape[1]
@@ -197,11 +186,11 @@ def _render_rows(times, prefix_bytes, prefix_used, line_end: bytes) -> bytes:
     used = np.ones(out.shape, dtype=bool)
     out[:, :start] = prefix_bytes
     used[:, :start] = prefix_used
-    out[:, start:point] = _digits(whole, n_whole)
+    out[:, start:point] = digits(whole, n_whole)
     # no leading zeros before the units digit
     used[:, start:point - 1] = whole[:, None] >= 10 ** np.arange(n_whole - 1, 0, -1)
     out[:, point] = ord(".")
-    out[:, point + 1:point + 7] = _digits(frac, 6)
+    out[:, point + 1:point + 7] = digits(frac, 6)
     out[:, point + 7:] = np.frombuffer(line_end, dtype=np.uint8)
     return out[used].tobytes()
 

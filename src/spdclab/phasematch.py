@@ -61,21 +61,6 @@ def paper_crystal(temperature_C: float = 59.4, calibration_offset_C: float = 0.0
     )
 
 
-@dataclass(frozen=True)
-class PhaseMatchPoint:
-    """A phase-matched (or candidate) frequency triple.  The idler is always
-    derived from energy conservation, never stored independently."""
-
-    omega_p: float
-    omega_s: float
-    delta_k: float
-    theta_C: float
-
-    @property
-    def omega_i(self) -> float:
-        return self.omega_p - self.omega_s
-
-
 def idler_wavelength_nm(lambda_p_nm: float, lambda_s_nm: float) -> float:
     """Energy conservation 1/lp = 1/ls + 1/li solved for the idler."""
     inv = 1.0 / lambda_p_nm - 1.0 / lambda_s_nm

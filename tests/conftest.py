@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -151,6 +152,25 @@ def dump_csv_reference(tags, path) -> None:
         writer.writerow(["channel", "timestamp_ns"])
         for t, label in rows:
             writer.writerow([label, f"{t:.6f}"])
+
+
+def export_matrix_csv_reference(js, csv_path, sidecar_path) -> None:
+    """``np.savetxt`` matrix export, the reference for
+    ``biphoton.export_matrix_csv``."""
+    units = "rad/s" if js.domain == "spectral" else "s"
+    with open(csv_path, "w") as fh:
+        fh.write("# axis_s: " + " ".join(f"{v:.12e}" for v in js.axis_s) + "\n")
+        fh.write("# axis_i: " + " ".join(f"{v:.12e}" for v in js.axis_i) + "\n")
+        np.savetxt(fh, js.intensity(), delimiter=",", fmt="%.12e")
+    sidecar = {
+        "domain": js.domain,
+        "axis_units": units,
+        "normalized": js.normalized,
+        "measured": js.measured,
+    }
+    with open(sidecar_path, "w") as fh:
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def assert_close(value, expected, rel, label=""):

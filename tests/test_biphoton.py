@@ -1,7 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdclab import biphoton
 from spdclab.biphoton import (
@@ -24,7 +27,7 @@ from spdclab.biphoton import (
 from spdclab.constants import FS, wavelength_nm_to_omega
 from spdclab.errors import CoverageError, DomainError
 
-from conftest import LAMBDA_P_NM, assert_close
+from conftest import BETA_FIBER_FS2, LAMBDA_P_NM, assert_close, export_matrix_csv_reference
 
 # Entanglement times for the 20 mm / 2.72 um crystal at the fitted
 # degeneracy point, N = 1024, 60 nm half-span.  Frozen from an independent
@@ -230,3 +233,95 @@ def test_import_rejects_negative_intensity(tmp_path):
         fh.write("1.0,-1.0\n0.5,0.5\n")
     with pytest.raises(DomainError):
         import_jsi_csv(path, axis_units="rad/s")
+
+
+def test_import_rejects_non_finite_intensity(tmp_path):
+    for text in ("nan", "inf"):
+        path = tmp_path / f"{text}.csv"
+        with open(path, "w") as fh:
+            fh.write("# axis_s: 1.0 2.0\n# axis_i: 1.0 2.0 3.0\n")
+            fh.write(f"1.0,0.5,0.5\n0.5,0.5,{text}\n")
+        with pytest.raises(DomainError, match="row 1, column 2"):
+            import_jsi_csv(path, axis_units="rad/s")
+
+
+def _assert_export_identical(js, tmp_path):
+    export_matrix_csv(js, tmp_path / "m.csv", tmp_path / "m.json")
+    export_matrix_csv_reference(js, tmp_path / "ref.csv", tmp_path / "ref.json")
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "m.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_export_bytes_equal_reference_jsa_256(tmp_path, crystal, pump):
+    jsa = build_jsa(crystal, pump, GridSpec(n=256, center_lambda_nm=810.0, half_span_nm=60.0))
+    fd = FiberDispersion(beta_fs2=BETA_FIBER_FS2, reference_omega=pump.omega_p / 2.0)
+    jti = to_temporal(apply_fiber_phase(jsa, fd))
+    assert jti.axis_s[0] < 0
+    for js in (jsa, jti):
+        _assert_export_identical(js, tmp_path)
+
+
+def _half_tie(k, m):
+    """An exactly representable float of 14 significant digits, the last
+    a 5: D 10**-m with D = 10 k' + 5 in [1e13, 1e14) for m = -2, -1, 0, or
+    j / 2**m = (5**m j) 10**-m with j odd and 5**m j in [1e13, 1e14)
+    for m >= 1."""
+    if m <= 0:
+        return float((10 * (10 ** 12 + k % (9 * 10 ** 12)) + 5) * 10 ** -m)
+    lo = -(-10 ** 13 // 5 ** m) | 1
+    return (lo + 2 * (k % ((10 ** 14 // 5 ** m - lo) // 2))) / 2.0 ** m
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-290, 1e-100, 1e22, 1e23,
+                9.9999999999995, 999999999999.95, 1234567890123.5, 9999999999999.5,
+                99999999999995.0, np.nan, np.inf, -np.inf,
+                # the scaled value is off by more than 5e-4 from the exact one
+                8.1904554186685e175, 4.3886127302895e251]
+
+_MATRIX_VALUES = st.one_of(
+    st.floats(width=64),
+    st.sampled_from(_EDGE_VALUES),
+    # any exponent, including three-digit ones
+    st.builds(lambda d, e: float(f"{d}e{e}"), st.integers(1, 10 ** 15), st.integers(-330, 294)),
+    # 14 significant digits ending in 5: the float is just off the decimal half
+    st.builds(lambda d, e: float(f"{10 * d + 5}e{e}"),
+              st.integers(10 ** 12, 10 ** 13 - 1), st.integers(-330, 294)),
+    # exact 13-digit half ties
+    st.builds(_half_tie, st.integers(0, 2 ** 62), st.integers(-2, 10)),
+    # 9.99..95 carries and their neighbours
+    st.builds(lambda e, step: np.nextafter(float(f"9.9999999999995e{e}"), step * np.inf),
+              st.integers(-320, 294), st.sampled_from([-1, 0, 1])),
+).map(float)
+
+
+@st.composite
+def _matrices(draw):
+    pool = np.array(draw(st.lists(st.tuples(_MATRIX_VALUES, st.booleans()), min_size=1,
+                                  max_size=40).map(lambda vs: [-v if neg else v for v, neg in vs])))
+    n_cols = draw(st.integers(1, 700))
+    if draw(st.integers(0, 3)) == 3:
+        # more values than one write, with the chunk boundary inside a row
+        n_rows = biphoton._EXPORT_CHUNK_VALUES // n_cols + draw(st.integers(1, 2))
+    else:
+        n_rows = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (rng.choice(pool, (n_rows, n_cols)), rng.choice(pool, n_rows), rng.choice(pool, n_cols))
+
+
+def _spectrum_stub(matrix, axis_s, axis_i):
+    # export_matrix_csv reads only these attributes; a JointSpectrum could
+    # not carry negative, NaN or unsorted values
+    return SimpleNamespace(domain="temporal", axis_s=axis_s, axis_i=axis_i,
+                           intensity=lambda: matrix, normalized=False, measured=True)
+
+
+def test_export_bytes_equal_reference_edge_values(tmp_path):
+    values = np.array(_EDGE_VALUES)
+    matrix = np.stack([values, -values, values[::-1]])
+    _assert_export_identical(_spectrum_stub(matrix, matrix[:, 0], -values), tmp_path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_matrices())
+def test_export_bytes_equal_reference(case, tmp_path_factory):
+    _assert_export_identical(_spectrum_stub(*case), tmp_path_factory.mktemp("export"))

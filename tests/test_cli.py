@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -102,6 +104,15 @@ def test_tuning_curve_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, spdclab.cli; sys.exit('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          timeout=60)
+    assert done.returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # jsa
 
@@ -142,6 +153,17 @@ def test_jsa_measured_input_route(tmp_path):
     # differs from the model's; it must still be finite and fiber-broadened
     assert report["entanglement_time_free_fs"] > 0
     assert report["entanglement_time_fiber_fs"] > report["entanglement_time_free_fs"]
+
+
+def test_jsa_non_finite_measured_input_exits_1(tmp_path, capsys):
+    measured = tmp_path / "measured.csv"
+    measured.write_text("# axis_s: 800 810 820\n# axis_i: 800 810 820\n"
+                        "0,1,0\n1,nan,1\n0,1,0\n")
+    cfg = write_json(tmp_path / "jsa.json", {**SMALL_JSA, "measured_jsi_csv": str(measured)})
+    out = tmp_path / "out"
+    assert run("jsa", "--config", cfg, "--out", str(out)) == 1
+    assert "not finite at matrix row 1, column 1" in capsys.readouterr().err
+    assert not (out / "jsi.csv").exists()
 
 
 def test_jsa_coverage_error_exits_1(tmp_path):
