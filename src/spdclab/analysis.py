@@ -152,10 +152,6 @@ class FitResult:
         if self.reduced_chi2 < 0:
             raise SolverError("reduced chi-squared cannot be negative")
 
-    def predict(self, p):
-        p = np.asarray(p, dtype=float)
-        return sum(c * p ** k for k, c in enumerate(self.coefficients))
-
 
 def fit_rate_curve(table: RateTable, model: str) -> FitResult:
     """Weighted least squares of R_coin against P_SPDC with a free

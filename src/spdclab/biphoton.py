@@ -24,7 +24,7 @@ from ._ascii import digits
 from .constants import C0, TWO_PI, NM, MM, FS, wavelength_nm_to_omega, omega_to_wavelength_nm
 from .dispersion import group_index
 from .errors import CoverageError, DomainError
-from .phasematch import CrystalConfig
+from .phasematch import CrystalConfig, delta_k
 
 # Boundary-ring intensity mass above this fraction of the total means the
 # grid truncates the JSA.
@@ -142,33 +142,15 @@ def pump_envelope(env: PumpEnvelope, omega_s, omega_i):
 
 
 def phase_matching_function(cfg: CrystalConfig, omega_s, omega_i):
-    """sinc(dk L / 2) evaluated per grid point; sinc(0) = 1."""
+    """sinc(dk L / 2) per grid point, pumped at w_s + w_i; sinc(0) = 1."""
     w_s = np.asarray(omega_s, dtype=float)
     w_i = np.asarray(omega_i, dtype=float)
-    omega_p = w_s + w_i
-    lambda_p_nm = omega_to_wavelength_nm(omega_p)
-    lambda_s_nm = omega_to_wavelength_nm(w_s)
-    dk = delta_k_grid(cfg, lambda_p_nm, lambda_s_nm)
+    lambda_p_nm = omega_to_wavelength_nm(w_s + w_i)
+    cfg.model.check_wavelength(lambda_p_nm)  # name the pump first when it leaves the window
+    dk = delta_k(cfg, lambda_p_nm, omega_to_wavelength_nm(w_s))
     x = dk * (cfg.length_mm * MM) / 2.0
     out = np.sinc(x / np.pi)
     return out if np.ndim(out) else float(out)
-
-
-def delta_k_grid(cfg: CrystalConfig, lambda_p_nm, lambda_s_nm):
-    """Vectorized dk for per-point pump wavelengths (build_jsa does not
-    assume a monochromatic pump)."""
-    from .dispersion import wavevector
-
-    theta = cfg.effective_temperature_C
-    w_p = wavelength_nm_to_omega(np.asarray(lambda_p_nm, dtype=float))
-    w_s = wavelength_nm_to_omega(np.asarray(lambda_s_nm, dtype=float))
-    w_i = w_p - w_s
-    if np.any(w_i <= 0):
-        raise DomainError("derived idler frequency is unphysical")
-    return (wavevector(cfg.model, w_p, theta)
-            - wavevector(cfg.model, w_s, theta)
-            - wavevector(cfg.model, w_i, theta)
-            - cfg.poling_wavenumber)
 
 
 def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec | None = None) -> JointSpectrum:
@@ -491,20 +473,19 @@ def import_jsi_csv(csv_path, axis_units: str = "nm") -> JointSpectrum:
     Wavelength axes (nm) are accepted and converted; the intensity is
     resampled onto a uniform angular-frequency grid and the square root is
     taken so the result is amplitude-valued (phases can then be restored
-    with :func:`apply_fiber_phase`).
+    with :func:`apply_fiber_phase`).  A malformed axis value or matrix cell
+    raises DomainError naming the axis or matrix row and the 0-based index.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
-    axes = []
     with open(csv_path) as fh:
-        for _ in range(2):
-            line = fh.readline()
-            if not line.startswith("#"):
-                raise DomainError("matrix CSV must start with two axis header rows")
-            axes.append(np.array([float(v) for v in line.split(":", 1)[1].split()]))
-        intensity = np.loadtxt(fh, delimiter=",")
-    axis_s, axis_i = axes
-    if intensity.shape != (len(axis_s), len(axis_i)):
+        header = [fh.readline() for _ in range(2)]
+        if not all(line.startswith("#") for line in header):
+            raise DomainError("matrix CSV must start with two axis header rows")
+        raw = [_parse_axis(name, line) for name, line in zip(("axis_s", "axis_i"), header)]
+        try:
+            intensity = np.loadtxt(fh, delimiter=",")
+        except ValueError as exc:
+            raise _matrix_error(csv_path, exc) from None
+    if intensity.shape != (len(raw[0]), len(raw[1])):
         raise DomainError("matrix shape does not match axis headers")
     bad = np.argwhere(~np.isfinite(intensity))
     if len(bad):
@@ -513,28 +494,12 @@ def import_jsi_csv(csv_path, axis_units: str = "nm") -> JointSpectrum:
                           f"column {col} (0-based): {intensity[row, col]}")
     if np.any(intensity < 0):
         raise DomainError("measured intensity must be nonnegative")
-
-    if axis_units == "nm":
-        axis_s = wavelength_nm_to_omega(axis_s)
-        axis_i = wavelength_nm_to_omega(axis_i)
-    elif axis_units != "rad/s":
+    if axis_units not in ("nm", "rad/s"):
         raise DomainError(f"unsupported axis units {axis_units!r}")
 
-    # ensure increasing axes for interpolation
-    if axis_s[0] > axis_s[-1]:
-        axis_s = axis_s[::-1]
-        intensity = intensity[::-1, :]
-    if axis_i[0] > axis_i[-1]:
-        axis_i = axis_i[::-1]
-        intensity = intensity[:, ::-1]
-
-    n = len(axis_s)
-    uni_s = np.linspace(axis_s[0], axis_s[-1], n)
-    uni_i = np.linspace(axis_i[0], axis_i[-1], len(axis_i))
-    interp = RegularGridInterpolator((axis_s, axis_i), intensity,
-                                     bounds_error=False, fill_value=0.0)
-    w_s, w_i = np.meshgrid(uni_s, uni_i, indexing="ij")
-    resampled = np.clip(interp(np.stack([w_s, w_i], axis=-1)), 0.0, None)
+    axis_s, axis_i = (_check_axis(name, values, axis_units)
+                      for name, values in zip(("axis_s", "axis_i"), raw))
+    uni_s, uni_i, resampled = _resample_uniform(axis_s, axis_i, intensity)
     return JointSpectrum(
         amplitude=np.sqrt(resampled).astype(complex),
         axis_s=uni_s,
@@ -543,3 +508,78 @@ def import_jsi_csv(csv_path, axis_units: str = "nm") -> JointSpectrum:
         normalized=False,
         measured=True,
     )
+
+
+def _parse_axis(name: str, line: str) -> np.ndarray:
+    """The values of a ``# axis_x: v0 v1 ...`` header row, at least two."""
+    values = []
+    for k, token in enumerate(line.partition(":")[2].split()):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise DomainError(f"{name} value {k} (0-based) is not a number: {token!r}") from None
+    if len(values) < 2:
+        raise DomainError(f"{name} has {len(values)} value(s); resampling needs at least 2")
+    return np.array(values)
+
+
+def _check_axis(name: str, values: np.ndarray, units: str) -> np.ndarray:
+    """``values`` in rad/s, which must be finite and strictly monotonic."""
+    axis = wavelength_nm_to_omega(values) if units == "nm" else values
+    step = np.diff(axis)
+    bad = ~(np.isfinite(values) & np.isfinite(axis))
+    bad[1:] |= ~(np.sign(step) * np.sign(step[0]) > 0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise DomainError(f"{name} must be finite and strictly monotonic in rad/s; "
+                          f"value {k} (0-based) is {values[k]}")
+    return axis
+
+
+def _matrix_error(csv_path, exc: ValueError) -> DomainError:
+    """Name the first cell that is not a number, or the first row whose
+    length differs from row 0's, in a matrix ``np.loadtxt`` rejected."""
+    with open(csv_path) as fh:
+        lines = [line.partition("#")[0] for line in fh.read().splitlines()[2:]]
+    rows = [line.split(",") for line in lines if line.strip()]
+    for r, cells in enumerate(rows):
+        for c, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                return DomainError(f"measured intensity is not a number at matrix row {r}, "
+                                   f"column {c} (0-based): {cell.strip()!r}")
+        if len(cells) != len(rows[0]):
+            return DomainError(f"matrix row {r} has {len(cells)} columns, row 0 has {len(rows[0])}")
+    return DomainError(f"measured intensity matrix is unreadable: {exc}")
+
+
+def _resample_uniform(axis_s, axis_i, intensity):
+    """Bilinear resample of ``intensity`` from strictly monotonic axes onto
+    increasing uniform axes with the same end points and lengths.
+
+    Value for value, this is the linear grid interpolator it replaces
+    (``tests/conftest.py::resample_jsi_reference``): cell
+    i = clip(searchsorted(g, x, "right") - 1, 0, n - 2), weight
+    y = (x - g[i]) / (g[i + 1] - g[i]), the four corner terms summed from
+    0.0 in the order below.  Every uniform point lies inside the data axes,
+    so none takes a fill value.
+    """
+    if axis_s[0] > axis_s[-1]:
+        axis_s, intensity = axis_s[::-1], intensity[::-1, :]
+    if axis_i[0] > axis_i[-1]:
+        axis_i, intensity = axis_i[::-1], intensity[:, ::-1]
+    uni_s = np.linspace(axis_s[0], axis_s[-1], len(axis_s))
+    uni_i = np.linspace(axis_i[0], axis_i[-1], len(axis_i))
+    (i, y0), (j, y1) = _cells(axis_s, uni_s), _cells(axis_i, uni_i)
+    y0, y1 = y0[:, None], y1[None, :]
+    lo, hi = intensity[i], intensity[i + 1]
+    resampled = (0.0 + lo[:, j] * (1 - y0) * (1 - y1) + lo[:, j + 1] * (1 - y0) * y1
+                 + hi[:, j] * y0 * (1 - y1) + hi[:, j + 1] * y0 * y1)
+    return uni_s, uni_i, resampled
+
+
+def _cells(grid, x):
+    """Index of the grid cell holding each x, and x's weight in that cell."""
+    i = np.clip(np.searchsorted(grid, x, "right") - 1, 0, len(grid) - 2)
+    return i, (x - grid[i]) / (grid[i + 1] - grid[i])

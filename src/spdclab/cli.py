@@ -9,7 +9,7 @@ etpa-report   entangled two-photon-absorption feasibility numbers
 analyze       rate-table regressions, R_abs and Gamma series
 
 All physical parameters live in a JSON config file (``--config``); flags
-only override run plumbing (seed, output directory, threads).  Every JSON
+only override run plumbing (seed, output directory).  Every JSON
 output embeds the resolved config, and repeated runs with identical inputs
 and seed produce byte-identical files.
 
@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import analysis, biphoton, counting, dispersion, etpa, phasematch
 from .errors import SpdclabError, TableParseError
@@ -84,10 +85,7 @@ def cmd_tuning_curve(args) -> int:
         points, os.path.join(args.out, "tuning_curve.csv"))
 
     theta_deg_model = phasematch.find_degeneracy_temperature(
-        phasematch.CrystalConfig(crystal.model, crystal.length_mm,
-                                 crystal.poling_period_um,
-                                 crystal.temperature_C, 0.0),
-        lambda_p)
+        replace(crystal, calibration_offset_C=0.0), lambda_p)
     summary = {
         "config": cfg,
         "lambda_p_nm": lambda_p,
@@ -96,9 +94,8 @@ def cmd_tuning_curve(args) -> int:
         "theta_deg_C": theta_deg_model - crystal.calibration_offset_C,
         "n_points": len(points),
     }
-    if "measured_degeneracy_C" in cfg:
-        summary["fitted_calibration_offset_C"] = phasematch.fit_calibration_offset(
-            crystal, lambda_p, cfg["measured_degeneracy_C"])
+    if "measured_degeneracy_C" in cfg:  # = fit_calibration_offset, one solve
+        summary["fitted_calibration_offset_C"] = theta_deg_model - cfg["measured_degeneracy_C"]
     _write_json(summary, os.path.join(args.out, "tuning_summary.json"))
     return 0
 
@@ -254,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"RNG seed (default {DEFAULT_SEED})")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="internal parallelism bound (never affects output bytes)")
         if name == "analyze":
             p.add_argument("--drop-flagged", action="store_true",
                            help="drop rows whose singles carry > 5%% relative error")
@@ -265,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("spdclab: --threads must be >= 1", file=sys.stderr)
-        return 2
     os.makedirs(args.out, exist_ok=True)
     try:
         return args.handler(args)

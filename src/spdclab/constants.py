@@ -18,8 +18,6 @@ NM = 1e-9
 UM = 1e-6
 MM = 1e-3
 FS = 1e-15
-NS = 1e-9
-MS = 1e-3
 
 
 def wavelength_nm_to_omega(lambda_nm):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -422,11 +421,6 @@ class CountSummary:
             "warnings": list(self.warnings),
             "corrected": self.corrected,
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.payload(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def accidental_rate(rate_a: float, rate_b: float, window_ns: float) -> float:

@@ -17,34 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import C0, TWO_PI, NM, MM, wavelength_nm_to_omega, omega_to_wavelength_nm
+from .constants import C0, TWO_PI, NM, MM, omega_to_wavelength_nm
 from .errors import DomainError, TableParseError
 
 _COEFF_KEYS = ("a1", "a2", "a3", "a4", "a5", "a6", "b1", "b2", "b3", "b4")
 
 # Reference temperature of the Gayer model, degC.
 _T_REF = 24.5
-
-
-@dataclass(frozen=True)
-class OpticalFrequency:
-    """Angular frequency in rad/s, convertible to/from vacuum wavelength."""
-
-    omega: float
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise DomainError(f"angular frequency must be positive, got {self.omega}")
-
-    @classmethod
-    def from_wavelength_nm(cls, lambda_nm: float) -> "OpticalFrequency":
-        if not lambda_nm > 0:
-            raise DomainError(f"wavelength must be positive, got {lambda_nm}")
-        return cls(wavelength_nm_to_omega(lambda_nm))
-
-    @property
-    def wavelength_nm(self) -> float:
-        return omega_to_wavelength_nm(self.omega)
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,10 @@ def idler_wavelength_nm(lambda_p_nm: float, lambda_s_nm: float) -> float:
     return 1.0 / inv
 
 
-def delta_k(cfg: CrystalConfig, lambda_p_nm: float, lambda_s_nm) -> float:
+def delta_k(cfg: CrystalConfig, lambda_p_nm, lambda_s_nm):
     """Wave-vector mismatch dk = k_p - k_s - k_i - 2 pi / Lambda in 1/m.
 
-    ``lambda_s_nm`` may be an array; the idler wavelength is derived from
+    Either wavelength may be an array; the idler wavelength is derived from
     energy conservation and must lie inside the material validity window.
     """
     theta = cfg.effective_temperature_C

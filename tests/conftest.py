@@ -173,6 +173,28 @@ def export_matrix_csv_reference(js, csv_path, sidecar_path) -> None:
         fh.write("\n")
 
 
+def resample_jsi_reference(axis_s, axis_i, intensity):
+    """scipy ``RegularGridInterpolator`` resample onto uniform axes, the
+    reference for ``biphoton._resample_uniform``: axes made increasing,
+    uniform axes with the same end points and lengths, linear
+    interpolation with fill value 0, clipped at 0."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    if axis_s[0] > axis_s[-1]:
+        axis_s = axis_s[::-1]
+        intensity = intensity[::-1, :]
+    if axis_i[0] > axis_i[-1]:
+        axis_i = axis_i[::-1]
+        intensity = intensity[:, ::-1]
+    uni_s = np.linspace(axis_s[0], axis_s[-1], len(axis_s))
+    uni_i = np.linspace(axis_i[0], axis_i[-1], len(axis_i))
+    interp = RegularGridInterpolator((axis_s, axis_i), intensity,
+                                     bounds_error=False, fill_value=0.0)
+    w_s, w_i = np.meshgrid(uni_s, uni_i, indexing="ij")
+    resampled = np.clip(interp(np.stack([w_s, w_i], axis=-1)), 0.0, None)
+    return uni_s, uni_i, resampled
+
+
 def assert_close(value, expected, rel, label=""):
     __tracebackhide__ = True
     err = abs(value - expected) / abs(expected)

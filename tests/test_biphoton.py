@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdclab import biphoton
@@ -27,7 +27,13 @@ from spdclab.biphoton import (
 from spdclab.constants import FS, wavelength_nm_to_omega
 from spdclab.errors import CoverageError, DomainError
 
-from conftest import BETA_FIBER_FS2, LAMBDA_P_NM, assert_close, export_matrix_csv_reference
+from conftest import (
+    BETA_FIBER_FS2,
+    LAMBDA_P_NM,
+    assert_close,
+    export_matrix_csv_reference,
+    resample_jsi_reference,
+)
 
 # Entanglement times for the 20 mm / 2.72 um crystal at the fitted
 # degeneracy point, N = 1024, 60 nm half-span.  Frozen from an independent
@@ -62,6 +68,13 @@ def test_pump_from_wavelength():
 def test_phase_matching_peak_at_degeneracy(crystal):
     w = wavelength_nm_to_omega(2 * LAMBDA_P_NM)
     assert phase_matching_function(crystal, w, w) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_phase_matching_names_the_pump_outside_the_window(crystal):
+    # pump 392 nm and idler 6.3 um both leave the Sellmeier window; the
+    # error names the pump, as the per-point pump path always has
+    with pytest.raises(DomainError, match=r"wavelength 0\.3924-0\.3924 um"):
+        phase_matching_function(crystal, np.array([4.5e15]), np.array([0.3e15]))
 
 
 def test_phase_matching_sinc_shape(crystal):
@@ -243,6 +256,74 @@ def test_import_rejects_non_finite_intensity(tmp_path):
             fh.write(f"1.0,0.5,0.5\n0.5,0.5,{text}\n")
         with pytest.raises(DomainError, match="row 1, column 2"):
             import_jsi_csv(path, axis_units="rad/s")
+
+
+@pytest.mark.parametrize("axis_s, axis_i, row, match", [
+    ("800 nan 820", "800 810 820", "1,2,1", r"axis_s must be finite .* value 1 \(0-based\) is nan"),
+    ("800 810 805", "800 810 820", "1,2,1", r"axis_s must be finite .* value 2 \(0-based\)"),
+    ("820 810 810", "800 810 820", "1,2,1", r"axis_s must be finite .* value 2 \(0-based\)"),
+    ("800 810 820", "800 800 820", "1,2,1", r"axis_i must be finite .* value 1 \(0-based\)"),
+    ("800 abc 820", "800 810 820", "1,2,1", r"axis_s value 1 \(0-based\) is not a number: 'abc'"),
+    ("800 810 820", "800 810 820", "1,x,1", r"not a number at matrix row 1, column 1 \(0-based\)"),
+    ("800 810 820", "800 810 820", "1,2", r"matrix row 1 has 2 columns, row 0 has 3"),
+    ("800", "800 810 820", "1,2,1", r"axis_s has 1 value\(s\); resampling needs at least 2"),
+])
+def test_import_rejects_malformed_axes_and_cells(tmp_path, axis_s, axis_i, row, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# axis_s: {axis_s}\n# axis_i: {axis_i}\n0,1,0\n{row}\n0,1,0\n")
+    with pytest.raises(DomainError, match=match):
+        import_jsi_csv(path, axis_units="nm")
+
+
+def _assert_resample_identical(axis_s, axis_i, intensity):
+    got = biphoton._resample_uniform(axis_s, axis_i, intensity)
+    want = resample_jsi_reference(axis_s, axis_i, intensity)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@st.composite
+def _axes(draw, n):
+    kind = draw(st.sampled_from(["uniform", "steps", "nm"]))
+    if kind == "nm":
+        # a spectrometer axis uniform in wavelength: descending, non-uniform in rad/s
+        lo = draw(st.floats(700.0, 800.0))
+        axis = wavelength_nm_to_omega(np.linspace(lo, lo + draw(st.floats(1.0, 120.0)), n))
+    else:
+        offset, unit = draw(st.sampled_from([(0.0, 1.0), (800.0, 0.01), (-5.0, 1e-3),
+                                             (2.3e15, 1e10)]))
+        steps = (np.ones(n - 1) if kind == "uniform"
+                 else np.array(draw(st.lists(st.floats(0.01, 100.0), min_size=n - 1,
+                                             max_size=n - 1))))
+        axis = offset + unit * np.concatenate([[0.0], np.cumsum(steps)])
+    assume(np.all(np.diff(axis) > 0) or np.all(np.diff(axis) < 0))
+    return axis[::-1] if draw(st.booleans()) else axis
+
+
+_INTENSITY = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-10, 1e10),
+                       st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+                                 st.integers(-10, 9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_s=st.integers(2, 40), n_i=st.integers(2, 40))
+def test_resample_bitwise_equals_reference(data, n_s, n_i):
+    axis_s, axis_i = data.draw(_axes(n_s)), data.draw(_axes(n_i))
+    pool = np.array(data.draw(st.lists(_INTENSITY, min_size=1, max_size=20)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    _assert_resample_identical(axis_s, axis_i, rng.choice(pool, (n_s, n_i)))
+
+
+def test_resample_bitwise_equals_reference_measured_like():
+    # Poisson counts of a narrow anti-diagonal JSI on a wavelength grid,
+    # as a spectrometer records it
+    lam = np.linspace(750.0, 870.0, 257)
+    omega = wavelength_nm_to_omega(lam)
+    w_s, w_i = np.meshgrid(omega, omega, indexing="ij")
+    model = np.exp(-((w_s + w_i - 2 * omega[128]) / 2e12) ** 2) * np.exp(-((w_s - w_i) / 2e14) ** 2)
+    counts = np.random.default_rng(101).poisson(2000.0 * model).astype(float)
+    _assert_resample_identical(omega, omega, counts)
 
 
 def _assert_export_identical(js, tmp_path):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spdclab import cli
@@ -61,12 +62,6 @@ def test_computation_error_exits_1(tmp_path, capsys):
     assert "no phase matching" in capsys.readouterr().err
 
 
-def test_bad_threads_exits_2(tmp_path):
-    rc = run("etpa-report", "--config", config_path("paper_scenario.json"),
-             "--out", str(tmp_path), "--threads", "0")
-    assert rc == 2
-
-
 def test_missing_unit_suffix_exits_2(tmp_path, capsys):
     scenario = json.load(open(config_path("paper_scenario.json")))
     scenario["T_e"] = scenario.pop("T_e_fs")
@@ -79,7 +74,7 @@ def test_missing_unit_suffix_exits_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # tuning-curve
 
-def test_tuning_curve_paper_config(tmp_path):
+def test_tuning_curve_paper_config(tmp_path, calibration_offset):
     out = tmp_path / "tc"
     rc = run("tuning-curve", "--config", config_path("paper_tuning.json"),
              "--out", str(out))
@@ -87,6 +82,7 @@ def test_tuning_curve_paper_config(tmp_path):
     summary = json.load(open(out / "tuning_summary.json"))
     assert summary["theta_deg_C"] == pytest.approx(59.4, abs=1e-4)
     assert summary["theta_deg_model_C"] == pytest.approx(108.4975, abs=1e-3)
+    assert summary["fitted_calibration_offset_C"] == calibration_offset
     assert "config" in summary
     with open(out / "tuning_curve.csv") as fh:
         header = fh.readline().strip()
@@ -104,13 +100,29 @@ def test_tuning_curve_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_import_does_not_load_scipy():
+def test_cli_import_does_not_load_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = "import sys, spdclab.cli; sys.exit('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          timeout=60)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+    # nor does resampling a measured JSI: exit 3 if scipy got loaded
+    lam = np.linspace(790.0, 830.0, 48)
+    intensity = np.exp(-((lam[:, None] + lam[None, :] - 1620.0) ** 2) / 2.0
+                       - (lam[:, None] - lam[None, :]) ** 2 / 200.0)
+    measured = tmp_path / "measured.csv"
+    with open(measured, "w") as fh:
+        fh.write("# axis_s: " + " ".join(map(str, lam)) + "\n")
+        fh.write("# axis_i: " + " ".join(map(str, lam)) + "\n")
+        np.savetxt(fh, intensity, delimiter=",")
+    cfg = write_json(tmp_path / "jsa.json", {**SMALL_JSA, "measured_jsi_csv": str(measured)})
+    code = ("import sys, spdclab.cli; rc = spdclab.cli.main(sys.argv[1:]); "
+            "sys.exit(3 if 'scipy' in sys.modules else rc)")
+    done = subprocess.run([sys.executable, "-c", code, "jsa", "--config", cfg,
+                           "--out", str(tmp_path / "out")], env=env, timeout=60)
     assert done.returncode == 0
+    assert json.load(open(tmp_path / "out" / "te_report.json"))["measured_input"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +176,23 @@ def test_jsa_non_finite_measured_input_exits_1(tmp_path, capsys):
     assert run("jsa", "--config", cfg, "--out", str(out)) == 1
     assert "not finite at matrix row 1, column 1" in capsys.readouterr().err
     assert not (out / "jsi.csv").exists()
+
+
+@pytest.mark.parametrize("axis_s, row, where", [
+    ("800 nan 820", "1,2,1", "axis_s must be finite and strictly monotonic in rad/s; value 1"),
+    ("800 810 805", "1,2,1", "axis_s must be finite and strictly monotonic in rad/s; value 2"),
+    ("800 abc 820", "1,2,1", "axis_s value 1 (0-based) is not a number"),
+    ("800 810 820", "1,x,1", "not a number at matrix row 1, column 1"),
+    ("800", "1,2,1", "axis_s has 1 value(s)"),
+])
+def test_jsa_malformed_measured_input_exits_1(tmp_path, capsys, axis_s, row, where):
+    measured = tmp_path / "measured.csv"
+    measured.write_text(f"# axis_s: {axis_s}\n# axis_i: 800 810 820\n0,1,0\n{row}\n0,1,0\n")
+    cfg = write_json(tmp_path / "jsa.json", {**SMALL_JSA, "measured_jsi_csv": str(measured)})
+    assert run("jsa", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spdclab: ") and where in err
+    assert not (tmp_path / "out" / "jsi.csv").exists()
 
 
 def test_jsa_coverage_error_exits_1(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from spdclab import dispersion
 from spdclab.constants import wavelength_nm_to_omega, omega_to_wavelength_nm
 from spdclab.dispersion import (
-    OpticalFrequency,
     group_delay_dispersion,
     group_index,
     gvd,
@@ -175,13 +174,4 @@ def test_wavevector_definition(material):
 
 def test_optical_frequency_roundtrip():
     for lam in (405.0, 810.0, 1550.0):
-        f = OpticalFrequency.from_wavelength_nm(lam)
-        assert f.wavelength_nm == pytest.approx(lam, rel=1e-12)
-    assert omega_to_wavelength_nm(wavelength_nm_to_omega(810.0)) == pytest.approx(810.0, rel=1e-12)
-
-
-def test_optical_frequency_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        OpticalFrequency.from_wavelength_nm(-1.0)
-    with pytest.raises(DomainError):
-        OpticalFrequency(0.0)
+        assert omega_to_wavelength_nm(wavelength_nm_to_omega(lam)) == pytest.approx(lam, rel=1e-12)

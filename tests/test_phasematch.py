@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdclab import phasematch
 from spdclab.errors import DomainError, SolverError
@@ -54,6 +56,19 @@ def test_delta_k_vectorized_matches_scalar(material):
     vec = delta_k(cfg, LAMBDA_P_NM, lams)
     for lam, v in zip(lams, vec):
         assert v == delta_k(cfg, LAMBDA_P_NM, float(lam))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(401.0, 440.0), st.floats(700.0, 1000.0)),
+                       min_size=1, max_size=20),
+       theta=st.floats(20.0, 200.0))
+def test_delta_k_array_pump_matches_scalar_bitwise(material, points, theta):
+    # the per-point pump path of build_jsa against one scalar call per point
+    cfg = bulk_crystal(material, theta)
+    pump, signal = np.array(points).T
+    vec = delta_k(cfg, pump, signal)
+    scalar = np.array([delta_k(cfg, float(p), float(s)) for p, s in points])
+    assert vec.tobytes() == scalar.tobytes()
 
 
 # ---------------------------------------------------------------------------
