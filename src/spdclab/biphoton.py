@@ -18,17 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import json
+import warnings
 import numpy as np
 
 from ._ascii import digits
 from .constants import C0, TWO_PI, NM, MM, FS, wavelength_nm_to_omega, omega_to_wavelength_nm
-from .dispersion import group_index
 from .errors import CoverageError, DomainError
 from .phasematch import CrystalConfig, delta_k
 
 # Boundary-ring intensity mass above this fraction of the total means the
 # grid truncates the JSA.
 COVERAGE_TOLERANCE = 1e-3
+
+# Largest relative deviation of an axis step from the first step that
+# still counts as uniform sampling for the FFT.
+UNIFORM_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,18 +120,15 @@ class JointSpectrum:
         ax = self.axis_s if which == "s" else self.axis_i
         return float(ax[1] - ax[0])
 
-    def axes_uniform(self, rtol: float = 1e-9) -> bool:
+    def axes_uniform(self) -> bool:
         for ax in (self.axis_s, self.axis_i):
             d = np.diff(ax)
-            if np.max(np.abs(d - d[0])) > rtol * abs(d[0]):
+            if np.max(np.abs(d - d[0])) > UNIFORM_RTOL * abs(d[0]):
                 return False
         return True
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitude) ** 2
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.intensity()) * self.step("s") * self.step("i"))
 
 
 def pump_envelope(env: PumpEnvelope, omega_s, omega_i):
@@ -329,18 +330,6 @@ def entanglement_time_from_jti(js: JointSpectrum) -> float:
     return float((hi - lo) / FS)
 
 
-def entanglement_time_gvm(cfg: CrystalConfig, lambda_s_nm: float, lambda_i_nm: float) -> float:
-    """Group-velocity-mismatch entanglement time L/2 * |1/v_s - 1/v_i| in fs.
-
-    Exactly zero for a degenerate pair (identical group velocities).
-    """
-    theta = cfg.effective_temperature_C
-    ng_s = group_index(cfg.model, lambda_s_nm, theta)
-    ng_i = group_index(cfg.model, lambda_i_nm, theta)
-    length = cfg.length_mm * MM
-    return float(length / 2.0 * abs(ng_s - ng_i) / C0 / FS)
-
-
 # ---------------------------------------------------------------------------
 # matrix export / measured-JSI import
 
@@ -482,7 +471,10 @@ def import_jsi_csv(csv_path, axis_units: str = "nm") -> JointSpectrum:
             raise DomainError("matrix CSV must start with two axis header rows")
         raw = [_parse_axis(name, line) for name, line in zip(("axis_s", "axis_i"), header)]
         try:
-            intensity = np.loadtxt(fh, delimiter=",")
+            with warnings.catch_warnings():
+                # headers without data rows: the shape check below names them
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                intensity = np.loadtxt(fh, delimiter=",")
         except ValueError as exc:
             raise _matrix_error(csv_path, exc) from None
     if intensity.shape != (len(raw[0]), len(raw[1])):
@@ -525,8 +517,9 @@ def _parse_axis(name: str, line: str) -> np.ndarray:
 
 def _check_axis(name: str, values: np.ndarray, units: str) -> np.ndarray:
     """``values`` in rad/s, which must be finite and strictly monotonic."""
-    axis = wavelength_nm_to_omega(values) if units == "nm" else values
-    step = np.diff(axis)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 nm is inf rad/s, rejected below
+        axis = wavelength_nm_to_omega(values) if units == "nm" else values
+        step = np.diff(axis)
     bad = ~(np.isfinite(values) & np.isfinite(axis))
     bad[1:] |= ~(np.sign(step) * np.sign(step[0]) > 0)
     if np.any(bad):

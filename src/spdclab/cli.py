@@ -8,12 +8,15 @@ simulate      Monte Carlo detector click streams + count-rate summary
 etpa-report   entangled two-photon-absorption feasibility numbers
 analyze       rate-table regressions, R_abs and Gamma series
 
-All physical parameters live in a JSON config file (``--config``); flags
-only override run plumbing (seed, output directory).  Every JSON
-output embeds the resolved config, and repeated runs with identical inputs
-and seed produce byte-identical files.
+All physical parameters and switches (``analyze``'s boolean
+``drop_flagged``) live in a JSON config file (``--config``).  Flags only
+carry run plumbing: ``--out`` everywhere and ``--seed`` on ``simulate``, the
+one subcommand that draws random numbers.  Every JSON output embeds the
+resolved config, and repeated runs with identical inputs and seed produce
+byte-identical files.
 
-Exit codes: 0 success, 1 computation error, 2 usage/config error.
+Exit codes: 0 success, 1 computation error, 2 usage/config error, a missing
+input file or a config that is not valid JSON.
 """
 
 from __future__ import annotations
@@ -36,13 +39,8 @@ class ConfigError(Exception):
 
 
 def _load_config(path) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _require(cfg: dict, key: str, path: str):
@@ -179,8 +177,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_etpa_report(args) -> int:
-    if not os.path.exists(args.config):
-        raise ConfigError(f"config file not found: {args.config}")
     try:
         data = etpa.load_scenario(args.config)
     except TableParseError as exc:
@@ -196,13 +192,6 @@ def cmd_etpa_report(args) -> int:
     return 0
 
 
-def _maybe_drop_flagged(table: analysis.RateTable, drop: bool) -> analysis.RateTable:
-    if not drop:
-        return table
-    kept = tuple(r for r in table.rows if not r.flagged())
-    return analysis.RateTable(kept)
-
-
 def cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
@@ -212,18 +201,19 @@ def cmd_analyze(args) -> int:
 
     solv_path = resolve(_require(cfg, "solvent_csv", args.config))
     samp_path = resolve(_require(cfg, "sample_csv", args.config))
-    for p in (solv_path, samp_path):
-        if not os.path.exists(p):
-            raise ConfigError(f"rate table file not found: {p}")
+    drop = cfg.get("drop_flagged", False)
+    if not isinstance(drop, bool):
+        raise ConfigError(f"config file {args.config}: 'drop_flagged' must be true or false, "
+                          f"got {drop!r}")
     solv = analysis.ingest_rate_table(solv_path)
     samp = analysis.ingest_rate_table(samp_path)
-    drop = args.drop_flagged or cfg.get("drop_flagged", False)
-    solv = _maybe_drop_flagged(solv, drop)
-    samp = _maybe_drop_flagged(samp, drop)
+    if drop:
+        solv, samp = (analysis.RateTable(tuple(r for r in t.rows if not r.flagged()))
+                      for t in (solv, samp))
 
     report = analysis.analysis_report(solv, samp)
     report["config"] = cfg
-    report["dropped_flagged_rows"] = bool(drop)
+    report["dropped_flagged_rows"] = drop
     analysis.write_report_json(report, os.path.join(args.out, "analysis_report.json"))
     analysis.write_plot_data_csv(report, os.path.join(args.out, "plot_data.csv"))
     return 0
@@ -248,12 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler in handlers.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"RNG seed (default {DEFAULT_SEED})")
         p.add_argument("--out", default=".", help="output directory")
-        if name == "analyze":
-            p.add_argument("--drop-flagged", action="store_true",
-                           help="drop rows whose singles carry > 5%% relative error")
+        if name == "simulate":
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                           help=f"RNG seed (default {DEFAULT_SEED})")
         p.set_defaults(handler=handler)
     return parser
 
@@ -268,6 +256,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"spdclab: file not found: {exc.filename}", file=sys.stderr)
+        return 2
+    except json.JSONDecodeError as exc:
+        print(f"spdclab: --config {args.config} is not valid JSON: {exc}", file=sys.stderr)
         return 2
     except SpdclabError as exc:
         print(f"spdclab: {exc}", file=sys.stderr)

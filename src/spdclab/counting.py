@@ -153,19 +153,6 @@ class TagStream:
                 fh.write(_render_rows(times[rows], prefix_bytes[codes[rows]],
                                       prefix_used[codes[rows]], line_end).decode(fh.encoding))
 
-    @classmethod
-    def load_csv(cls, path, integration_time_ms: float) -> "TagStream":
-        per_channel: dict = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["channel", "timestamp_ns"]:
-                raise DomainError(f"unexpected tag stream header {header}")
-            for row in reader:
-                per_channel.setdefault(row[0], []).append(float(row[1]))
-        channels = {k: np.sort(np.array(v)) for k, v in sorted(per_channel.items())}
-        return cls(channels=channels, integration_time_ms=integration_time_ms)
-
 
 def _render_rows(times, prefix_bytes, prefix_used, line_end: bytes) -> bytes:
     """One row per timestamp: its prefix (the used bytes of a row of

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import C0, TWO_PI, NM, MM, omega_to_wavelength_nm
+from .constants import C0, TWO_PI, NM, omega_to_wavelength_nm
 from .errors import DomainError, TableParseError
 
 _COEFF_KEYS = ("a1", "a2", "a3", "a4", "a5", "a6", "b1", "b2", "b3", "b4")
@@ -158,15 +158,6 @@ def gvd(model: SellmeierModel, lambda_nm, theta_C: float):
     d2n_m = d2n / (1e-6) ** 2  # 1/m^2
     out = lam_m ** 3 / (TWO_PI * C0 ** 2) * d2n_m
     return out if np.ndim(lambda_nm) else float(out)
-
-
-def group_delay_dispersion(model: SellmeierModel, lambda_nm, theta_C: float,
-                           length_mm: float):
-    """Group delay dispersion accumulated over ``length_mm`` of material,
-    in fs^2.  Linear in length by definition; sign follows d2k/domega2."""
-    if length_mm == 0:
-        return 0.0
-    return gvd(model, lambda_nm, theta_C) * (length_mm * MM) * 1e30
 
 
 def wavevector(model: SellmeierModel, omega, theta_C: float):

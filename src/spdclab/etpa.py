@@ -3,8 +3,8 @@ entangled cross section, absorption rates, pair flux, molecule density and
 illuminated-volume scaling.
 
 A small unit-tagged value layer keeps the zoo of bench units (GM, fs, um^2,
-cm^-2 s^-1, mL) honest: quantities carry a unit string and mixing
-incompatible units raises at construction time.
+cm^-2 s^-1, mL) honest: quantities carry a unit string, and reading one in
+the wrong unit raises UnitError.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from .errors import DomainError, TableParseError, UnitError
 
 @dataclass(frozen=True)
 class Quantity:
-    """A value tagged with its unit.  Addition and subtraction require
-    matching units; use :meth:`expect` to unwrap a value where a specific
-    unit is required."""
+    """A finite value tagged with its unit; use :meth:`expect` to unwrap
+    the value where a specific unit is required."""
 
     value: float
     unit: str
@@ -34,20 +33,6 @@ class Quantity:
         if self.unit != unit:
             raise UnitError(f"expected a quantity in {unit!r}, got {self.unit!r}")
         return self.value
-
-    def _check(self, other):
-        if not isinstance(other, Quantity):
-            raise UnitError(f"cannot combine {self.unit!r} with a bare number")
-        if other.unit != self.unit:
-            raise UnitError(f"incompatible units {self.unit!r} and {other.unit!r}")
-
-    def __add__(self, other):
-        self._check(other)
-        return Quantity(self.value + other.value, self.unit)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Quantity(self.value - other.value, self.unit)
 
 
 def _positive(q: Quantity, name: str) -> Quantity:
@@ -191,7 +176,8 @@ def load_scenario(path) -> dict:
     if missing:
         raise TableParseError(f"scenario file missing keys: {missing}")
     for key, value in data.items():
-        if not isinstance(value, (int, float)):
+        # bool is an int subclass, but true is not a number of any unit
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TableParseError(f"scenario key {key!r} must be a number")
     return data
 

@@ -18,8 +18,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import TWO_PI, UM, wavelength_nm_to_omega
-from .dispersion import SellmeierModel, wavevector, load_material
+from .dispersion import SellmeierModel, wavevector
 from .errors import DomainError, SolverError
+
+# Coarse sign-change scan before bisection: temperatures in
+# find_degeneracy_temperature, signal wavelengths in tuning_curve.
+SCAN_POINTS = 500
+
+# Bisection halvings before bisect_root returns the bracket midpoint.
+BISECT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -47,18 +54,6 @@ class CrystalConfig:
     def poling_wavenumber(self) -> float:
         """2 pi / Lambda in 1/m."""
         return TWO_PI / (self.poling_period_um * UM)
-
-
-def paper_crystal(temperature_C: float = 59.4, calibration_offset_C: float = 0.0,
-                  model: SellmeierModel | None = None) -> CrystalConfig:
-    """The 20 mm, 2.72 um poling period PPLN configuration."""
-    return CrystalConfig(
-        model=model if model is not None else load_material(),
-        length_mm=20.0,
-        poling_period_um=2.72,
-        temperature_C=temperature_C,
-        calibration_offset_C=calibration_offset_C,
-    )
 
 
 def idler_wavelength_nm(lambda_p_nm: float, lambda_s_nm: float) -> float:
@@ -94,7 +89,7 @@ def delta_k(cfg: CrystalConfig, lambda_p_nm, lambda_s_nm):
     return out if np.ndim(lambda_s_nm) else float(out)
 
 
-def bisect_root(fn, lo: float, hi: float, *, xtol: float, max_iter: int = 200) -> float:
+def bisect_root(fn, lo: float, hi: float, *, xtol: float) -> float:
     """Bracketed bisection; deterministic for identical inputs."""
     f_lo = fn(lo)
     f_hi = fn(hi)
@@ -104,7 +99,7 @@ def bisect_root(fn, lo: float, hi: float, *, xtol: float, max_iter: int = 200) -
         return hi
     if np.sign(f_lo) == np.sign(f_hi):
         raise SolverError(f"no sign change on [{lo:.6g}, {hi:.6g}]")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
         if f_mid == 0.0 or (hi - lo) < xtol:
@@ -117,7 +112,6 @@ def bisect_root(fn, lo: float, hi: float, *, xtol: float, max_iter: int = 200) -
 
 
 def find_degeneracy_temperature(cfg: CrystalConfig, lambda_p_nm: float,
-                                scan_points: int = 500,
                                 delta_k_fn=None) -> float:
     """Reported temperature at which dk = 0 for the degenerate pair
     lambda_s = lambda_i = 2 * lambda_p.
@@ -134,14 +128,14 @@ def find_degeneracy_temperature(cfg: CrystalConfig, lambda_p_nm: float,
         def delta_k_fn(theta):
             return delta_k(replace(cfg, temperature_C=theta), lambda_p_nm, 2 * lambda_p_nm)
 
-    thetas = np.linspace(t_lo, t_hi, scan_points)
+    thetas = np.linspace(t_lo, t_hi, SCAN_POINTS)
     values = np.array([delta_k_fn(t) for t in thetas])
     signs = np.sign(values)
     crossings = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
     if len(crossings) == 0:
         raise SolverError(
             f"no phase matching in range: dk(theta) has no sign change on "
-            f"[{t_lo:.2f}, {t_hi:.2f}] C ({scan_points} scan points)"
+            f"[{t_lo:.2f}, {t_hi:.2f}] C ({SCAN_POINTS} scan points)"
         )
     i = crossings[0]
     # refine until |dk| is far below the poling wavenumber
@@ -180,14 +174,14 @@ def _signal_scan_range(cfg: CrystalConfig, lambda_p_nm: float):
 
 
 def tuning_curve(cfg: CrystalConfig, lambda_p_nm: float, theta_range,
-                 grid: int = 41, scan_points: int = 500):
+                 grid: int = 41):
     """Phase-matched (theta, lambda_s, lambda_i) branches over a temperature
     range.  For each temperature all roots of dk(lambda_s) = 0 with
     lambda_s <= 2*lambda_p are found by a coarse scan plus bisection
     refinement to 1e-4 nm; temperatures without roots yield no entries.
     """
     lo, hi = _signal_scan_range(cfg, lambda_p_nm)
-    lam_grid = np.linspace(lo, hi, scan_points)
+    lam_grid = np.linspace(lo, hi, SCAN_POINTS)
     points: list[TuningPoint] = []
     for theta in np.linspace(theta_range[0], theta_range[1], grid):
         c = replace(cfg, temperature_C=float(theta))

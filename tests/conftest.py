@@ -195,6 +195,12 @@ def resample_jsi_reference(axis_s, axis_i, intensity):
     return uni_s, uni_i, resampled
 
 
+def total_mass(js) -> float:
+    """Integral of |amplitude|^2 over both axes: 1 for a normalized JSA,
+    and by Parseval the same in the temporal domain (criterion 7)."""
+    return float(np.sum(js.intensity()) * js.step("s") * js.step("i"))
+
+
 def assert_close(value, expected, rel, label=""):
     __tracebackhide__ = True
     err = abs(value - expected) / abs(expected)

@@ -15,7 +15,6 @@ from spdclab.biphoton import (
     apply_fiber_phase,
     build_jsa,
     entanglement_time_from_jti,
-    entanglement_time_gvm,
     export_matrix_csv,
     import_jsi_csv,
     jti_difference_profile,
@@ -24,7 +23,8 @@ from spdclab.biphoton import (
     to_spectral,
     to_temporal,
 )
-from spdclab.constants import FS, wavelength_nm_to_omega
+from spdclab.constants import C0, FS, MM, wavelength_nm_to_omega
+from spdclab.dispersion import group_index
 from spdclab.errors import CoverageError, DomainError
 
 from conftest import (
@@ -33,6 +33,7 @@ from conftest import (
     assert_close,
     export_matrix_csv_reference,
     resample_jsi_reference,
+    total_mass,
 )
 
 # Entanglement times for the 20 mm / 2.72 um crystal at the fitted
@@ -93,7 +94,7 @@ def test_phase_matching_sinc_shape(crystal):
 
 def test_build_jsa_normalized_and_symmetric(jsa_1024):
     assert jsa_1024.normalized
-    assert jsa_1024.total_mass() == pytest.approx(1.0, rel=1e-9)
+    assert total_mass(jsa_1024) == pytest.approx(1.0, rel=1e-9)
     assert np.allclose(jsa_1024.amplitude, jsa_1024.amplitude.T, atol=1e-12)
 
 
@@ -116,7 +117,7 @@ def test_joint_spectrum_invariants():
 # FFT pipeline
 
 def test_parseval(jsa_1024, jta_free_1024):
-    assert abs(jta_free_1024.total_mass() - jsa_1024.total_mass()) < 1e-9
+    assert abs(total_mass(jta_free_1024) - total_mass(jsa_1024)) < 1e-9
 
 
 def test_roundtrip(jsa_1024, jta_free_1024):
@@ -197,9 +198,12 @@ def test_entanglement_time_needs_halfmax_drop():
 
 
 def test_gvm_entanglement_time(crystal):
-    assert entanglement_time_gvm(crystal, 810.0, 810.0) == 0.0
+    # group-velocity-mismatch entanglement time L/2 * |1/v_s - 1/v_i|
+    theta = crystal.effective_temperature_C
     lam_i = 1.0 / (1.0 / LAMBDA_P_NM - 1.0 / 790.0)
-    assert_close(entanglement_time_gvm(crystal, 790.0, lam_i),
+    mismatch = abs(group_index(crystal.model, 790.0, theta)
+                   - group_index(crystal.model, lam_i, theta))
+    assert_close(crystal.length_mm * MM / 2.0 * mismatch / C0 / FS,
                  GOLDEN_TE_GVM_790_FS, 1e-4, "GVM T_e at 790 nm")
 
 

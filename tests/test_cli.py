@@ -50,6 +50,27 @@ def test_invalid_json_config_exits_2(tmp_path):
     assert run("simulate", "--config", str(bad), "--out", str(tmp_path)) == 2
 
 
+def test_etpa_report_invalid_json_exits_2_and_names_path(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run("etpa-report", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert f"--config {bad} is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tuning-curve", "--seed", "1"),
+    ("jsa", "--seed", "1"),
+    ("etpa-report", "--seed", "1"),
+    ("analyze", "--seed", "1"),
+    ("analyze", "--drop-flagged"),
+], ids=" ".join)
+def test_unread_flags_are_usage_errors(tmp_path, argv):
+    # --seed is read by simulate only; analyze's switch is the drop_flagged key
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--config", config_path("paper_analyze.json"), "--out", str(tmp_path))
+    assert exc.value.code == 2
+
+
 def test_computation_error_exits_1(tmp_path, capsys):
     # a poling period that can never be phase matched -> solver error
     cfg = write_json(tmp_path / "c.json", {
@@ -178,20 +199,27 @@ def test_jsa_non_finite_measured_input_exits_1(tmp_path, capsys):
     assert not (out / "jsi.csv").exists()
 
 
+# row None: the headers are followed by no matrix rows at all
 @pytest.mark.parametrize("axis_s, row, where", [
     ("800 nan 820", "1,2,1", "axis_s must be finite and strictly monotonic in rad/s; value 1"),
     ("800 810 805", "1,2,1", "axis_s must be finite and strictly monotonic in rad/s; value 2"),
     ("800 abc 820", "1,2,1", "axis_s value 1 (0-based) is not a number"),
     ("800 810 820", "1,x,1", "not a number at matrix row 1, column 1"),
     ("800", "1,2,1", "axis_s has 1 value(s)"),
+    ("0 810 820", "1,2,1", "axis_s must be finite and strictly monotonic in rad/s; value 0"),
+    ("800 810 820", None, "matrix shape does not match axis headers"),
 ])
+# a warning raised on the way would be an exception here, not a line on stderr
+@pytest.mark.filterwarnings("error")
 def test_jsa_malformed_measured_input_exits_1(tmp_path, capsys, axis_s, row, where):
     measured = tmp_path / "measured.csv"
-    measured.write_text(f"# axis_s: {axis_s}\n# axis_i: 800 810 820\n0,1,0\n{row}\n0,1,0\n")
+    matrix = "" if row is None else f"0,1,0\n{row}\n0,1,0\n"
+    measured.write_text(f"# axis_s: {axis_s}\n# axis_i: 800 810 820\n{matrix}")
     cfg = write_json(tmp_path / "jsa.json", {**SMALL_JSA, "measured_jsi_csv": str(measured)})
     assert run("jsa", "--config", cfg, "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("spdclab: ") and where in err
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "out" / "jsi.csv").exists()
 
 
@@ -315,14 +343,21 @@ def test_analyze_identical_tables_gamma_zero(tmp_path):
         assert pt["r_abs"] == 0.0
 
 
-def test_analyze_drop_flagged(tmp_path):
+def test_analyze_drop_flagged(tmp_path, capsys):
+    tables = {"solvent_csv": config_path("rate_table_solvent.csv"),
+              "sample_csv": config_path("rate_table_sample.csv")}
+    cfg = write_json(tmp_path / "an.json", {**tables, "drop_flagged": True})
     out = tmp_path / "out"
-    assert run("analyze", "--config", config_path("paper_analyze.json"),
-               "--out", str(out), "--drop-flagged") == 0
+    assert run("analyze", "--config", cfg, "--out", str(out)) == 0
     report = json.load(open(out / "analysis_report.json"))
     assert report["dropped_flagged_rows"] is True
     assert report["flagged_rows"] == []
     assert all(pt["p_spdc_pW"] != 70.0 for pt in report["gamma"])
+
+    # only a JSON boolean switches it: the string "no" is truthy
+    cfg = write_json(tmp_path / "an.json", {**tables, "drop_flagged": "no"})
+    assert run("analyze", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "'drop_flagged' must be true or false" in capsys.readouterr().err
 
 
 def test_analyze_missing_table_exits_2(tmp_path):

@@ -15,7 +15,6 @@ from spdclab.phasematch import (
     find_degeneracy_temperature,
     fit_calibration_offset,
     idler_wavelength_nm,
-    paper_crystal,
     tuning_curve,
 )
 
@@ -167,10 +166,3 @@ def test_export_csv(tmp_path, curve):
     assert rows[0] == ["theta_C", "lambda_s_nm", "lambda_i_nm", "branch"]
     assert len(rows) == len(curve) + 1
     assert float(rows[1][1]) == pytest.approx(curve[0].lambda_s_nm, abs=1e-5)
-
-
-def test_paper_crystal_defaults(material):
-    cfg = paper_crystal(model=material)
-    assert cfg.length_mm == 20.0
-    assert cfg.poling_period_um == 2.72
-    assert cfg.temperature_C == THETA_DEG_MEASURED_C
