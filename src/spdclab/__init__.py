@@ -9,6 +9,7 @@ biphoton     joint spectral/temporal amplitudes and entanglement time
 counting     detection-chain Monte Carlo and coincidence estimators
 etpa         entangled two-photon-absorption feasibility arithmetic
 analysis     measured rate-table regressions, R_abs and Gamma
+schema       config tables and the one check every config passes
 cli          the ``spdclab`` command-line front end
 """
 
@@ -24,4 +25,5 @@ __all__ = [
     "errors",
     "etpa",
     "phasematch",
+    "schema",
 ]

@@ -11,12 +11,15 @@ analyze       rate-table regressions, R_abs and Gamma series
 All physical parameters and switches (``analyze``'s boolean
 ``drop_flagged``) live in a JSON config file (``--config``).  Flags only
 carry run plumbing: ``--out`` everywhere and ``--seed`` on ``simulate``, the
-one subcommand that draws random numbers.  Every JSON output embeds the
-resolved config, and repeated runs with identical inputs and seed produce
-byte-identical files.
+one subcommand that draws random numbers.  ``main`` checks the config
+against its subcommand's table (``schema.check``) before anything runs or
+``--out`` is created, and each subcommand imports only its own layer
+modules.  Every JSON output embeds the config as written, and repeated runs
+with identical inputs and seed produce byte-identical files.
 
-Exit codes: 0 success, 1 computation error, 2 usage/config error, a missing
-input file or a config that is not valid JSON.
+Exit codes: 0 success, 1 computation error, 2 usage/config error (a key
+that is unknown, missing or of the wrong kind, an input file that is
+missing or unreadable, or a config that is not valid JSON).
 """
 
 from __future__ import annotations
@@ -27,26 +30,57 @@ import os
 import sys
 from dataclasses import replace
 
-from . import analysis, biphoton, counting, dispersion, etpa, phasematch
-from .errors import SpdclabError, TableParseError
+from . import schema
+from .errors import ConfigError, SpdclabError
+from .schema import BOOLEAN, NUMBER, PAIR, REQUIRED, STRING, WHOLE
 
 # Fixed default seed so runs are reproducible without any flags.
 DEFAULT_SEED = 20080343
 
+CRYSTAL = {
+    "length_mm": (NUMBER, REQUIRED),
+    "poling_period_um": (NUMBER, REQUIRED),
+    "temperature_C": (NUMBER, REQUIRED),
+    "calibration_offset_C": (NUMBER, 0.0),
+    "material_file": (STRING, None),  # None: the packaged 5%-MgO:CLN set
+}
 
-class ConfigError(Exception):
-    """Bad or missing configuration; maps to exit code 2."""
+TUNING = {
+    "crystal": (CRYSTAL, REQUIRED),
+    "lambda_p_nm": (NUMBER, REQUIRED),
+    "theta_range_C": (PAIR, REQUIRED),
+    "grid": (WHOLE, 41),
+    "measured_degeneracy_C": (NUMBER, None),
+}
+
+JSA = {
+    "crystal": (CRYSTAL, REQUIRED),
+    "lambda_p_nm": (NUMBER, REQUIRED),
+    "pump_fwhm_nm": (NUMBER, 0.01),
+    "grid": ({"n": (WHOLE, 1024),
+              "center_lambda_nm": (NUMBER, None),  # None: 2 * lambda_p_nm
+              "half_span_nm": (NUMBER, 60.0)}, {}),
+    "fiber_beta_fs2": (NUMBER, 0.0),
+    "measured_jsi_csv": (STRING, None),
+    "measured_axis_units": (STRING, "nm"),
+}
+
+ANALYZE = {
+    "solvent_csv": (STRING, REQUIRED),
+    "sample_csv": (STRING, REQUIRED),
+    "drop_flagged": (BOOLEAN, False),
+}
 
 
-def _load_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _simulate_table() -> dict:
+    from . import counting
+    return {"chain": (schema.dataclass_table(counting.DetectionChain), REQUIRED),
+            "source": (schema.dataclass_table(counting.SourceRates), REQUIRED)}
 
 
-def _require(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise ConfigError(f"config file {path} is missing required key {key!r}")
-    return cfg[key]
+def _scenario_table() -> dict:
+    from . import etpa
+    return etpa.SCENARIO
 
 
 def _write_json(payload: dict, path) -> None:
@@ -55,70 +89,58 @@ def _write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def _crystal_from_config(cfg: dict, path: str) -> phasematch.CrystalConfig:
-    crystal = _require(cfg, "crystal", path)
-    material_file = crystal.get("material_file")
-    model = dispersion.load_material(material_file)
-    return phasematch.CrystalConfig(
-        model=model,
-        length_mm=_require(crystal, "length_mm", path),
-        poling_period_um=_require(crystal, "poling_period_um", path),
-        temperature_C=_require(crystal, "temperature_C", path),
-        calibration_offset_C=crystal.get("calibration_offset_C", 0.0),
-    )
+def _crystal(c: dict):
+    from . import dispersion, phasematch
+    # the keys of CRYSTAL other than material_file are CrystalConfig's fields
+    numbers = {key: value for key, value in c.items() if key != "material_file"}
+    return phasematch.CrystalConfig(model=dispersion.load_material(c["material_file"]), **numbers)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each gets the checked config with its defaults filled in, and
+# the config as written, which its outputs echo
 
-def cmd_tuning_curve(args) -> int:
-    cfg = _load_config(args.config)
-    crystal = _crystal_from_config(cfg, args.config)
-    lambda_p = _require(cfg, "lambda_p_nm", args.config)
-    theta_range = _require(cfg, "theta_range_C", args.config)
-    grid = cfg.get("grid", 41)
+def cmd_tuning_curve(args, cfg: dict, given: dict) -> int:
+    from . import phasematch
+    crystal = _crystal(cfg["crystal"])
+    lambda_p = cfg["lambda_p_nm"]
 
-    points = phasematch.tuning_curve(crystal, lambda_p, theta_range, grid=grid)
+    points = phasematch.tuning_curve(crystal, lambda_p, cfg["theta_range_C"], grid=cfg["grid"])
     phasematch.export_tuning_curve_csv(
         points, os.path.join(args.out, "tuning_curve.csv"))
 
     theta_deg_model = phasematch.find_degeneracy_temperature(
         replace(crystal, calibration_offset_C=0.0), lambda_p)
     summary = {
-        "config": cfg,
+        "config": given,
         "lambda_p_nm": lambda_p,
         "theta_deg_model_C": theta_deg_model,
         "calibration_offset_C": crystal.calibration_offset_C,
         "theta_deg_C": theta_deg_model - crystal.calibration_offset_C,
         "n_points": len(points),
     }
-    if "measured_degeneracy_C" in cfg:  # = fit_calibration_offset, one solve
+    if cfg["measured_degeneracy_C"] is not None:  # = fit_calibration_offset, one solve
         summary["fitted_calibration_offset_C"] = theta_deg_model - cfg["measured_degeneracy_C"]
     _write_json(summary, os.path.join(args.out, "tuning_summary.json"))
     return 0
 
 
-def cmd_jsa(args) -> int:
-    cfg = _load_config(args.config)
-    lambda_p = _require(cfg, "lambda_p_nm", args.config)
-    beta_fs2 = cfg.get("fiber_beta_fs2", 0.0)
-    grid_cfg = cfg.get("grid", {})
-    grid = biphoton.GridSpec(
-        n=grid_cfg.get("n", 1024),
-        center_lambda_nm=grid_cfg.get("center_lambda_nm", 2 * lambda_p),
-        half_span_nm=grid_cfg.get("half_span_nm", 60.0),
-    )
+def cmd_jsa(args, cfg: dict, given: dict) -> int:
+    from . import biphoton
+    lambda_p = cfg["lambda_p_nm"]
+    beta_fs2 = cfg["fiber_beta_fs2"]
 
-    measured = cfg.get("measured_jsi_csv")
+    measured = cfg["measured_jsi_csv"]
     if measured:
-        jsa = biphoton.import_jsi_csv(measured,
-                                      axis_units=cfg.get("measured_axis_units", "nm"))
+        jsa = biphoton.import_jsi_csv(measured, axis_units=cfg["measured_axis_units"])
         reference_omega = float(jsa.axis_s[len(jsa.axis_s) // 2])
     else:
-        crystal = _crystal_from_config(cfg, args.config)
-        env = biphoton.PumpEnvelope.from_wavelength(
-            lambda_p, fwhm_nm=cfg.get("pump_fwhm_nm", 0.01))
-        jsa = biphoton.build_jsa(crystal, env, grid)
+        crystal = _crystal(cfg["crystal"])
+        env = biphoton.PumpEnvelope.from_wavelength(lambda_p, fwhm_nm=cfg["pump_fwhm_nm"])
+        grid = cfg["grid"]
+        if grid["center_lambda_nm"] is None:
+            grid["center_lambda_nm"] = 2 * lambda_p
+        jsa = biphoton.build_jsa(crystal, env, biphoton.GridSpec(**grid))
         reference_omega = env.omega_p / 2.0
 
     fiber = biphoton.FiberDispersion(beta_fs2=beta_fs2,
@@ -133,7 +155,7 @@ def cmd_jsa(args) -> int:
                                os.path.join(args.out, "jti.json"))
 
     report = {
-        "config": cfg,
+        "config": given,
         "fiber_beta_fs2": beta_fs2,
         "entanglement_time_free_fs": biphoton.entanglement_time_from_jti(jta_free),
         "entanglement_time_fiber_fs": biphoton.entanglement_time_from_jti(jta_fiber),
@@ -143,15 +165,10 @@ def cmd_jsa(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    chain_cfg = _require(cfg, "chain", args.config)
-    source_cfg = _require(cfg, "source", args.config)
-    try:
-        chain = counting.DetectionChain(**chain_cfg)
-        source = counting.SourceRates(**source_cfg)
-    except TypeError as exc:
-        raise ConfigError(f"bad chain/source config in {args.config}: {exc}") from exc
+def cmd_simulate(args, cfg: dict, given: dict) -> int:
+    from . import counting
+    chain = counting.DetectionChain(**cfg["chain"])
+    source = counting.SourceRates(**cfg["source"])
 
     tags = counting.simulate_tags(source, chain, seed=args.seed)
     tags.dump_csv(os.path.join(args.out, "tags.csv"))
@@ -159,7 +176,7 @@ def cmd_simulate(args) -> int:
     corrected = counting.correct_rates(counts, chain.dark_rate_hz)
 
     payload = {
-        "config": cfg,
+        "config": given,
         "seed": args.seed,
         "raw": counts.payload(),
         "corrected": corrected.payload(),
@@ -176,14 +193,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_etpa_report(args) -> int:
-    try:
-        data = etpa.load_scenario(args.config)
-    except TableParseError as exc:
-        raise ConfigError(str(exc)) from exc
-    scenario = etpa.scenario_from_inputs(data)
+def cmd_etpa_report(args, cfg: dict, given: dict) -> int:
+    from . import etpa
+    scenario = etpa.scenario_from_inputs(cfg)
     report = etpa.feasibility_report(scenario)
-    _write_json({"config": data, "report": report},
+    _write_json({"config": given, "report": report},
                 os.path.join(args.out, "etpa_report.json"))
     text = etpa.format_report(report)
     with open(os.path.join(args.out, "etpa_report.txt"), "w") as fh:
@@ -192,27 +206,22 @@ def cmd_etpa_report(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_analyze(args, cfg: dict, given: dict) -> int:
+    from . import analysis
     base = os.path.dirname(os.path.abspath(args.config))
 
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    solv_path = resolve(_require(cfg, "solvent_csv", args.config))
-    samp_path = resolve(_require(cfg, "sample_csv", args.config))
-    drop = cfg.get("drop_flagged", False)
-    if not isinstance(drop, bool):
-        raise ConfigError(f"config file {args.config}: 'drop_flagged' must be true or false, "
-                          f"got {drop!r}")
-    solv = analysis.ingest_rate_table(solv_path)
-    samp = analysis.ingest_rate_table(samp_path)
+    drop = cfg["drop_flagged"]
+    solv = analysis.ingest_rate_table(resolve(cfg["solvent_csv"]))
+    samp = analysis.ingest_rate_table(resolve(cfg["sample_csv"]))
     if drop:
         solv, samp = (analysis.RateTable(tuple(r for r in t.rows if not r.flagged()))
                       for t in (solv, samp))
 
     report = analysis.analysis_report(solv, samp)
-    report["config"] = cfg
+    report["config"] = given
     report["dropped_flagged_rows"] = drop
     analysis.write_report_json(report, os.path.join(args.out, "analysis_report.json"))
     analysis.write_plot_data_csv(report, os.path.join(args.out, "plot_data.csv"))
@@ -221,6 +230,17 @@ def cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# name: (handler, function returning the config table; building the table
+# of simulate or etpa-report imports that subcommand's layer module)
+COMMANDS = {
+    "tuning-curve": (cmd_tuning_curve, lambda: TUNING),
+    "jsa": (cmd_jsa, lambda: JSA),
+    "simulate": (cmd_simulate, _simulate_table),
+    "etpa-report": (cmd_etpa_report, _scenario_table),
+    "analyze": (cmd_analyze, lambda: ANALYZE),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdclab",
@@ -228,37 +248,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "count-rate analysis toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "tuning-curve": cmd_tuning_curve,
-        "jsa": cmd_jsa,
-        "simulate": cmd_simulate,
-        "etpa-report": cmd_etpa_report,
-        "analyze": cmd_analyze,
-    }
-    for name, handler in handlers.items():
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         if name == "simulate":
             p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                            help=f"RNG seed (default {DEFAULT_SEED})")
-        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
+    handler, table = COMMANDS[args.command]
     try:
-        return args.handler(args)
+        with open(args.config) as fh:
+            given = json.load(fh)
+        cfg = schema.check(table(), given)
+        os.makedirs(args.out, exist_ok=True)
+        return handler(args, cfg, given)
     except ConfigError as exc:
-        print(f"spdclab: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"spdclab: file not found: {exc.filename}", file=sys.stderr)
+        print(f"spdclab: --config {args.config}: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"spdclab: --config {args.config} is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"spdclab: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except SpdclabError as exc:
         print(f"spdclab: {exc}", file=sys.stderr)

@@ -37,6 +37,10 @@ class TableParseError(SpdclabError):
         self.line_number = line_number
 
 
+class ConfigError(TableParseError):
+    """A config file breaks its schema; the CLI maps this to exit code 2."""
+
+
 class UnitError(SpdclabError):
     """Incompatible physical units were mixed."""
 

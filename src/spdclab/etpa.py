@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .constants import GM_IN_CM4_S, N_AVOGADRO
-from .errors import DomainError, TableParseError, UnitError
+from .errors import DomainError, UnitError
+from .schema import NUMBER, REQUIRED, check
 
 
 @dataclass(frozen=True)
@@ -143,43 +144,26 @@ def volume_rate(per_molecule_rate: Quantity, density: Quantity,
 # ---------------------------------------------------------------------------
 # scenario file and report
 
-_SCENARIO_KEYS = {
-    "delta_c_GM": "classical TPA cross section",
-    "T_e_fs": "entanglement time",
-    "focus_wavelength_nm": "focused wavelength",
-    "focus_na": "numerical aperture (dimensionless)",
-    "pair_rate_per_s": "generated photon pair rate",
-    "mass_concentration_mg_per_mL": "fluorophore mass concentration",
-    "molar_mass_g_per_mol": "average molar mass",
-    "spot_diameter_um": "measured focal spot diameter",
-}
+SCENARIO = {key: (NUMBER, REQUIRED) for key in (
+    "delta_c_GM",                    # classical TPA cross section
+    "T_e_fs",                        # entanglement time
+    "focus_wavelength_nm",           # focused wavelength
+    "focus_na",                      # numerical aperture (dimensionless)
+    "pair_rate_per_s",               # generated photon pair rate
+    "mass_concentration_mg_per_mL",  # fluorophore mass concentration
+    "molar_mass_g_per_mol",          # average molar mass
+    "spot_diameter_um",              # measured focal spot diameter
+)}
 
 
 def load_scenario(path) -> dict:
-    """Parse and validate a scenario JSON file.
+    """Parse a scenario JSON file and check it against ``SCENARIO``.
 
     Keys carry explicit unit suffixes; a key whose stem is recognized but
     whose suffix is missing or wrong is rejected by name.
     """
     with open(path) as fh:
-        data = json.load(fh)
-    for key in data:
-        if key in _SCENARIO_KEYS:
-            continue
-        known_stem = next((k for k in _SCENARIO_KEYS if k.startswith(key + "_")), None)
-        if known_stem:
-            raise TableParseError(
-                f"key {key!r} is missing its unit suffix (expected {known_stem!r})"
-            )
-        raise TableParseError(f"unexpected scenario key {key!r}")
-    missing = [k for k in _SCENARIO_KEYS if k not in data]
-    if missing:
-        raise TableParseError(f"scenario file missing keys: {missing}")
-    for key, value in data.items():
-        # bool is an int subclass, but true is not a number of any unit
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TableParseError(f"scenario key {key!r} must be a number")
-    return data
+        return check(SCENARIO, json.load(fh))
 
 
 def scenario_from_inputs(data: dict) -> EtpaScenario:

@@ -111,22 +111,17 @@ def bisect_root(fn, lo: float, hi: float, *, xtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def find_degeneracy_temperature(cfg: CrystalConfig, lambda_p_nm: float,
-                                delta_k_fn=None) -> float:
+def find_degeneracy_temperature(cfg: CrystalConfig, lambda_p_nm: float) -> float:
     """Reported temperature at which dk = 0 for the degenerate pair
-    lambda_s = lambda_i = 2 * lambda_p.
-
-    ``delta_k_fn`` may inject a synthetic dk(theta) for solver tests;
-    by default dk is evaluated through ``delta_k`` at the effective
-    (offset-applied) temperature.
+    lambda_s = lambda_i = 2 * lambda_p; dk is evaluated through ``delta_k``
+    at the effective (offset-applied) temperature.
     """
     model = cfg.model
     t_lo = model.temperature_C_min - cfg.calibration_offset_C
     t_hi = model.temperature_C_max - cfg.calibration_offset_C
 
-    if delta_k_fn is None:
-        def delta_k_fn(theta):
-            return delta_k(replace(cfg, temperature_C=theta), lambda_p_nm, 2 * lambda_p_nm)
+    def delta_k_fn(theta):
+        return delta_k(replace(cfg, temperature_C=theta), lambda_p_nm, 2 * lambda_p_nm)
 
     thetas = np.linspace(t_lo, t_hi, SCAN_POINTS)
     values = np.array([delta_k_fn(t) for t in thetas])

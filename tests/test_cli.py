@@ -39,9 +39,74 @@ SMALL_JSA = {
 # exit codes
 
 def test_missing_config_exits_2_and_names_path(tmp_path, capsys):
-    rc = run("tuning-curve", "--config", "/no/such/file.json", "--out", str(tmp_path))
+    out = tmp_path / "o3"
+    rc = run("tuning-curve", "--config", "/no/such/file.json", "--out", str(out))
     assert rc == 2
     assert "/no/such/file.json" in capsys.readouterr().err
+    assert not out.exists()  # --out is created only once the config passed
+
+
+def test_unreadable_input_exits_2_and_names_path(tmp_path, capsys):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    assert run("tuning-curve", "--config", str(adir), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith(f"spdclab: cannot read {adir}: ")
+    cfg = write_json(tmp_path / "an.json", {
+        "solvent_csv": str(adir), "sample_csv": config_path("rate_table_sample.csv")})
+    assert run("analyze", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spdclab: cannot read {adir}: ") and err.count("\n") == 1
+
+
+PAPER_TUNING = json.load(open(config_path("paper_tuning.json")))
+PAPER_SCENARIO = json.load(open(config_path("paper_scenario.json")))
+
+
+def crystal_with(**changes):
+    return {**SMALL_JSA, "crystal": {**SMALL_JSA["crystal"], **changes}}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    pytest.param("jsa", crystal_with(length_mm="20"), "'crystal.length_mm' must be a number",
+                 id="jsa-length_mm-string"),
+    pytest.param("jsa", crystal_with(length_mm=True), "'crystal.length_mm' must be a number",
+                 id="jsa-length_mm-true"),
+    pytest.param("jsa", {**SMALL_JSA, "grid": {"n": 1024.5}}, "'grid.n' must be a whole number",
+                 id="jsa-grid.n-fraction"),
+    pytest.param("jsa", {**SMALL_JSA, "lambda_p_nm": None}, "'lambda_p_nm' must be a number",
+                 id="jsa-lambda_p_nm-null"),
+    pytest.param("jsa", {**SMALL_JSA, "crystal": [1]}, "'crystal' must be a JSON object",
+                 id="jsa-crystal-list"),
+    pytest.param("jsa", {**SMALL_JSA, "grid": 5}, "'grid' must be a JSON object",
+                 id="jsa-grid-number"),
+    pytest.param("jsa", {**SMALL_JSA, "pump_fwhm": 0.05},
+                 "'pump_fwhm' is missing its unit suffix (expected 'pump_fwhm_nm')",
+                 id="jsa-pump_fwhm-typo"),
+    pytest.param("tuning-curve", {**PAPER_TUNING, "grid": "31"}, "'grid' must be a whole number",
+                 id="tuning-grid-string"),
+    pytest.param("tuning-curve", {**PAPER_TUNING, "grid": 0}, "'grid' must be a whole number >= 1",
+                 id="tuning-grid-zero"),
+    pytest.param("tuning-curve", {**PAPER_TUNING, "theta_range_C": 50},
+                 "'theta_range_C' must be a list of two numbers",
+                 id="tuning-theta_range_C-number"),
+    pytest.param("tuning-curve", {**PAPER_TUNING, "theta_range_C": [45.0, 60.0, 75.0]},
+                 "'theta_range_C' must be a list of two numbers", id="tuning-theta_range_C-three"),
+    pytest.param("tuning-curve", {**PAPER_TUNING, "measured_degeneracy_C": None},
+                 "'measured_degeneracy_C' must be a number",
+                 id="tuning-measured_degeneracy_C-null"),
+    pytest.param("analyze", {"solvent_csv": 3, "sample_csv": "s.csv"},
+                 "'solvent_csv' must be a string", id="analyze-solvent_csv-number"),
+    pytest.param("etpa-report", [PAPER_SCENARIO], "the config must be a JSON object",
+                 id="etpa-report-list"),
+])
+def test_mistyped_config_exits_2_naming_the_key(tmp_path, capsys, command, config, message):
+    cfg = write_json(tmp_path / "c.json", config)
+    out = tmp_path / "out"
+    assert run(command, "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spdclab: --config {cfg}: ") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
 
 
 def test_invalid_json_config_exits_2(tmp_path):
@@ -104,7 +169,8 @@ def test_tuning_curve_paper_config(tmp_path, calibration_offset):
     assert summary["theta_deg_C"] == pytest.approx(59.4, abs=1e-4)
     assert summary["theta_deg_model_C"] == pytest.approx(108.4975, abs=1e-3)
     assert summary["fitted_calibration_offset_C"] == calibration_offset
-    assert "config" in summary
+    # the config as written, without the defaults the check filled in
+    assert summary["config"] == json.load(open(config_path("paper_tuning.json")))
     with open(out / "tuning_curve.csv") as fh:
         header = fh.readline().strip()
     assert header == "theta_C,lambda_s_nm,lambda_i_nm,branch"
@@ -144,6 +210,19 @@ def test_cli_import_does_not_load_scipy(tmp_path):
                            "--out", str(tmp_path / "out")], env=env, timeout=60)
     assert done.returncode == 0
     assert json.load(open(tmp_path / "out" / "te_report.json"))["measured_input"] is True
+
+
+def test_etpa_report_does_not_load_numpy(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, spdclab.cli; rc = spdclab.cli.main(sys.argv[1:]); "
+            "sys.exit(3 if 'numpy' in sys.modules else rc)")
+    done = subprocess.run([sys.executable, "-c", code, "etpa-report",
+                           "--config", config_path("paper_scenario.json"),
+                           "--out", str(tmp_path / "out")],
+                          env=env, stdout=subprocess.DEVNULL, timeout=60)
+    assert done.returncode == 0
 
 
 # ---------------------------------------------------------------------------

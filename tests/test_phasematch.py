@@ -80,10 +80,10 @@ def test_bisect_root_synthetic():
         bisect_root(lambda x: x + 1.0, 0.0, 100.0, xtol=1e-10)
 
 
-def test_find_degeneracy_synthetic_injection(material):
+def test_find_degeneracy_synthetic_injection(material, monkeypatch):
     cfg = bulk_crystal(material)
-    theta = find_degeneracy_temperature(cfg, LAMBDA_P_NM,
-                                        delta_k_fn=lambda t: 50.0 - t)
+    monkeypatch.setattr(phasematch, "delta_k", lambda c, lp, ls: 50.0 - c.temperature_C)
+    theta = find_degeneracy_temperature(cfg, LAMBDA_P_NM)
     assert theta == pytest.approx(50.0, abs=1e-6)
 
 

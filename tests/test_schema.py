@@ -1,0 +1,67 @@
+"""Fuzz of the config check alone, under the table of every subcommand.
+
+The subcommands themselves are not fuzzed: a config that passes may still
+ask for a grid too large to allocate.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spdclab import cli, schema
+from spdclab.errors import ConfigError
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=10,
+)
+
+
+ACCEPTED = {
+    schema.NUMBER: st.integers() | st.floats(),
+    schema.WHOLE: st.integers(min_value=1, max_value=4096),
+    schema.STRING: st.text(max_size=8),
+    schema.BOOLEAN: st.booleans(),
+    schema.PAIR: st.lists(st.integers() | st.floats(), min_size=2, max_size=2),
+}
+
+
+def configs(table, noisy):
+    """Objects shaped like ``table`` with values its kinds accept; when
+    ``noisy``, also any JSON value in place of a value or of the object, a
+    stray key, or a required key left out."""
+    def values(kind):
+        if isinstance(kind, dict):
+            return configs(kind, noisy)
+        return ACCEPTED[kind] | JSON if noisy else ACCEPTED[kind]
+
+    required = {k: values(kind) for k, (kind, d) in table.items() if d is schema.REQUIRED}
+    optional = {k: values(kind) for k, (kind, d) in table.items() if d is not schema.REQUIRED}
+    shaped = st.fixed_dictionaries(required, optional=optional)
+    if not noisy:
+        return shaped
+    stray = st.dictionaries(st.text(max_size=24), JSON, min_size=1, max_size=2)
+    return (shaped
+            | st.builds(lambda cfg, extra: {**extra, **cfg}, shaped, stray)
+            | st.fixed_dictionaries({}, optional={**required, **optional})
+            | JSON)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_check_passes_or_raises_config_error(command, data):
+    table = cli.COMMANDS[command][1]()
+    noisy = data.draw(st.booleans())
+    value = data.draw(configs(table, noisy))
+    try:
+        resolved = schema.check(table, value)
+    except ConfigError:
+        assert noisy  # a config of accepted values always passes
+        return
+    assert resolved.keys() == table.keys()
+    for key, (kind, _) in table.items():
+        if key in value and not isinstance(kind, dict):
+            assert resolved[key] is value[key]
