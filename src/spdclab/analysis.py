@@ -20,6 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import AlignmentError, SolverError, TableParseError
+from .schema import reading
 
 _MODES = ("pump", "spdc")
 _CSV_HEADER = ["P_SPDC_pW", "R_s1", "R_s1_err", "R_s2", "R_s2_err",
@@ -93,7 +94,7 @@ def ingest_rate_table(path) -> RateTable:
     """Read a rate-table CSV; schema violations are reported with the first
     offending line number."""
     rows = []
-    with open(path, newline="") as fh:
+    with reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -116,6 +117,8 @@ def ingest_rate_table(path) -> RateTable:
             except ValueError as exc:
                 raise TableParseError(f"malformed number: {exc}",
                                       line_number=lineno) from exc
+            if not all(map(math.isfinite, values)):
+                raise TableParseError("malformed number: nan or infinity", line_number=lineno)
             if any(v < 0 for v in values):
                 raise TableParseError("negative rate or uncertainty",
                                       line_number=lineno)

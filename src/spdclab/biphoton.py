@@ -25,6 +25,7 @@ from ._ascii import digits
 from .constants import C0, TWO_PI, NM, MM, FS, wavelength_nm_to_omega, omega_to_wavelength_nm
 from .errors import CoverageError, DomainError
 from .phasematch import CrystalConfig, delta_k
+from .schema import reading
 
 # Boundary-ring intensity mass above this fraction of the total means the
 # grid truncates the JSA.
@@ -465,7 +466,7 @@ def import_jsi_csv(csv_path, axis_units: str = "nm") -> JointSpectrum:
     with :func:`apply_fiber_phase`).  A malformed axis value or matrix cell
     raises DomainError naming the axis or matrix row and the 0-based index.
     """
-    with open(csv_path) as fh:
+    with reading(csv_path), open(csv_path, encoding="utf-8") as fh:
         header = [fh.readline() for _ in range(2)]
         if not all(line.startswith("#") for line in header):
             raise DomainError("matrix CSV must start with two axis header rows")
@@ -532,7 +533,7 @@ def _check_axis(name: str, values: np.ndarray, units: str) -> np.ndarray:
 def _matrix_error(csv_path, exc: ValueError) -> DomainError:
     """Name the first cell that is not a number, or the first row whose
     length differs from row 0's, in a matrix ``np.loadtxt`` rejected."""
-    with open(csv_path) as fh:
+    with open(csv_path, encoding="utf-8") as fh:
         lines = [line.partition("#")[0] for line in fh.read().splitlines()[2:]]
     rows = [line.split(",") for line in lines if line.strip()]
     for r, cells in enumerate(rows):

@@ -19,7 +19,8 @@ with identical inputs and seed produce byte-identical files.
 
 Exit codes: 0 success, 1 computation error, 2 usage/config error (a key
 that is unknown, missing or of the wrong kind, an input file that is
-missing or unreadable, or a config that is not valid JSON).
+missing, unreadable or not UTF-8, a config that is not valid JSON, or an
+output that cannot be written).
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import sys
 from dataclasses import replace
 
 from . import schema
-from .errors import ConfigError, SpdclabError
-from .schema import BOOLEAN, NUMBER, PAIR, REQUIRED, STRING, WHOLE
+from .errors import ConfigError, InputError, SpdclabError
+from .schema import BOOLEAN, NUMBER, PAIR, REQUIRED, STRING, WHOLE, one_of, reading
 
 # Fixed default seed so runs are reproducible without any flags.
 DEFAULT_SEED = 20080343
@@ -62,7 +63,7 @@ JSA = {
               "half_span_nm": (NUMBER, 60.0)}, {}),
     "fiber_beta_fs2": (NUMBER, 0.0),
     "measured_jsi_csv": (STRING, None),
-    "measured_axis_units": (STRING, "nm"),
+    "measured_axis_units": (one_of("nm", "rad/s"), "nm"),
 }
 
 ANALYZE = {
@@ -74,7 +75,9 @@ ANALYZE = {
 
 def _simulate_table() -> dict:
     from . import counting
-    return {"chain": (schema.dataclass_table(counting.DetectionChain), REQUIRED),
+    chain = schema.dataclass_table(counting.DetectionChain)
+    chain["topology"] = (one_of("pair", "heralded"), "pair")
+    return {"chain": (chain, REQUIRED),
             "source": (schema.dataclass_table(counting.SourceRates), REQUIRED)}
 
 
@@ -262,7 +265,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, table = COMMANDS[args.command]
     try:
-        with open(args.config) as fh:
+        with reading(args.config), open(args.config, encoding="utf-8") as fh:
             given = json.load(fh)
         cfg = schema.check(table(), given)
         os.makedirs(args.out, exist_ok=True)
@@ -273,12 +276,12 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"spdclab: --config {args.config} is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"spdclab: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # every input is read through schema.reading
+        print(f"spdclab: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
         return 2
     except SpdclabError as exc:
         print(f"spdclab: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 if __name__ == "__main__":

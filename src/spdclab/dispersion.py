@@ -19,6 +19,7 @@ import numpy as np
 
 from .constants import C0, TWO_PI, NM, omega_to_wavelength_nm
 from .errors import DomainError, TableParseError
+from .schema import reading
 
 _COEFF_KEYS = ("a1", "a2", "a3", "a4", "a5", "a6", "b1", "b2", "b3", "b4")
 
@@ -97,7 +98,7 @@ def load_material(path=None) -> SellmeierModel:
     if path is None:
         text = (importlib.resources.files("spdclab") / "data" / "mgo_cln_5pct_e.txt").read_text()
     else:
-        with open(path) as fh:
+        with reading(path), open(path, encoding="utf-8") as fh:
             text = fh.read()
     return _parse_material_text(text)
 

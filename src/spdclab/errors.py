@@ -41,8 +41,8 @@ class ConfigError(TableParseError):
     """A config file breaks its schema; the CLI maps this to exit code 2."""
 
 
-class UnitError(SpdclabError):
-    """Incompatible physical units were mixed."""
+class InputError(SpdclabError):
+    """An input file cannot be read; the CLI maps this to exit code 2."""
 
 
 class EstimateUndefinedError(SpdclabError):

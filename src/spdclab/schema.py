@@ -1,4 +1,5 @@
-"""The one check every ``spdclab`` config passes.
+"""The one check every ``spdclab`` config passes, and :func:`reading`, through
+which every input file is read.
 
 A table maps each key to ``(kind, default)``; ``REQUIRED`` is the default of
 a key that must be given, and a kind is a :class:`Kind` or a nested table.
@@ -6,19 +7,29 @@ a key that must be given, and a kind is a :class:`Kind` or a nested table.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import MISSING as REQUIRED, fields
 from typing import Callable, NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 
 
 class Kind(NamedTuple):
     text: str  # what a value must be, as the error message says it
     accepts: Callable[[object], bool]
+    choices: tuple = ()  # the values of a kind made by one_of
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)  # true is not 1
+    # true is not 1; NaN, +-Infinity and integers beyond the float range are out
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def one_of(*choices: str) -> Kind:
+    """The kind of a value from a fixed set."""
+    return Kind(" or ".join(map(repr, choices)), lambda v: v in choices, choices)
 
 
 NUMBER = Kind("a number", _number)
@@ -60,3 +71,15 @@ def dataclass_table(cls) -> dict:
     """The table of a dataclass whose fields are all ``float`` or ``str``."""
     kinds = {"float": NUMBER, "str": STRING}
     return {f.name: (kinds[f.type], f.default) for f in fields(cls)}
+
+
+@contextmanager
+def reading(path):
+    """Report a failure to read ``path``, or text in it that is not UTF-8, as
+    an InputError naming it: ``with reading(path), open(path) as fh: ...``."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None

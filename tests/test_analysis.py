@@ -65,6 +65,22 @@ def test_ingest_negative_rate_reports_line(tmp_path):
     assert exc.value.line_number == 4
 
 
+@pytest.mark.parametrize("row", [
+    "10.0,3000.0,17.3,2800.0,16.7,nan,1.1,pump,x",
+    "inf,3000.0,17.3,2800.0,16.7,12.0,1.1,pump,x",
+    "10.0,3000.0,17.3,2800.0,-Infinity,12.0,1.1,pump,x",
+], ids=["R_coin-nan", "P_SPDC-inf", "R_s2_err--Infinity"])
+def test_ingest_non_finite_number_reports_line(tmp_path, row):
+    path = tmp_path / "nonfinite.csv"
+    with open(FIXTURE_SOLVENT) as fh:
+        lines = fh.read().splitlines()
+    lines.insert(3, row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TableParseError, match="malformed number: nan or infinity") as exc:
+        ingest_rate_table(path)
+    assert exc.value.line_number == 4
+
+
 def test_ingest_bad_mode_reports_line(tmp_path):
     path = tmp_path / "mode.csv"
     header = "P_SPDC_pW,R_s1,R_s1_err,R_s2,R_s2_err,R_coin,R_coin_err,mode,label"

@@ -60,10 +60,15 @@ def test_unreadable_input_exits_2_and_names_path(tmp_path, capsys):
 
 PAPER_TUNING = json.load(open(config_path("paper_tuning.json")))
 PAPER_SCENARIO = json.load(open(config_path("paper_scenario.json")))
+PAPER_CHAIN = json.load(open(config_path("paper_chain.json")))
 
 
 def crystal_with(**changes):
     return {**SMALL_JSA, "crystal": {**SMALL_JSA["crystal"], **changes}}
+
+
+def chain_with(part, **changes):
+    return {**PAPER_CHAIN, part: {**PAPER_CHAIN[part], **changes}}
 
 
 @pytest.mark.parametrize("command, config, message", [
@@ -98,6 +103,27 @@ def crystal_with(**changes):
                  "'solvent_csv' must be a string", id="analyze-solvent_csv-number"),
     pytest.param("etpa-report", [PAPER_SCENARIO], "the config must be a JSON object",
                  id="etpa-report-list"),
+    # json reads NaN and +-Infinity; a number must be finite
+    pytest.param("simulate", chain_with("chain", jitter_fwhm_ns=float("nan")),
+                 "'chain.jitter_fwhm_ns' must be a number, got nan", id="simulate-jitter-nan"),
+    pytest.param("simulate", chain_with("chain", coincidence_window_ns=float("inf")),
+                 "'chain.coincidence_window_ns' must be a number, got inf",
+                 id="simulate-window-inf"),
+    pytest.param("simulate", chain_with("chain", dark_rate_hz=float("nan")),
+                 "'chain.dark_rate_hz' must be a number, got nan", id="simulate-dark-nan"),
+    pytest.param("simulate", chain_with("source", pump_power_uW=float("nan")),
+                 "'source.pump_power_uW' must be a number, got nan", id="simulate-power-nan"),
+    pytest.param("tuning-curve", {**PAPER_TUNING, "measured_degeneracy_C": float("nan")},
+                 "'measured_degeneracy_C' must be a number, got nan",
+                 id="tuning-measured_degeneracy_C-nan"),
+    pytest.param("tuning-curve", {**PAPER_TUNING, "theta_range_C": [45.0, float("-inf")]},
+                 "'theta_range_C' must be a list of two numbers", id="tuning-theta_range_C-inf"),
+    pytest.param("simulate", chain_with("chain", topology="triple"),
+                 "'chain.topology' must be 'pair' or 'heralded', got 'triple'",
+                 id="simulate-topology-triple"),
+    pytest.param("jsa", {**SMALL_JSA, "measured_axis_units": "um"},
+                 "'measured_axis_units' must be 'nm' or 'rad/s', got 'um'",
+                 id="jsa-measured_axis_units-um"),
 ])
 def test_mistyped_config_exits_2_naming_the_key(tmp_path, capsys, command, config, message):
     cfg = write_json(tmp_path / "c.json", config)
@@ -120,6 +146,35 @@ def test_etpa_report_invalid_json_exits_2_and_names_path(tmp_path, capsys):
     bad.write_text("{not json")
     assert run("etpa-report", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
     assert f"--config {bad} is not valid JSON" in capsys.readouterr().err
+
+
+def test_out_that_cannot_be_created_exits_2_saying_write(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run("tuning-curve", "--config", config_path("paper_tuning.json"),
+               "--out", str(afile)) == 2
+    assert capsys.readouterr().err == f"spdclab: cannot write {afile}: File exists\n"
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+@pytest.mark.parametrize("reader", ["config", "rate_table", "measured_jsi", "material_file"])
+def test_non_utf8_input_exits_2_naming_the_path(tmp_path, capsys, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    command, config = {
+        "config": ("tuning-curve", None),
+        "rate_table": ("analyze", {"solvent_csv": str(bad),
+                                   "sample_csv": config_path("rate_table_sample.csv")}),
+        "measured_jsi": ("jsa", {**SMALL_JSA, "measured_jsi_csv": str(bad)}),
+        "material_file": ("tuning-curve", {**PAPER_TUNING, "crystal": {
+            **PAPER_TUNING["crystal"], "material_file": str(bad)}}),
+    }[reader]
+    cfg = str(bad) if config is None else write_json(tmp_path / "c.json", config)
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        f"spdclab: cannot read {bad}: not UTF-8 (invalid start byte)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -379,6 +434,13 @@ def test_etpa_report_paper_scenario(tmp_path, capsys):
     assert "sigma_e" in capsys.readouterr().out
 
 
+def test_etpa_overflowing_rate_exits_1_naming_it(tmp_path, capsys):
+    # 1e300 pairs/s is a finite number, but phi^2 of the classical term overflows
+    cfg = write_json(tmp_path / "s.json", {**PAPER_SCENARIO, "pair_rate_per_s": 1e300})
+    assert run("etpa-report", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "spdclab: R_cTPA_per_molecule_per_s must be finite, got inf\n"
+
+
 def test_etpa_zero_flux(tmp_path):
     scenario = json.load(open(config_path("paper_scenario.json")))
     scenario["pair_rate_per_s"] = 0.0
@@ -437,6 +499,21 @@ def test_analyze_drop_flagged(tmp_path, capsys):
     cfg = write_json(tmp_path / "an.json", {**tables, "drop_flagged": "no"})
     assert run("analyze", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert "'drop_flagged' must be true or false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["10.0,3000.0,17.3,2800.0,16.7,nan,1.1,pump,x",
+                                 "inf,3000.0,17.3,2800.0,16.7,12.0,1.1,pump,x"],
+                         ids=["R_coin-nan", "P_SPDC-inf"])
+def test_analyze_non_finite_cell_exits_1_before_any_fit(tmp_path, capfd, row):
+    header = open(config_path("rate_table_solvent.csv")).readline()
+    table = tmp_path / "t.csv"
+    table.write_text(header + row + "\n")
+    cfg = write_json(tmp_path / "an.json", {
+        "solvent_csv": str(table), "sample_csv": config_path("rate_table_sample.csv")})
+    assert run("analyze", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+    captured = capfd.readouterr()  # file descriptors: LAPACK writes past sys.stderr
+    assert captured.err == "spdclab: malformed number: nan or infinity\n" and not captured.out
+    assert not (tmp_path / "out" / "analysis_report.json").exists()
 
 
 def test_analyze_missing_table_exits_2(tmp_path):

@@ -1,24 +1,18 @@
 import json
+import math
 
 import pytest
 
-from spdclab import etpa
-from spdclab.errors import DomainError, TableParseError, UnitError
+from spdclab.errors import DomainError, TableParseError
 from spdclab.etpa import (
-    EtpaScenario,
-    FocusConfig,
-    Quantity,
     entangled_cross_section,
     entanglement_area,
     feasibility_report,
     format_report,
-    illuminated_volume_mL,
     load_scenario,
     molecule_density,
     pair_flux,
     scenario_from_inputs,
-    tpa_rate,
-    volume_rate,
 )
 
 from conftest import assert_close
@@ -36,35 +30,16 @@ SCENARIO = {
 
 
 # ---------------------------------------------------------------------------
-# unit layer
+# scenario checks
 
-def test_quantity_expect():
-    q = Quantity(3.0, "fs")
-    assert q.expect("fs") == 3.0
-    with pytest.raises(UnitError):
-        q.expect("um^2")
-
-
-def test_quantity_rejects_nan():
-    with pytest.raises(DomainError):
-        Quantity(float("nan"), "fs")
-
-
-def test_scenario_rejects_wrong_units():
-    good = scenario_from_inputs(SCENARIO)
-    with pytest.raises(UnitError):
-        EtpaScenario(
-            delta_c=Quantity(27000.0, "fs"),  # wrong unit at construction
-            entanglement_time=good.entanglement_time,
-            entanglement_area=good.entanglement_area,
-            pair_flux=good.pair_flux,
-            molecule_density=good.molecule_density,
-            spot_diameter=good.spot_diameter,
-        )
-    with pytest.raises(UnitError):
-        entangled_cross_section(Quantity(27000.0, "GM"),
-                                Quantity(408.6, "s"),  # must be fs
-                                good.entanglement_area)
+def test_scenario_rejects_non_finite():
+    # each field is checked by its own name; the flux is derived from the pair rate
+    for key, value, field in [("delta_c_GM", math.nan, "delta_c_GM"),
+                              ("T_e_fs", math.inf, "T_e_fs"),
+                              ("spot_diameter_um", -math.inf, "spot_diameter_um"),
+                              ("pair_rate_per_s", math.nan, "pair_flux_per_cm2_s")]:
+        with pytest.raises(DomainError, match=f"^{field} must be finite, got"):
+            scenario_from_inputs({**SCENARIO, key: value})
 
 
 def test_scenario_rejects_nonpositive():
@@ -73,66 +48,61 @@ def test_scenario_rejects_nonpositive():
     with pytest.raises(DomainError):
         scenario_from_inputs({**SCENARIO, "spot_diameter_um": 0.0})
     with pytest.raises(DomainError):
-        FocusConfig(810.0, 1.8)
+        entanglement_area(810.0, 1.8)
+
+
+def test_report_names_an_overflowing_rate():
+    # a finite pair rate whose classical term phi^2 overflows a float
+    with pytest.raises(DomainError, match="^R_cTPA_per_molecule_per_s must be finite"):
+        feasibility_report(scenario_from_inputs({**SCENARIO, "pair_rate_per_s": 1e300}))
 
 
 # ---------------------------------------------------------------------------
 # estimate chain (values cross-checked by hand with a calculator)
 
 def test_entanglement_area():
-    a_e = entanglement_area(FocusConfig(810.0, 0.6))
-    assert a_e.unit == "um^2"
-    assert_close(a_e.value, 2.1305, 1e-3, "A_e")
+    assert_close(entanglement_area(810.0, 0.6), 2.1305, 1e-3, "A_e")
 
 
 def test_entangled_cross_section():
-    a_e = entanglement_area(FocusConfig(810.0, 0.6))
-    sigma = entangled_cross_section(Quantity(27000.0, "GM"),
-                                    Quantity(408.6, "fs"), a_e)
-    assert sigma.unit == "cm^2"
-    assert_close(sigma.value, 3.1016e-26, 1e-3, "sigma_e")
+    a_e = entanglement_area(810.0, 0.6)
+    assert_close(entangled_cross_section(27000.0, 408.6, a_e), 3.1016e-26, 1e-3, "sigma_e")
 
 
 def test_pair_flux():
-    a_e = entanglement_area(FocusConfig(810.0, 0.6))
-    phi = pair_flux(1.62e7, a_e)
-    assert_close(phi.value, 7.604e14, 1e-3, "phi")
-    assert pair_flux(0.0, a_e).value == 0.0
+    a_e = entanglement_area(810.0, 0.6)
+    assert_close(pair_flux(1.62e7, a_e), 7.604e14, 1e-3, "phi")
+    assert pair_flux(0.0, a_e) == 0.0
     with pytest.raises(DomainError):
         pair_flux(-1.0, a_e)
 
 
 def test_molecule_density():
-    rho = molecule_density(1.0, 2.21e5)
-    assert rho.unit == "1/mL"
-    assert_close(rho.value, 2.725e15, 1e-3, "molecule density")
+    assert_close(molecule_density(1.0, 2.21e5), 2.725e15, 1e-3, "molecule density")
 
 
 def test_tpa_rates():
-    scn = scenario_from_inputs(SCENARIO)
-    r_e, r_c, r_tot = tpa_rate(scn)
-    assert_close(r_e.value, 2.3584e-11, 1e-3, "R_eTPA per molecule")
-    assert_close(r_c.value, 1.5611e-16, 1e-3, "R_cTPA per molecule")
-    assert r_tot.value == pytest.approx(r_e.value + r_c.value)
+    report = feasibility_report(scenario_from_inputs(SCENARIO))
+    r_e = report["R_eTPA_per_molecule_per_s"]
+    r_c = report["R_cTPA_per_molecule_per_s"]
+    assert_close(r_e, 2.3584e-11, 1e-3, "R_eTPA per molecule")
+    assert_close(r_c, 1.5611e-16, 1e-3, "R_cTPA per molecule")
+    assert report["R_total_per_molecule_per_s"] == pytest.approx(r_e + r_c)
     # entangled term dominates at this flux by ~5 orders of magnitude
-    assert r_e.value / r_c.value > 1e4
+    assert r_e / r_c > 1e4
 
 
 def test_volume_rates():
-    scn = scenario_from_inputs(SCENARIO)
-    r_e, r_c, _ = tpa_rate(scn)
-    assert_close(illuminated_volume_mL(scn.spot_diameter), 2.5724e-12, 1e-3,
-                 "illuminated volume")
-    assert_close(volume_rate(r_e, scn.molecule_density, scn.spot_diameter).value,
-                 1.653e-7, 1e-3, "volume R_eTPA")
-    assert_close(volume_rate(r_c, scn.molecule_density, scn.spot_diameter).value,
-                 1.094e-12, 1e-3, "volume R_cTPA")
+    report = feasibility_report(scenario_from_inputs(SCENARIO))
+    assert_close(report["illuminated_volume_mL"], 2.5724e-12, 1e-3, "illuminated volume")
+    assert_close(report["R_eTPA_volume_per_s"], 1.653e-7, 1e-3, "volume R_eTPA")
+    assert_close(report["R_cTPA_volume_per_s"], 1.094e-12, 1e-3, "volume R_cTPA")
 
 
 def test_zero_flux_scenario_gives_zero_rates():
-    scn = scenario_from_inputs({**SCENARIO, "pair_rate_per_s": 0.0})
-    r_e, r_c, r_tot = tpa_rate(scn)
-    assert r_e.value == r_c.value == r_tot.value == 0.0
+    report = feasibility_report(scenario_from_inputs({**SCENARIO, "pair_rate_per_s": 0.0}))
+    assert (report["R_eTPA_per_molecule_per_s"] == report["R_cTPA_per_molecule_per_s"]
+            == report["R_total_per_molecule_per_s"] == 0.0)
 
 
 # ---------------------------------------------------------------------------

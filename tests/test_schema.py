@@ -19,12 +19,14 @@ JSON = st.recursive(
 )
 
 
+# a number is finite; NaN and +-inf stay among the noisy JSON draws
+FINITE = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
 ACCEPTED = {
-    schema.NUMBER: st.integers() | st.floats(),
+    schema.NUMBER: FINITE,
     schema.WHOLE: st.integers(min_value=1, max_value=4096),
     schema.STRING: st.text(max_size=8),
     schema.BOOLEAN: st.booleans(),
-    schema.PAIR: st.lists(st.integers() | st.floats(), min_size=2, max_size=2),
+    schema.PAIR: st.lists(FINITE, min_size=2, max_size=2),
 }
 
 
@@ -35,7 +37,8 @@ def configs(table, noisy):
     def values(kind):
         if isinstance(kind, dict):
             return configs(kind, noisy)
-        return ACCEPTED[kind] | JSON if noisy else ACCEPTED[kind]
+        accepted = st.sampled_from(kind.choices) if kind.choices else ACCEPTED[kind]
+        return accepted | JSON if noisy else accepted
 
     required = {k: values(kind) for k, (kind, d) in table.items() if d is schema.REQUIRED}
     optional = {k: values(kind) for k, (kind, d) in table.items() if d is not schema.REQUIRED}
