@@ -13,14 +13,13 @@ channels of both measurements, so a nonzero Gamma isolates pair-selective
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import AlignmentError, SolverError, TableParseError
-from .schema import reading
+from .schema import reading, write_json as write_report_json
 
 _MODES = ("pump", "spdc")
 _CSV_HEADER = ["P_SPDC_pW", "R_s1", "R_s1_err", "R_s2", "R_s2_err",
@@ -77,10 +76,7 @@ class RateTable:
         return len(self.rows)
 
     def by_mode(self, mode: str) -> "RateTable":
-        rows = tuple(r for r in self.rows if r.mode == mode)
-        if not rows:
-            raise TableParseError(f"no rows with mode {mode!r}")
-        return RateTable(rows)
+        return RateTable(tuple(r for r in self.rows if r.mode == mode))
 
     def modes(self):
         return tuple(sorted({r.mode for r in self.rows}))
@@ -91,41 +87,35 @@ class RateTable:
 
 
 def ingest_rate_table(path) -> RateTable:
-    """Read a rate-table CSV; schema violations are reported with the first
-    offending line number."""
+    """Read a rate-table CSV; a schema violation is reported as
+    ``PATH line N: reason`` for the first offending record, N being the
+    file line it ends on (the header is line 1)."""
     rows = []
     with reading(path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TableParseError(f"empty rate table file: {path}") from None
-        if [h.strip() for h in header] != _CSV_HEADER:
-            raise TableParseError(
-                f"bad header, expected {','.join(_CSV_HEADER)}", line_number=1
-            )
-        for lineno, record in enumerate(reader, start=2):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if len(record) != len(_CSV_HEADER):
-                raise TableParseError(
-                    f"expected {len(_CSV_HEADER)} fields, got {len(record)}",
-                    line_number=lineno,
-                )
+        reader = csv.reader(fh)  # a quoted field may span lines
+        for index, record in enumerate(reader):
             try:
+                if index == 0:
+                    if [h.strip() for h in record] != _CSV_HEADER:
+                        raise TableParseError(f"bad header, expected {','.join(_CSV_HEADER)}")
+                    continue
+                if not record or (len(record) == 1 and not record[0].strip()):
+                    continue
+                if len(record) != len(_CSV_HEADER):
+                    raise TableParseError(f"expected {len(_CSV_HEADER)} fields, got {len(record)}")
                 values = [float(v) for v in record[:7]]
-            except ValueError as exc:
-                raise TableParseError(f"malformed number: {exc}",
-                                      line_number=lineno) from exc
-            if not all(map(math.isfinite, values)):
-                raise TableParseError("malformed number: nan or infinity", line_number=lineno)
-            if any(v < 0 for v in values):
-                raise TableParseError("negative rate or uncertainty",
-                                      line_number=lineno)
-            try:
+                if not all(map(math.isfinite, values)):
+                    raise TableParseError("malformed number: nan or infinity")
+                if any(v < 0 for v in values):
+                    raise TableParseError("negative rate or uncertainty")
                 rows.append(RateRow(*values, record[7].strip(), record[8].strip()))
             except TableParseError as exc:
-                raise TableParseError(str(exc), line_number=lineno) from exc
+                raise TableParseError(f"{path} line {reader.line_num}: {exc}") from None
+            except ValueError as exc:  # from float()
+                raise TableParseError(
+                    f"{path} line {reader.line_num}: malformed number: {exc}") from None
+    if reader.line_num == 0:
+        raise TableParseError(f"empty rate table file: {path}")
     if not rows:
         raise TableParseError(f"rate table has a header but no rows: {path}")
     return RateTable(tuple(rows))
@@ -144,16 +134,6 @@ class FitResult:
     reduced_chi2: float
     residuals: tuple
     n_points: int
-
-    def __post_init__(self):
-        expected = {"linear": 2, "quadratic": 3}[self.model]
-        if len(self.coefficients) != expected:
-            raise SolverError(
-                f"{self.model} fit needs {expected} coefficients, "
-                f"got {len(self.coefficients)}"
-            )
-        if self.reduced_chi2 < 0:
-            raise SolverError("reduced chi-squared cannot be negative")
 
 
 def fit_rate_curve(table: RateTable, model: str) -> FitResult:
@@ -224,9 +204,7 @@ def _align(solv: RateTable, samp: RateTable):
         unmatched.extend(("sample", r.p_spdc_pW, r.mode) for r in bucket)
     if unmatched:
         raise AlignmentError(
-            f"tables are not row-aligned by (P_SPDC, mode); unmatched rows: "
-            f"{unmatched}", unmatched=unmatched
-        )
+            f"tables are not row-aligned by (P_SPDC, mode); unmatched rows: {unmatched}")
     return pairs
 
 
@@ -327,12 +305,6 @@ def analysis_report(solv: RateTable, samp: RateTable) -> dict:
             for p, m, lab in table.flagged_rows()
         ],
     }
-
-
-def write_report_json(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_plot_data_csv(report: dict, path) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import json
 import warnings
 import numpy as np
 
@@ -25,7 +24,7 @@ from ._ascii import digits
 from .constants import C0, TWO_PI, NM, MM, FS, wavelength_nm_to_omega, omega_to_wavelength_nm
 from .errors import CoverageError, DomainError
 from .phasematch import CrystalConfig, delta_k
-from .schema import reading
+from .schema import reading, write_json
 
 # Boundary-ring intensity mass above this fraction of the total means the
 # grid truncates the JSA.
@@ -171,23 +170,20 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec | None = Non
     # the Sellmeier validity window.
     mask = alpha > 1e-16
     if not np.any(mask):
-        raise CoverageError("grid does not overlap the pump envelope",
-                            truncated_fraction=1.0)
+        raise CoverageError("grid does not overlap the pump envelope")
     amp = np.zeros_like(alpha)
     amp[mask] = alpha[mask] * phase_matching_function(cfg, w_s[mask], w_i[mask])
 
     intensity = amp ** 2
     total = float(np.sum(intensity))
     if total == 0.0:
-        raise CoverageError("grid does not overlap the joint spectrum", truncated_fraction=1.0)
+        raise CoverageError("grid does not overlap the joint spectrum")
     ring = (np.sum(intensity[0, :]) + np.sum(intensity[-1, :])
             + np.sum(intensity[:, 0]) + np.sum(intensity[:, -1]))
     fraction = float(ring / total)
     if fraction > COVERAGE_TOLERANCE:
         raise CoverageError(
-            f"grid too narrow: boundary ring holds {fraction:.3e} of the squared mass",
-            truncated_fraction=fraction,
-        )
+            f"grid too narrow: boundary ring holds {fraction:.3e} of the squared mass")
 
     dw = axis[1] - axis[0]
     norm = np.sqrt(total * dw * dw)
@@ -379,9 +375,7 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path) -> None:
         "normalized": js.normalized,
         "measured": js.measured,
     }
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar, sidecar_path)
 
 
 # values rendered per write in export_matrix_csv

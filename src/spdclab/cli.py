@@ -26,14 +26,13 @@ output that cannot be written).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
 
 from . import schema
 from .errors import ConfigError, InputError, SpdclabError
-from .schema import BOOLEAN, NUMBER, PAIR, REQUIRED, STRING, WHOLE, one_of, reading
+from .schema import BOOLEAN, NUMBER, PAIR, REQUIRED, STRING, WHOLE, one_of, write_json
 
 # Fixed default seed so runs are reproducible without any flags.
 DEFAULT_SEED = 20080343
@@ -86,12 +85,6 @@ def _scenario_table() -> dict:
     return etpa.SCENARIO
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _crystal(c: dict):
     from . import dispersion, phasematch
     # the keys of CRYSTAL other than material_file are CrystalConfig's fields
@@ -124,7 +117,7 @@ def cmd_tuning_curve(args, cfg: dict, given: dict) -> int:
     }
     if cfg["measured_degeneracy_C"] is not None:  # = fit_calibration_offset, one solve
         summary["fitted_calibration_offset_C"] = theta_deg_model - cfg["measured_degeneracy_C"]
-    _write_json(summary, os.path.join(args.out, "tuning_summary.json"))
+    write_json(summary, os.path.join(args.out, "tuning_summary.json"))
     return 0
 
 
@@ -164,7 +157,7 @@ def cmd_jsa(args, cfg: dict, given: dict) -> int:
         "entanglement_time_fiber_fs": biphoton.entanglement_time_from_jti(jta_fiber),
         "measured_input": bool(measured),
     }
-    _write_json(report, os.path.join(args.out, "te_report.json"))
+    write_json(report, os.path.join(args.out, "te_report.json"))
     return 0
 
 
@@ -192,7 +185,7 @@ def cmd_simulate(args, cfg: dict, given: dict) -> int:
         except SpdclabError as exc:
             payload["heralded_g2"] = None
             payload["heralded_g2_note"] = str(exc)
-    _write_json(payload, os.path.join(args.out, "count_summary.json"))
+    write_json(payload, os.path.join(args.out, "count_summary.json"))
     return 0
 
 
@@ -200,8 +193,8 @@ def cmd_etpa_report(args, cfg: dict, given: dict) -> int:
     from . import etpa
     scenario = etpa.scenario_from_inputs(cfg)
     report = etpa.feasibility_report(scenario)
-    _write_json({"config": given, "report": report},
-                os.path.join(args.out, "etpa_report.json"))
+    write_json({"config": given, "report": report},
+               os.path.join(args.out, "etpa_report.json"))
     text = etpa.format_report(report)
     with open(os.path.join(args.out, "etpa_report.txt"), "w") as fh:
         fh.write(text + "\n")
@@ -265,16 +258,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, table = COMMANDS[args.command]
     try:
-        with reading(args.config), open(args.config, encoding="utf-8") as fh:
-            given = json.load(fh)
+        given = schema.load_config(args.config)
         cfg = schema.check(table(), given)
         os.makedirs(args.out, exist_ok=True)
         return handler(args, cfg, given)
     except ConfigError as exc:
         print(f"spdclab: --config {args.config}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"spdclab: --config {args.config} is not valid JSON: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # every input is read through schema.reading
         print(f"spdclab: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)

@@ -460,23 +460,20 @@ def count_coincidences(tags: TagStream, window_ns: float) -> CountSummary:
     )
 
 
-def correct_rates(counts: CountSummary, dark_rates: dict | float) -> CountSummary:
-    """Subtract dark counts from singles and accidental estimates from
-    coincidences; uncertainties propagate in quadrature.  Negative
-    corrected values clamp to zero and set a warning flag."""
+def correct_rates(counts: CountSummary, dark_rate_hz: float) -> CountSummary:
+    """Subtract the dark rate from every singles rate and accidental
+    estimates from coincidences; uncertainties propagate in quadrature.
+    Negative corrected values clamp to zero and set a warning flag."""
     t_s = counts.integration_time_ms * 1e-3
-    if not isinstance(dark_rates, dict):
-        dark_rates = {label: float(dark_rates) for label in counts.singles}
     warnings = list(counts.warnings)
 
     singles = {}
     singles_err = {}
     for label, rate in counts.singles.items():
-        dark = dark_rates.get(label, 0.0)
-        if dark > rate:
+        if dark_rate_hz > rate:
             warnings.append(f"singles[{label}]: dark rate exceeds measured rate, clamped to 0")
-        singles[label] = max(rate - dark, 0.0)
-        singles_err[label] = np.sqrt(rate * t_s + dark * t_s) / t_s
+        singles[label] = max(rate - dark_rate_hz, 0.0)
+        singles_err[label] = np.sqrt(rate * t_s + dark_rate_hz * t_s) / t_s
 
     coincidences = {}
     coincidences_err = {}
@@ -517,15 +514,14 @@ def heralded_g2(counts: CountSummary):
     g2(0) = R_h * R_h12 / (R_h1 * R_h2), with first-order Poisson error
     propagation.  Returns (g2, uncertainty)."""
     if counts.triples is None:
-        raise EstimateUndefinedError("heralded g2 needs the 3-channel topology", counts)
+        raise EstimateUndefinedError("heralded g2 needs the 3-channel topology")
     r_h = counts.singles["h"]
     r_h1 = counts.coincidences[("1", "h")]
     r_h2 = counts.coincidences[("2", "h")]
     r_h12 = counts.triples
     if r_h1 <= 0 or r_h2 <= 0 or r_h <= 0:
         raise EstimateUndefinedError(
-            f"zero denominator in g2: R_h={r_h}, R_h1={r_h1}, R_h2={r_h2}", counts
-        )
+            f"zero denominator in g2: R_h={r_h}, R_h1={r_h1}, R_h2={r_h2}")
     g2 = r_h * r_h12 / (r_h1 * r_h2)
     rel_sq = 0.0
     for value, err in (

@@ -69,8 +69,7 @@ def _parse_material_text(text: str) -> SellmeierModel:
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            raise TableParseError(f"expected 'key: value' on line {lineno}: {raw!r}",
-                                  line_number=lineno)
+            raise TableParseError(f"expected 'key: value' on line {lineno}: {raw!r}")
         key, value = (part.strip() for part in line.split(":", 1))
         fields[key] = value
     try:

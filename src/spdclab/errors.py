@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Each carries everything it
+knows in its message, which is what the CLI prints."""
 
 
 class SpdclabError(Exception):
@@ -12,10 +13,6 @@ class DomainError(SpdclabError):
 class CoverageError(SpdclabError):
     """A sampling grid does not cover the support of the quantity on it."""
 
-    def __init__(self, message, truncated_fraction=None):
-        super().__init__(message)
-        self.truncated_fraction = truncated_fraction
-
 
 class SolverError(SpdclabError):
     """Root finding failed (no bracket, no convergence)."""
@@ -24,17 +21,9 @@ class SolverError(SpdclabError):
 class AlignmentError(SpdclabError):
     """Two tables that must be row-aligned are not."""
 
-    def __init__(self, message, unmatched=()):
-        super().__init__(message)
-        self.unmatched = list(unmatched)
-
 
 class TableParseError(SpdclabError):
     """A data file violates its schema."""
-
-    def __init__(self, message, line_number=None):
-        super().__init__(message)
-        self.line_number = line_number
 
 
 class ConfigError(TableParseError):
@@ -46,8 +35,4 @@ class InputError(SpdclabError):
 
 
 class EstimateUndefinedError(SpdclabError):
-    """An estimator hit a zero denominator; carries the raw counts."""
-
-    def __init__(self, message, counts=None):
-        super().__init__(message)
-        self.counts = counts
+    """An estimator hit a zero denominator."""

@@ -8,13 +8,12 @@ Every number is a plain float whose name ends in its unit (``T_e_fs``,
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .constants import GM_IN_CM4_S, N_AVOGADRO
 from .errors import DomainError
-from .schema import NUMBER, REQUIRED, check
+from .schema import NUMBER, REQUIRED, check, load_config
 
 
 def _finite(name: str, value: float) -> None:
@@ -78,9 +77,10 @@ def entangled_cross_section(delta_c_GM: float, T_e_fs: float, A_e_um2: float) ->
     1 GM = 1e-50 cm^4 s, so GM / (s * cm^2) lands directly in cm^2.
     """
     delta_cm4s = delta_c_GM * GM_IN_CM4_S
-    t_s = T_e_fs * 1e-15
-    a_cm2 = A_e_um2 * 1e-8
-    return delta_cm4s / (t_s * a_cm2)
+    t_a_s_cm2 = (T_e_fs * 1e-15) * (A_e_um2 * 1e-8)
+    # inf where T_e * A_e underflows to 0, as _power gives for an overflow;
+    # the finite check of feasibility_report then names it
+    return delta_cm4s / t_a_s_cm2 if t_a_s_cm2 else math.inf
 
 
 def pair_flux(pair_rate_per_s: float, A_e_um2: float) -> float:
@@ -116,8 +116,7 @@ SCENARIO = {key: (NUMBER, REQUIRED) for key in (
 
 def load_scenario(path) -> dict:
     """Parse a scenario JSON file and check it against ``SCENARIO``."""
-    with open(path) as fh:
-        return check(SCENARIO, json.load(fh))
+    return check(SCENARIO, load_config(path))
 
 
 def scenario_from_inputs(data: dict) -> EtpaScenario:

@@ -154,7 +154,6 @@ class TuningPoint:
     theta_C: float
     lambda_s_nm: float
     lambda_i_nm: float
-    branch: str  # "signal" (<= 2*lambda_p) pairs with "idler" partner
 
 
 def _signal_scan_range(cfg: CrystalConfig, lambda_p_nm: float):
@@ -192,7 +191,7 @@ def tuning_curve(cfg: CrystalConfig, lambda_p_nm: float, theta_range,
             roots.append(lam_grid[-1])
         for lam_s in sorted(roots):
             lam_i = idler_wavelength_nm(lambda_p_nm, lam_s)
-            points.append(TuningPoint(float(theta), float(lam_s), float(lam_i), "signal"))
+            points.append(TuningPoint(float(theta), float(lam_s), float(lam_i)))
     return points
 
 
@@ -203,4 +202,4 @@ def export_tuning_curve_csv(points, path) -> None:
         writer.writerow(["theta_C", "lambda_s_nm", "lambda_i_nm", "branch"])
         for p in points:
             writer.writerow([f"{p.theta_C:.6f}", f"{p.lambda_s_nm:.6f}",
-                             f"{p.lambda_i_nm:.6f}", p.branch])
+                             f"{p.lambda_i_nm:.6f}", "signal"])

@@ -1,5 +1,6 @@
-"""The one check every ``spdclab`` config passes, and :func:`reading`, through
-which every input file is read.
+"""The one check every ``spdclab`` config passes; :func:`reading`, through
+which every input file is read; and the one reader of a JSON config and the
+one writer of a JSON output.
 
 A table maps each key to ``(kind, default)``; ``REQUIRED`` is the default of
 a key that must be given, and a kind is a :class:`Kind` or a nested table.
@@ -7,6 +8,7 @@ a key that must be given, and a kind is a :class:`Kind` or a nested table.
 
 from __future__ import annotations
 
+import json
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING as REQUIRED, fields
@@ -83,3 +85,23 @@ def reading(path):
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
+
+
+def load_config(path):
+    """The JSON value in the config file ``path``.  The file is decoded
+    before it is parsed, so that text which is not UTF-8 is reported by
+    :func:`reading` and not as invalid JSON."""
+    with reading(path), open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer past int_max_str_digits
+        raise InputError(f"--config {path} is not valid JSON: {exc}") from None
+
+
+def write_json(payload: dict, path) -> None:
+    """Write ``payload`` as the bytes of every JSON output: sorted keys,
+    two-space indent, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

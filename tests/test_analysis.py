@@ -49,9 +49,8 @@ def test_ingest_empty_file(tmp_path):
 def test_ingest_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(TableParseError) as exc:
+    with pytest.raises(TableParseError, match=r" line 1: bad header"):
         ingest_rate_table(path)
-    assert exc.value.line_number == 1
 
 
 def test_ingest_negative_rate_reports_line(tmp_path):
@@ -60,9 +59,8 @@ def test_ingest_negative_rate_reports_line(tmp_path):
         lines = fh.read().splitlines()
     lines.insert(3, "10.0,-5.0,1.0,100.0,1.0,10.0,1.0,pump,x")
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TableParseError) as exc:
+    with pytest.raises(TableParseError, match=r" line 4: negative rate"):
         ingest_rate_table(path)
-    assert exc.value.line_number == 4
 
 
 @pytest.mark.parametrize("row", [
@@ -76,18 +74,27 @@ def test_ingest_non_finite_number_reports_line(tmp_path, row):
         lines = fh.read().splitlines()
     lines.insert(3, row)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TableParseError, match="malformed number: nan or infinity") as exc:
+    with pytest.raises(TableParseError, match=" line 4: malformed number: nan or infinity"):
         ingest_rate_table(path)
-    assert exc.value.line_number == 4
+
+
+def test_ingest_reports_the_file_line_past_a_quoted_newline(tmp_path):
+    path = tmp_path / "quoted.csv"
+    with open(FIXTURE_SOLVENT) as fh:
+        lines = fh.read().splitlines()
+    lines.insert(2, '10.0,3000.0,17.3,2800.0,16.7,12.0,1.1,pump,"two\nline label"')
+    lines.insert(4, "10.0,3000.0,17.3")  # file line 6, the fifth record
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TableParseError, match=r" line 6: expected 9 fields, got 3"):
+        ingest_rate_table(path)
 
 
 def test_ingest_bad_mode_reports_line(tmp_path):
     path = tmp_path / "mode.csv"
     header = "P_SPDC_pW,R_s1,R_s1_err,R_s2,R_s2_err,R_coin,R_coin_err,mode,label"
     path.write_text(header + "\n1.0,1.0,0.1,1.0,0.1,1.0,0.1,sideways,x\n")
-    with pytest.raises(TableParseError) as exc:
+    with pytest.raises(TableParseError, match=r" line 2: mode must be one of"):
         ingest_rate_table(path)
-    assert exc.value.line_number == 2
 
 
 def test_flagging_rule():
@@ -196,9 +203,8 @@ def test_alignment_error_lists_unmatched():
     samp = make_table([make_row(1.0, 1, 1, 1), make_row(3.0, 1, 1, 1)])
     with pytest.raises(AlignmentError) as exc:
         absorption_rate(solv, samp)
-    unmatched = exc.value.unmatched
-    assert ("solvent", 2.0, "pump") in unmatched
-    assert ("sample", 3.0, "pump") in unmatched
+    assert "('solvent', 2.0, 'pump')" in str(exc.value)
+    assert "('sample', 3.0, 'pump')" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

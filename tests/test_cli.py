@@ -148,6 +148,15 @@ def test_etpa_report_invalid_json_exits_2_and_names_path(tmp_path, capsys):
     assert f"--config {bad} is not valid JSON" in capsys.readouterr().err
 
 
+def test_integer_past_the_digit_limit_is_invalid_json(tmp_path, capsys):
+    # json raises a plain ValueError past Python's limit on int string conversion
+    bad = tmp_path / "big.json"
+    bad.write_text('{"pair_rate_per_s": ' + "1" * 5001 + "}")
+    assert run("etpa-report", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spdclab: --config {bad} is not valid JSON: ") and err.count("\n") == 1
+
+
 def test_out_that_cannot_be_created_exits_2_saying_write(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("")
@@ -441,6 +450,13 @@ def test_etpa_overflowing_rate_exits_1_naming_it(tmp_path, capsys):
     assert capsys.readouterr().err == "spdclab: R_cTPA_per_molecule_per_s must be finite, got inf\n"
 
 
+def test_etpa_underflowing_area_time_exits_1_naming_it(tmp_path, capsys):
+    # T_e * A_e in s cm^2 underflows to 0 for a tiny positive T_e
+    cfg = write_json(tmp_path / "s.json", {**PAPER_SCENARIO, "T_e_fs": 1e-320})
+    assert run("etpa-report", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "spdclab: sigma_e_cm2 must be finite, got inf\n"
+
+
 def test_etpa_zero_flux(tmp_path):
     scenario = json.load(open(config_path("paper_scenario.json")))
     scenario["pair_rate_per_s"] = 0.0
@@ -512,8 +528,21 @@ def test_analyze_non_finite_cell_exits_1_before_any_fit(tmp_path, capfd, row):
         "solvent_csv": str(table), "sample_csv": config_path("rate_table_sample.csv")})
     assert run("analyze", "--config", cfg, "--out", str(tmp_path / "out")) == 1
     captured = capfd.readouterr()  # file descriptors: LAPACK writes past sys.stderr
-    assert captured.err == "spdclab: malformed number: nan or infinity\n" and not captured.out
+    assert captured.err == f"spdclab: {table} line 2: malformed number: nan or infinity\n"
+    assert not captured.out
     assert not (tmp_path / "out" / "analysis_report.json").exists()
+
+
+def test_analyze_bad_solvent_table_names_its_path_and_line(tmp_path, capsys):
+    lines = open(config_path("rate_table_solvent.csv")).read().splitlines()
+    lines.insert(4, "10.0,3000.0,17.3")
+    (tmp_path / "solvent.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "sample.csv").write_text(open(config_path("rate_table_sample.csv")).read())
+    cfg = write_json(tmp_path / "an.json", {"solvent_csv": "solvent.csv",
+                                            "sample_csv": "sample.csv"})
+    assert run("analyze", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        f"spdclab: {tmp_path / 'solvent.csv'} line 5: expected 9 fields, got 3\n")
 
 
 def test_analyze_missing_table_exits_2(tmp_path):

@@ -226,8 +226,8 @@ def test_correct_rates_examples():
         coincidences={("1", "2"): 100.0}, coincidences_err={("1", "2"): 10.0},
         accidentals={("1", "2"): 20.0},
     )
-    out = ct.correct_rates(cs, {"1": 100.0, "2": 900.0})
-    assert out.singles["1"] == pytest.approx(900.0)
+    out = ct.correct_rates(cs, 850.0)
+    assert out.singles["1"] == pytest.approx(150.0)
     assert out.singles["2"] == 0.0  # clamped
     assert any("dark rate exceeds" in w for w in out.warnings)
     assert out.coincidences[("1", "2")] == pytest.approx(80.0)

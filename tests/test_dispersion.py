@@ -55,9 +55,9 @@ def test_parse_missing_coefficient():
 def test_parse_malformed_line_reports_number():
     good = (importlib.resources.files("spdclab") / "data" / "mgo_cln_5pct_e.txt").read_text()
     bad = good + "\nthis line has no separator\n"
-    with pytest.raises(TableParseError) as exc:
+    lineno = bad.splitlines().index("this line has no separator") + 1
+    with pytest.raises(TableParseError, match=f"on line {lineno}: "):
         _parse_material_text(bad)
-    assert exc.value.line_number is not None
 
 
 # ---------------------------------------------------------------------------
