@@ -86,6 +86,16 @@ class RateTable:
         return [(r.p_spdc_pW, r.mode, r.label) for r in self.rows if r.flagged()]
 
 
+def _records(reader, path):
+    """The records of the ``csv.reader`` ``reader`` of ``path``; one it
+    cannot parse, such as a field past ``csv.field_size_limit()``, raises
+    TableParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise TableParseError(f"{path} line {reader.line_num}: {exc}") from None
+
+
 def ingest_rate_table(path) -> RateTable:
     """Read a rate-table CSV; a schema violation is reported as
     ``PATH line N: reason`` for the first offending record, N being the
@@ -93,7 +103,7 @@ def ingest_rate_table(path) -> RateTable:
     rows = []
     with reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)  # a quoted field may span lines
-        for index, record in enumerate(reader):
+        for index, record in enumerate(_records(reader, path)):
             try:
                 if index == 0:
                     if [h.strip() for h in record] != _CSV_HEADER:

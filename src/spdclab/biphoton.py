@@ -343,7 +343,19 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path) -> None:
 
     i.e. every value as ``'%.12e' % v``, ``,``-joined rows ending in
     ``\\n``.  The values are rendered from integer digits in chunks of at
-    most ``_EXPORT_CHUNK_VALUES`` (see :func:`_render_e12`).
+    most ``_EXPORT_CHUNK_VALUES`` (see :func:`_render_e12`), each chunk in
+    byte slots of one width, a field plus its separator:
+
+    * a chunk of +0.0 and positive values of at least 1e-290 whose text has
+      a two-digit exponent, as the JSI and JTI of ``spdclab jsa`` are, takes
+      19-byte slots, ``d.dddddddddddde±dd`` plus the separator, and is
+      written as it is;
+    * any other chunk (a sign, a three-digit exponent, a non-finite or a
+      subnormal value) takes 21-byte slots, ``-d.dddddddddddde±ddd`` plus
+      the separator, whose unused sign and hundreds digit are dropped.
+
+    Only the nonzero values are rendered: a zero cell is a copy of
+    ``0.000000000000e+00``.
 
     Rounding error: for a finite v with decimal exponent E = floor(log10|v|)
     the text is the 13-digit mantissa M = round-half-even(Q) of the exact
@@ -360,7 +372,9 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path) -> None:
     above) and those inside the window, which includes the exact half-even
     ties such as 1234567890123.5.  An E misjudged by one at a power of ten
     gives the same text: q then lies within 2.3e-3 of 1e12 or 1e13 and
-    rounds to 1.000000000000eE either way.
+    rounds to 1.000000000000eE either way.  A fallback takes its slot width
+    from its text, so 9.9999999999995e99, which prints as
+    1.000000000000e+100, puts its chunk in the 21-byte slots.
     """
     units = "rad/s" if js.domain == "spectral" else "s"
     with open(csv_path, "wb") as fh:
@@ -391,6 +405,9 @@ _MIN_SCALED = 1e-290
 # half-width of the window around .5 whose values fall back to '%.12e'
 _HALF_WINDOW = 2.5e-3
 
+# '%.12e' % 0.0, copied into every zero cell
+_ZERO_E12 = np.frombuffer(b"0.000000000000e+00", dtype=np.uint8)
+
 
 def _write_e12(fh, matrix, delimiter: bytes) -> None:
     """Write the rows of ``matrix`` to the binary file ``fh`` as ``'%.12e'``
@@ -406,12 +423,11 @@ def _render_e12(values, first: int, n_cols: int, delimiter: bytes) -> bytes:
     row-major matrix that starts at flat index ``first``: ``\\n`` after the
     last column, ``delimiter`` after the others.
 
-    Each field is a 21-byte slot, ``-d.dddddddddddde+ddd`` plus the
-    separator; the sign and the exponent's hundreds digit are dropped when
-    unused.  The error bound that decides which values take the fallback is
-    in :func:`export_matrix_csv`.
+    The slot layouts are described, and the error bound that decides which
+    values take the fallback is proved, in :func:`export_matrix_csv`.
     """
-    magnitude = np.abs(values)
+    nonzero = np.flatnonzero(values)
+    magnitude = np.abs(values[nonzero])
     scaled = (magnitude >= _MIN_SCALED) & (magnitude <= np.finfo(float).max)
     magnitude = np.where(scaled, magnitude, 1.0)
     exponent = np.floor(np.log10(magnitude)).astype(np.int64)
@@ -419,36 +435,54 @@ def _render_e12(values, first: int, n_cols: int, delimiter: bytes) -> bytes:
     exponent += (q >= 1e13).astype(np.int64) - (q < 1e12)
     q = magnitude * _POW10[_POW10_ZERO + 12 - exponent]
     mantissa = np.rint(q)
-    fallback = scaled & (np.abs(q - np.floor(q) - 0.5) < _HALF_WINDOW)
-    fallback |= ~scaled & (values != 0)
+    fallback = np.flatnonzero(~scaled | (np.abs(q - np.floor(q) - 0.5) < _HALF_WINDOW))
     carry = mantissa == 1e13  # 9.999999999999|5.. rounds up to 1.000000000000e(E+1)
     mantissa[carry] = 1e12
     exponent += carry
-    mantissa = mantissa.astype(np.int64)
-    zero = values == 0
-    mantissa[zero] = 0
-    exponent[zero] = 0
+    texts = ["%.12e" % v for v in values[nonzero[fallback]].tolist()]
+    lengths = np.array([len(t) for t in texts], dtype=np.int64)
 
-    out = np.empty((len(values), 21), dtype=np.uint8)
-    used = np.ones(out.shape, dtype=bool)
-    out[:, 0] = ord("-")
+    # byte j of every nonzero field in row j: d.dddddddddddde±dd
+    field = np.empty((18, len(nonzero)), dtype=np.uint8)
+    digits(mantissa.astype(np.int64), field[1:14])
+    field[0] = field[1]
+    field[1] = ord(".")
+    field[14] = ord("e")
+    field[15] = np.where(exponent < 0, ord("-"), ord("+"))
+    digits(np.abs(exponent), field[16:])
+    three_digit = np.abs(exponent) >= 100
+    three_digit[fallback] = lengths > 18  # a fallback takes its exponent from its text
+    fixed = scaled.all() and not three_digit.any() and not np.signbit(values).any()
+    if fixed and len(fallback):
+        field[:, fallback] = np.array(texts, dtype="S18").view(np.uint8).reshape(-1, 18).T
+
+    slots = np.empty((len(values), 19), dtype=np.uint8)
+    if len(nonzero) == len(values):
+        slots[:, :18] = field.T
+    else:
+        slots[:, :18] = _ZERO_E12
+        slots[nonzero, :18] = field.T
+    slots[:, 18] = ord(delimiter)
+    slots[(n_cols - 1 - first) % n_cols::n_cols, 18] = ord("\n")
+    if fixed:
+        return slots.tobytes()
+
+    # 21-byte slots, -d.dddddddddddde±ddd plus the separator, whose unused
+    # sign and exponent hundreds digit are dropped
+    wide = np.empty((len(values), 21), dtype=np.uint8)
+    used = np.ones(wide.shape, dtype=bool)
+    wide[:, 0] = ord("-")
     used[:, 0] = np.signbit(values)
-    mantissa_digits = digits(mantissa, 13)
-    out[:, 1] = mantissa_digits[:, 0]
-    out[:, 2] = ord(".")
-    out[:, 3:15] = mantissa_digits[:, 1:]
-    out[:, 15] = ord("e")
-    out[:, 16] = np.where(exponent < 0, ord("-"), ord("+"))
-    out[:, 17:20] = digits(np.abs(exponent), 3)
-    used[:, 17] = np.abs(exponent) >= 100
-    row_end = np.arange(first + 1, first + len(values) + 1) % n_cols == 0
-    out[:, 20] = np.where(row_end, ord("\n"), ord(delimiter))
-    rows = np.flatnonzero(fallback)
-    if len(rows):
-        texts = ["%.12e" % v for v in values[rows].tolist()]
-        out[rows, :20] = np.array(texts, dtype="S20").view(np.uint8).reshape(len(rows), 20)
-        used[rows, :20] = np.arange(20) < np.array([len(t) for t in texts])[:, None]
-    return out[used].tobytes()
+    wide[:, 1:17] = slots[:, :16]
+    wide[nonzero, 17] = np.abs(exponent) // 100 + ord("0")
+    used[:, 17] = False
+    used[nonzero, 17] = three_digit
+    wide[:, 18:] = slots[:, 16:]
+    if len(fallback):
+        rows = nonzero[fallback]
+        wide[rows, :20] = np.array(texts, dtype="S20").view(np.uint8).reshape(-1, 20)
+        used[rows, :20] = np.arange(20) < lengths[:, None]
+    return wide[used].tobytes()
 
 
 def import_jsi_csv(csv_path, axis_units: str = "nm") -> JointSpectrum:

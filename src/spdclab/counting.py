@@ -112,16 +112,25 @@ class TagStream:
 
     def dump_csv(self, path) -> None:
         """``channel,timestamp_ns`` rows, sorted by timestamp and then by
-        label, written as ``csv.writer`` writes them (CRLF line ends, the
-        csv module's quoting of the label) with the timestamp as ``%.6f``.
+        label, written as ``csv.writer`` writes them to a text file in the
+        locale's encoding (CRLF line ends, the csv module's quoting of the
+        label) with the timestamp as ``%.6f``.
 
-        The rows are rendered in chunks from integer digits: ``floor(t)``
-        and ``t - floor(t)`` are exact, so ``rint((t - floor(t)) * 1e6)``
-        is the correctly rounded fraction unless the product lies within
-        1e-9 of a .5 boundary (its rounding error is below 6e-11).  Those
-        rows take their digits from ``f"{t:.6f}"``: values such as
-        0.4731885, whose product rounds across the boundary, and the exact
-        half-even ties, which odd multiples of 1/128 ns are at t >= 2**31 ns.
+        Each row is a prefix (the quoted label and ``,``, plus ``-`` for a
+        ``-0.0``), the digits of the whole nanoseconds, ``.``, six digits
+        and the line end, rendered from integers in chunks of
+        ``_DUMP_CHUNK_ROWS`` and written through a binary file.
+        ``floor(t)`` and ``t - floor(t)`` are exact, so
+        ``rint((t - floor(t)) * 1e6)`` is the correctly rounded fraction
+        unless the product lies within 1e-9 of a .5 boundary (its rounding
+        error is below 6e-11).  Those rows take their digits from
+        ``f"{t:.6f}"``: values such as 0.4731885, whose product rounds
+        across the boundary, and the exact half-even ties, which odd
+        multiples of 1/128 ns are at t >= 2**31 ns.  Correct rounding keeps
+        the sorted order, so the whole nanoseconds never decrease: a chunk
+        splits into runs of equal digit count, each rendered in fixed-width
+        slots.  Only a chunk whose prefixes differ in width drops the unused
+        prefix bytes of its slots.
         """
         labels = sorted(self.channels)
         times = np.concatenate(
@@ -132,31 +141,40 @@ class TagStream:
         times = times[order]
         # a prefix per (label, sign): "-0.0" passes validation and prints "-0.000000"
         codes = 2 * codes[order] + np.signbit(times)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["channel", "timestamp_ns"])
-            prefixes = []
-            for label in labels:
-                line = io.StringIO()
-                csv.writer(line).writerow([label, ""])
-                prefix = line.getvalue()[:-len(writer.dialect.lineterminator)]
-                prefixes += [prefix.encode(fh.encoding), (prefix + "-").encode(fh.encoding)]
-            line_end = writer.dialect.lineterminator.encode(fh.encoding)
-            width = max((len(p) for p in prefixes), default=0)
-            prefix_bytes = np.zeros((len(prefixes), width), dtype=np.uint8)
-            prefix_used = np.zeros((len(prefixes), width), dtype=bool)
-            for k, p in enumerate(prefixes):
-                prefix_bytes[k, :len(p)] = np.frombuffer(p, dtype=np.uint8)
-                prefix_used[k, :len(p)] = True
+        encoding = io.TextIOWrapper(io.BytesIO()).encoding  # open()'s default
+        prefixes = []
+        for label in labels:
+            prefix = _csv_row([label, ""])[:-len(csv.excel.lineterminator)]
+            prefixes += [prefix.encode(encoding), (prefix + "-").encode(encoding)]
+        widths = np.array([len(p) for p in prefixes], dtype=np.int64)
+        prefix_bytes = np.zeros((len(prefixes), widths.max(initial=0)), dtype=np.uint8)
+        for k, p in enumerate(prefixes):
+            prefix_bytes[k, :len(p)] = np.frombuffer(p, dtype=np.uint8)
+        line_end = csv.excel.lineterminator.encode(encoding)
+        with open(path, "wb") as fh:
+            fh.write(_csv_row(["channel", "timestamp_ns"]).encode(encoding))
             for lo in range(0, len(times), _DUMP_CHUNK_ROWS):
-                rows = slice(lo, lo + _DUMP_CHUNK_ROWS)
-                fh.write(_render_rows(times[rows], prefix_bytes[codes[rows]],
-                                      prefix_used[codes[rows]], line_end).decode(fh.encoding))
+                chunk = codes[lo:lo + _DUMP_CHUNK_ROWS]
+                fh.write(_render_rows(times[lo:lo + _DUMP_CHUNK_ROWS], prefix_bytes[chunk],
+                                      widths[chunk], line_end))
 
 
-def _render_rows(times, prefix_bytes, prefix_used, line_end: bytes) -> bytes:
-    """One row per timestamp: its prefix (the used bytes of a row of
-    ``prefix_bytes``), ``f"{abs(t):.6f}"`` and ``line_end``."""
+def _csv_row(fields) -> str:
+    """``fields`` as ``csv.writer`` writes them, line end included."""
+    line = io.StringIO()
+    csv.writer(line).writerow(fields)
+    return line.getvalue()
+
+
+# 10**k for k = 1 .. 18: the least whole number of k + 1 digits
+_DIGIT_BOUNDS = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _render_rows(times, prefix_bytes, prefix_widths, line_end: bytes) -> bytes:
+    """One row per timestamp of the sorted ``times``: its prefix (the first
+    ``prefix_widths[k]`` bytes of row ``k`` of ``prefix_bytes``),
+    ``f"{abs(t):.6f}"`` and ``line_end``.  The rounding error window is
+    proved in :meth:`TagStream.dump_csv`."""
     whole = np.floor(times)
     scaled = (times - whole) * 1e6
     frac = np.rint(scaled).astype(np.int64)
@@ -165,20 +183,33 @@ def _render_rows(times, prefix_bytes, prefix_used, line_end: bytes) -> bytes:
         whole_text, frac_text = f"{abs(times[k]):.6f}".split(".")
         whole[k], frac[k] = int(whole_text), int(frac_text)
 
-    n_whole = len(str(int(whole.max())))
-    start = prefix_bytes.shape[1]
-    point = start + n_whole
-    out = np.empty((len(times), point + 7 + len(line_end)), dtype=np.uint8)
-    used = np.ones(out.shape, dtype=bool)
-    out[:, :start] = prefix_bytes
-    used[:, :start] = prefix_used
-    out[:, start:point] = digits(whole, n_whole)
-    # no leading zeros before the units digit
-    used[:, start:point - 1] = whole[:, None] >= 10 ** np.arange(n_whole - 1, 0, -1)
-    out[:, point] = ord(".")
-    out[:, point + 1:point + 7] = digits(frac, 6)
-    out[:, point + 7:] = np.frombuffer(line_end, dtype=np.uint8)
-    return out[used].tobytes()
+    start = int(prefix_widths.max())
+    mixed = prefix_widths.min() < start
+    n_max = len(str(int(whole.max())))
+    point = start + n_max
+    # byte j of every row in row j, laid out for the widest whole part: the
+    # rows of n digits start at row n_max - n, their prefix just before
+    # their digits, in place of the leading zeros they do not print
+    slots = np.empty((point + 7 + len(line_end), len(times)), dtype=np.uint8)
+    digits(whole, slots[start:point])
+    slots[point] = ord(".")
+    digits(frac, slots[point + 1:point + 7])
+    slots[point + 7:] = np.frombuffer(line_end, dtype=np.uint8)[:, None]
+    # whole never decreases: rows bounds[n - 1]:bounds[n] have n digits
+    bounds = [0, *np.searchsorted(whole, _DIGIT_BOUNDS), len(times)]
+    parts = []
+    for n_whole, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
+        if lo == hi:
+            continue
+        run = slots[n_max - n_whole:, lo:hi]
+        run[:start] = prefix_bytes[lo:hi, :start].T
+        if mixed:
+            used = np.ones(run.shape, dtype=bool)
+            used[:start] = np.arange(start)[:, None] < prefix_widths[lo:hi]
+            parts.append(run.T[used.T].tobytes())
+        else:
+            parts.append(run.T.tobytes())
+    return b"".join(parts)
 
 
 def _jitter(rng, times_ns, chain: DetectionChain):

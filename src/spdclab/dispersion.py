@@ -62,14 +62,16 @@ class SellmeierModel:
             )
 
 
-def _parse_material_text(text: str) -> SellmeierModel:
+def _parse_material_text(text: str, path) -> SellmeierModel:
+    """The Sellmeier model in ``text``, the contents of ``path``, which a
+    parse error names: ``PATH line N: reason`` or ``PATH: reason``."""
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            raise TableParseError(f"expected 'key: value' on line {lineno}: {raw!r}")
+            raise TableParseError(f"{path} line {lineno}: expected 'key: value': {raw!r}")
         key, value = (part.strip() for part in line.split(":", 1))
         fields[key] = value
     try:
@@ -86,20 +88,21 @@ def _parse_material_text(text: str) -> SellmeierModel:
             temperature_C_max=t_hi,
         )
     except KeyError as exc:
-        raise TableParseError(f"material file missing key {exc}") from exc
+        raise TableParseError(f"{path}: missing key {exc}") from exc
     except ValueError as exc:
-        raise TableParseError(f"material file has malformed value: {exc}") from exc
+        raise TableParseError(f"{path}: malformed value: {exc}") from exc
 
 
 def load_material(path=None) -> SellmeierModel:
     """Load a Sellmeier coefficient file; defaults to the packaged
     5%-MgO:CLN extraordinary-axis set."""
     if path is None:
-        text = (importlib.resources.files("spdclab") / "data" / "mgo_cln_5pct_e.txt").read_text()
+        path = importlib.resources.files("spdclab") / "data" / "mgo_cln_5pct_e.txt"
+        text = path.read_text()
     else:
         with reading(path), open(path, encoding="utf-8") as fh:
             text = fh.read()
-    return _parse_material_text(text)
+    return _parse_material_text(text, path)
 
 
 def _n_squared_terms(model: SellmeierModel, lam_um, theta_C: float):

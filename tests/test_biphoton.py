@@ -381,18 +381,54 @@ _MATRIX_VALUES = st.one_of(
 ).map(float)
 
 
+# positive values whose '%.12e' text has a two-digit exponent: a chunk of
+# these and +0.0 takes the fixed-width slots
+_TWO_DIGIT_VALUES = st.one_of(
+    st.floats(1e-99, 9.999999999999e99),
+    st.builds(lambda d, e: float(f"{10 * d + 5}e{e}"),
+              st.integers(10 ** 12, 10 ** 13 - 1), st.integers(-111, 85)),
+    st.builds(_half_tie, st.integers(0, 2 ** 62), st.integers(-2, 10)),
+)
+
+# 9.9999999999995e99 and its neighbours round to 9.999999999999e+99 or carry
+# into 1.000000000000e+100; the values just below 1e-99 round to
+# 9.999999999999e-100 or carry up to 1.000000000000e-99
+_EXPONENT_EDGES = [float(np.nextafter(x, step * np.inf)) if step else x
+                   for x in (9.9999999999995e99, 9.9999999999995e-100, 1e-99)
+                   for step in (-1, 0, 1)] + [9.99999999999995e-100, 9.999999999999499e-100]
+
+# one of these in a chunk of two-digit values makes its fields differ in width
+_WIDE_VALUES = [-0.0, -1.0, 1e100, 1e-100, 5e-324, np.nan, np.inf]
+
+
 @st.composite
 def _matrices(draw):
-    pool = np.array(draw(st.lists(st.tuples(_MATRIX_VALUES, st.booleans()), min_size=1,
-                                  max_size=40).map(lambda vs: [-v if neg else v for v, neg in vs])))
+    signed = draw(st.booleans())
+    if signed:
+        pool = draw(st.lists(st.tuples(_MATRIX_VALUES, st.booleans()), min_size=1, max_size=40)
+                    .map(lambda vs: [-v if neg else v for v, neg in vs]))
+    else:
+        pool = draw(st.lists(_TWO_DIGIT_VALUES, min_size=1, max_size=40))
+        pool += draw(st.lists(st.sampled_from(_EXPONENT_EDGES), max_size=1))
+    pool = np.array(pool)
     n_cols = draw(st.integers(1, 700))
+    chunk = biphoton._EXPORT_CHUNK_VALUES
     if draw(st.integers(0, 3)) == 3:
-        # more values than one write, with the chunk boundary inside a row
-        n_rows = biphoton._EXPORT_CHUNK_VALUES // n_cols + draw(st.integers(1, 2))
+        # more values than one write, with a chunk boundary inside a row
+        n_rows = draw(st.integers(1, 3)) * chunk // n_cols + draw(st.integers(1, 2))
     else:
         n_rows = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return (rng.choice(pool, (n_rows, n_cols)), rng.choice(pool, n_rows), rng.choice(pool, n_cols))
+    matrix = rng.choice(pool, (n_rows, n_cols))
+    if not signed:
+        # zero-heavy, as a JSI is
+        matrix[rng.random(matrix.shape) < draw(st.sampled_from([0.0, 0.5, 0.99, 1.0]))] = 0.0
+        if draw(st.booleans()):
+            # every other chunk holds one field of another width
+            flat = matrix.reshape(-1)
+            for lo in range(0, flat.size, 2 * chunk):
+                flat[lo + rng.integers(min(chunk, flat.size - lo))] = draw(st.sampled_from(_WIDE_VALUES))
+    return matrix, rng.choice(pool, n_rows), rng.choice(pool, n_cols)
 
 
 def _spectrum_stub(matrix, axis_s, axis_i):
@@ -408,7 +444,8 @@ def test_export_bytes_equal_reference_edge_values(tmp_path):
     _assert_export_identical(_spectrum_stub(matrix, matrix[:, 0], -values), tmp_path)
 
 
-@settings(max_examples=60, deadline=None)
+# half the examples draw from the signed pool, half from the two-digit one
+@settings(max_examples=120, deadline=None)
 @given(case=_matrices())
 def test_export_bytes_equal_reference(case, tmp_path_factory):
     _assert_export_identical(_spectrum_stub(*case), tmp_path_factory.mktemp("export"))

@@ -186,6 +186,16 @@ def test_non_utf8_input_exits_2_naming_the_path(tmp_path, capsys, reader):
         f"spdclab: cannot read {bad}: not UTF-8 (invalid start byte)\n")
 
 
+def test_bad_material_file_names_its_path_and_line(tmp_path, capsys):
+    bad = tmp_path / "material.txt"
+    bad.write_text("material: x\nthis has no sep\n")
+    cfg = write_json(tmp_path / "c.json", {**PAPER_TUNING, "crystal": {
+        **PAPER_TUNING["crystal"], "material_file": str(bad)}})
+    assert run("tuning-curve", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (
+        f"spdclab: {bad} line 2: expected 'key: value': 'this has no sep'\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("tuning-curve", "--seed", "1"),
     ("jsa", "--seed", "1"),
@@ -543,6 +553,17 @@ def test_analyze_bad_solvent_table_names_its_path_and_line(tmp_path, capsys):
     assert run("analyze", "--config", cfg, "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == (
         f"spdclab: {tmp_path / 'solvent.csv'} line 5: expected 9 fields, got 3\n")
+
+
+def test_analyze_field_past_csv_limit_names_its_path_and_line(tmp_path, capsys):
+    lines = open(config_path("rate_table_solvent.csv")).read().splitlines()
+    lines[1] = "1" * 200_000 + lines[1][lines[1].index(","):]
+    (tmp_path / "solvent.csv").write_text("\n".join(lines) + "\n")
+    cfg = write_json(tmp_path / "an.json", {
+        "solvent_csv": "solvent.csv", "sample_csv": config_path("rate_table_sample.csv")})
+    assert run("analyze", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (f"spdclab: {tmp_path / 'solvent.csv'} line 2: "
+                                       "field larger than field limit (131072)\n")
 
 
 def test_analyze_missing_table_exits_2(tmp_path):

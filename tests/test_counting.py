@@ -184,6 +184,11 @@ _DUMP_CASES = {
     "empty-channel": {"1": [], "2": [3.5]},
     "empty-stream": {},
     "quoted-label-negative-zero": {"x,y": [-0.0, 1.0], "": [0.0]},
+    # rounding carries into one more whole digit than floor(t) has
+    "digit-count-carry": {"1": [9.9999996, 99.9999995, 999999999.9999996, 1e9],
+                          "2": [10.0, 99.9999996, 999999999.9999995, 1e9 + 1e-6]},
+    # prefixes of unequal width in the first chunk only
+    "label-widths-first-chunk": {"a": list(np.arange(70000) * 1.5), "bb": [3.25]},
 }
 
 

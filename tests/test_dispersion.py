@@ -1,5 +1,6 @@
 import hashlib
 import importlib.resources
+import re
 
 import numpy as np
 import pytest
@@ -48,16 +49,25 @@ def test_load_material_fields(material):
 
 def test_parse_missing_coefficient():
     text = "material: x\npolarization: e\nvalidity_wavelength_um: 0.4 4.0\nvalidity_temperature_C: 20 200\na1: 5.0\n"
-    with pytest.raises(TableParseError):
-        _parse_material_text(text)
+    with pytest.raises(TableParseError, match=r"^m\.txt: missing key 'a2'$"):
+        _parse_material_text(text, "m.txt")
+
+
+def test_parse_malformed_value_names_the_file():
+    good = (importlib.resources.files("spdclab") / "data" / "mgo_cln_5pct_e.txt").read_text()
+    bad = re.sub(r"(?m)^a1:.*$", "a1: 5.3.1", good)
+    with pytest.raises(TableParseError,
+                       match=r"^m\.txt: malformed value: could not convert string to float: '5\.3\.1'$"):
+        _parse_material_text(bad, "m.txt")
 
 
 def test_parse_malformed_line_reports_number():
     good = (importlib.resources.files("spdclab") / "data" / "mgo_cln_5pct_e.txt").read_text()
     bad = good + "\nthis line has no separator\n"
     lineno = bad.splitlines().index("this line has no separator") + 1
-    with pytest.raises(TableParseError, match=f"on line {lineno}: "):
-        _parse_material_text(bad)
+    with pytest.raises(TableParseError, match=(
+            rf"^m\.txt line {lineno}: expected 'key: value': 'this line has no separator'$")):
+        _parse_material_text(bad, "m.txt")
 
 
 # ---------------------------------------------------------------------------
