@@ -112,9 +112,9 @@ class TagStream:
 
     def dump_csv(self, path) -> None:
         """``channel,timestamp_ns`` rows, sorted by timestamp and then by
-        label, written as ``csv.writer`` writes them to a text file in the
-        locale's encoding (CRLF line ends, the csv module's quoting of the
-        label) with the timestamp as ``%.6f``.
+        label (:func:`_merge`), written as ``csv.writer`` writes them to a
+        text file in the locale's encoding (CRLF line ends, the csv module's
+        quoting of the label) with the timestamp as ``%.6f``.
 
         Each row is a prefix (the quoted label and ``,``, plus ``-`` for a
         ``-0.0``), the digits of the whole nanoseconds, ``.``, six digits
@@ -133,14 +133,9 @@ class TagStream:
         prefix bytes of its slots.
         """
         labels = sorted(self.channels)
-        times = np.concatenate(
-            [np.asarray(self.channels[label], dtype=float) for label in labels] + [np.empty(0)])
-        codes = np.repeat(np.arange(len(labels)), [len(self.channels[label]) for label in labels])
-        # the stable sort keeps equal timestamps in label order
-        order = np.argsort(times, kind="stable")
-        times = times[order]
+        times, codes = _merge([np.asarray(self.channels[label], dtype=float) for label in labels])
         # a prefix per (label, sign): "-0.0" passes validation and prints "-0.000000"
-        codes = 2 * codes[order] + np.signbit(times)
+        codes = 2 * codes.astype(np.intp) + np.signbit(times)
         encoding = io.TextIOWrapper(io.BytesIO()).encoding  # open()'s default
         prefixes = []
         for label in labels:
@@ -212,13 +207,6 @@ def _render_rows(times, prefix_bytes, prefix_widths, line_end: bytes) -> bytes:
     return b"".join(parts)
 
 
-def _jitter(rng, times_ns, chain: DetectionChain):
-    if chain.jitter_fwhm_ns == 0:
-        return times_ns
-    sigma = chain.jitter_fwhm_ns / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-    return times_ns + rng.normal(0.0, sigma, size=times_ns.shape)
-
-
 def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStream:
     """Forward-simulate one integration window of detector clicks.
 
@@ -255,46 +243,55 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     else:
         # two cascaded 50:50 couplers; per-passage excess transmission
         # eta_insertion, herald arm passes one coupler, arms 1/2 pass two
+        s1 = chain.eta_insertion * chain.eta_detector
+        s2 = chain.eta_insertion ** 2 * chain.eta_detector
         for _ in range(2):  # the two photons of each pair, independently
             u = rng.random(n_pairs)
-            to_herald = u < 0.5
-            to_ch1 = (u >= 0.5) & (u < 0.75)
-            to_ch2 = u >= 0.75
-            s1 = chain.eta_insertion * chain.eta_detector
-            s2 = chain.eta_insertion ** 2 * chain.eta_detector
             keep = rng.random(n_pairs)
-            clicks["h"].append(pair_times[coupled & to_herald & (keep < s1)])
-            clicks["1"].append(pair_times[coupled & to_ch1 & (keep < s2)])
-            clicks["2"].append(pair_times[coupled & to_ch2 & (keep < s2)])
+            # the photons that survive on some arm, in increasing pair index
+            alive = np.flatnonzero(coupled & (keep < max(s1, s2)))
+            u, keep = u[alive], keep[alive]
+            clicks["h"].append(pair_times[alive[(u < 0.5) & (keep < s1)]])
+            clicks["1"].append(pair_times[alive[(u >= 0.5) & (u < 0.75) & (keep < s2)]])
+            clicks["2"].append(pair_times[alive[(u >= 0.75) & (keep < s2)]])
 
     channels = {}
     for label in chain.channels:
-        photon = np.concatenate(clicks[label]) if clicks[label] else np.array([])
-        photon = _jitter(rng, photon, chain)
+        photon = np.concatenate(clicks[label])
+        if chain.jitter_fwhm_ns != 0:
+            sigma = chain.jitter_fwhm_ns / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+            photon = photon + rng.normal(0.0, sigma, size=photon.shape)
         n_dark = rng.poisson(chain.dark_rate_hz * window_s)
         dark = rng.uniform(0.0, window_ns, n_dark)
-        merged = np.concatenate([photon, dark])
-        merged = merged[(merged >= 0.0) & (merged < window_ns)]
-        channels[label] = np.unique(merged)
+        merged = np.sort(np.concatenate([photon, dark]))
+        merged = merged[np.searchsorted(merged, 0.0):np.searchsorted(merged, window_ns)]
+        channels[label] = np.concatenate((merged[:1], merged[1:][merged[1:] != merged[:-1]]))
     return TagStream(channels=channels, integration_time_ms=chain.integration_time_ms, seed=seed)
 
 
-def _clusters(streams, split):
-    """Cut the merged timeline of the sorted, nonempty ``streams`` between
-    adjacent clicks x <= y wherever ``split(x, y)`` holds.  Returns, per
-    stream, the index of its first click in each cluster and its number of
-    clicks in each cluster."""
-    times = np.concatenate(streams)
+def _merge(streams):
+    """The sorted ``streams`` as one timeline ``(times, codes)``: sorted by
+    timestamp, then by stream (a NaN last); codes index the streams."""
+    times = np.concatenate(streams) if len(streams) else np.empty(0)
     order = np.argsort(times, kind="stable")
-    merged = times[order]
-    last = np.flatnonzero(split(merged[:-1], merged[1:]))  # last click before each cut
-    side = np.repeat(np.arange(len(streams), dtype=np.int8), [len(s) for s in streams])[order]
-    firsts, counts = [], []
-    for k, s in enumerate(streams):
-        first = np.concatenate(([0], np.cumsum(side == k)[last]))
-        firsts.append(first)
-        counts.append(np.diff(first, append=len(s)))
-    return firsts, counts
+    codes = np.repeat(np.arange(len(streams), dtype=np.min_scalar_type(len(streams))),
+                      [len(s) for s in streams])
+    return times[order], codes[order]
+
+
+def _clusters(joined, m: int):
+    """The clusters of a timeline whose clicks k and k + 1 share one where
+    ``joined[k]``: a mask over clicks, true at the first click of each
+    cluster of exactly ``m`` >= 2, and the first and end index of each
+    larger one."""
+    linked = np.concatenate(([False], joined, [False]))  # linked[k]: clicks k - 1, k
+    n = max(len(linked) - m, 0)  # candidate first clicks
+    run = np.ones(n, dtype=bool)  # clicks s .. s + m - 1 share a cluster
+    for k in range(1, m):
+        run &= linked[k:k + n]
+    opens, closes = ~linked[:n], ~linked[m:m + n]
+    return (run & opens & closes, np.flatnonzero(run & opens & ~closes),
+            np.flatnonzero(run & ~opens & closes) + m)
 
 
 def _match_pairs_loop(a, b, window_ns: float) -> int:
@@ -316,30 +313,25 @@ def match_coincidences(a: np.ndarray, b: np.ndarray, window_ns: float) -> int:
     """Greedy earliest-match two-pointer pairing; each click pairs with at
     most one partner.  A match requires |t_a - t_b| <= window.
 
-    The count is computed per cluster of the merged timeline, cut wherever
-    two adjacent merged clicks x < y have fl(y - x) > window (fl: the
-    float64 result).  Rounding is monotone, so every a <= x and b >= y (or
-    b <= x and a >= y) have fl(|a - b|) >= fl(y - x) > window: while the
-    two pointers sit in different clusters the two-pointer walk matches
-    nothing and advances the one in the earlier cluster.  Both pointers
-    therefore enter each cluster at its first click on their side, and the
-    walk inside it is the walk over that cluster's clicks alone; the count
-    is the sum of the per-cluster counts.  A cluster with clicks from one
-    stream only matches nothing.  A cluster of one a and one b is two
-    adjacent clicks with fl(|a - b|) <= window, which always match.  Only
-    the rest, clusters with two or more clicks on one side and at least one
-    on the other, run the loop.
+    The count is the sum over the clusters of the merged timeline of a and
+    b, cut between adjacent clicks x <= y unless fl(y - x) <= window (fl:
+    the float64 result; a NaN, sorted last, is cut off alone).  Rounding is
+    monotone, so every a <= x and b >= y (or b <= x and a >= y) have
+    fl(|a - b|) >= fl(y - x) > window: while the two pointers sit in
+    different clusters the walk matches nothing and advances the one in the
+    earlier cluster, so inside each cluster it is the walk over that
+    cluster's clicks alone.  One click matches nothing and two count 1 iff
+    they come from different streams; only clusters of three or more run
+    the loop.
     """
     if np.any(np.diff(a) < 0) or np.any(np.diff(b) < 0):
         raise DomainError("coincidence matching requires sorted streams")
-    if len(a) == 0 or len(b) == 0:
-        return 0
-    # written as "not <=" so that a NaN (sorted last) is cut off alone
-    (fa, fb), (na, nb) = _clusters((a, b), lambda x, y: ~(y - x <= window_ns))
-    matches = int(np.count_nonzero((na == 1) & (nb == 1)))
-    for k in np.flatnonzero((na > 0) & (nb > 0) & (na + nb > 2)):
-        matches += _match_pairs_loop(a[fa[k]:fa[k] + na[k]].tolist(),
-                                     b[fb[k]:fb[k] + nb[k]].tolist(), window_ns)
+    times, codes = _merge([a, b])
+    two, firsts, ends = _clusters(times[1:] - times[:-1] <= window_ns, 2)
+    matches = int(np.count_nonzero(two & (codes[:-1] != codes[1:])))
+    for lo, hi in zip(firsts.tolist(), ends.tolist()):
+        t, c = times[lo:hi], codes[lo:hi]
+        matches += _match_pairs_loop(t[c == 0].tolist(), t[c == 1].tolist(), window_ns)
     return matches
 
 
@@ -363,36 +355,35 @@ def match_triples(h, a, b, window_ns: float) -> int:
     order, the earliest unused a and b clicks not below fl(t - window) are
     taken if both are <= fl(t + window).
 
-    The count is computed per cluster of the merged timeline of h, a and
-    b, cut between adjacent merged clicks x < y wherever fl(y - window) > x
-    and y > fl(x + window), the loop's own expressions.  Rounding is
-    monotone, so a herald t >= y has fl(t - window) >= fl(y - window) > x:
-    every a or b click <= x lies below it and is skipped.  A herald t <= x
-    has fl(t + window) <= fl(x + window) < y, so no click >= y can match
-    it, and fl(t - window) <= t < y, so none is skipped.  Hence the a and b
-    pointers enter each cluster at its first click on their side, leave it
-    only by the heralds of that cluster or later ones, and the loop inside
-    it is the loop over that cluster's clicks alone; the count is the sum
-    of the per-cluster counts.  A cluster without clicks on each of the
-    three channels counts 0.  A cluster of exactly one h, one a and one b
-    counts 1 iff a >= fl(h - window), a <= fl(h + window), and the same for
-    b.  Only the rest run the loop.
+    The count is the sum over the clusters of the merged timeline of h, a
+    and b, cut between adjacent clicks x <= y unless fl(y - window) <= x or
+    y <= fl(x + window), the loop's own expressions (a NaN is cut off
+    alone).  Rounding is monotone, so a herald t >= y has fl(t - window) >=
+    fl(y - window) > x and skips every a or b click <= x; a herald t <= x
+    has fl(t + window) <= fl(x + window) < y and fl(t - window) <= t < y,
+    so it neither matches nor skips a click >= y.  The a and b pointers
+    thus enter each cluster at its first click on their side and leave it
+    only by its own or later heralds.  Fewer than three clicks lack a
+    channel; three count 1 iff they come from the three channels and a and
+    b lie in [fl(h - window), fl(h + window)]; only clusters of four or
+    more run the loop.
     """
     if np.any(np.diff(h) < 0) or np.any(np.diff(a) < 0) or np.any(np.diff(b) < 0):
         raise DomainError("coincidence matching requires sorted streams")
-    if len(h) == 0 or len(a) == 0 or len(b) == 0:
-        return 0
-    # written as "not <=" so that a NaN (sorted last) is cut off alone
-    (fh, fa, fb), (nh, na, nb) = _clusters(
-        (h, a, b), lambda x, y: ~((y - window_ns <= x) | (y <= x + window_ns)))
-    single = (nh == 1) & (na == 1) & (nb == 1)
-    t, u, v = h[fh[single]], a[fa[single]], b[fb[single]]
-    lo, hi = t - window_ns, t + window_ns
+    times, codes = _merge([h, a, b])
+    x, y = times[:-1], times[1:]
+    three, firsts, ends = _clusters((y - window_ns <= x) | (y <= x + window_ns), 3)
+    k = np.flatnonzero(three)[:, None] + np.arange(3)
+    t, c = times[k], codes[k]
+    full = (c[:, 0] != c[:, 1]) & (c[:, 0] != c[:, 2]) & (c[:, 1] != c[:, 2])
+    t, c = t[full], c[full]
+    lo, hi = t[c == 0] - window_ns, t[c == 0] + window_ns
+    u, v = t[c == 1], t[c == 2]
     matches = int(np.count_nonzero((u >= lo) & (u <= hi) & (v >= lo) & (v <= hi)))
-    for k in np.flatnonzero((nh > 0) & (na > 0) & (nb > 0) & ~single):
-        matches += _match_triples_loop(h[fh[k]:fh[k] + nh[k]].tolist(),
-                                       a[fa[k]:fa[k] + na[k]].tolist(),
-                                       b[fb[k]:fb[k] + nb[k]].tolist(), window_ns)
+    for first, end in zip(firsts.tolist(), ends.tolist()):
+        t, c = times[first:end], codes[first:end]
+        matches += _match_triples_loop(t[c == 0].tolist(), t[c == 1].tolist(),
+                                       t[c == 2].tolist(), window_ns)
     return matches
 
 
@@ -412,17 +403,6 @@ class CountSummary:
     triple_accidentals: float | None = None
     warnings: tuple = ()
     corrected: bool = False
-
-    def __post_init__(self):
-        if self.corrected:
-            # dark/accidental subtraction can clamp singles independently of
-            # coincidences, so the raw-count invariant no longer applies
-            return
-        for (la, lb), rate in self.coincidences.items():
-            if rate > min(self.singles[la], self.singles[lb]) + 1e-9:
-                raise DomainError(
-                    f"coincidence rate {rate} exceeds contributing singles for ({la},{lb})"
-                )
 
     def payload(self) -> dict:
         return {

@@ -41,11 +41,6 @@ class SellmeierModel:
     temperature_C_min: float
     temperature_C_max: float
 
-    def __post_init__(self):
-        missing = [k for k in _COEFF_KEYS if k not in self.coefficients]
-        if missing:
-            raise TableParseError(f"material file missing coefficients: {missing}")
-
     def check_wavelength(self, lambda_nm) -> None:
         lam_um = np.asarray(lambda_nm, dtype=float) * NM / 1e-6
         if np.any(lam_um < self.wavelength_um_min) or np.any(lam_um > self.wavelength_um_max):

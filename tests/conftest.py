@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from spdclab import biphoton, dispersion, phasematch
+from spdclab import biphoton, counting, dispersion, phasematch
 from spdclab.constants import FS, MM, omega_to_wavelength_nm, wavelength_nm_to_omega
 
 # Bulk-model degeneracy temperature for the 405 nm -> 810 nm degenerate
@@ -138,6 +138,48 @@ def match_triples_bruteforce(h, a, b, window_ns: float) -> int:
             used_b.add(ib)
             matches += 1
     return matches
+
+
+def simulate_tags_reference(src, chain, seed: int) -> dict:
+    """The channels of ``counting.simulate_tags``, drawn in the same order
+    and selected with full-length masks over all pairs: per photon and
+    channel, ``coupled & routed_there & (keep < s)``, and per channel a
+    window filter and ``np.unique``."""
+    window_ns = chain.integration_time_ms * 1e6
+    window_s = chain.integration_time_ms * 1e-3
+    rng = np.random.default_rng(seed)
+    n_pairs = rng.poisson(src.pair_rate_hz * window_s)
+    pair_times = rng.uniform(0.0, window_ns, n_pairs)
+    coupled = rng.random(n_pairs) < chain.eta_coupling
+    clicks = {label: [] for label in chain.channels}
+    if chain.topology == "pair":
+        survive = chain.eta_insertion * chain.eta_detector
+        for label in counting.PAIR_CHANNELS:
+            detected = coupled & (rng.random(n_pairs) < survive)
+            clicks[label].append(pair_times[detected])
+    else:
+        for _ in range(2):
+            u = rng.random(n_pairs)
+            to_herald = u < 0.5
+            to_ch1 = (u >= 0.5) & (u < 0.75)
+            to_ch2 = u >= 0.75
+            s1 = chain.eta_insertion * chain.eta_detector
+            s2 = chain.eta_insertion ** 2 * chain.eta_detector
+            keep = rng.random(n_pairs)
+            clicks["h"].append(pair_times[coupled & to_herald & (keep < s1)])
+            clicks["1"].append(pair_times[coupled & to_ch1 & (keep < s2)])
+            clicks["2"].append(pair_times[coupled & to_ch2 & (keep < s2)])
+    channels = {}
+    for label in chain.channels:
+        photon = np.concatenate(clicks[label])
+        if chain.jitter_fwhm_ns != 0:
+            sigma = chain.jitter_fwhm_ns / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+            photon = photon + rng.normal(0.0, sigma, size=photon.shape)
+        dark = rng.uniform(0.0, window_ns, rng.poisson(chain.dark_rate_hz * window_s))
+        merged = np.concatenate([photon, dark])
+        merged = merged[(merged >= 0.0) & (merged < window_ns)]
+        channels[label] = np.unique(merged)
+    return channels
 
 
 def dump_csv_reference(tags, path) -> None:

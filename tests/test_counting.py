@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from spdclab import counting as ct
 from spdclab.errors import DomainError, EstimateUndefinedError
 
-from conftest import dump_csv_reference, match_coincidences_bruteforce, match_triples_bruteforce
+from conftest import (dump_csv_reference, match_coincidences_bruteforce, match_triples_bruteforce,
+                      simulate_tags_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +75,9 @@ def _streams(draw, n_streams, max_size):
 @given(case=_streams(2, 400))
 def test_two_pointer_equals_bruteforce(case):
     a, b, w = case
-    assert ct.match_coincidences(a, b, w) == match_coincidences_bruteforce(a, b, w)
+    n = ct.match_coincidences(a, b, w)
+    assert n == match_coincidences_bruteforce(a, b, w)
+    assert n <= min(len(a), len(b))
 
 
 def test_matchers_ignore_trailing_nan():
@@ -102,7 +105,9 @@ def test_triples_require_sorted():
 @given(case=_streams(3, 150))
 def test_triples_equal_bruteforce(case):
     h, a, b, w = case
-    assert ct.match_triples(h, a, b, w) == match_triples_bruteforce(h, a, b, w)
+    n = ct.match_triples(h, a, b, w)
+    assert n == match_triples_bruteforce(h, a, b, w)
+    assert n <= min(len(h), len(a), len(b))
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +122,36 @@ def test_simulation_deterministic():
         assert np.array_equal(t1.channels[label], t2.channels[label])
     t3 = ct.simulate_tags(src, chain, seed=43)
     assert not np.array_equal(t1.channels["1"], t3.channels["1"])
+
+
+_PAIRS = ct.SourceRates(1450.0, 200.0)
+_DARK_ONLY = ct.SourceRates(0.0, 0.0)
+_REFERENCE_CASES = {
+    "pair": (_PAIRS, ct.DetectionChain(dark_rate_hz=500.0)),
+    "heralded": (_PAIRS, ct.DetectionChain(topology="heralded", dark_rate_hz=500.0)),
+    # s1 == s2: the survivor threshold is both arms' threshold
+    "heralded-lossless-insertion": (_PAIRS, ct.DetectionChain(topology="heralded",
+                                                              eta_insertion=1.0)),
+    "heralded-dead-detector": (_PAIRS, ct.DetectionChain(topology="heralded", eta_detector=0.0,
+                                                         dark_rate_hz=500.0)),
+    "heralded-no-jitter": (_PAIRS, ct.DetectionChain(topology="heralded", jitter_fwhm_ns=0.0)),
+    "pair-no-jitter": (_PAIRS, ct.DetectionChain(jitter_fwhm_ns=0.0)),
+    "pair-dark-only": (_DARK_ONLY, ct.DetectionChain(dark_rate_hz=20000.0)),
+    "heralded-dark-only": (_DARK_ONLY, ct.DetectionChain(topology="heralded",
+                                                         dark_rate_hz=20000.0)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 401])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
+def test_simulate_tags_equals_reference(name, seed):
+    src, chain = _REFERENCE_CASES[name]
+    tags = ct.simulate_tags(src, chain, seed)
+    reference = simulate_tags_reference(src, chain, seed)
+    assert list(tags.channels) == list(reference)
+    assert sum(len(times) for times in reference.values()) > 0
+    for label, times in reference.items():
+        assert np.array_equal(tags.channels[label], times), label
 
 
 def test_zero_rate_source_gives_empty_streams():
@@ -214,14 +249,20 @@ def test_dump_csv_bytes_equal_reference_simulated(tmp_path):
 # ---------------------------------------------------------------------------
 # counting and correction
 
-def test_count_summary_invariant():
-    with pytest.raises(DomainError):
-        ct.CountSummary(
-            integration_time_ms=100.0, coincidence_window_ns=1.0,
-            singles={"1": 10.0, "2": 10.0}, singles_err={"1": 1.0, "2": 1.0},
-            coincidences={("1", "2"): 50.0}, coincidences_err={("1", "2"): 1.0},
-            accidentals={("1", "2"): 0.0},
-        )
+@pytest.mark.parametrize("topology", ["pair", "heralded"])
+def test_count_coincidences_equals_bruteforce_dense(topology):
+    """A 1 ms stream with a 300 ns window: every channel pair has clusters
+    of two clicks and of more, and the triples clusters of three and of
+    more."""
+    chain = ct.DetectionChain(topology=topology, integration_time_ms=1.0, dark_rate_hz=1e5)
+    tags = ct.simulate_tags(ct.SourceRates(1450.0, 800.0), chain, seed=5)
+    cs = ct.count_coincidences(tags, 300.0)
+    t_s = tags.integration_time_ms * 1e-3
+    ch = tags.channels
+    for (la, lb), rate in cs.coincidences.items():
+        assert rate == match_coincidences_bruteforce(ch[la], ch[lb], 300.0) / t_s, (la, lb)
+    if topology == "heralded":
+        assert cs.triples == match_triples_bruteforce(ch["h"], ch["1"], ch["2"], 300.0) / t_s
 
 
 def test_correct_rates_examples():
