@@ -28,10 +28,16 @@ import numpy as np
 from ._ascii import digits
 from .errors import DomainError, EstimateUndefinedError
 
+# bound on the expected photons plus dark counts of one window, each a
+# potential click; simulate_tags holds its clicks (roughly 25-30 B each across
+# the block lists, the joined channel and its sort), not its pairs
 _GUARD_MAX_EXPECTED_CLICKS = 1e8
 
 # rows rendered per write in TagStream.dump_csv
 _DUMP_CHUNK_ROWS = 1 << 16
+
+# pairs drawn and routed per block in simulate_tags
+_PAIR_BLOCK = 1 << 16
 
 PAIR_CHANNELS = ("1", "2")
 HERALDED_CHANNELS = ("h", "1", "2")
@@ -207,6 +213,22 @@ def _render_rows(times, prefix_bytes, prefix_widths, line_end: bytes) -> bytes:
     return b"".join(parts)
 
 
+def _streams(rng, draws: int, n_pairs: int) -> list:
+    """``draws`` generators, the k-th at the state where the k-th of ``draws``
+    consecutive ``n_pairs``-double arrays drawn from ``rng`` would start;
+    ``rng`` itself moves past all of them.  ``uniform`` and ``random`` take
+    one 64-bit PCG64 output per value, so the k-th array starts
+    ``k * n_pairs`` outputs on."""
+    state = rng.bit_generator.state
+    streams = []
+    for k in range(draws):
+        bit_generator = np.random.PCG64()
+        bit_generator.state = state
+        streams.append(np.random.Generator(bit_generator.advance(k * n_pairs)))
+    rng.bit_generator.advance(draws * n_pairs)
+    return streams
+
+
 def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStream:
     """Forward-simulate one integration window of detector clicks.
 
@@ -214,6 +236,17 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     probability eta_coupling; routing and per-photon losses follow the
     chain topology; per-channel dark counts are added as independent
     Poisson processes.
+
+    The seed fixes the output through one draw order from
+    ``default_rng(seed)``: the pair count n (Poisson), n pair times, n
+    coupling draws, then n draws each of ``u`` and ``keep`` for the first
+    photon and for the second (heralded), or n detection draws for channel
+    1 and for channel 2 (pair); then, channel by channel, the jitter of its
+    photon clicks in pair order (first photon, then second), its dark count
+    and its dark times.  The pairs are drawn and routed in blocks of
+    ``_PAIR_BLOCK``, each block reading its slice of every per-pair array
+    from a generator advanced to that array's start, so memory follows the
+    clicks plus one block, not the pairs.
     """
     window_ns = chain.integration_time_ms * 1e6
     window_s = chain.integration_time_ms * 1e-3
@@ -227,43 +260,49 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
         )
 
     rng = np.random.default_rng(seed)
-    n_pairs = rng.poisson(rate * window_s)
-    pair_times = rng.uniform(0.0, window_ns, n_pairs)
-    coupled = rng.random(n_pairs) < chain.eta_coupling
+    n_pairs = int(rng.poisson(rate * window_s))
+    draws = 4 if chain.topology == "pair" else 6
+    times, coupling, *per_photon = _streams(rng, draws, n_pairs)
+    # the photon clicks of each channel, per photon, block by block
+    clicks = {label: ([], []) for label in chain.channels}
+    # anti-correlated pair routing: eta_insertion is the per-port coupler
+    # transmission (split already included).  Heralded: two cascaded 50:50
+    # couplers with per-passage excess transmission eta_insertion; the
+    # herald arm passes one coupler, arms 1/2 pass two.
+    s1 = chain.eta_insertion * chain.eta_detector
+    s2 = chain.eta_insertion ** 2 * chain.eta_detector
 
-    clicks = {label: [] for label in chain.channels}
-
-    if chain.topology == "pair":
-        # anti-correlated routing; eta_insertion is the per-port coupler
-        # transmission (split already included)
-        survive = chain.eta_insertion * chain.eta_detector
-        for label in PAIR_CHANNELS:
-            detected = coupled & (rng.random(n_pairs) < survive)
-            clicks[label].append(pair_times[detected])
-    else:
-        # two cascaded 50:50 couplers; per-passage excess transmission
-        # eta_insertion, herald arm passes one coupler, arms 1/2 pass two
-        s1 = chain.eta_insertion * chain.eta_detector
-        s2 = chain.eta_insertion ** 2 * chain.eta_detector
-        for _ in range(2):  # the two photons of each pair, independently
-            u = rng.random(n_pairs)
-            keep = rng.random(n_pairs)
-            # the photons that survive on some arm, in increasing pair index
-            alive = np.flatnonzero(coupled & (keep < max(s1, s2)))
-            u, keep = u[alive], keep[alive]
-            clicks["h"].append(pair_times[alive[(u < 0.5) & (keep < s1)]])
-            clicks["1"].append(pair_times[alive[(u >= 0.5) & (u < 0.75) & (keep < s2)]])
-            clicks["2"].append(pair_times[alive[(u >= 0.75) & (keep < s2)]])
+    for start in range(0, n_pairs, _PAIR_BLOCK):
+        m = min(_PAIR_BLOCK, n_pairs - start)
+        pair_times = times.uniform(0.0, window_ns, m)
+        coupled = coupling.random(m) < chain.eta_coupling
+        if chain.topology == "pair":
+            for label, detection in zip(PAIR_CHANNELS, per_photon):
+                clicks[label][0].append(pair_times[coupled & (detection.random(m) < s1)])
+        else:
+            for photon in range(2):  # the two photons of each pair, independently
+                u = per_photon[2 * photon].random(m)
+                keep = per_photon[2 * photon + 1].random(m)
+                # the photons that survive on some arm, in increasing pair index
+                alive = np.flatnonzero(coupled & (keep < max(s1, s2)))
+                u, keep = u[alive], keep[alive]
+                clicks["h"][photon].append(pair_times[alive[(u < 0.5) & (keep < s1)]])
+                clicks["1"][photon].append(
+                    pair_times[alive[(u >= 0.5) & (u < 0.75) & (keep < s2)]])
+                clicks["2"][photon].append(pair_times[alive[(u >= 0.75) & (keep < s2)]])
 
     channels = {}
     for label in chain.channels:
-        photon = np.concatenate(clicks[label])
+        first, second = clicks.pop(label)
+        photon = np.concatenate([np.empty(0), *first, *second])
+        del first, second
         if chain.jitter_fwhm_ns != 0:
             sigma = chain.jitter_fwhm_ns / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-            photon = photon + rng.normal(0.0, sigma, size=photon.shape)
+            photon += rng.normal(0.0, sigma, size=photon.shape)
         n_dark = rng.poisson(chain.dark_rate_hz * window_s)
-        dark = rng.uniform(0.0, window_ns, n_dark)
-        merged = np.sort(np.concatenate([photon, dark]))
+        merged = np.concatenate([photon, rng.uniform(0.0, window_ns, n_dark)])
+        del photon
+        merged.sort()
         merged = merged[np.searchsorted(merged, 0.0):np.searchsorted(merged, window_ns)]
         channels[label] = np.concatenate((merged[:1], merged[1:][merged[1:] != merged[:-1]]))
     return TagStream(channels=channels, integration_time_ms=chain.integration_time_ms, seed=seed)

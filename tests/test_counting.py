@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,11 @@ _REFERENCE_CASES = {
     "pair-dark-only": (_DARK_ONLY, ct.DetectionChain(dark_rate_hz=20000.0)),
     "heralded-dark-only": (_DARK_ONLY, ct.DetectionChain(topology="heralded",
                                                          dark_rate_hz=20000.0)),
+    # about 232 k pairs: three full blocks of simulate_tags and a partial one
+    "pair-multi-block": (_PAIRS, ct.DetectionChain(dark_rate_hz=500.0,
+                                                   integration_time_ms=800.0)),
+    "heralded-multi-block": (_PAIRS, ct.DetectionChain(topology="heralded", dark_rate_hz=500.0,
+                                                       integration_time_ms=800.0)),
 }
 
 
@@ -152,6 +159,29 @@ def test_simulate_tags_equals_reference(name, seed):
     assert sum(len(times) for times in reference.values()) > 0
     for label, times in reference.items():
         assert np.array_equal(tags.channels[label], times), label
+
+
+def test_multi_block_cases_cross_block_boundaries():
+    for name in ("pair-multi-block", "heralded-multi-block"):
+        src, chain = _REFERENCE_CASES[name]
+        mean_pairs = src.pair_rate_hz * chain.integration_time_ms * 1e-3
+        assert 3.2 * ct._PAIR_BLOCK < mean_pairs < 3.8 * ct._PAIR_BLOCK
+
+
+@pytest.mark.parametrize("topology", ["pair", "heralded"])
+def test_simulate_tags_memory_follows_clicks_not_pairs(topology):
+    """1.16 M pairs but under 10 k clicks: the traced peak stays near one
+    block of pairs, below the 9.3 MB of a single per-pair array of doubles."""
+    src = ct.SourceRates(1450.0, 800.0)
+    chain = ct.DetectionChain(topology=topology, eta_detector=0.01, integration_time_ms=1000.0)
+    tracemalloc.start()
+    try:
+        tags = ct.simulate_tags(src, chain, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < sum(len(times) for times in tags.channels.values()) < 10_000
+    assert peak < 8e6
 
 
 def test_zero_rate_source_gives_empty_streams():
