@@ -288,18 +288,12 @@ def jti_difference_profile(js: JointSpectrum):
     """
     if js.domain != "temporal":
         raise DomainError("entanglement time is extracted in the temporal domain")
-    jti = js.intensity()
-    n_s, n_i = jti.shape
+    n_s, n_i = js.amplitude.shape
     s0 = n_s // 2 + n_i // 2
     ii = np.arange(max(0, s0 - (n_i - 1)), min(n_s - 1, s0) + 1)
-    jj = s0 - ii
-    k = int(np.argmax(jti[ii, jj]))
-    i0, j0 = int(ii[k]), int(jj[k])
-    dt = js.step("s")
-
-    offsets = np.arange(-min(i0, n_i - 1 - j0), min(n_s - 1 - i0, j0) + 1)
-    prof = jti[i0 + offsets, j0 - offsets]
-    tau = 2.0 * dt * offsets
+    prof = np.abs(js.amplitude[ii, s0 - ii]) ** 2
+    i0 = int(ii[np.argmax(prof)])
+    tau = 2.0 * js.step("s") * (ii - i0)
     return tau, prof
 
 
@@ -342,20 +336,15 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path) -> None:
         np.savetxt(fh, js.intensity(), delimiter=",", fmt="%.12e")
 
     i.e. every value as ``'%.12e' % v``, ``,``-joined rows ending in
-    ``\\n``.  The values are rendered from integer digits in chunks of at
-    most ``_EXPORT_CHUNK_VALUES`` (see :func:`_render_e12`), each chunk in
-    byte slots of one width, a field plus its separator:
-
-    * a chunk of +0.0 and positive values of at least 1e-290 whose text has
-      a two-digit exponent, as the JSI and JTI of ``spdclab jsa`` are, takes
-      19-byte slots, ``d.dddddddddddde±dd`` plus the separator, and is
-      written as it is;
-    * any other chunk (a sign, a three-digit exponent, a non-finite or a
-      subnormal value) takes 21-byte slots, ``-d.dddddddddddde±ddd`` plus
-      the separator, whose unused sign and hundreds digit are dropped.
-
-    Only the nonzero values are rendered: a zero cell is a copy of
-    ``0.000000000000e+00``.
+    ``\\n``.  The header rows are written by that expression.  The matrix
+    is written in chunks of at most ``_EXPORT_CHUNK_VALUES`` values (see
+    :func:`_render_e12`).  A chunk of +0.0 and positive values of at least
+    1e-290 whose text has a two-digit exponent, as the JSI and JTI of
+    ``spdclab jsa`` are, is rendered from integer digits in 19-byte slots,
+    ``d.dddddddddddde±dd`` plus the separator; a zero cell is a copy of
+    ``0.000000000000e+00``.  Any other chunk (a sign bit, a three-digit
+    exponent, a non-finite or a subnormal value) is written value by value
+    as ``'%.12e' % v`` plus its separator.
 
     Rounding error: for a finite v with decimal exponent E = floor(log10|v|)
     the text is the 13-digit mantissa M = round-half-even(Q) of the exact
@@ -367,22 +356,22 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path) -> None:
     |q - Q| <= 2**-52 (1 + 2**-54) Q < 2.3e-3 for Q below 1e13 + 1.
     Unless q - floor(q) lies within ``_HALF_WINDOW`` = 2.5e-3 of 1/2, no .5
     boundary lies between q and Q, so rint(q) = M (q < 2**53, so floor and
-    rint are exact).  The other values take their text from ``'%.12e' % v``:
-    non-finite values, nonzero values below 1e-290 (E outside the range
-    above) and those inside the window, which includes the exact half-even
-    ties such as 1234567890123.5.  An E misjudged by one at a power of ten
-    gives the same text: q then lies within 2.3e-3 of 1e12 or 1e13 and
-    rounds to 1.000000000000eE either way.  A fallback takes its slot width
-    from its text, so 9.9999999999995e99, which prints as
-    1.000000000000e+100, puts its chunk in the 21-byte slots.
+    rint are exact).  The values inside the window, which include the exact
+    half-even ties such as 1234567890123.5, take their slot from
+    ``'%.12e' % v``.  An E misjudged by one at a power of ten gives the same
+    text: q then lies within 2.3e-3 of 1e12 or 1e13 and rounds to
+    1.000000000000eE either way.  A window value whose text is not 18 bytes,
+    such as 9.9999999999995e99, which prints as 1.000000000000e+100, sends
+    its chunk to the value-by-value writer.
     """
     units = "rad/s" if js.domain == "spectral" else "s"
     with open(csv_path, "wb") as fh:
-        fh.write(b"# axis_s: ")
-        _write_e12(fh, js.axis_s[None, :], b" ")
-        fh.write(b"# axis_i: ")
-        _write_e12(fh, js.axis_i[None, :], b" ")
-        _write_e12(fh, js.intensity(), b",")
+        fh.write(("# axis_s: " + " ".join(f"{v:.12e}" for v in js.axis_s) + "\n").encode())
+        fh.write(("# axis_i: " + " ".join(f"{v:.12e}" for v in js.axis_i) + "\n").encode())
+        matrix = js.intensity()
+        flat = matrix.ravel()
+        for lo in range(0, flat.size, _EXPORT_CHUNK_VALUES):
+            fh.write(_render_e12(flat[lo:lo + _EXPORT_CHUNK_VALUES], lo, matrix.shape[1]))
     sidecar = {
         "domain": js.domain,
         "axis_units": units,
@@ -409,38 +398,36 @@ _HALF_WINDOW = 2.5e-3
 _ZERO_E12 = np.frombuffer(b"0.000000000000e+00", dtype=np.uint8)
 
 
-def _write_e12(fh, matrix, delimiter: bytes) -> None:
-    """Write the rows of ``matrix`` to the binary file ``fh`` as ``'%.12e'``
-    fields joined by ``delimiter``, each row ending in ``\\n``."""
-    n_cols = matrix.shape[1]
-    flat = matrix.ravel()
-    for lo in range(0, flat.size, _EXPORT_CHUNK_VALUES):
-        fh.write(_render_e12(flat[lo:lo + _EXPORT_CHUNK_VALUES], lo, n_cols, delimiter))
-
-
-def _render_e12(values, first: int, n_cols: int, delimiter: bytes) -> bytes:
+def _render_e12(values, first: int, n_cols: int) -> bytes:
     """``'%.12e' % v`` plus its separator for each value of a flat run of a
     row-major matrix that starts at flat index ``first``: ``\\n`` after the
-    last column, ``delimiter`` after the others.
+    last column, ``,`` after the others.
 
-    The slot layouts are described, and the error bound that decides which
-    values take the fallback is proved, in :func:`export_matrix_csv`.
+    The slot layout, and the proof of the error bound that decides which
+    values take their slot from ``'%.12e'``, are in
+    :func:`export_matrix_csv`.
     """
+    separators = np.full(len(values), ord(","), dtype=np.uint8)
+    separators[(n_cols - 1 - first) % n_cols::n_cols] = ord("\n")
     nonzero = np.flatnonzero(values)
-    magnitude = np.abs(values[nonzero])
-    scaled = (magnitude >= _MIN_SCALED) & (magnitude <= np.finfo(float).max)
-    magnitude = np.where(scaled, magnitude, 1.0)
-    exponent = np.floor(np.log10(magnitude)).astype(np.int64)
-    q = magnitude * _POW10[_POW10_ZERO + 12 - exponent]
-    exponent += (q >= 1e13).astype(np.int64) - (q < 1e12)
-    q = magnitude * _POW10[_POW10_ZERO + 12 - exponent]
-    mantissa = np.rint(q)
-    fallback = np.flatnonzero(~scaled | (np.abs(q - np.floor(q) - 0.5) < _HALF_WINDOW))
-    carry = mantissa == 1e13  # 9.999999999999|5.. rounds up to 1.000000000000e(E+1)
-    mantissa[carry] = 1e12
-    exponent += carry
-    texts = ["%.12e" % v for v in values[nonzero[fallback]].tolist()]
-    lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    magnitude = values[nonzero]
+    fits = not np.signbit(values).any() and np.all(
+        (magnitude >= _MIN_SCALED) & (magnitude <= np.finfo(float).max))
+    if fits:
+        exponent = np.floor(np.log10(magnitude)).astype(np.int64)
+        q = magnitude * _POW10[_POW10_ZERO + 12 - exponent]
+        exponent += (q >= 1e13).astype(np.int64) - (q < 1e12)
+        q = magnitude * _POW10[_POW10_ZERO + 12 - exponent]
+        mantissa = np.rint(q)
+        fallback = np.flatnonzero(np.abs(q - np.floor(q) - 0.5) < _HALF_WINDOW)
+        carry = mantissa == 1e13  # 9.999999999999|5.. rounds up to 1.000000000000e(E+1)
+        mantissa[carry] = 1e12
+        exponent += carry
+        exponent[fallback] = 0  # a fallback takes its exponent from its text
+        texts = [b"%.12e" % v for v in magnitude[fallback].tolist()]
+        fits = np.all(np.abs(exponent) < 100) and all(len(t) == 18 for t in texts)
+    if not fits:
+        return b"".join(b"%.12e%c" % pair for pair in zip(values.tolist(), separators.tolist()))
 
     # byte j of every nonzero field in row j: d.dddddddddddde±dd
     field = np.empty((18, len(nonzero)), dtype=np.uint8)
@@ -450,11 +437,8 @@ def _render_e12(values, first: int, n_cols: int, delimiter: bytes) -> bytes:
     field[14] = ord("e")
     field[15] = np.where(exponent < 0, ord("-"), ord("+"))
     digits(np.abs(exponent), field[16:])
-    three_digit = np.abs(exponent) >= 100
-    three_digit[fallback] = lengths > 18  # a fallback takes its exponent from its text
-    fixed = scaled.all() and not three_digit.any() and not np.signbit(values).any()
-    if fixed and len(fallback):
-        field[:, fallback] = np.array(texts, dtype="S18").view(np.uint8).reshape(-1, 18).T
+    if texts:
+        field[:, fallback] = np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(-1, 18).T
 
     slots = np.empty((len(values), 19), dtype=np.uint8)
     if len(nonzero) == len(values):
@@ -462,27 +446,8 @@ def _render_e12(values, first: int, n_cols: int, delimiter: bytes) -> bytes:
     else:
         slots[:, :18] = _ZERO_E12
         slots[nonzero, :18] = field.T
-    slots[:, 18] = ord(delimiter)
-    slots[(n_cols - 1 - first) % n_cols::n_cols, 18] = ord("\n")
-    if fixed:
-        return slots.tobytes()
-
-    # 21-byte slots, -d.dddddddddddde±ddd plus the separator, whose unused
-    # sign and exponent hundreds digit are dropped
-    wide = np.empty((len(values), 21), dtype=np.uint8)
-    used = np.ones(wide.shape, dtype=bool)
-    wide[:, 0] = ord("-")
-    used[:, 0] = np.signbit(values)
-    wide[:, 1:17] = slots[:, :16]
-    wide[nonzero, 17] = np.abs(exponent) // 100 + ord("0")
-    used[:, 17] = False
-    used[nonzero, 17] = three_digit
-    wide[:, 18:] = slots[:, 16:]
-    if len(fallback):
-        rows = nonzero[fallback]
-        wide[rows, :20] = np.array(texts, dtype="S20").view(np.uint8).reshape(-1, 20)
-        used[rows, :20] = np.arange(20) < lengths[:, None]
-    return wide[used].tobytes()
+    slots[:, 18] = separators
+    return slots.tobytes()
 
 
 def import_jsi_csv(csv_path, axis_units: str = "nm") -> JointSpectrum:

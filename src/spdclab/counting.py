@@ -101,11 +101,10 @@ def chain_efficiencies(chain: DetectionChain):
 @dataclass(frozen=True)
 class TagStream:
     """Per-channel sorted click timestamps (ns) within one integration
-    window, plus the RNG seed that produced them."""
+    window."""
 
     channels: dict  # label -> np.ndarray of ns timestamps, strictly increasing
     integration_time_ms: float
-    seed: int | None = None
 
     def __post_init__(self):
         limit = self.integration_time_ms * 1e6  # ns
@@ -122,10 +121,13 @@ class TagStream:
         text file in the locale's encoding (CRLF line ends, the csv module's
         quoting of the label) with the timestamp as ``%.6f``.
 
-        Each row is a prefix (the quoted label and ``,``, plus ``-`` for a
-        ``-0.0``), the digits of the whole nanoseconds, ``.``, six digits
-        and the line end, rendered from integers in chunks of
-        ``_DUMP_CHUNK_ROWS`` and written through a binary file.
+        The rows are written through a binary file in chunks of
+        ``_DUMP_CHUNK_ROWS``.  A chunk that holds a ``-0.0``, or labels
+        whose prefixes (the quoted label and ``,``) differ in width, is
+        written row by row by ``csv.writer`` (:func:`_csv_rows`).  Any other
+        chunk is rendered from integers (:func:`_render_rows`): the prefix,
+        the digits of the whole nanoseconds, ``.``, six digits and the line
+        end.
         ``floor(t)`` and ``t - floor(t)`` are exact, so
         ``rint((t - floor(t)) * 1e6)`` is the correctly rounded fraction
         unless the product lies within 1e-9 of a .5 boundary (its rounding
@@ -135,57 +137,56 @@ class TagStream:
         multiples of 1/128 ns are at t >= 2**31 ns.  Correct rounding keeps
         the sorted order, so the whole nanoseconds never decrease: a chunk
         splits into runs of equal digit count, each rendered in fixed-width
-        slots.  Only a chunk whose prefixes differ in width drops the unused
-        prefix bytes of its slots.
+        slots.
         """
         labels = sorted(self.channels)
         times, codes = _merge([np.asarray(self.channels[label], dtype=float) for label in labels])
-        # a prefix per (label, sign): "-0.0" passes validation and prints "-0.000000"
-        codes = 2 * codes.astype(np.intp) + np.signbit(times)
         encoding = io.TextIOWrapper(io.BytesIO()).encoding  # open()'s default
-        prefixes = []
-        for label in labels:
-            prefix = _csv_row([label, ""])[:-len(csv.excel.lineterminator)]
-            prefixes += [prefix.encode(encoding), (prefix + "-").encode(encoding)]
+        prefixes = [_csv_rows([[label, ""]])[:-len(csv.excel.lineterminator)].encode(encoding)
+                    for label in labels]
         widths = np.array([len(p) for p in prefixes], dtype=np.int64)
         prefix_bytes = np.zeros((len(prefixes), widths.max(initial=0)), dtype=np.uint8)
         for k, p in enumerate(prefixes):
             prefix_bytes[k, :len(p)] = np.frombuffer(p, dtype=np.uint8)
         line_end = csv.excel.lineterminator.encode(encoding)
         with open(path, "wb") as fh:
-            fh.write(_csv_row(["channel", "timestamp_ns"]).encode(encoding))
+            fh.write(_csv_rows([["channel", "timestamp_ns"]]).encode(encoding))
             for lo in range(0, len(times), _DUMP_CHUNK_ROWS):
+                chunk_times = times[lo:lo + _DUMP_CHUNK_ROWS]
                 chunk = codes[lo:lo + _DUMP_CHUNK_ROWS]
-                fh.write(_render_rows(times[lo:lo + _DUMP_CHUNK_ROWS], prefix_bytes[chunk],
-                                      widths[chunk], line_end))
+                width = widths[chunk].max()
+                if width == widths[chunk].min() and not np.signbit(chunk_times).any():
+                    fh.write(_render_rows(chunk_times, prefix_bytes[chunk, :width], line_end))
+                else:
+                    fh.write(_csv_rows([labels[c], f"{t:.6f}"] for c, t in
+                                       zip(chunk.tolist(), chunk_times.tolist())).encode(encoding))
 
 
-def _csv_row(fields) -> str:
-    """``fields`` as ``csv.writer`` writes them, line end included."""
-    line = io.StringIO()
-    csv.writer(line).writerow(fields)
-    return line.getvalue()
+def _csv_rows(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them, line ends included."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
 
 
 # 10**k for k = 1 .. 18: the least whole number of k + 1 digits
 _DIGIT_BOUNDS = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
-def _render_rows(times, prefix_bytes, prefix_widths, line_end: bytes) -> bytes:
-    """One row per timestamp of the sorted ``times``: its prefix (the first
-    ``prefix_widths[k]`` bytes of row ``k`` of ``prefix_bytes``),
-    ``f"{abs(t):.6f}"`` and ``line_end``.  The rounding error window is
-    proved in :meth:`TagStream.dump_csv`."""
+def _render_rows(times, prefixes, line_end: bytes) -> bytes:
+    """One row per timestamp of the sorted ``times``, none of them
+    ``-0.0``: its prefix (row ``k`` of the uint8 array ``prefixes``),
+    ``f"{t:.6f}"`` and ``line_end``.  The rounding error window is proved in
+    :meth:`TagStream.dump_csv`."""
     whole = np.floor(times)
     scaled = (times - whole) * 1e6
     frac = np.rint(scaled).astype(np.int64)
     whole = whole.astype(np.int64) + frac // 1_000_000  # a rounded-up 1.000000 carries
     for k in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) < 1e-9):
-        whole_text, frac_text = f"{abs(times[k]):.6f}".split(".")
+        whole_text, frac_text = f"{times[k]:.6f}".split(".")
         whole[k], frac[k] = int(whole_text), int(frac_text)
 
-    start = int(prefix_widths.max())
-    mixed = prefix_widths.min() < start
+    start = prefixes.shape[1]
     n_max = len(str(int(whole.max())))
     point = start + n_max
     # byte j of every row in row j, laid out for the widest whole part: the
@@ -203,13 +204,8 @@ def _render_rows(times, prefix_bytes, prefix_widths, line_end: bytes) -> bytes:
         if lo == hi:
             continue
         run = slots[n_max - n_whole:, lo:hi]
-        run[:start] = prefix_bytes[lo:hi, :start].T
-        if mixed:
-            used = np.ones(run.shape, dtype=bool)
-            used[:start] = np.arange(start)[:, None] < prefix_widths[lo:hi]
-            parts.append(run.T[used.T].tobytes())
-        else:
-            parts.append(run.T.tobytes())
+        run[:start] = prefixes[lo:hi].T
+        parts.append(run.T.tobytes())
     return b"".join(parts)
 
 
@@ -305,7 +301,7 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
         merged.sort()
         merged = merged[np.searchsorted(merged, 0.0):np.searchsorted(merged, window_ns)]
         channels[label] = np.concatenate((merged[:1], merged[1:][merged[1:] != merged[:-1]]))
-    return TagStream(channels=channels, integration_time_ms=chain.integration_time_ms, seed=seed)
+    return TagStream(channels=channels, integration_time_ms=chain.integration_time_ms)
 
 
 def _merge(streams):
@@ -517,34 +513,30 @@ def correct_rates(counts: CountSummary, dark_rate_hz: float) -> CountSummary:
     t_s = counts.integration_time_ms * 1e-3
     warnings = list(counts.warnings)
 
+    def subtract(name, rate, background, excess):
+        value = rate - background
+        if value < 0:
+            warnings.append(f"{name}: {excess}, clamped to 0")
+            value = 0.0
+        return value, np.sqrt(rate * t_s + background * t_s) / t_s
+
     singles = {}
     singles_err = {}
     for label, rate in counts.singles.items():
-        if dark_rate_hz > rate:
-            warnings.append(f"singles[{label}]: dark rate exceeds measured rate, clamped to 0")
-        singles[label] = max(rate - dark_rate_hz, 0.0)
-        singles_err[label] = np.sqrt(rate * t_s + dark_rate_hz * t_s) / t_s
+        singles[label], singles_err[label] = subtract(
+            f"singles[{label}]", rate, dark_rate_hz, "dark rate exceeds measured rate")
 
     coincidences = {}
     coincidences_err = {}
     for key, rate in counts.coincidences.items():
-        acc = counts.accidentals[key]
-        value = rate - acc
-        if value < 0:
-            warnings.append(f"coincidences[{key}]: accidental estimate exceeds rate, clamped to 0")
-            value = 0.0
-        coincidences[key] = value
-        coincidences_err[key] = np.sqrt(rate * t_s + acc * t_s) / t_s
+        coincidences[key], coincidences_err[key] = subtract(
+            f"coincidences[{key}]", rate, counts.accidentals[key], "accidental estimate exceeds rate")
 
     triples = counts.triples
     triples_err = counts.triples_err
     if triples is not None:
-        value = triples - counts.triple_accidentals
-        if value < 0:
-            warnings.append("triples: accidental estimate exceeds rate, clamped to 0")
-            value = 0.0
-        triples = value
-        triples_err = np.sqrt(counts.triples * t_s + counts.triple_accidentals * t_s) / t_s
+        triples, triples_err = subtract(
+            "triples", triples, counts.triple_accidentals, "accidental estimate exceeds rate")
 
     return replace(
         counts,

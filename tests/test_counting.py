@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,6 +250,8 @@ _DUMP_CASES = {
     "empty-channel": {"1": [], "2": [3.5]},
     "empty-stream": {},
     "quoted-label-negative-zero": {"x,y": [-0.0, 1.0], "": [0.0]},
+    # labels of one width: only the "-0.0" sends the chunk to csv.writer
+    "negative-zero": {"1": [-0.0, 2.5], "2": [0.0, 1.25]},
     # rounding carries into one more whole digit than floor(t) has
     "digit-count-carry": {"1": [9.9999996, 99.9999995, 999999999.9999996, 1e9],
                           "2": [10.0, 99.9999996, 999999999.9999995, 1e9 + 1e-6]},
@@ -309,6 +312,44 @@ def test_correct_rates_examples():
     assert out.coincidences[("1", "2")] == pytest.approx(80.0)
     assert out.coincidences_err[("1", "2")] == pytest.approx(
         np.sqrt(100.0 + 20.0), rel=1e-9)
+
+
+def test_correct_rates_clamps_every_rate_in_order():
+    """Singles, coincidences and triples each clamp at zero with their own
+    warning, appended in that order after the warnings already held."""
+    cs = ct.CountSummary(
+        integration_time_ms=2000.0, coincidence_window_ns=5.0,
+        singles={"1": 40.0, "2": 900.0, "h": 30.0}, singles_err={"1": 4.0, "2": 21.0, "h": 3.0},
+        coincidences={("1", "2"): 5.0, ("1", "h"): 50.0, ("2", "h"): 2.0},
+        coincidences_err={("1", "2"): 1.5, ("1", "h"): 5.0, ("2", "h"): 1.0},
+        accidentals={("1", "2"): 8.0, ("1", "h"): 10.0, ("2", "h"): 3.0},
+        triples=1.0, triples_err=0.7, triple_accidentals=4.0, warnings=("earlier",),
+    )
+    out = ct.correct_rates(cs, 50.0)
+    assert out.warnings == (
+        "earlier",
+        "singles[1]: dark rate exceeds measured rate, clamped to 0",
+        "singles[h]: dark rate exceeds measured rate, clamped to 0",
+        "coincidences[('1', '2')]: accidental estimate exceeds rate, clamped to 0",
+        "coincidences[('2', 'h')]: accidental estimate exceeds rate, clamped to 0",
+        "triples: accidental estimate exceeds rate, clamped to 0",
+    )
+    assert out.singles == {"1": 0.0, "2": 850.0, "h": 0.0}
+    assert out.singles_err["1"] == np.sqrt(40.0 * 2.0 + 50.0 * 2.0) / 2.0
+    assert out.coincidences == {("1", "2"): 0.0, ("1", "h"): 40.0, ("2", "h"): 0.0}
+    assert out.coincidences_err[("2", "h")] == np.sqrt(2.0 * 2.0 + 3.0 * 2.0) / 2.0
+    assert out.triples == 0.0
+    assert out.triples_err == np.sqrt(1.0 * 2.0 + 4.0 * 2.0) / 2.0
+    assert out.corrected
+
+    unclamped = ct.correct_rates(replace(cs, triples=7.5), 0.0)
+    assert unclamped.warnings == (
+        "earlier",
+        "coincidences[('1', '2')]: accidental estimate exceeds rate, clamped to 0",
+        "coincidences[('2', 'h')]: accidental estimate exceeds rate, clamped to 0",
+    )
+    assert unclamped.triples == 7.5 - 4.0
+    assert unclamped.triples_err == np.sqrt(7.5 * 2.0 + 4.0 * 2.0) / 2.0
 
 
 def test_closure_pair_rate_recovery():
