@@ -127,9 +127,6 @@ class JointSpectrum:
                 return False
         return True
 
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.amplitude) ** 2
-
 
 def pump_envelope(env: PumpEnvelope, omega_s, omega_i):
     """Gaussian pump amplitude exp(-(w_s + w_i - w_p)^2 / (2 sigma_p^2)).
@@ -162,8 +159,7 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec | None = Non
     """
     grid = grid if grid is not None else GridSpec()
     axis = grid.omega_axis()
-    w_s, w_i = np.meshgrid(axis, axis, indexing="ij")
-    alpha = pump_envelope(env, w_s, w_i)
+    alpha = pump_envelope(env, axis[:, None], axis[None, :])
     # Only evaluate the dispersion model where the pump envelope is
     # non-negligible: far off the energy-conservation diagonal the
     # amplitude is zero anyway and the implied pump wavelength can leave
@@ -171,8 +167,10 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec | None = Non
     mask = alpha > 1e-16
     if not np.any(mask):
         raise CoverageError("grid does not overlap the pump envelope")
+    rows, cols = np.nonzero(mask)
     amp = np.zeros_like(alpha)
-    amp[mask] = alpha[mask] * phase_matching_function(cfg, w_s[mask], w_i[mask])
+    amp[mask] = alpha[mask] * phase_matching_function(cfg, axis[rows], axis[cols])
+    del alpha, mask, rows, cols
 
     intensity = amp ** 2
     total = float(np.sum(intensity))
@@ -180,15 +178,16 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec | None = Non
         raise CoverageError("grid does not overlap the joint spectrum")
     ring = (np.sum(intensity[0, :]) + np.sum(intensity[-1, :])
             + np.sum(intensity[:, 0]) + np.sum(intensity[:, -1]))
+    del intensity
     fraction = float(ring / total)
     if fraction > COVERAGE_TOLERANCE:
         raise CoverageError(
             f"grid too narrow: boundary ring holds {fraction:.3e} of the squared mass")
 
     dw = axis[1] - axis[0]
-    norm = np.sqrt(total * dw * dw)
+    amp /= np.sqrt(total * dw * dw)
     return JointSpectrum(
-        amplitude=(amp / norm).astype(complex),
+        amplitude=amp.astype(complex),
         axis_s=axis.copy(),
         axis_i=axis.copy(),
         domain="spectral",
@@ -208,12 +207,9 @@ def apply_fiber_phase(js: JointSpectrum, fd: FiberDispersion) -> JointSpectrum:
     beta = fd.beta_fs2 * FS ** 2
     phase_s = np.exp(1j * beta / 2.0 * (js.axis_s - fd.reference_omega) ** 2)
     phase_i = np.exp(1j * beta / 2.0 * (js.axis_i - fd.reference_omega) ** 2)
-    amp = js.amplitude * phase_s[:, None] * phase_i[None, :]
+    amp = js.amplitude * phase_s[:, None]
+    amp *= phase_i[None, :]
     return replace(js, amplitude=amp)
-
-
-def _centered_fft2(a: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(a)))
 
 
 def _centered_ifft2(a: np.ndarray) -> np.ndarray:
@@ -221,10 +217,14 @@ def _centered_ifft2(a: np.ndarray) -> np.ndarray:
 
 
 def to_temporal(js: JointSpectrum) -> JointSpectrum:
-    """Centered 2D DFT of the JSA; returns the joint temporal amplitude.
+    """Centered 2D DFT of the JSA; returns the joint temporal amplitude,
+    ``fftshift(fft2(ifftshift(a))) * scale`` value for value.
 
     Time axes are derived from the frequency spacing; the absolute
     frequency origin is kept in ``spectral_centers`` for invertibility.
+    The input is left unchanged: the transform and the scaling work in
+    place on the ``ifftshift`` copy, so the call holds two n x n buffers
+    besides its input.
     """
     if js.domain != "spectral":
         raise DomainError("to_temporal expects a spectral-domain spectrum")
@@ -233,7 +233,10 @@ def to_temporal(js: JointSpectrum) -> JointSpectrum:
     n_s, n_i = js.amplitude.shape
     dw_s, dw_i = js.step("s"), js.step("i")
     scale = dw_s * dw_i / TWO_PI  # unitary continuum normalization
-    jta = _centered_fft2(js.amplitude) * scale
+    jta = np.fft.ifftshift(js.amplitude)
+    np.fft.fft2(jta, out=jta)
+    jta *= scale
+    jta = np.fft.fftshift(jta)
     t_s = np.fft.fftshift(np.fft.fftfreq(n_s, d=dw_s / TWO_PI))
     t_i = np.fft.fftshift(np.fft.fftfreq(n_i, d=dw_i / TWO_PI))
     # the centered DFT's phase origin is the sample that ifftshift moves to
@@ -304,7 +307,13 @@ def _interp_crossing(x0, y0, x1, y1, level):
 def entanglement_time_from_jti(js: JointSpectrum) -> float:
     """FWHM (fs) of the JTI along the difference coordinate through its
     peak, with linear interpolation between samples."""
-    tau, prof = jti_difference_profile(js)
+    return half_max_width_fs(*jti_difference_profile(js))
+
+
+def half_max_width_fs(tau, prof) -> float:
+    """FWHM (fs) of the lobe of ``prof`` around its maximum, walking out
+    from the peak to the first samples below half maximum and interpolating
+    linearly between those and their neighbours; ``tau`` in seconds."""
     peak_idx = int(np.argmax(prof))
     half = prof[peak_idx] / 2.0
 
@@ -333,12 +342,14 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path) -> None:
 
         "# axis_s: " + " ".join(f"{v:.12e}" for v in js.axis_s) + "\\n"
         "# axis_i: " + " ".join(f"{v:.12e}" for v in js.axis_i) + "\\n"
-        np.savetxt(fh, js.intensity(), delimiter=",", fmt="%.12e")
+        np.savetxt(fh, np.abs(js.amplitude) ** 2, delimiter=",", fmt="%.12e")
 
     i.e. every value as ``'%.12e' % v``, ``,``-joined rows ending in
     ``\\n``.  The header rows are written by that expression.  The matrix
-    is written in chunks of at most ``_EXPORT_CHUNK_VALUES`` values (see
-    :func:`_render_e12`).  A chunk of +0.0 and positive values of at least
+    is written in chunks of at most ``_EXPORT_CHUNK_VALUES`` values
+    (:func:`_write_matrix`), and the intensity ``|a|**2`` is computed one
+    chunk at a time, so the export holds no n x n array besides ``js``,
+    which it leaves unchanged.  A chunk of +0.0 and positive values of at least
     1e-290 whose text has a two-digit exponent, as the JSI and JTI of
     ``spdclab jsa`` are, is rendered from integer digits in 19-byte slots,
     ``d.dddddddddddde±dd`` plus the separator; a zero cell is a copy of
@@ -368,10 +379,7 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path) -> None:
     with open(csv_path, "wb") as fh:
         fh.write(("# axis_s: " + " ".join(f"{v:.12e}" for v in js.axis_s) + "\n").encode())
         fh.write(("# axis_i: " + " ".join(f"{v:.12e}" for v in js.axis_i) + "\n").encode())
-        matrix = js.intensity()
-        flat = matrix.ravel()
-        for lo in range(0, flat.size, _EXPORT_CHUNK_VALUES):
-            fh.write(_render_e12(flat[lo:lo + _EXPORT_CHUNK_VALUES], lo, matrix.shape[1]))
+        _write_matrix(fh, js.amplitude, lambda chunk: np.abs(chunk) ** 2)
     sidecar = {
         "domain": js.domain,
         "axis_units": units,
@@ -396,6 +404,16 @@ _HALF_WINDOW = 2.5e-3
 
 # '%.12e' % 0.0, copied into every zero cell
 _ZERO_E12 = np.frombuffer(b"0.000000000000e+00", dtype=np.uint8)
+
+
+def _write_matrix(fh, matrix, values) -> None:
+    """Write ``np.savetxt(fh, values(matrix), delimiter=",", fmt="%.12e")``
+    to the binary ``fh``.  ``values`` acts elementwise; it is applied to one
+    flat run of at most ``_EXPORT_CHUNK_VALUES`` cells at a time, so no
+    full-size result is held."""
+    flat = matrix.reshape(-1)
+    for lo in range(0, flat.size, _EXPORT_CHUNK_VALUES):
+        fh.write(_render_e12(values(flat[lo:lo + _EXPORT_CHUNK_VALUES]), lo, matrix.shape[1]))
 
 
 def _render_e12(values, first: int, n_cols: int) -> bytes:

@@ -141,19 +141,24 @@ def cmd_jsa(args, cfg: dict, given: dict) -> int:
 
     fiber = biphoton.FiberDispersion(beta_fs2=beta_fs2,
                                      reference_omega=reference_omega)
-    jsa_fiber = biphoton.apply_fiber_phase(jsa, fiber)
-    jta_free = biphoton.to_temporal(jsa)
-    jta_fiber = biphoton.to_temporal(jsa_fiber)
-
+    # at most one n x n input and the two buffers of one to_temporal are
+    # alive at a time: the free JTA is reduced to its profile at once, and
+    # the JSA is dropped once its fiber-phased copy exists.  The free FFT
+    # comes first, so it refuses non-uniform axes before any file is written.
+    profile_free = biphoton.jti_difference_profile(biphoton.to_temporal(jsa))
     biphoton.export_matrix_csv(jsa, os.path.join(args.out, "jsi.csv"),
                                os.path.join(args.out, "jsi.json"))
+    jsa_fiber = biphoton.apply_fiber_phase(jsa, fiber)
+    del jsa
+    jta_fiber = biphoton.to_temporal(jsa_fiber)
+    del jsa_fiber
     biphoton.export_matrix_csv(jta_fiber, os.path.join(args.out, "jti.csv"),
                                os.path.join(args.out, "jti.json"))
 
     report = {
         "config": given,
         "fiber_beta_fs2": beta_fs2,
-        "entanglement_time_free_fs": biphoton.entanglement_time_from_jti(jta_free),
+        "entanglement_time_free_fs": biphoton.half_max_width_fs(*profile_free),
         "entanglement_time_fiber_fs": biphoton.entanglement_time_from_jti(jta_fiber),
         "measured_input": bool(measured),
     }

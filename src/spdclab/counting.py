@@ -28,9 +28,9 @@ import numpy as np
 from ._ascii import digits
 from .errors import DomainError, EstimateUndefinedError
 
-# bound on the expected photons plus dark counts of one window, each a
-# potential click; simulate_tags holds its clicks (roughly 25-30 B each across
-# the block lists, the joined channel and its sort), not its pairs
+# bound on the expected clicks of one window (_expected_clicks);
+# simulate_tags holds its clicks (roughly 25-30 B each across the block
+# lists, the joined channel and its sort), not its pairs
 _GUARD_MAX_EXPECTED_CLICKS = 1e8
 
 # rows rendered per write in TagStream.dump_csv
@@ -225,6 +225,27 @@ def _streams(rng, draws: int, n_pairs: int) -> list:
     return streams
 
 
+def _arm_survival(chain: DetectionChain):
+    """(s1, s2): the probability that a routed photon clicks after one
+    coupler passage (either channel of ``pair``, the herald arm) and after
+    two (arms 1 and 2 of ``heralded``)."""
+    return (chain.eta_insertion * chain.eta_detector,
+            chain.eta_insertion ** 2 * chain.eta_detector)
+
+
+def _expected_clicks(src: SourceRates, chain: DetectionChain) -> float:
+    """Mean photon plus dark clicks of one window, before jitter moves a
+    click out of it and before equal timestamps merge: each of the two
+    photons of a coupled pair clicks with probability s1 (pair) or
+    (s1 + s2) / 2 (heralded: the herald arm with s1 half the time, arm 1 or
+    2 with s2 otherwise), and every channel adds its dark counts."""
+    window_s = chain.integration_time_ms * 1e-3
+    s1, s2 = _arm_survival(chain)
+    survive = s1 if chain.topology == "pair" else (s1 + s2) / 2
+    return (src.pair_rate_hz * window_s * chain.eta_coupling * 2 * survive
+            + chain.dark_rate_hz * window_s * len(chain.channels))
+
+
 def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStream:
     """Forward-simulate one integration window of detector clicks.
 
@@ -248,7 +269,7 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     window_s = chain.integration_time_ms * 1e-3
     rate = src.pair_rate_hz
 
-    expected = 2 * rate * window_s + chain.dark_rate_hz * window_s * len(chain.channels)
+    expected = _expected_clicks(src, chain)
     if expected >= _GUARD_MAX_EXPECTED_CLICKS:
         raise DomainError(
             f"expected {expected:.3g} clicks per window exceeds the "
@@ -256,7 +277,11 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
         )
 
     rng = np.random.default_rng(seed)
-    n_pairs = int(rng.poisson(rate * window_s))
+    try:
+        n_pairs = int(rng.poisson(rate * window_s))
+    except ValueError:  # a mean past about 9.2e18, the largest numpy draws from
+        raise DomainError(f"expected {rate * window_s:.3g} pairs per window is too large "
+                          f"to draw") from None
     draws = 4 if chain.topology == "pair" else 6
     times, coupling, *per_photon = _streams(rng, draws, n_pairs)
     # the photon clicks of each channel, per photon, block by block
@@ -265,8 +290,7 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     # transmission (split already included).  Heralded: two cascaded 50:50
     # couplers with per-passage excess transmission eta_insertion; the
     # herald arm passes one coupler, arms 1/2 pass two.
-    s1 = chain.eta_insertion * chain.eta_detector
-    s2 = chain.eta_insertion ** 2 * chain.eta_detector
+    s1, s2 = _arm_survival(chain)
 
     for start in range(0, n_pairs, _PAIR_BLOCK):
         m = min(_PAIR_BLOCK, n_pairs - start)

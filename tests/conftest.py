@@ -1,11 +1,13 @@
 import csv
 import json
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spdclab import biphoton, counting, dispersion, phasematch
-from spdclab.constants import FS, MM, omega_to_wavelength_nm, wavelength_nm_to_omega
+from spdclab import biphoton, cli, counting, dispersion, phasematch, schema
+from spdclab.constants import FS, MM, TWO_PI, omega_to_wavelength_nm, wavelength_nm_to_omega
 
 # Bulk-model degeneracy temperature for the 405 nm -> 810 nm degenerate
 # pair, frozen from an independent root solve on the published Sellmeier
@@ -196,14 +198,20 @@ def dump_csv_reference(tags, path) -> None:
             writer.writerow([label, f"{t:.6f}"])
 
 
+def intensity(js):
+    """|amplitude|**2 of the whole matrix, which ``biphoton.export_matrix_csv``
+    computes one chunk at a time."""
+    return np.abs(js.amplitude) ** 2
+
+
 def export_matrix_csv_reference(js, csv_path, sidecar_path) -> None:
-    """``np.savetxt`` matrix export, the reference for
-    ``biphoton.export_matrix_csv``."""
+    """``np.savetxt`` matrix export from the full intensity, the reference
+    for ``biphoton.export_matrix_csv``."""
     units = "rad/s" if js.domain == "spectral" else "s"
     with open(csv_path, "w") as fh:
         fh.write("# axis_s: " + " ".join(f"{v:.12e}" for v in js.axis_s) + "\n")
         fh.write("# axis_i: " + " ".join(f"{v:.12e}" for v in js.axis_i) + "\n")
-        np.savetxt(fh, js.intensity(), delimiter=",", fmt="%.12e")
+        np.savetxt(fh, intensity(js), delimiter=",", fmt="%.12e")
     sidecar = {
         "domain": js.domain,
         "axis_units": units,
@@ -213,6 +221,73 @@ def export_matrix_csv_reference(js, csv_path, sidecar_path) -> None:
     with open(sidecar_path, "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def build_jsa_reference(cfg, env, grid):
+    """``biphoton.build_jsa`` on a grid that covers the spectrum, from full
+    ``meshgrid`` coordinate matrices and out-of-place normalisation."""
+    axis = grid.omega_axis()
+    w_s, w_i = np.meshgrid(axis, axis, indexing="ij")
+    alpha = biphoton.pump_envelope(env, w_s, w_i)
+    mask = alpha > 1e-16
+    amp = np.zeros_like(alpha)
+    amp[mask] = alpha[mask] * biphoton.phase_matching_function(cfg, w_s[mask], w_i[mask])
+    total = float(np.sum(amp ** 2))
+    dw = axis[1] - axis[0]
+    return biphoton.JointSpectrum(amplitude=(amp / np.sqrt(total * dw * dw)).astype(complex),
+                                  axis_s=axis.copy(), axis_i=axis.copy(),
+                                  domain="spectral", normalized=True)
+
+
+def apply_fiber_phase_reference(js, fd):
+    """``biphoton.apply_fiber_phase`` as one chained product."""
+    if fd.beta_fs2 == 0.0:
+        return js
+    beta = fd.beta_fs2 * FS ** 2
+    phase_s = np.exp(1j * beta / 2.0 * (js.axis_s - fd.reference_omega) ** 2)
+    phase_i = np.exp(1j * beta / 2.0 * (js.axis_i - fd.reference_omega) ** 2)
+    return replace(js, amplitude=js.amplitude * phase_s[:, None] * phase_i[None, :])
+
+
+def to_temporal_reference(js):
+    """``biphoton.to_temporal`` with the amplitude computed out of place as
+    ``fftshift(fft2(ifftshift(a))) * scale``; axes and tags from
+    ``to_temporal``."""
+    scale = js.step("s") * js.step("i") / TWO_PI
+    jta = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(js.amplitude))) * scale
+    return replace(biphoton.to_temporal(js), amplitude=jta)
+
+
+def jsa_outputs_reference(config_path, out) -> None:
+    """The five files of ``spdclab jsa`` from the reference expressions:
+    both JTAs held at once, the matrices exported from the full intensity
+    (``export_matrix_csv_reference``)."""
+    given = schema.load_config(config_path)
+    cfg = schema.check(cli.JSA, given)
+    if cfg["measured_jsi_csv"]:
+        jsa = biphoton.import_jsi_csv(cfg["measured_jsi_csv"], cfg["measured_axis_units"])
+        reference_omega = float(jsa.axis_s[len(jsa.axis_s) // 2])
+    else:
+        env = biphoton.PumpEnvelope.from_wavelength(cfg["lambda_p_nm"], cfg["pump_fwhm_nm"])
+        grid = {**cfg["grid"]}
+        if grid["center_lambda_nm"] is None:
+            grid["center_lambda_nm"] = 2 * cfg["lambda_p_nm"]
+        jsa = build_jsa_reference(cli._crystal(cfg["crystal"]), env, biphoton.GridSpec(**grid))
+        reference_omega = env.omega_p / 2.0
+    fiber = biphoton.FiberDispersion(cfg["fiber_beta_fs2"], reference_omega)
+    jta_free = to_temporal_reference(jsa)
+    jta_fiber = to_temporal_reference(apply_fiber_phase_reference(jsa, fiber))
+    os.makedirs(out, exist_ok=True)
+    export_matrix_csv_reference(jsa, os.path.join(out, "jsi.csv"), os.path.join(out, "jsi.json"))
+    export_matrix_csv_reference(jta_fiber, os.path.join(out, "jti.csv"),
+                                os.path.join(out, "jti.json"))
+    schema.write_json({
+        "config": given,
+        "fiber_beta_fs2": cfg["fiber_beta_fs2"],
+        "entanglement_time_free_fs": biphoton.entanglement_time_from_jti(jta_free),
+        "entanglement_time_fiber_fs": biphoton.entanglement_time_from_jti(jta_fiber),
+        "measured_input": bool(cfg["measured_jsi_csv"]),
+    }, os.path.join(out, "te_report.json"))
 
 
 def resample_jsi_reference(axis_s, axis_i, intensity):
@@ -240,7 +315,7 @@ def resample_jsi_reference(axis_s, axis_i, intensity):
 def total_mass(js) -> float:
     """Integral of |amplitude|^2 over both axes: 1 for a normalized JSA,
     and by Parseval the same in the temporal domain (criterion 7)."""
-    return float(np.sum(js.intensity()) * js.step("s") * js.step("i"))
+    return float(np.sum(intensity(js)) * js.step("s") * js.step("i"))
 
 
 def assert_close(value, expected, rel, label=""):

@@ -1,6 +1,5 @@
 import json
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,9 +30,13 @@ from spdclab.errors import CoverageError, DomainError
 from conftest import (
     BETA_FIBER_FS2,
     LAMBDA_P_NM,
+    apply_fiber_phase_reference,
     assert_close,
+    build_jsa_reference,
     export_matrix_csv_reference,
+    intensity,
     resample_jsi_reference,
+    to_temporal_reference,
     total_mass,
 )
 
@@ -141,6 +144,50 @@ def test_fiber_phase_requires_spectral_domain(jta_free_1024, pump):
         apply_fiber_phase(jta_free_1024, FiberDispersion(1.0, pump.omega_p / 2))
 
 
+# ---------------------------------------------------------------------------
+# in-place pipeline against the out-of-place expressions, bit for bit
+
+@pytest.mark.parametrize("grid", [GridSpec(n=1024, center_lambda_nm=810.0, half_span_nm=60.0),
+                                  GridSpec(n=301, center_lambda_nm=812.0, half_span_nm=45.0)])
+def test_build_jsa_bytes_equal_meshgrid_reference(crystal, pump, grid):
+    js, ref = build_jsa(crystal, pump, grid), build_jsa_reference(crystal, pump, grid)
+    assert js.amplitude.tobytes() == ref.amplitude.tobytes()
+    assert js.axis_s.tobytes() == ref.axis_s.tobytes() == js.axis_i.tobytes()
+
+
+def _random_spectrum(shape, seed):
+    rng = np.random.default_rng(seed)
+    amplitude = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axis_s = 2.3e15 + 3.1e11 * np.arange(shape[0])
+    axis_i = 2.2e15 + 2.7e11 * np.arange(shape[1])
+    return JointSpectrum(amplitude, axis_s, axis_i, domain="spectral")
+
+
+@pytest.mark.parametrize("shape, seed", [((1024, 1024), 0), ((17, 33), 1), ((256, 255), 2)])
+def test_pipeline_bytes_equal_reference_random(shape, seed):
+    js = _random_spectrum(shape, seed)
+    before = js.amplitude.copy()
+    fd = FiberDispersion(BETA_FIBER_FS2, float(js.axis_s[shape[0] // 3]))
+    phased = apply_fiber_phase(js, fd)
+    phased_ref = apply_fiber_phase_reference(js, fd).amplitude
+    assert phased.amplitude.tobytes() == phased_ref.tobytes()
+    jta = to_temporal(phased)
+    assert jta.amplitude.tobytes() == to_temporal_reference(phased).amplitude.tobytes()
+    # neither call writes into its input
+    assert js.amplitude.tobytes() == before.tobytes()
+    assert phased.amplitude.tobytes() == phased_ref.tobytes()
+
+
+def test_pipeline_bytes_equal_reference_model(jsa_1024, jta_free_1024, jta_fiber_1024, pump):
+    fd = FiberDispersion(BETA_FIBER_FS2, pump.omega_p / 2.0)
+    phased = apply_fiber_phase(jsa_1024, fd)
+    assert phased.amplitude.tobytes() == apply_fiber_phase_reference(jsa_1024, fd).amplitude.tobytes()
+    assert (jta_free_1024.amplitude.tobytes()
+            == to_temporal_reference(jsa_1024).amplitude.tobytes())
+    assert (jta_fiber_1024.amplitude.tobytes()
+            == to_temporal_reference(phased).amplitude.tobytes())
+
+
 def test_gaussian_pair_analytic_fwhm():
     """Separable Gaussian JSA: the JTI difference profile is Gaussian with
     FWHM 2 sqrt(ln 2) / sigma_omega, an analytic oracle."""
@@ -223,24 +270,24 @@ def test_export_import_roundtrip(tmp_path, crystal, pump):
 
     back = import_jsi_csv(csv_path, axis_units="rad/s")
     assert back.measured
-    assert np.allclose(back.intensity(), jsa.intensity(), rtol=1e-6, atol=1e-12)
+    assert np.allclose(intensity(back), intensity(jsa), rtol=1e-6, atol=1e-12)
     assert np.allclose(back.axis_s, jsa.axis_s, rtol=1e-9)
 
 
 def test_import_jsi_nm_axes(tmp_path):
     lam = np.linspace(800.0, 820.0, 32)
-    intensity = np.exp(-((lam[:, None] - 810.0) ** 2 + (lam[None, :] - 810.0) ** 2) / 8.0)
+    jsi = np.exp(-((lam[:, None] - 810.0) ** 2 + (lam[None, :] - 810.0) ** 2) / 8.0)
     path = tmp_path / "measured.csv"
     with open(path, "w") as fh:
         fh.write("# axis_s: " + " ".join(f"{v:.8e}" for v in lam) + "\n")
         fh.write("# axis_i: " + " ".join(f"{v:.8e}" for v in lam) + "\n")
-        np.savetxt(fh, intensity, delimiter=",")
+        np.savetxt(fh, jsi, delimiter=",")
     js = import_jsi_csv(path, axis_units="nm")
     assert js.domain == "spectral"
     assert js.axes_uniform()
     assert np.all(np.diff(js.axis_s) > 0)
     # wavelength-descending axes become frequency-ascending; peak survives
-    peak = np.unravel_index(np.argmax(js.intensity()), js.intensity().shape)
+    peak = np.unravel_index(np.argmax(intensity(js)), js.amplitude.shape)
     mid = len(js.axis_s) // 2
     assert abs(peak[0] - mid) <= 2 and abs(peak[1] - mid) <= 2
 
@@ -428,24 +475,26 @@ def _matrices(draw):
             flat = matrix.reshape(-1)
             for lo in range(0, flat.size, 2 * chunk):
                 flat[lo + rng.integers(min(chunk, flat.size - lo))] = draw(st.sampled_from(_WIDE_VALUES))
-    return matrix, rng.choice(pool, n_rows), rng.choice(pool, n_cols)
+    return matrix
 
 
-def _spectrum_stub(matrix, axis_s, axis_i):
-    # export_matrix_csv reads only these attributes; a JointSpectrum could
-    # not carry negative, NaN or unsorted values
-    return SimpleNamespace(domain="temporal", axis_s=axis_s, axis_i=axis_i,
-                           intensity=lambda: matrix, normalized=False, measured=True)
+def _assert_matrix_identical(matrix, tmp_path):
+    # export_matrix_csv writes |amplitude|**2 through _write_matrix, which
+    # takes any real matrix: negative, NaN and infinite cells included
+    with open(tmp_path / "m.csv", "wb") as fh:
+        biphoton._write_matrix(fh, matrix, lambda chunk: chunk)
+    with open(tmp_path / "ref.csv", "w") as fh:
+        np.savetxt(fh, matrix, delimiter=",", fmt="%.12e")
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_export_bytes_equal_reference_edge_values(tmp_path):
     values = np.array(_EDGE_VALUES)
-    matrix = np.stack([values, -values, values[::-1]])
-    _assert_export_identical(_spectrum_stub(matrix, matrix[:, 0], -values), tmp_path)
+    _assert_matrix_identical(np.stack([values, -values, values[::-1]]), tmp_path)
 
 
 # half the examples draw from the signed pool, half from the two-digit one
 @settings(max_examples=120, deadline=None)
 @given(case=_matrices())
 def test_export_bytes_equal_reference(case, tmp_path_factory):
-    _assert_export_identical(_spectrum_stub(*case), tmp_path_factory.mktemp("export"))
+    _assert_matrix_identical(case, tmp_path_factory.mktemp("export"))

@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spdclab import cli
+
+from conftest import jsa_outputs_reference
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -341,6 +344,50 @@ def test_jsa_measured_input_route(tmp_path):
     assert report["entanglement_time_fiber_fs"] > report["entanglement_time_free_fs"]
 
 
+JSA_OUTPUTS = ["jsi.csv", "jsi.json", "jti.csv", "jti.json", "te_report.json"]
+
+
+def assert_jsa_outputs_equal_reference(cfg, out, ref):
+    assert run("jsa", "--config", cfg, "--out", str(out)) == 0
+    jsa_outputs_reference(cfg, ref)
+    assert sorted(os.listdir(out)) == sorted(os.listdir(ref)) == JSA_OUTPUTS
+    for name in JSA_OUTPUTS:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("beta_fs2", [33000.0, 0.0])
+def test_jsa_outputs_equal_reference(tmp_path, beta_fs2):
+    cfg = write_json(tmp_path / "jsa.json", {**SMALL_JSA, "fiber_beta_fs2": beta_fs2})
+    assert_jsa_outputs_equal_reference(cfg, tmp_path / "out", tmp_path / "ref")
+
+
+def test_jsa_measured_outputs_equal_reference(tmp_path):
+    cfg = write_json(tmp_path / "jsa.json", SMALL_JSA)
+    assert run("jsa", "--config", cfg, "--out", str(tmp_path / "model")) == 0
+    cfg2 = write_json(tmp_path / "jsa2.json", {**SMALL_JSA,
+                                               "measured_jsi_csv": str(tmp_path / "model" / "jsi.csv"),
+                                               "measured_axis_units": "rad/s"})
+    assert_jsa_outputs_equal_reference(cfg2, tmp_path / "out", tmp_path / "ref")
+
+
+@pytest.mark.parametrize("beta_fs2", [33000.0, 0.0])
+def test_jsa_peak_memory_is_three_matrices(tmp_path, beta_fs2):
+    # n = 512: at 256 the 65 536-value export chunk weighs as much as a matrix
+    n = 512
+    cfg = write_json(tmp_path / "jsa.json", {
+        **SMALL_JSA, "fiber_beta_fs2": beta_fs2,
+        "grid": {"n": n, "center_lambda_nm": 810.0, "half_span_nm": 30.0}})
+    assert run("jsa", "--config", cfg, "--out", str(tmp_path / "warm")) == 0
+    tracemalloc.start()
+    try:
+        assert run("jsa", "--config", cfg, "--out", str(tmp_path / "out")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the input and the two buffers of one to_temporal, each n x n complex
+    assert peak < 3.5 * 16 * n * n
+
+
 def test_jsa_non_finite_measured_input_exits_1(tmp_path, capsys):
     measured = tmp_path / "measured.csv"
     measured.write_text("# axis_s: 800 810 820\n# axis_i: 800 810 820\n"
@@ -381,6 +428,44 @@ def test_jsa_coverage_error_exits_1(tmp_path):
                      {**SMALL_JSA, "grid": {"n": 64, "center_lambda_nm": 810.0,
                                             "half_span_nm": 0.05}})
     assert run("jsa", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+
+
+def write_measured(path, axis_s, axis_i, intensity):
+    with open(path, "w") as fh:
+        fh.write("# axis_s: " + " ".join(repr(float(v)) for v in axis_s) + "\n")
+        fh.write("# axis_i: " + " ".join(repr(float(v)) for v in axis_i) + "\n")
+        np.savetxt(fh, intensity, delimiter=",")
+    return str(path)
+
+
+def test_jsa_flat_jti_exits_1_after_both_matrices(tmp_path, capsys):
+    # one nonzero cell: the JTI is flat, so the T_e walk fails after both
+    # matrices are written and before the report
+    axis = 2.3e15 + 1e12 * np.arange(16)
+    intensity = np.zeros((16, 16))
+    intensity[8, 8] = 1.0
+    measured = write_measured(tmp_path / "measured.csv", axis, axis, intensity)
+    cfg = write_json(tmp_path / "jsa.json", {**SMALL_JSA, "measured_jsi_csv": measured,
+                                             "measured_axis_units": "rad/s"})
+    out = tmp_path / "out"
+    assert run("jsa", "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "spdclab: JTI profile does not drop below half maximum inside the grid\n")
+    assert sorted(os.listdir(out)) == ["jsi.csv", "jsi.json", "jti.csv", "jti.json"]
+
+
+def test_jsa_non_uniform_axes_exit_1_before_any_output(tmp_path, capsys):
+    # steps of 0.75 rad/s at 2.3e15 rad/s, where doubles are 0.5 rad/s apart:
+    # the resampled axes are not uniform to UNIFORM_RTOL, and the FFT of the
+    # free JTA refuses them before a matrix is written
+    axis = 2.3e15 + 0.75 * np.arange(16)
+    measured = write_measured(tmp_path / "measured.csv", axis, axis, np.ones((16, 16)))
+    cfg = write_json(tmp_path / "jsa.json", {**SMALL_JSA, "measured_jsi_csv": measured,
+                                             "measured_axis_units": "rad/s"})
+    out = tmp_path / "out"
+    assert run("jsa", "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "spdclab: FFT requires uniformly spaced axes\n"
+    assert os.listdir(out) == []
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,41 @@ def test_memory_guard():
         ct.simulate_tags(ct.SourceRates(1e9, 1e3), ct.DetectionChain(), seed=1)
 
 
+def test_memory_guard_bounds_clicks_not_pairs():
+    # 58 M pairs at eta_detector = 0.01 end in a few 100 k clicks: 1.16e8
+    # emitted photons, but far fewer expected clicks than the guard's 1e8
+    src = ct.SourceRates(1450.0, 800.0)
+    chain = ct.DetectionChain(eta_detector=0.01, integration_time_ms=50_000.0,
+                              topology="heralded", dark_rate_hz=100.0)
+    s1, s2 = 0.43 * 0.01, 0.43 ** 2 * 0.01
+    expected = 1450.0 * 800.0 * 50.0 * 0.9 * 2 * (s1 + s2) / 2 + 100.0 * 50.0 * 3
+    assert ct._expected_clicks(src, chain) == pytest.approx(expected, rel=1e-12)
+    assert 2e5 < expected < 1e6
+    pair = replace(chain, topology="pair")
+    assert ct._expected_clicks(src, pair) == pytest.approx(
+        1450.0 * 800.0 * 50.0 * 0.9 * 2 * s1 + 100.0 * 50.0 * 2, rel=1e-12)
+
+
+def test_pair_count_past_the_poisson_range_raises():
+    # no click is expected, so the guard passes, but no pair count can be drawn
+    with pytest.raises(DomainError, match="pairs per window is too large to draw"):
+        ct.simulate_tags(ct.SourceRates(1e20, 1.0), ct.DetectionChain(eta_detector=0.0), seed=1)
+
+
+@pytest.mark.parametrize("topology", ["pair", "heralded"])
+def test_expected_clicks_matches_simulation(topology):
+    # jitter keeps two photons of one pair in one channel apart; it moves
+    # about 1e-9 of the clicks out of the window
+    chain = ct.DetectionChain(dark_rate_hz=2000.0, topology=topology)
+    src = ct.SourceRates(1e3, 100.0)  # 1e4 pairs per 100 ms window
+    expected = ct._expected_clicks(src, chain)
+    clicks = [sum(len(t) for t in ct.simulate_tags(src, chain, seed).channels.values())
+              for seed in range(20)]
+    # a pair gives 0, 1 or 2 clicks, so the variance of a window's total is
+    # at most twice its mean: 5 standard errors of the mean of 20 windows
+    assert abs(np.mean(clicks) - expected) < 5 * np.sqrt(2 * expected / len(clicks))
+
+
 def test_dark_counts_poisson_statistics():
     """Dark-only simulation: counts over many seeds must follow Poisson
     statistics (mean and variance agree with the configured rate)."""
