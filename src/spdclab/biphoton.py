@@ -223,8 +223,9 @@ def to_temporal(js: JointSpectrum) -> JointSpectrum:
     Time axes are derived from the frequency spacing; the absolute
     frequency origin is kept in ``spectral_centers`` for invertibility.
     The input is left unchanged: the transform and the scaling work in
-    place on the ``ifftshift`` copy, so the call holds two n x n buffers
-    besides its input.
+    place on the ``ifftshift`` copy (``fft2``'s ``out`` needs numpy >= 2.0),
+    so the call holds two n x n buffers besides its input. A real
+    amplitude is promoted to the matching complex type, as ``fft2`` would.
     """
     if js.domain != "spectral":
         raise DomainError("to_temporal expects a spectral-domain spectrum")
@@ -233,7 +234,7 @@ def to_temporal(js: JointSpectrum) -> JointSpectrum:
     n_s, n_i = js.amplitude.shape
     dw_s, dw_i = js.step("s"), js.step("i")
     scale = dw_s * dw_i / TWO_PI  # unitary continuum normalization
-    jta = np.fft.ifftshift(js.amplitude)
+    jta = np.fft.ifftshift(js.amplitude).astype(np.result_type(js.amplitude, 1j), copy=False)
     np.fft.fft2(jta, out=jta)
     jta *= scale
     jta = np.fft.fftshift(jta)

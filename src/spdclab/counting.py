@@ -32,6 +32,9 @@ from .errors import DomainError, EstimateUndefinedError
 # simulate_tags holds its clicks (roughly 25-30 B each across the block
 # lists, the joined channel and its sort), not its pairs
 _GUARD_MAX_EXPECTED_CLICKS = 1e8
+# bound on the expected pairs of one window: simulate_tags draws and routes
+# every pair (about 29 ns each on a 2-core Xeon), so this caps its run time
+_GUARD_MAX_EXPECTED_PAIRS = 1e10
 
 # rows rendered per write in TagStream.dump_csv
 _DUMP_CHUNK_ROWS = 1 << 16
@@ -276,12 +279,14 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
             f"{_GUARD_MAX_EXPECTED_CLICKS:.0e} memory guard"
         )
 
+    if rate * window_s >= _GUARD_MAX_EXPECTED_PAIRS:
+        raise DomainError(
+            f"expected {rate * window_s:.3g} pairs per window exceeds the "
+            f"{_GUARD_MAX_EXPECTED_PAIRS:.0e} run-time guard"
+        )
+
     rng = np.random.default_rng(seed)
-    try:
-        n_pairs = int(rng.poisson(rate * window_s))
-    except ValueError:  # a mean past about 9.2e18, the largest numpy draws from
-        raise DomainError(f"expected {rate * window_s:.3g} pairs per window is too large "
-                          f"to draw") from None
+    n_pairs = int(rng.poisson(rate * window_s))
     draws = 4 if chain.topology == "pair" else 6
     times, coupling, *per_photon = _streams(rng, draws, n_pairs)
     # the photon clicks of each channel, per photon, block by block

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,6 +177,22 @@ def test_pipeline_bytes_equal_reference_random(shape, seed):
     # neither call writes into its input
     assert js.amplitude.tobytes() == before.tobytes()
     assert phased.amplitude.tobytes() == phased_ref.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex64])
+def test_to_temporal_non_complex128_input_equals_reference(dtype):
+    # a real Gaussian JSA transforms to a complex JTA, as the out-of-place
+    # fft2 gives it; single precision stays single precision
+    js = _random_spectrum((64, 48), 3)
+    g = np.exp(-np.linspace(-3, 3, 64)[:, None] ** 2 - np.linspace(-2, 2, 48)[None, :] ** 2)
+    amplitude = (g if dtype in (np.float64, np.float32) else g + 0.5j * g).astype(dtype)
+    js = replace(js, amplitude=amplitude)
+    before = amplitude.copy()
+    jta = to_temporal(js).amplitude
+    ref = to_temporal_reference(js).amplitude
+    assert jta.dtype == ref.dtype == np.result_type(dtype, 1j)
+    assert jta.tobytes() == ref.tobytes()
+    assert amplitude.tobytes() == before.tobytes()
 
 
 def test_pipeline_bytes_equal_reference_model(jsa_1024, jta_free_1024, jta_fiber_1024, pump):

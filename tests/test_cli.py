@@ -513,6 +513,16 @@ def test_simulate_heralded_populates_triples(tmp_path):
     assert "heralded_g2" in summary
 
 
+def test_simulate_over_pair_guard_exits_1(tmp_path, capsys):
+    # a dead detector expects no clicks; 1e11 pairs are refused at once
+    cfg = write_json(tmp_path / "chain.json", {
+        "chain": {"eta_detector": 0.0, "integration_time_ms": 1000.0},
+        "source": {"pairs_per_s_per_uW": 1e9, "pump_power_uW": 100.0},
+    })
+    assert run("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert "expected 1e+11 pairs per window exceeds the 1e+10 run-time guard" in capsys.readouterr().err
+
+
 def test_simulate_bad_chain_key_exits_2(tmp_path):
     cfg = write_json(tmp_path / "chain.json", {
         "chain": {"no_such_knob": 1.0},

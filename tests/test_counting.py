@@ -210,10 +210,14 @@ def test_memory_guard_bounds_clicks_not_pairs():
         1450.0 * 800.0 * 50.0 * 0.9 * 2 * s1 + 100.0 * 50.0 * 2, rel=1e-12)
 
 
-def test_pair_count_past_the_poisson_range_raises():
-    # no click is expected, so the guard passes, but no pair count can be drawn
-    with pytest.raises(DomainError, match="pairs per window is too large to draw"):
-        ct.simulate_tags(ct.SourceRates(1e20, 1.0), ct.DetectionChain(eta_detector=0.0), seed=1)
+@pytest.mark.parametrize("pairs_per_s", [1e11, 1e21])
+def test_pair_guard_bounds_run_time(pairs_per_s):
+    # no click is expected, so the click guard passes, but every pair is
+    # drawn and routed: 1e10 pairs per 100 ms window (the bound itself) would
+    # take minutes, and 1e20 is past what numpy's Poisson draw accepts
+    with pytest.raises(DomainError, match=r"pairs per window exceeds the 1e\+10 run-time guard"):
+        ct.simulate_tags(ct.SourceRates(pairs_per_s, 1.0), ct.DetectionChain(eta_detector=0.0),
+                         seed=1)
 
 
 @pytest.mark.parametrize("topology", ["pair", "heralded"])
