@@ -29,15 +29,18 @@ from ._ascii import digits
 from .errors import DomainError, EstimateUndefinedError
 
 # bound on the expected clicks of one window (_expected_clicks);
-# simulate_tags holds its clicks (roughly 25-30 B each across the block
-# lists, the joined channel and its sort), not its pairs
+# simulate_tags holds its clicks, not its pairs: at its peak about 16-24 B
+# per click (8 B per finished channel's click, plus the block lists, the
+# joined photons and their copy with the darks while a channel is sorted);
+# the tag dump and the matchers add one piece of the timeline
 _GUARD_MAX_EXPECTED_CLICKS = 1e8
 # bound on the expected pairs of one window: simulate_tags draws and routes
 # every pair (about 29 ns each on a 2-core Xeon), so this caps its run time
 _GUARD_MAX_EXPECTED_PAIRS = 1e10
 
-# rows rendered per write in TagStream.dump_csv
-_DUMP_CHUNK_ROWS = 1 << 16
+# clicks per stream between the cut times of the merged timeline's pieces
+# (_timeline), which the tag dump and the matchers hold one at a time
+_PIECE_CLICKS = 1 << 16
 
 # pairs drawn and routed per block in simulate_tags
 _PAIR_BLOCK = 1 << 16
@@ -113,7 +116,7 @@ class TagStream:
         limit = self.integration_time_ms * 1e6  # ns
         # the tests are negated so that NaN fails them
         for label, times in self.channels.items():
-            if len(times) and not np.all(np.diff(times) > 0):
+            if len(times) and not np.all(times[1:] > times[:-1]):
                 raise DomainError(f"channel {label}: timestamps not strictly increasing")
             if len(times) and not (times[0] >= 0 and times[-1] < limit):
                 raise DomainError(f"channel {label}: timestamps outside [0, window)")
@@ -124,11 +127,12 @@ class TagStream:
         text file in the locale's encoding (CRLF line ends, the csv module's
         quoting of the label) with the timestamp as ``%.6f``.
 
-        The rows are written through a binary file in chunks of
-        ``_DUMP_CHUNK_ROWS``.  A chunk that holds a ``-0.0``, or labels
-        whose prefixes (the quoted label and ``,``) differ in width, is
-        written row by row by ``csv.writer`` (:func:`_csv_rows`).  Any other
-        chunk is rendered from integers (:func:`_render_rows`): the prefix,
+        The rows are written through a binary file one piece of the merged
+        timeline at a time (:func:`_timeline`).  A piece that holds a
+        ``-0.0``, or labels whose prefixes (the quoted label and ``,``)
+        differ in width, is written row by row by ``csv.writer``
+        (:func:`_csv_rows`).  Any other piece is rendered from integers
+        (:func:`_render_rows`): the prefix,
         the digits of the whole nanoseconds, ``.``, six digits and the line
         end.
         ``floor(t)`` and ``t - floor(t)`` are exact, so
@@ -138,12 +142,11 @@ class TagStream:
         ``f"{t:.6f}"``: values such as 0.4731885, whose product rounds
         across the boundary, and the exact half-even ties, which odd
         multiples of 1/128 ns are at t >= 2**31 ns.  Correct rounding keeps
-        the sorted order, so the whole nanoseconds never decrease: a chunk
+        the sorted order, so the whole nanoseconds never decrease: a piece
         splits into runs of equal digit count, each rendered in fixed-width
         slots.
         """
         labels = sorted(self.channels)
-        times, codes = _merge([np.asarray(self.channels[label], dtype=float) for label in labels])
         encoding = io.TextIOWrapper(io.BytesIO()).encoding  # open()'s default
         prefixes = [_csv_rows([[label, ""]])[:-len(csv.excel.lineterminator)].encode(encoding)
                     for label in labels]
@@ -154,15 +157,14 @@ class TagStream:
         line_end = csv.excel.lineterminator.encode(encoding)
         with open(path, "wb") as fh:
             fh.write(_csv_rows([["channel", "timestamp_ns"]]).encode(encoding))
-            for lo in range(0, len(times), _DUMP_CHUNK_ROWS):
-                chunk_times = times[lo:lo + _DUMP_CHUNK_ROWS]
-                chunk = codes[lo:lo + _DUMP_CHUNK_ROWS]
-                width = widths[chunk].max()
-                if width == widths[chunk].min() and not np.signbit(chunk_times).any():
-                    fh.write(_render_rows(chunk_times, prefix_bytes[chunk, :width], line_end))
+            for times, codes in _timeline([np.asarray(self.channels[label], dtype=float)
+                                           for label in labels]):
+                width = widths[codes].max()
+                if width == widths[codes].min() and not np.signbit(times).any():
+                    fh.write(_render_rows(times, prefix_bytes[codes, :width], line_end))
                 else:
                     fh.write(_csv_rows([labels[c], f"{t:.6f}"] for c, t in
-                                       zip(chunk.tolist(), chunk_times.tolist())).encode(encoding))
+                                       zip(codes.tolist(), times.tolist())).encode(encoding))
 
 
 def _csv_rows(rows) -> str:
@@ -329,7 +331,10 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
         del photon
         merged.sort()
         merged = merged[np.searchsorted(merged, 0.0):np.searchsorted(merged, window_ns)]
-        channels[label] = np.concatenate((merged[:1], merged[1:][merged[1:] != merged[:-1]]))
+        keep = np.empty(len(merged), dtype=bool)  # the first of each run of equal times
+        keep[:1] = True
+        np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+        channels[label] = merged[keep]
     return TagStream(channels=channels, integration_time_ms=chain.integration_time_ms)
 
 
@@ -341,6 +346,51 @@ def _merge(streams):
     codes = np.repeat(np.arange(len(streams), dtype=np.min_scalar_type(len(streams))),
                       [len(s) for s in streams])
     return times[order], codes[order]
+
+
+def _timeline(streams, joined=None):
+    """The timeline of the sorted ``streams`` (:func:`_merge`) as pieces
+    ``(times, codes)``, in order, of at most ``_PIECE_CLICKS`` clicks per
+    stream bar runs of equal timestamps and a NaN tail.
+
+    The pieces start at the distinct stream values at stride
+    ``_PIECE_CLICKS`` (sorted and deduplicated by hand: ``np.unique``
+    imports ``numpy.ma``), each stream sliced there with ``searchsorted``
+    (side left): equal timestamps share a piece, so the pieces, each merged
+    on its own, run in the timeline's (time, stream) order.  With
+    ``joined`` a piece also ends at a cluster cut, between adjacent clicks
+    x, y where ``joined(x, y)`` is false: the clicks after its last cut are
+    held, part by part, until a later piece brings a cut, so each cluster
+    lies whole in one piece.
+    """
+    cuts = np.sort(np.concatenate([np.empty(0), *(s[::_PIECE_CLICKS] for s in streams)]))
+    cuts = np.concatenate((cuts[:1], cuts[1:][cuts[1:] > cuts[:-1]]))  # NaNs join the last piece
+    bounds = [np.concatenate(([0], np.searchsorted(s, cuts[1:]), [len(s)])) for s in streams]
+    held = []  # the parts of the cluster that is still open
+    for k in range(len(cuts)):
+        times, codes = _merge([s[b[k]:b[k + 1]] for s, b in zip(streams, bounds)])
+        if joined is None:
+            yield times, codes
+            continue
+        t = np.concatenate((held[-1][0][-1:] if held else times[:0], times))
+        opens = np.flatnonzero(~joined(t[:-1], t[1:])) + len(times) - len(t) + 1
+        if len(opens):  # times[opens[-1]] opens the last cluster of the piece
+            held.append((times[:opens[-1]], codes[:opens[-1]]))
+            yield tuple(map(np.concatenate, zip(*held)))
+            held = [(times[opens[-1]:], codes[opens[-1]:])]
+        else:
+            held.append((times, codes))
+    if held:
+        yield tuple(map(np.concatenate, zip(*held)))
+
+
+def _in_sort_order(x) -> bool:
+    """Whether ``x`` is in ``np.sort``'s order: no value is above the next
+    one, and a NaN is followed only by NaNs."""
+    later = x[1:]
+    ok = np.isnan(later)
+    ok |= x[:-1] <= later
+    return bool(ok.all())
 
 
 def _clusters(joined, m: int):
@@ -384,18 +434,27 @@ def match_coincidences(a: np.ndarray, b: np.ndarray, window_ns: float) -> int:
     fl(|a - b|) >= fl(y - x) > window: while the two pointers sit in
     different clusters the walk matches nothing and advances the one in the
     earlier cluster, so inside each cluster it is the walk over that
-    cluster's clicks alone.  One click matches nothing and two count 1 iff
-    they come from different streams; only clusters of three or more run
-    the loop.
+    cluster's clicks alone.  The timeline is read in pieces that end at
+    such cuts (:func:`_timeline`), so each cluster lies whole in one piece
+    and the sum over the pieces is the sum over the clusters.  One click
+    matches nothing and two count 1 iff they come from different streams;
+    only clusters of three or more run the loop.  A stream out of
+    ``np.sort``'s order (a NaN followed by a number included) is refused.
     """
-    if np.any(np.diff(a) < 0) or np.any(np.diff(b) < 0):
+    a, b = np.asarray(a), np.asarray(b)
+    if not (_in_sort_order(a) and _in_sort_order(b)):
         raise DomainError("coincidence matching requires sorted streams")
-    times, codes = _merge([a, b])
-    two, firsts, ends = _clusters(times[1:] - times[:-1] <= window_ns, 2)
-    matches = int(np.count_nonzero(two & (codes[:-1] != codes[1:])))
-    for lo, hi in zip(firsts.tolist(), ends.tolist()):
-        t, c = times[lo:hi], codes[lo:hi]
-        matches += _match_pairs_loop(t[c == 0].tolist(), t[c == 1].tolist(), window_ns)
+
+    def joined(x, y):
+        return y - x <= window_ns
+
+    matches = 0
+    for times, codes in _timeline([a, b], joined):
+        two, firsts, ends = _clusters(joined(times[:-1], times[1:]), 2)
+        matches += int(np.count_nonzero(two & (codes[:-1] != codes[1:])))
+        for lo, hi in zip(firsts.tolist(), ends.tolist()):
+            t, c = times[lo:hi], codes[lo:hi]
+            matches += _match_pairs_loop(t[c == 0].tolist(), t[c == 1].tolist(), window_ns)
     return matches
 
 
@@ -427,27 +486,34 @@ def match_triples(h, a, b, window_ns: float) -> int:
     has fl(t + window) <= fl(x + window) < y and fl(t - window) <= t < y,
     so it neither matches nor skips a click >= y.  The a and b pointers
     thus enter each cluster at its first click on their side and leave it
-    only by its own or later heralds.  Fewer than three clicks lack a
-    channel; three count 1 iff they come from the three channels and a and
-    b lie in [fl(h - window), fl(h + window)]; only clusters of four or
-    more run the loop.
+    only by its own or later heralds, and the sum over the pieces of the
+    timeline, which end at such cuts (:func:`_timeline`), is the sum over
+    the clusters.  Fewer than three clicks lack a channel; three count 1
+    iff they come from the three channels and a and b lie in
+    [fl(h - window), fl(h + window)]; only clusters of four or more run the
+    loop.  A stream out of ``np.sort``'s order is refused.
     """
-    if np.any(np.diff(h) < 0) or np.any(np.diff(a) < 0) or np.any(np.diff(b) < 0):
+    h, a, b = np.asarray(h), np.asarray(a), np.asarray(b)
+    if not (_in_sort_order(h) and _in_sort_order(a) and _in_sort_order(b)):
         raise DomainError("coincidence matching requires sorted streams")
-    times, codes = _merge([h, a, b])
-    x, y = times[:-1], times[1:]
-    three, firsts, ends = _clusters((y - window_ns <= x) | (y <= x + window_ns), 3)
-    k = np.flatnonzero(three)[:, None] + np.arange(3)
-    t, c = times[k], codes[k]
-    full = (c[:, 0] != c[:, 1]) & (c[:, 0] != c[:, 2]) & (c[:, 1] != c[:, 2])
-    t, c = t[full], c[full]
-    lo, hi = t[c == 0] - window_ns, t[c == 0] + window_ns
-    u, v = t[c == 1], t[c == 2]
-    matches = int(np.count_nonzero((u >= lo) & (u <= hi) & (v >= lo) & (v <= hi)))
-    for first, end in zip(firsts.tolist(), ends.tolist()):
-        t, c = times[first:end], codes[first:end]
-        matches += _match_triples_loop(t[c == 0].tolist(), t[c == 1].tolist(),
-                                       t[c == 2].tolist(), window_ns)
+
+    def joined(x, y):
+        return (y - window_ns <= x) | (y <= x + window_ns)
+
+    matches = 0
+    for times, codes in _timeline([h, a, b], joined):
+        three, firsts, ends = _clusters(joined(times[:-1], times[1:]), 3)
+        k = np.flatnonzero(three)[:, None] + np.arange(3)
+        t, c = times[k], codes[k]
+        full = (c[:, 0] != c[:, 1]) & (c[:, 0] != c[:, 2]) & (c[:, 1] != c[:, 2])
+        t, c = t[full], c[full]
+        lo, hi = t[c == 0] - window_ns, t[c == 0] + window_ns
+        u, v = t[c == 1], t[c == 2]
+        matches += int(np.count_nonzero((u >= lo) & (u <= hi) & (v >= lo) & (v <= hi)))
+        for first, end in zip(firsts.tolist(), ends.tolist()):
+            t, c = times[first:end], codes[first:end]
+            matches += _match_triples_loop(t[c == 0].tolist(), t[c == 1].tolist(),
+                                           t[c == 2].tolist(), window_ns)
     return matches
 
 

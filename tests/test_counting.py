@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,6 +84,92 @@ def test_two_pointer_equals_bruteforce(case):
     assert n <= min(len(a), len(b))
 
 
+# pieces small enough that short streams cross many piece boundaries
+_SMALL_PIECES = [1, 2, 7]
+
+
+@pytest.mark.parametrize("piece", _SMALL_PIECES)
+@settings(max_examples=100, deadline=None)
+@given(case=_streams(2, 100))
+def test_two_pointer_equals_bruteforce_small_pieces(piece, case):
+    a, b, w = case
+    with mock.patch.object(ct, "_PIECE_CLICKS", piece):
+        assert ct.match_coincidences(a, b, w) == match_coincidences_bruteforce(a, b, w)
+
+
+@pytest.mark.parametrize("piece", _SMALL_PIECES)
+@settings(max_examples=100, deadline=None)
+@given(case=_streams(3, 50))
+def test_timeline_pieces_join_to_merge(piece, case):
+    """The pieces join to the whole merged timeline, hold at most
+    ``piece`` clicks of a stream of distinct values, and with ``joined``
+    end at a cut."""
+    *streams, w = case
+
+    def joined(x, y):
+        return y - x <= w
+
+    times, codes = ct._merge(streams)
+    with mock.patch.object(ct, "_PIECE_CLICKS", piece):
+        for link in (None, joined):
+            pieces = list(ct._timeline(streams, link))
+            assert np.concatenate([t for t, _ in pieces] or [[]]).tobytes() == times.tobytes()
+            assert np.concatenate([c for _, c in pieces] or [[]]).tolist() == codes.tolist()
+            assert all(len(t) for t, _ in pieces)
+            for (t, _), (u, _) in zip(pieces[:-1], pieces[1:]):
+                assert link is None or not joined(t[-1], u[0])
+            for k, s in enumerate(streams):
+                if link is None and len(np.unique(s)) == len(s):
+                    assert all(np.count_nonzero(c == k) <= piece for _, c in pieces)
+
+
+def test_cluster_across_pieces_stays_whole():
+    """Gaps of 0.25 under a window of 1: one cluster of 38 clicks over 19
+    of the 20 pieces, then a cut and a second cluster."""
+    a = np.arange(20) * 0.5
+    b = np.concatenate((a[:-1] + 0.25, [100.0]))
+    a[-1] = 100.5
+    with mock.patch.object(ct, "_PIECE_CLICKS", 2):
+        pieces = list(ct._timeline([a, b], lambda x, y: y - x <= 1.0))
+        assert [len(t) for t, _ in pieces] == [38, 2]
+        assert ct.match_coincidences(a, b, 1.0) == match_coincidences_bruteforce(a, b, 1.0) == 20
+        h = np.arange(12) * 0.5
+        assert ct.match_triples(h, a, b, 1.0) == match_triples_bruteforce(h, a, b, 1.0)
+
+
+def test_timeline_pieces_of_lone_clicks_stay_apart():
+    """A piece whose only cut is at its start still closes the held
+    cluster: clicks 10 apart under a window of 1 come one per piece."""
+    with mock.patch.object(ct, "_PIECE_CLICKS", 1):
+        pieces = list(ct._timeline([np.arange(6) * 10.0], lambda x, y: y - x <= 1.0))
+    assert [t.tolist() for t, _ in pieces] == [[0.0], [10.0], [20.0], [30.0], [40.0], [50.0]]
+
+
+def test_matchers_equal_times_and_signed_zeros_at_cuts():
+    """Equal timestamps on every stream at a cut time, and -0.0 against
+    0.0 at the first cut."""
+    h = np.array([-0.0, 0.5, 2.0, 3.0, 4.0])
+    a = np.array([0.0, 2.0, 2.0, 4.0])
+    b = np.array([0.0, 1.0, 2.0, 4.0])
+    for piece in (1, 2, 7):
+        with mock.patch.object(ct, "_PIECE_CLICKS", piece):
+            for w in (0.0, 0.5, 1.0):
+                for x, y in ((h, a), (a, b), (b, h)):
+                    assert ct.match_coincidences(x, y, w) == match_coincidences_bruteforce(x, y, w)
+                assert ct.match_triples(h, a, b, w) == match_triples_bruteforce(h, a, b, w)
+
+
+def test_matchers_refuse_nan_before_a_number():
+    """np.sort puts NaN last, so a NaN followed by a number is unsorted."""
+    nan = np.nan
+    with pytest.raises(DomainError, match="requires sorted streams"):
+        ct.match_coincidences(np.array([1.0, nan, 2.0]), np.array([1.0]), 1.0)
+    with pytest.raises(DomainError, match="requires sorted streams"):
+        ct.match_coincidences(np.array([1.0]), np.array([nan, 1.0]), 1.0)
+    with pytest.raises(DomainError, match="requires sorted streams"):
+        ct.match_triples(np.array([1.0]), np.array([1.0]), np.array([nan, nan, 1.0]), 1.0)
+
+
 def test_matchers_ignore_trailing_nan():
     """A NaN timestamp, which np.sort puts last, matches nothing."""
     nan = np.nan
@@ -111,6 +198,15 @@ def test_triples_equal_bruteforce(case):
     n = ct.match_triples(h, a, b, w)
     assert n == match_triples_bruteforce(h, a, b, w)
     assert n <= min(len(h), len(a), len(b))
+
+
+@pytest.mark.parametrize("piece", _SMALL_PIECES)
+@settings(max_examples=100, deadline=None)
+@given(case=_streams(3, 60))
+def test_triples_equal_bruteforce_small_pieces(piece, case):
+    h, a, b, w = case
+    with mock.patch.object(ct, "_PIECE_CLICKS", piece):
+        assert ct.match_triples(h, a, b, w) == match_triples_bruteforce(h, a, b, w)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +390,12 @@ _DUMP_CASES = {
     # rounding carries into one more whole digit than floor(t) has
     "digit-count-carry": {"1": [9.9999996, 99.9999995, 999999999.9999996, 1e9],
                           "2": [10.0, 99.9999996, 999999999.9999995, 1e9 + 1e-6]},
-    # prefixes of unequal width in the first chunk only
+    # prefixes of unequal width in one piece only
     "label-widths-first-chunk": {"a": list(np.arange(70000) * 1.5), "bb": [3.25]},
+    # with pieces of two clicks, 2.0 is a cut time on every channel
+    "equal-times-at-cut": {"h": [0.5, 1.0, 2.0, 3.0], "1": [1.0, 2.0, 2.5], "2": [2.0, 3.0]},
+    # -0.0 after 0.0 in the timeline, at its first cut
+    "signed-zero-at-cut": {"1": [0.0, 0.5, 1.0], "2": [-0.0, 1.0]},
 }
 
 
@@ -311,11 +411,41 @@ def test_dump_csv_bytes_equal_reference(case, tmp_path):
     _assert_dump_identical(ct.TagStream(channels, 5000.0), tmp_path)
 
 
+@pytest.mark.parametrize("piece", _SMALL_PIECES)
+@pytest.mark.parametrize("case", sorted(set(_DUMP_CASES) - {"label-widths-first-chunk"}))
+def test_dump_csv_small_pieces_bytes_equal_reference(case, piece, tmp_path, monkeypatch):
+    monkeypatch.setattr(ct, "_PIECE_CLICKS", piece)
+    channels = {label: np.array(times, dtype=float) for label, times in _DUMP_CASES[case].items()}
+    _assert_dump_identical(ct.TagStream(channels, 5000.0), tmp_path)
+
+
 def test_dump_csv_bytes_equal_reference_simulated(tmp_path):
     chain = ct.DetectionChain(topology="heralded", integration_time_ms=3000.0, dark_rate_hz=100.0)
     tags = ct.simulate_tags(ct.SourceRates(1450.0, 100.0), chain, seed=8)
-    assert sum(len(t) for t in tags.channels.values()) > 2 * ct._DUMP_CHUNK_ROWS
+    assert sum(len(t) for t in tags.channels.values()) > 2 * ct._PIECE_CLICKS
     _assert_dump_identical(tags, tmp_path)
+
+
+def test_dump_and_counting_memory_follows_pieces_not_clicks(tmp_path, monkeypatch):
+    """About 300 k clicks, read in timeline pieces of 4096 clicks per
+    stream: above the held channels, the dump and the counting hold a few
+    pieces and the 1-byte masks of the sortedness checks, far below one
+    merged timeline's 8-byte arrays over all clicks."""
+    monkeypatch.setattr(ct, "_PIECE_CLICKS", 1 << 12)
+    chain = ct.DetectionChain(topology="heralded", integration_time_ms=800.0)
+    tags = ct.simulate_tags(ct.SourceRates(1450.0, 800.0), chain, seed=9)
+    assert 2e5 < sum(len(t) for t in tags.channels.values()) < 5e5
+    small = ct.TagStream({label: t[:10] for label, t in tags.channels.items()}, 800.0)
+    small.dump_csv(tmp_path / "warm.csv")  # first calls may import and cache
+    ct.count_coincidences(small, 1.0)
+    tracemalloc.start()
+    try:
+        tags.dump_csv(tmp_path / "tags.csv")
+        ct.count_coincidences(tags, chain.coincidence_window_ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 # ---------------------------------------------------------------------------
