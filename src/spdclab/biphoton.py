@@ -1,6 +1,7 @@
 """Joint spectral amplitude of the photon pair, quadratic fiber-dispersion
 phase, centered 2D Fourier transform to the joint temporal domain, and
-entanglement-time extraction.
+entanglement-time extraction.  The transform runs forward only; its
+inverse is a test oracle in ``tests/conftest.py``.
 
 Conventions
 -----------
@@ -48,10 +49,9 @@ class PumpEnvelope:
             raise DomainError(f"pump spectral width must be positive, got {self.sigma_p}")
 
     @classmethod
-    def from_wavelength(cls, lambda_p_nm: float, fwhm_nm: float = 0.01) -> "PumpEnvelope":
+    def from_wavelength(cls, lambda_p_nm: float, fwhm_nm: float) -> "PumpEnvelope":
         """CW pump at lambda_p_nm with a Gaussian linewidth given as FWHM in
-        nm (default 0.01 nm, narrow enough that the joint spectrum is
-        pump-limited along the sum coordinate)."""
+        nm."""
         omega_p = wavelength_nm_to_omega(lambda_p_nm)
         sigma_lambda = fwhm_nm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
         sigma_p = TWO_PI * C0 / (lambda_p_nm * NM) ** 2 * (sigma_lambda * NM)
@@ -78,12 +78,11 @@ class FiberDispersion:
 @dataclass(frozen=True)
 class GridSpec:
     """Square sampling grid for the joint spectrum, specified in wavelength
-    around the degenerate point.  Defaults resolve the 20 mm sinc structure
-    while keeping the FFT cheap."""
+    around the degenerate point."""
 
-    n: int = 1024
-    center_lambda_nm: float = 810.0
-    half_span_nm: float = 60.0
+    n: int
+    center_lambda_nm: float
+    half_span_nm: float
 
     def omega_axis(self) -> np.ndarray:
         center = wavelength_nm_to_omega(self.center_lambda_nm)
@@ -96,9 +95,7 @@ class JointSpectrum:
     """Complex amplitude sampled on a 2D (signal, idler) grid.
 
     In the spectral domain the axes are angular frequencies in rad/s; in
-    the temporal domain they are times in seconds.  ``spectral_centers``
-    keeps the absolute frequency origin across the FFT so the transform is
-    invertible.
+    the temporal domain they are times in seconds.
     """
 
     amplitude: np.ndarray
@@ -107,7 +104,6 @@ class JointSpectrum:
     domain: str  # "spectral" | "temporal"
     normalized: bool = False
     measured: bool = False
-    spectral_centers: tuple | None = None
 
     def __post_init__(self):
         if self.domain not in ("spectral", "temporal"):
@@ -151,13 +147,12 @@ def phase_matching_function(cfg: CrystalConfig, omega_s, omega_i):
     return out if np.ndim(out) else float(out)
 
 
-def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec | None = None) -> JointSpectrum:
+def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpectrum:
     """Normalized joint spectral amplitude alpha * phi on a square grid.
 
     Raises CoverageError when a non-negligible fraction of the squared mass
     sits in the outermost grid ring, i.e. the grid truncates the spectrum.
     """
-    grid = grid if grid is not None else GridSpec()
     axis = grid.omega_axis()
     alpha = pump_envelope(env, axis[:, None], axis[None, :])
     # Only evaluate the dispersion model where the pump envelope is
@@ -212,16 +207,12 @@ def apply_fiber_phase(js: JointSpectrum, fd: FiberDispersion) -> JointSpectrum:
     return replace(js, amplitude=amp)
 
 
-def _centered_ifft2(a: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(a)))
-
-
 def to_temporal(js: JointSpectrum) -> JointSpectrum:
     """Centered 2D DFT of the JSA; returns the joint temporal amplitude,
     ``fftshift(fft2(ifftshift(a))) * scale`` value for value.
 
-    Time axes are derived from the frequency spacing; the absolute
-    frequency origin is kept in ``spectral_centers`` for invertibility.
+    Time axes are derived from the frequency spacing; the phase origin of
+    the transform is the sample at index n // 2 of each frequency axis.
     The input is left unchanged: the transform and the scaling work in
     place on the ``ifftshift`` copy (``fft2``'s ``out`` needs numpy >= 2.0),
     so the call holds two n x n buffers besides its input. A real
@@ -240,40 +231,11 @@ def to_temporal(js: JointSpectrum) -> JointSpectrum:
     jta = np.fft.fftshift(jta)
     t_s = np.fft.fftshift(np.fft.fftfreq(n_s, d=dw_s / TWO_PI))
     t_i = np.fft.fftshift(np.fft.fftfreq(n_i, d=dw_i / TWO_PI))
-    # the centered DFT's phase origin is the sample that ifftshift moves to
-    # index 0, i.e. index n//2 on each axis
-    centers = (float(js.axis_s[n_s // 2]), float(js.axis_i[n_i // 2]))
     return JointSpectrum(
         amplitude=jta,
         axis_s=t_s,
         axis_i=t_i,
         domain="temporal",
-        normalized=js.normalized,
-        measured=js.measured,
-        spectral_centers=centers,
-    )
-
-
-def to_spectral(js: JointSpectrum) -> JointSpectrum:
-    """Inverse of :func:`to_temporal`."""
-    if js.domain != "temporal":
-        raise DomainError("to_spectral expects a temporal-domain spectrum")
-    if js.spectral_centers is None:
-        raise DomainError("temporal spectrum lost its spectral axis origin")
-    n_s, n_i = js.amplitude.shape
-    dt_s, dt_i = js.step("s"), js.step("i")
-    dw_s = TWO_PI / (n_s * dt_s)
-    dw_i = TWO_PI / (n_i * dt_i)
-    scale = dw_s * dw_i / TWO_PI
-    amp = _centered_ifft2(js.amplitude / scale)
-    c_s, c_i = js.spectral_centers
-    axis_s = c_s + np.fft.fftshift(np.fft.fftfreq(n_s, d=dt_s / TWO_PI))
-    axis_i = c_i + np.fft.fftshift(np.fft.fftfreq(n_i, d=dt_i / TWO_PI))
-    return JointSpectrum(
-        amplitude=amp,
-        axis_s=axis_s,
-        axis_i=axis_i,
-        domain="spectral",
         normalized=js.normalized,
         measured=js.measured,
     )
@@ -469,7 +431,7 @@ def _render_e12(values, first: int, n_cols: int) -> bytes:
     return slots.tobytes()
 
 
-def import_jsi_csv(csv_path, axis_units: str = "nm") -> JointSpectrum:
+def import_jsi_csv(csv_path, axis_units: str) -> JointSpectrum:
     """Read a measured joint spectral intensity matrix.
 
     Wavelength axes (nm) are accepted and converted; the intensity is

@@ -17,10 +17,11 @@ against its subcommand's table (``schema.check``) before anything runs or
 modules.  Every JSON output embeds the config as written, and repeated runs
 with identical inputs and seed produce byte-identical files.
 
-Exit codes: 0 success, 1 computation error, 2 usage/config error (a key
-that is unknown, missing or of the wrong kind, an input file that is
-missing, unreadable or not UTF-8, a config that is not valid JSON, or an
-output that cannot be written).
+Exit codes: 0 success, 1 computation error (a refused allocation
+included), 2 usage/config error (a key that is unknown, missing or of the
+wrong kind, an input file that is missing, unreadable or not UTF-8, a
+config that is not valid JSON, a negative ``--seed``, or an output that
+cannot be written).
 """
 
 from __future__ import annotations
@@ -242,6 +243,17 @@ COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take integers >= 0 only."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdclab",
@@ -254,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         if name == "simulate":
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+            p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                            help=f"RNG seed (default {DEFAULT_SEED})")
     return parser
 
@@ -276,6 +288,9 @@ def main(argv=None) -> int:
     except SpdclabError as exc:
         print(f"spdclab: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 1
+    except MemoryError as exc:
+        print(f"spdclab: out of memory: {str(exc) or 'allocation refused'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

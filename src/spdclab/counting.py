@@ -9,7 +9,8 @@ Model notes
   deterministically and ``eta_insertion`` is applied per photon.  This
   makes the simulated coincidence efficiency equal the bookkeeping
   eta_coin = eta_coupling * eta_insertion^2 * eta_detector^2 by
-  construction, which the closure tests rely on.
+  construction, which the closure tests rely on (the efficiency oracle in
+  ``tests/conftest.py``).
 * Fiber coupling acts on the pair as a whole (the photons share one spatial
   mode), so ``eta_coupling`` is drawn once per pair.
 * A coincidence means |t_a - t_b| <= window; the accidental rate of two
@@ -95,13 +96,6 @@ class SourceRates:
     @property
     def pair_rate_hz(self) -> float:
         return self.pairs_per_s_per_uW * self.pump_power_uW
-
-
-def chain_efficiencies(chain: DetectionChain):
-    """(eta_singles, eta_coin) of the detection chain."""
-    eta_singles = chain.eta_coupling * chain.eta_insertion * chain.eta_detector
-    eta_coin = chain.eta_coupling * chain.eta_insertion ** 2 * chain.eta_detector ** 2
-    return eta_singles, eta_coin
 
 
 @dataclass(frozen=True)

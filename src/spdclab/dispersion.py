@@ -1,13 +1,16 @@
-"""Refractive index, group index and dispersion of 5% MgO-doped congruent
-lithium niobate (extraordinary axis), from the temperature-dependent
-Sellmeier model of Gayer et al., Appl. Phys. B 91, 343 (2008).
+"""Propagation constant and group velocity dispersion of 5% MgO-doped
+congruent lithium niobate (extraordinary axis), from the
+temperature-dependent Sellmeier model of Gayer et al., Appl. Phys. B 91,
+343 (2008).  The index n and its wavelength derivatives come from the
+private ``_index_and_derivatives``; the refractive and group index are test
+oracles (``tests/conftest.py``).
 
 Coefficients live in a versioned data file shipped with the package (see
 ``data/mgo_cln_5pct_e.txt`` and ``docs/materials.md``); they are parsed
 once and frozen into an immutable :class:`SellmeierModel`.
 
 All functions are pure and accept scalars or numpy arrays for the
-wavelength argument.
+wavelength or frequency argument.
 """
 
 from __future__ import annotations
@@ -107,7 +110,9 @@ def _n_squared_terms(model: SellmeierModel, lam_um, theta_C: float):
     P = c["a2"] + c["b2"] * f
     Q = c["a3"] + c["b3"] * f
     R = c["a4"] + c["b4"] * f
-    u = lam_um ** 2
+    # lam * lam, not lam ** 2: a numpy scalar squares through libm pow,
+    # which can round differently from an array's square
+    u = lam_um * lam_um
     d1 = u - Q ** 2
     d2 = u - c["a5"] ** 2
     n2 = c["a1"] + c["b1"] * f + P / d1 + R / d2 - c["a6"] * u
@@ -128,22 +133,6 @@ def _index_and_derivatives(model: SellmeierModel, lambda_nm, theta_C: float):
     dn = dn2 / (2 * n)              # dn/dlam, 1/um
     d2n = (d2n2 - 2 * dn ** 2) / (2 * n)  # d2n/dlam2, 1/um^2
     return lam_um, n, dn, d2n
-
-
-def refractive_index(model: SellmeierModel, lambda_nm, theta_C: float):
-    """Extraordinary refractive index n_e(lambda, theta).
-
-    lambda_nm in nm (scalar or array), theta_C in degC.
-    """
-    _, n, _, _ = _index_and_derivatives(model, lambda_nm, theta_C)
-    return n if np.ndim(lambda_nm) else float(n)
-
-
-def group_index(model: SellmeierModel, lambda_nm, theta_C: float):
-    """Group index n_g = n - lambda * dn/dlambda."""
-    lam_um, n, dn, _ = _index_and_derivatives(model, lambda_nm, theta_C)
-    ng = n - lam_um * dn
-    return ng if np.ndim(lambda_nm) else float(ng)
 
 
 def gvd(model: SellmeierModel, lambda_nm, theta_C: float):

@@ -56,15 +56,22 @@ class CrystalConfig:
         return TWO_PI / (self.poling_period_um * UM)
 
 
-def idler_wavelength_nm(lambda_p_nm: float, lambda_s_nm: float) -> float:
-    """Energy conservation 1/lp = 1/ls + 1/li solved for the idler."""
-    inv = 1.0 / lambda_p_nm - 1.0 / lambda_s_nm
-    if inv <= 0:
+def idler_wavelength_nm(lambda_p_nm, lambda_s_nm):
+    """Energy conservation 1/lp = 1/ls + 1/li solved for the idler.
+
+    Either wavelength may be an array; the first pair that leaves no
+    positive idler energy is named in the DomainError.
+    """
+    inv = 1.0 / lambda_p_nm - 1.0 / np.asarray(lambda_s_nm, dtype=float)
+    bad = inv <= 0
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        lam_p, lam_s = (float(np.broadcast_to(lam, np.shape(inv)).flat[k])
+                        for lam in (lambda_p_nm, lambda_s_nm))
         raise DomainError(
-            f"signal {lambda_s_nm} nm does not leave positive idler energy "
-            f"for pump {lambda_p_nm} nm"
-        )
-    return 1.0 / inv
+            f"signal {lam_s:.6g} nm does not leave positive idler energy for pump {lam_p:.6g} nm")
+    out = 1.0 / inv
+    return out if np.ndim(out) else float(out)
 
 
 def delta_k(cfg: CrystalConfig, lambda_p_nm, lambda_s_nm):
@@ -75,9 +82,7 @@ def delta_k(cfg: CrystalConfig, lambda_p_nm, lambda_s_nm):
     """
     theta = cfg.effective_temperature_C
     lam_s = np.asarray(lambda_s_nm, dtype=float)
-    lam_i = 1.0 / (1.0 / lambda_p_nm - 1.0 / lam_s)
-    if np.any(lam_i <= 0):
-        raise DomainError("derived idler wavelength is unphysical")
+    lam_i = idler_wavelength_nm(lambda_p_nm, lam_s)
     cfg.model.check_wavelength(lam_i)  # signal/pump checked inside wavevector
     w_p = wavelength_nm_to_omega(lambda_p_nm)
     w_s = wavelength_nm_to_omega(lam_s)
@@ -167,8 +172,7 @@ def _signal_scan_range(cfg: CrystalConfig, lambda_p_nm: float):
     return lo * (1 + 1e-9), hi
 
 
-def tuning_curve(cfg: CrystalConfig, lambda_p_nm: float, theta_range,
-                 grid: int = 41):
+def tuning_curve(cfg: CrystalConfig, lambda_p_nm: float, theta_range, grid: int):
     """Phase-matched (theta, lambda_s, lambda_i) branches over a temperature
     range.  For each temperature all roots of dk(lambda_s) = 0 with
     lambda_s <= 2*lambda_p are found by a coarse scan plus bisection

@@ -44,7 +44,7 @@ def crystal(material, calibration_offset):
 
 @pytest.fixture(scope="session")
 def pump():
-    return biphoton.PumpEnvelope.from_wavelength(LAMBDA_P_NM)
+    return biphoton.PumpEnvelope.from_wavelength(LAMBDA_P_NM, 0.01)
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +62,49 @@ def jta_free_1024(jsa_1024):
 def jta_fiber_1024(jsa_1024, pump):
     fd = biphoton.FiberDispersion(beta_fs2=BETA_FIBER_FS2, reference_omega=pump.omega_p / 2.0)
     return biphoton.to_temporal(biphoton.apply_fiber_phase(jsa_1024, fd))
+
+
+def refractive_index(model, lambda_nm, theta_C):
+    """Extraordinary refractive index n_e(lambda, theta); lambda_nm in nm
+    (scalar or array), theta_C in degC.  The golden index values check the
+    Sellmeier evaluation that ``dispersion.wavevector`` uses."""
+    _, n, _, _ = dispersion._index_and_derivatives(model, lambda_nm, theta_C)
+    return n if np.ndim(lambda_nm) else float(n)
+
+
+def group_index(model, lambda_nm, theta_C):
+    """Group index n_g = n - lambda * dn/dlambda from the analytic dn/dlambda
+    of ``dispersion._index_and_derivatives``."""
+    lam_um, n, dn, _ = dispersion._index_and_derivatives(model, lambda_nm, theta_C)
+    ng = n - lam_um * dn
+    return ng if np.ndim(lambda_nm) else float(ng)
+
+
+def chain_efficiencies(chain):
+    """(eta_singles, eta_coin) of a ``counting.DetectionChain``: the
+    efficiency bookkeeping that the simulated rates must close on."""
+    eta_singles = chain.eta_coupling * chain.eta_insertion * chain.eta_detector
+    eta_coin = chain.eta_coupling * chain.eta_insertion ** 2 * chain.eta_detector ** 2
+    return eta_singles, eta_coin
+
+
+def to_spectral(js, centers):
+    """Inverse of ``biphoton.to_temporal``.  ``centers`` are the spectral
+    axis origins, ``(axis_s[n_s // 2], axis_i[n_i // 2])`` of the JSA: the
+    samples that ``ifftshift`` moves to index 0, the phase origin of the
+    forward transform."""
+    n_s, n_i = js.amplitude.shape
+    dt_s, dt_i = js.step("s"), js.step("i")
+    dw_s = TWO_PI / (n_s * dt_s)
+    dw_i = TWO_PI / (n_i * dt_i)
+    scale = dw_s * dw_i / TWO_PI
+    amp = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(js.amplitude / scale)))
+    c_s, c_i = centers
+    axis_s = c_s + np.fft.fftshift(np.fft.fftfreq(n_s, d=dt_s / TWO_PI))
+    axis_i = c_i + np.fft.fftshift(np.fft.fftfreq(n_i, d=dt_i / TWO_PI))
+    return biphoton.JointSpectrum(amplitude=amp, axis_s=axis_s, axis_i=axis_i,
+                                  domain="spectral", normalized=js.normalized,
+                                  measured=js.measured)
 
 
 def _fwhm_linear(x, y):

@@ -9,10 +9,11 @@ no spectrum can meet both at the stated beta (docs/entanglement_time.md).
 import numpy as np
 import pytest
 
-from spdclab import analysis, biphoton, counting as ct, dispersion, etpa, phasematch
+from spdclab import analysis, biphoton, counting as ct, etpa, phasematch
 
-from conftest import (BETA_FIBER_FS2, LAMBDA_P_NM, THETA_DEG_MEASURED_C,
-                      entanglement_time_cw_oracle, match_coincidences_bruteforce, total_mass)
+from conftest import (BETA_FIBER_FS2, LAMBDA_P_NM, THETA_DEG_MEASURED_C, chain_efficiencies,
+                      entanglement_time_cw_oracle, group_index, match_coincidences_bruteforce,
+                      refractive_index, to_spectral, total_mass)
 
 
 def _verdict(number, description, ok, detail=""):
@@ -29,7 +30,7 @@ def _within(value, target, rel):
 
 def test_criterion_1_detection_efficiency_arithmetic():
     chain = ct.DetectionChain(eta_coupling=0.9, eta_insertion=0.43, eta_detector=0.6)
-    eta_s, eta_c = ct.chain_efficiencies(chain)
+    eta_s, eta_c = chain_efficiencies(chain)
     ok = abs(eta_s - 0.23) <= 0.005 and abs(eta_c - 0.06) <= 0.005
     _verdict(1, "detection-efficiency arithmetic", ok,
              f"eta_singles={eta_s:.4f} (target 0.23+-0.005), "
@@ -109,7 +110,7 @@ def test_criterion_5_monte_carlo_closure():
     # (a) pair-rate closure over 30 seeds
     src = ct.SourceRates(1450.0, 7.0)
     chain = ct.DetectionChain(dark_rate_hz=0.0)
-    _, eta_coin = ct.chain_efficiencies(chain)
+    _, eta_coin = chain_efficiencies(chain)
     expected = src.pair_rate_hz * eta_coin
     rates = []
     for seed in range(30):
@@ -198,17 +199,17 @@ def test_criterion_6_gamma_statistic():
 
 def test_criterion_7_numerical_properties(jsa_1024, jta_free_1024, material):
     parseval = abs(total_mass(jta_free_1024) - total_mass(jsa_1024))
-    back = biphoton.to_spectral(jta_free_1024)
+    back = to_spectral(jta_free_1024, (jsa_1024.axis_s[512], jsa_1024.axis_i[512]))
     roundtrip = float(np.max(np.abs(back.amplitude - jsa_1024.amplitude)))
 
     lam, theta = 810.0, 59.4
     lam_um = lam * 1e-3
-    n = dispersion.refractive_index(material, lam, theta)
-    ng = dispersion.group_index(material, lam, theta)
+    n = refractive_index(material, lam, theta)
+    ng = group_index(material, lam, theta)
     dn_analytic = (n - ng) / lam_um
     h = 0.01
-    dn_fd = (dispersion.refractive_index(material, lam + h, theta)
-             - dispersion.refractive_index(material, lam - h, theta)) / (2 * h * 1e-3)
+    dn_fd = (refractive_index(material, lam + h, theta)
+             - refractive_index(material, lam - h, theta)) / (2 * h * 1e-3)
     fd_rel = abs(dn_fd - dn_analytic) / abs(dn_analytic)
 
     rng = np.random.default_rng(2024)

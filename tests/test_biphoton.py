@@ -21,11 +21,9 @@ from spdclab.biphoton import (
     jti_difference_profile,
     phase_matching_function,
     pump_envelope,
-    to_spectral,
     to_temporal,
 )
 from spdclab.constants import C0, FS, MM, wavelength_nm_to_omega
-from spdclab.dispersion import group_index
 from spdclab.errors import CoverageError, DomainError
 
 from conftest import (
@@ -35,8 +33,10 @@ from conftest import (
     assert_close,
     build_jsa_reference,
     export_matrix_csv_reference,
+    group_index,
     intensity,
     resample_jsi_reference,
+    to_spectral,
     to_temporal_reference,
     total_mass,
 )
@@ -127,7 +127,7 @@ def test_parseval(jsa_1024, jta_free_1024):
 
 
 def test_roundtrip(jsa_1024, jta_free_1024):
-    back = to_spectral(jta_free_1024)
+    back = to_spectral(jta_free_1024, (jsa_1024.axis_s[512], jsa_1024.axis_i[512]))
     assert np.max(np.abs(back.amplitude - jsa_1024.amplitude)) < 1e-10
     assert np.max(np.abs(back.axis_s - jsa_1024.axis_s)) < 1e-10 * np.max(np.abs(jsa_1024.axis_s))
 
@@ -258,7 +258,7 @@ def test_entanglement_time_needs_halfmax_drop():
     n = 64
     axis_t = np.linspace(-1e-12, 1e-12, n)
     flat = JointSpectrum(np.ones((n, n), dtype=complex), axis_t, axis_t,
-                         domain="temporal", spectral_centers=(0.0, 0.0))
+                         domain="temporal")
     with pytest.raises(CoverageError):
         entanglement_time_from_jti(flat)
 

@@ -213,6 +213,39 @@ def test_unread_flags_are_usage_errors(tmp_path, argv):
     assert exc.value.code == 2
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # numpy's generators take seeds >= 0 only; argparse refuses the rest
+    with pytest.raises(SystemExit) as exc:
+        run("simulate", "--config", config_path("paper_chain.json"),
+            "--out", str(tmp_path / "o"), "--seed", "-1")
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_refused_allocation_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    from spdclab import biphoton
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000, 1000000) and data type float64")
+
+    monkeypatch.setattr(biphoton, "build_jsa", refuse)
+    cfg = write_json(tmp_path / "jsa.json", SMALL_JSA)
+    assert run("jsa", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err == ("spdclab: out of memory: Unable to allocate 7.28 TiB for an array with "
+                   "shape (1000000, 1000000) and data type float64\n")
+
+
+def test_pump_without_idler_energy_exits_1_naming_it(tmp_path, capsys):
+    # a negative pump wavelength leaves no signal a positive idler energy
+    cfg = write_json(tmp_path / "c.json", {**PAPER_TUNING, "lambda_p_nm": -405.0})
+    assert run("tuning-curve", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == ("spdclab: signal 400 nm does not leave positive "
+                                       "idler energy for pump -405 nm\n")
+
+
 def test_computation_error_exits_1(tmp_path, capsys):
     # a poling period that can never be phase matched -> solver error
     cfg = write_json(tmp_path / "c.json", {

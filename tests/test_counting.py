@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from spdclab import counting as ct
 from spdclab.errors import DomainError, EstimateUndefinedError
 
-from conftest import (dump_csv_reference, match_coincidences_bruteforce, match_triples_bruteforce,
-                      simulate_tags_reference)
+from conftest import (chain_efficiencies, dump_csv_reference, match_coincidences_bruteforce,
+                      match_triples_bruteforce, simulate_tags_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -19,7 +19,7 @@ from conftest import (dump_csv_reference, match_coincidences_bruteforce, match_t
 
 def test_chain_efficiencies_paper_values():
     chain = ct.DetectionChain(eta_coupling=0.9, eta_insertion=0.43, eta_detector=0.6)
-    eta_s, eta_c = ct.chain_efficiencies(chain)
+    eta_s, eta_c = chain_efficiencies(chain)
     assert eta_s == pytest.approx(0.2322, abs=1e-12)
     assert eta_c == pytest.approx(0.0599076, abs=1e-12)
 
@@ -526,7 +526,7 @@ def test_closure_pair_rate_recovery():
     3 sigma over 30 seeds."""
     src = ct.SourceRates(1450.0, 7.0)
     chain = ct.DetectionChain(dark_rate_hz=0.0)
-    _, eta_coin = ct.chain_efficiencies(chain)
+    _, eta_coin = chain_efficiencies(chain)
     expected = src.pair_rate_hz * eta_coin
 
     rates = []
@@ -543,7 +543,7 @@ def test_closure_pair_rate_recovery():
 def test_closure_singles_rate():
     src = ct.SourceRates(1450.0, 7.0)
     chain = ct.DetectionChain(dark_rate_hz=0.0)
-    eta_s, _ = ct.chain_efficiencies(chain)
+    eta_s, _ = chain_efficiencies(chain)
     expected = src.pair_rate_hz * eta_s
     rates = [ct.count_coincidences(
         ct.simulate_tags(src, chain, seed=s), 1.0).singles["1"] for s in range(30)]

@@ -8,16 +8,14 @@ import pytest
 from spdclab import dispersion
 from spdclab.constants import MM, wavelength_nm_to_omega, omega_to_wavelength_nm
 from spdclab.dispersion import (
-    group_index,
     gvd,
     load_material,
-    refractive_index,
     wavevector,
     _parse_material_text,
 )
 from spdclab.errors import DomainError, TableParseError
 
-from conftest import assert_close
+from conftest import assert_close, group_index, refractive_index
 
 # Frozen from an independent transcription of the published Sellmeier
 # formula (direct evaluation, no shared code with the package).
