@@ -8,13 +8,16 @@ all with first-order (delta-method) uncertainty propagation.  The double
 ratio makes Gamma insensitive to any loss applied identically to both
 channels of both measurements, so a nonzero Gamma isolates pair-selective
 (two-photon) absorption from plain attenuation.
+
+The fit, R_abs and Gamma functions return the plain dicts that
+:func:`analysis_report` writes, one per fit or table row.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,22 +137,14 @@ def ingest_rate_table(path) -> RateTable:
 # ---------------------------------------------------------------------------
 # regression
 
-@dataclass(frozen=True)
-class FitResult:
-    """Weighted polynomial fit of R_coin versus P_SPDC."""
-
-    model: str                 # "linear" | "quadratic"
-    coefficients: tuple        # ascending order: intercept first
-    standard_errors: tuple
-    reduced_chi2: float
-    residuals: tuple
-    n_points: int
-
-
-def fit_rate_curve(table: RateTable, model: str) -> FitResult:
+def fit_rate_curve(table: RateTable, model: str) -> dict:
     """Weighted least squares of R_coin against P_SPDC with a free
     intercept.  Zero-uncertainty rows make the fit unweighted; mixed zero
     and nonzero uncertainties are rejected as inconsistent weighting.
+
+    Returns the report entry: ``model``, ``coefficients`` and
+    ``standard_errors`` (ascending order, intercept first),
+    ``reduced_chi2`` and ``n_points``.
     """
     if model not in ("linear", "quadratic"):
         raise SolverError(f"unknown fit model {model!r}")
@@ -183,14 +178,13 @@ def fit_rate_curve(table: RateTable, model: str) -> FitResult:
     residuals = y - design @ coef
     chi2 = float(np.sum(weights * residuals ** 2))
     dof = len(table) - n_par
-    return FitResult(
-        model=model,
-        coefficients=tuple(float(c) for c in coef),
-        standard_errors=tuple(float(s) for s in np.sqrt(np.diag(cov))),
-        reduced_chi2=chi2 / dof,
-        residuals=tuple(float(r) for r in residuals),
-        n_points=len(table),
-    )
+    return {
+        "model": model,
+        "coefficients": coef.tolist(),
+        "standard_errors": np.sqrt(np.diag(cov)).tolist(),
+        "reduced_chi2": chi2 / dof,
+        "n_points": len(table),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -218,34 +212,15 @@ def _align(solv: RateTable, samp: RateTable):
     return pairs
 
 
-@dataclass(frozen=True)
-class AbsorptionPoint:
-    p_spdc_pW: float
-    mode: str
-    r_abs: float
-    r_abs_err: float
-
-
 def absorption_rate(solv: RateTable, samp: RateTable):
     """Per-row transmitted-pair absorption rate, solvent minus sample, with
-    quadrature-combined uncertainty."""
+    quadrature-combined uncertainty: dicts with ``p_spdc_pW``, ``mode``,
+    ``r_abs`` and ``r_abs_err``."""
     return [
-        AbsorptionPoint(
-            p_spdc_pW=a.p_spdc_pW,
-            mode=a.mode,
-            r_abs=a.r_coin - b.r_coin,
-            r_abs_err=math.hypot(a.r_coin_err, b.r_coin_err),
-        )
+        {"p_spdc_pW": a.p_spdc_pW, "mode": a.mode, "r_abs": a.r_coin - b.r_coin,
+         "r_abs_err": math.hypot(a.r_coin_err, b.r_coin_err)}
         for a, b in _align(solv, samp)
     ]
-
-
-@dataclass(frozen=True)
-class GammaPoint:
-    p_spdc_pW: float
-    mode: str
-    gamma: float
-    gamma_err: float
 
 
 def biphoton_ratio(solv: RateTable, samp: RateTable):
@@ -253,7 +228,8 @@ def biphoton_ratio(solv: RateTable, samp: RateTable):
     propagation.  Rows where any rate in either table is nonpositive are
     skipped (not errored) and reported with a reason.
 
-    Returns (points, skipped) where skipped is a list of
+    Returns (points, skipped): points are dicts with ``p_spdc_pW``,
+    ``mode``, ``gamma`` and ``gamma_err``; skipped is a list of
     (P_SPDC, mode, reason) tuples.
     """
     points = []
@@ -272,12 +248,8 @@ def biphoton_ratio(solv: RateTable, samp: RateTable):
                 (b.r_s1, b.r_s1_err), (b.r_s2, b.r_s2_err), (b.r_coin, b.r_coin_err),
             )
         )
-        points.append(GammaPoint(
-            p_spdc_pW=a.p_spdc_pW,
-            mode=a.mode,
-            gamma=1.0 - ratio,
-            gamma_err=ratio * math.sqrt(rel_sq),
-        ))
+        points.append({"p_spdc_pW": a.p_spdc_pW, "mode": a.mode, "gamma": 1.0 - ratio,
+                       "gamma_err": ratio * math.sqrt(rel_sq)})
     return points, skipped
 
 
@@ -294,19 +266,14 @@ def analysis_report(solv: RateTable, samp: RateTable) -> dict:
             sub = table.by_mode(mode)
             for model in ("linear", "quadratic"):
                 try:
-                    fit = fit_rate_curve(sub, model)
+                    fits[f"{name}.{mode}.{model}"] = fit_rate_curve(sub, model)
                 except SolverError as exc:
                     fits[f"{name}.{mode}.{model}"] = {"error": str(exc)}
-                    continue
-                entry = asdict(fit)
-                entry.pop("residuals")
-                fits[f"{name}.{mode}.{model}"] = entry
-    r_abs = absorption_rate(solv, samp)
     gammas, skipped = biphoton_ratio(solv, samp)
     return {
         "fits": fits,
-        "r_abs": [asdict(p) for p in r_abs],
-        "gamma": [asdict(p) for p in gammas],
+        "r_abs": absorption_rate(solv, samp),
+        "gamma": gammas,
         "skipped": [{"p_spdc_pW": p, "mode": m, "reason": why}
                     for p, m, why in skipped],
         "flagged_rows": [

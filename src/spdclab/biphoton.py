@@ -11,7 +11,11 @@ Conventions
   sum |JSA|^2 dw dw = sum |JTA|^2 dt dt.
 * "Entanglement time" is the FWHM of the joint temporal intensity along
   the arrival-time-difference coordinate t_s - t_i through the JTI peak,
-  with linear interpolation between grid samples and no smoothing.
+  with linear interpolation between grid samples and no smoothing.  It is
+  sampled on the grid anti-diagonal, where one step moves t_s - t_i by
+  dt_s + dt_i, so the two axes may have different steps.
+* The fiber phase is given by two numbers, the group delay dispersion per
+  photon (fs^2) and the frequency it is referred to.
 """
 
 from __future__ import annotations
@@ -59,26 +63,10 @@ class PumpEnvelope:
 
 
 @dataclass(frozen=True)
-class FiberDispersion:
-    """Quadratic spectral phase accumulated outside the crystal.
-
-    beta_fs2 is the group delay dispersion in fs^2 applied to each photon;
-    the phase is exp(i beta/2 (omega - reference_omega)^2) per arm.
-    beta = 0 models the free-space case.
-    """
-
-    beta_fs2: float
-    reference_omega: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.beta_fs2):
-            raise DomainError("fiber dispersion must be finite")
-
-
-@dataclass(frozen=True)
 class GridSpec:
     """Square sampling grid for the joint spectrum, specified in wavelength
-    around the degenerate point."""
+    around ``center_lambda_nm``; ``spdclab jsa`` centres it on the
+    degenerate point 2 * lambda_p, where the model JSA is centred."""
 
     n: int
     center_lambda_nm: float
@@ -190,18 +178,23 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpe
     )
 
 
-def apply_fiber_phase(js: JointSpectrum, fd: FiberDispersion) -> JointSpectrum:
-    """Multiply by the quadratic per-arm dispersion phase.
+def apply_fiber_phase(js: JointSpectrum, beta_fs2: float, reference_omega: float) -> JointSpectrum:
+    """Multiply by the quadratic dispersion phase
+    exp(i beta/2 (omega - reference_omega)^2) of each arm, beta_fs2 being
+    the group delay dispersion in fs^2 that each photon sees outside the
+    crystal; beta = 0 is free space and returns ``js`` itself.
 
     Pure phase: |output| == |input| pointwise, marginals unchanged.
     """
     if js.domain != "spectral":
         raise DomainError("fiber phase applies in the spectral domain only")
-    if fd.beta_fs2 == 0.0:
+    if not np.isfinite(beta_fs2):
+        raise DomainError("fiber dispersion must be finite")
+    if beta_fs2 == 0.0:
         return js
-    beta = fd.beta_fs2 * FS ** 2
-    phase_s = np.exp(1j * beta / 2.0 * (js.axis_s - fd.reference_omega) ** 2)
-    phase_i = np.exp(1j * beta / 2.0 * (js.axis_i - fd.reference_omega) ** 2)
+    beta = beta_fs2 * FS ** 2
+    phase_s = np.exp(1j * beta / 2.0 * (js.axis_s - reference_omega) ** 2)
+    phase_i = np.exp(1j * beta / 2.0 * (js.axis_i - reference_omega) ** 2)
     amp = js.amplitude * phase_s[:, None]
     amp *= phase_i[None, :]
     return replace(js, amplitude=amp)
@@ -259,7 +252,8 @@ def jti_difference_profile(js: JointSpectrum):
     ii = np.arange(max(0, s0 - (n_i - 1)), min(n_s - 1, s0) + 1)
     prof = np.abs(js.amplitude[ii, s0 - ii]) ** 2
     i0 = int(ii[np.argmax(prof)])
-    tau = 2.0 * js.step("s") * (ii - i0)
+    # one sample along the anti-diagonal advances t_s by dt_s and t_i by -dt_i
+    tau = (js.step("s") + js.step("i")) * (ii - i0)
     return tau, prof
 
 

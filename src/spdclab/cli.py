@@ -58,9 +58,8 @@ JSA = {
     "crystal": (CRYSTAL, REQUIRED),
     "lambda_p_nm": (NUMBER, REQUIRED),
     "pump_fwhm_nm": (NUMBER, 0.01),
-    "grid": ({"n": (WHOLE, 1024),
-              "center_lambda_nm": (NUMBER, None),  # None: 2 * lambda_p_nm
-              "half_span_nm": (NUMBER, 60.0)}, {}),
+    # the grid is centred on the degenerate wavelength 2 * lambda_p_nm
+    "grid": ({"n": (WHOLE, 1024), "half_span_nm": (NUMBER, 60.0)}, {}),
     "fiber_beta_fs2": (NUMBER, 0.0),
     "measured_jsi_csv": (STRING, None),
     "measured_axis_units": (one_of("nm", "rad/s"), "nm"),
@@ -134,14 +133,10 @@ def cmd_jsa(args, cfg: dict, given: dict) -> int:
     else:
         crystal = _crystal(cfg["crystal"])
         env = biphoton.PumpEnvelope.from_wavelength(lambda_p, fwhm_nm=cfg["pump_fwhm_nm"])
-        grid = cfg["grid"]
-        if grid["center_lambda_nm"] is None:
-            grid["center_lambda_nm"] = 2 * lambda_p
-        jsa = biphoton.build_jsa(crystal, env, biphoton.GridSpec(**grid))
+        grid = biphoton.GridSpec(center_lambda_nm=2 * lambda_p, **cfg["grid"])
+        jsa = biphoton.build_jsa(crystal, env, grid)
         reference_omega = env.omega_p / 2.0
 
-    fiber = biphoton.FiberDispersion(beta_fs2=beta_fs2,
-                                     reference_omega=reference_omega)
     # at most one n x n input and the two buffers of one to_temporal are
     # alive at a time: the free JTA is reduced to its profile at once, and
     # the JSA is dropped once its fiber-phased copy exists.  The free FFT
@@ -149,7 +144,7 @@ def cmd_jsa(args, cfg: dict, given: dict) -> int:
     profile_free = biphoton.jti_difference_profile(biphoton.to_temporal(jsa))
     biphoton.export_matrix_csv(jsa, os.path.join(args.out, "jsi.csv"),
                                os.path.join(args.out, "jsi.json"))
-    jsa_fiber = biphoton.apply_fiber_phase(jsa, fiber)
+    jsa_fiber = biphoton.apply_fiber_phase(jsa, beta_fs2, reference_omega)
     del jsa
     jta_fiber = biphoton.to_temporal(jsa_fiber)
     del jsa_fiber

@@ -110,15 +110,16 @@ def _n_squared_terms(model: SellmeierModel, lam_um, theta_C: float):
     P = c["a2"] + c["b2"] * f
     Q = c["a3"] + c["b3"] * f
     R = c["a4"] + c["b4"] * f
-    # lam * lam, not lam ** 2: a numpy scalar squares through libm pow,
-    # which can round differently from an array's square
+    # powers as products (lam * lam, not lam ** 2): a numpy scalar raises
+    # through libm pow, which can round differently from an array's power
+    # loop; products give a scalar and an array call the same bits
     u = lam_um * lam_um
     d1 = u - Q ** 2
     d2 = u - c["a5"] ** 2
     n2 = c["a1"] + c["b1"] * f + P / d1 + R / d2 - c["a6"] * u
     # derivatives with respect to u = lam^2, then chain rule to lam
-    dn2_du = -P / d1 ** 2 - R / d2 ** 2 - c["a6"]
-    d2n2_du2 = 2 * P / d1 ** 3 + 2 * R / d2 ** 3
+    dn2_du = -P / (d1 * d1) - R / (d2 * d2) - c["a6"]
+    d2n2_du2 = 2 * P / (d1 * d1 * d1) + 2 * R / (d2 * d2 * d2)
     dn2_dlam = 2 * lam_um * dn2_du
     d2n2_dlam2 = 2 * dn2_du + 4 * u * d2n2_du2
     return n2, dn2_dlam, d2n2_dlam2
@@ -131,7 +132,7 @@ def _index_and_derivatives(model: SellmeierModel, lambda_nm, theta_C: float):
     n2, dn2, d2n2 = _n_squared_terms(model, lam_um, theta_C)
     n = np.sqrt(n2)
     dn = dn2 / (2 * n)              # dn/dlam, 1/um
-    d2n = (d2n2 - 2 * dn ** 2) / (2 * n)  # d2n/dlam2, 1/um^2
+    d2n = (d2n2 - 2 * (dn * dn)) / (2 * n)  # d2n/dlam2, 1/um^2
     return lam_um, n, dn, d2n
 
 
@@ -143,7 +144,7 @@ def gvd(model: SellmeierModel, lambda_nm, theta_C: float):
     lam_um, _, _, d2n = _index_and_derivatives(model, lambda_nm, theta_C)
     lam_m = lam_um * 1e-6
     d2n_m = d2n / (1e-6) ** 2  # 1/m^2
-    out = lam_m ** 3 / (TWO_PI * C0 ** 2) * d2n_m
+    out = lam_m * lam_m * lam_m / (TWO_PI * C0 ** 2) * d2n_m
     return out if np.ndim(lambda_nm) else float(out)
 
 

@@ -60,8 +60,8 @@ def jta_free_1024(jsa_1024):
 
 @pytest.fixture(scope="session")
 def jta_fiber_1024(jsa_1024, pump):
-    fd = biphoton.FiberDispersion(beta_fs2=BETA_FIBER_FS2, reference_omega=pump.omega_p / 2.0)
-    return biphoton.to_temporal(biphoton.apply_fiber_phase(jsa_1024, fd))
+    return biphoton.to_temporal(
+        biphoton.apply_fiber_phase(jsa_1024, BETA_FIBER_FS2, pump.omega_p / 2.0))
 
 
 def refractive_index(model, lambda_nm, theta_C):
@@ -282,13 +282,13 @@ def build_jsa_reference(cfg, env, grid):
                                   domain="spectral", normalized=True)
 
 
-def apply_fiber_phase_reference(js, fd):
+def apply_fiber_phase_reference(js, beta_fs2, reference_omega):
     """``biphoton.apply_fiber_phase`` as one chained product."""
-    if fd.beta_fs2 == 0.0:
+    if beta_fs2 == 0.0:
         return js
-    beta = fd.beta_fs2 * FS ** 2
-    phase_s = np.exp(1j * beta / 2.0 * (js.axis_s - fd.reference_omega) ** 2)
-    phase_i = np.exp(1j * beta / 2.0 * (js.axis_i - fd.reference_omega) ** 2)
+    beta = beta_fs2 * FS ** 2
+    phase_s = np.exp(1j * beta / 2.0 * (js.axis_s - reference_omega) ** 2)
+    phase_i = np.exp(1j * beta / 2.0 * (js.axis_i - reference_omega) ** 2)
     return replace(js, amplitude=js.amplitude * phase_s[:, None] * phase_i[None, :])
 
 
@@ -312,14 +312,12 @@ def jsa_outputs_reference(config_path, out) -> None:
         reference_omega = float(jsa.axis_s[len(jsa.axis_s) // 2])
     else:
         env = biphoton.PumpEnvelope.from_wavelength(cfg["lambda_p_nm"], cfg["pump_fwhm_nm"])
-        grid = {**cfg["grid"]}
-        if grid["center_lambda_nm"] is None:
-            grid["center_lambda_nm"] = 2 * cfg["lambda_p_nm"]
-        jsa = build_jsa_reference(cli._crystal(cfg["crystal"]), env, biphoton.GridSpec(**grid))
+        grid = biphoton.GridSpec(center_lambda_nm=2 * cfg["lambda_p_nm"], **cfg["grid"])
+        jsa = build_jsa_reference(cli._crystal(cfg["crystal"]), env, grid)
         reference_omega = env.omega_p / 2.0
-    fiber = biphoton.FiberDispersion(cfg["fiber_beta_fs2"], reference_omega)
     jta_free = to_temporal_reference(jsa)
-    jta_fiber = to_temporal_reference(apply_fiber_phase_reference(jsa, fiber))
+    jta_fiber = to_temporal_reference(
+        apply_fiber_phase_reference(jsa, cfg["fiber_beta_fs2"], reference_omega))
     os.makedirs(out, exist_ok=True)
     export_matrix_csv_reference(jsa, os.path.join(out, "jsi.csv"), os.path.join(out, "jsi.json"))
     export_matrix_csv_reference(jta_fiber, os.path.join(out, "jti.csv"),

@@ -181,20 +181,20 @@ def test_criterion_6_gamma_statistic():
     loss_chain = ct.DetectionChain(eta_detector=0.6 * 0.8, **base)
     loss = _rate_table_from_mc(loss_chain, powers, "loss-sample", seed0=200)
     pts_loss, _ = analysis.biphoton_ratio(solv, loss)
-    loss_ok = all(abs(p.gamma) <= 3 * p.gamma_err for p in pts_loss)
+    loss_ok = all(abs(p["gamma"]) <= 3 * p["gamma_err"] for p in pts_loss)
 
     # pair-selective removal: 20% of pairs absorbed
     etpa_sample = _rate_table_from_mc(solv_chain, powers, "etpa-sample",
                                       rate_scale=0.8, seed0=300)
     pts_etpa, _ = analysis.biphoton_ratio(solv, etpa_sample)
-    etpa_ok = all(p.gamma > 3 * p.gamma_err for p in pts_etpa)
+    etpa_ok = all(p["gamma"] > 3 * p["gamma_err"] for p in pts_etpa)
 
     ok = loss_ok and etpa_ok
     _verdict(6, "Gamma statistic discriminates eTPA from loss", ok,
              "pure loss Gamma/sigma = "
-             + "/".join(f"{p.gamma / p.gamma_err:.1f}" for p in pts_loss)
+             + "/".join(f"{p['gamma'] / p['gamma_err']:.1f}" for p in pts_loss)
              + "; pair removal Gamma/sigma = "
-             + "/".join(f"{p.gamma / p.gamma_err:.1f}" for p in pts_etpa))
+             + "/".join(f"{p['gamma'] / p['gamma_err']:.1f}" for p in pts_etpa))
 
 
 def test_criterion_7_numerical_properties(jsa_1024, jta_free_1024, material):

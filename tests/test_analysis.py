@@ -115,19 +115,19 @@ def test_fit_linear_exact():
     rows = [RateRow(r.p_spdc_pW, r.r_s1, 0.0, r.r_s2, 0.0, 2.0 * r.p_spdc_pW, 0.0,
                     "pump", "x") for r in rows]
     fit = fit_rate_curve(make_table(rows), "linear")
-    assert fit.coefficients[0] == pytest.approx(0.0, abs=1e-9)
-    assert fit.coefficients[1] == pytest.approx(2.0, abs=1e-12)
-    assert fit.reduced_chi2 == pytest.approx(0.0, abs=1e-18)
+    assert fit["coefficients"][0] == pytest.approx(0.0, abs=1e-9)
+    assert fit["coefficients"][1] == pytest.approx(2.0, abs=1e-12)
+    assert fit["reduced_chi2"] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_fit_quadratic_exact():
     rows = [RateRow(p, 1.0, 0.1, 1.0, 0.1, p ** 2, 1.0, "pump", "x")
             for p in (1.0, 2.0, 3.0, 5.0, 8.0)]
     fit = fit_rate_curve(make_table(rows), "quadratic")
-    assert fit.coefficients[2] == pytest.approx(1.0, abs=1e-9)
-    assert abs(fit.coefficients[1]) < 1e-9
-    assert fit.model == "quadratic"
-    assert len(fit.standard_errors) == 3
+    assert fit["coefficients"][2] == pytest.approx(1.0, abs=1e-9)
+    assert abs(fit["coefficients"][1]) < 1e-9
+    assert fit["model"] == "quadratic"
+    assert len(fit["standard_errors"]) == 3
 
 
 def test_fit_guards():
@@ -154,8 +154,8 @@ def test_fit_unbiased_monte_carlo():
         rows = [RateRow(pi, 1.0, 0.1, 1.0, 0.1, max(yi, 0.0), sigma, "pump", "x")
                 for pi, yi in zip(p, y)]
         fit = fit_rate_curve(make_table(rows), "linear")
-        z_a.append((fit.coefficients[0] - true_a) / fit.standard_errors[0])
-        z_b.append((fit.coefficients[1] - true_b) / fit.standard_errors[1])
+        z_a.append((fit["coefficients"][0] - true_a) / fit["standard_errors"][0])
+        z_b.append((fit["coefficients"][1] - true_b) / fit["standard_errors"][1])
     assert abs(np.mean(z_a)) < 4.0 / np.sqrt(1000)
     assert abs(np.mean(z_b)) < 4.0 / np.sqrt(1000)
 
@@ -170,7 +170,7 @@ def test_fit_chi2_distribution():
         y = 2.0 + 0.7 * p + rng.normal(0, 2.0, p.size)
         rows = [RateRow(pi, 1.0, 0.1, 1.0, 0.1, max(yi, 0.0), 2.0, "pump", "x")
                 for pi, yi in zip(p, y)]
-        chis.append(fit_rate_curve(make_table(rows), "linear").reduced_chi2)
+        chis.append(fit_rate_curve(make_table(rows), "linear")["reduced_chi2"])
     assert 0.8 < np.mean(chis) < 1.2
 
 
@@ -181,12 +181,12 @@ def test_absorption_rate_trivials():
     solv = make_table([make_row(10.0, 1.0, 1.0, 100.0, rel_err=0.03)])
     samp = make_table([make_row(10.0, 1.0, 1.0, 80.0, rel_err=0.05)])
     [point] = absorption_rate(solv, samp)
-    assert point.r_abs == pytest.approx(20.0)
-    assert point.r_abs_err == pytest.approx(math.hypot(3.0, 4.0))  # 5.0
+    assert point["r_abs"] == pytest.approx(20.0)
+    assert point["r_abs_err"] == pytest.approx(math.hypot(3.0, 4.0))  # 5.0
     # identical tables -> zeros with nonzero uncertainty
     [zero] = absorption_rate(solv, solv)
-    assert zero.r_abs == 0.0
-    assert zero.r_abs_err > 0
+    assert zero["r_abs"] == 0.0
+    assert zero["r_abs_err"] > 0
 
 
 def test_absorption_rate_antisymmetric():
@@ -195,7 +195,7 @@ def test_absorption_rate_antisymmetric():
     fwd = absorption_rate(solv, samp)
     rev = absorption_rate(samp, solv)
     for f, r in zip(fwd, rev):
-        assert f.r_abs == -r.r_abs
+        assert f["r_abs"] == -r["r_abs"]
 
 
 def test_alignment_error_lists_unmatched():
@@ -215,8 +215,8 @@ def test_gamma_identical_tables_is_zero():
     points, skipped = biphoton_ratio(table, table)
     assert skipped == []
     for pt in points:
-        assert pt.gamma == pytest.approx(0.0, abs=1e-15)
-        assert pt.gamma_err > 0
+        assert pt["gamma"] == pytest.approx(0.0, abs=1e-15)
+        assert pt["gamma_err"] > 0
 
 
 def test_gamma_pure_loss_is_zero():
@@ -228,7 +228,7 @@ def test_gamma_pure_loss_is_zero():
                  for r in solv_rows]
     points, _ = biphoton_ratio(make_table(solv_rows), make_table(samp_rows))
     for pt in points:
-        assert pt.gamma == pytest.approx(0.0, abs=1e-12)
+        assert pt["gamma"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gamma_pair_removal_is_positive():
@@ -241,7 +241,7 @@ def test_gamma_pair_removal_is_positive():
                  for r in solv_rows]
     points, _ = biphoton_ratio(make_table(solv_rows), make_table(samp_rows))
     for pt in points:
-        assert pt.gamma == pytest.approx(eps, abs=1e-12)
+        assert pt["gamma"] == pytest.approx(eps, abs=1e-12)
 
 
 def test_gamma_invariant_under_global_rescale():
@@ -257,7 +257,7 @@ def test_gamma_invariant_under_global_rescale():
 
     again, _ = biphoton_ratio(rescale(solv, 0.7, 0.5), rescale(samp, 0.7, 0.5))
     for b, a in zip(base, again):
-        assert abs(b.gamma - a.gamma) < 1e-12
+        assert abs(b["gamma"] - a["gamma"]) < 1e-12
 
 
 def test_gamma_skips_nonpositive_rows():

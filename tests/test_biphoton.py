@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from spdclab import biphoton
 from spdclab.biphoton import (
-    FiberDispersion,
     GridSpec,
     JointSpectrum,
     PumpEnvelope,
@@ -133,16 +132,24 @@ def test_roundtrip(jsa_1024, jta_free_1024):
 
 
 def test_fiber_phase_preserves_modulus(jsa_1024, pump):
-    fd = FiberDispersion(3.3e4, pump.omega_p / 2)
-    out = apply_fiber_phase(jsa_1024, fd)
+    out = apply_fiber_phase(jsa_1024, 3.3e4, pump.omega_p / 2)
     assert np.allclose(np.abs(out.amplitude), np.abs(jsa_1024.amplitude), atol=1e-14)
     # beta = 0 is the identity
-    assert apply_fiber_phase(jsa_1024, FiberDispersion(0.0, pump.omega_p / 2)) is jsa_1024
+    assert apply_fiber_phase(jsa_1024, 0.0, pump.omega_p / 2) is jsa_1024
 
 
 def test_fiber_phase_requires_spectral_domain(jta_free_1024, pump):
     with pytest.raises(DomainError):
-        apply_fiber_phase(jta_free_1024, FiberDispersion(1.0, pump.omega_p / 2))
+        apply_fiber_phase(jta_free_1024, 1.0, pump.omega_p / 2)
+
+
+@pytest.mark.parametrize("beta_fs2", [float("nan"), float("inf"), float("-inf")])
+def test_fiber_phase_refuses_non_finite_beta(jsa_1024, jta_free_1024, pump, beta_fs2):
+    with pytest.raises(DomainError, match="fiber dispersion must be finite"):
+        apply_fiber_phase(jsa_1024, beta_fs2, pump.omega_p / 2)
+    # the domain is checked first
+    with pytest.raises(DomainError, match="spectral domain only"):
+        apply_fiber_phase(jta_free_1024, beta_fs2, pump.omega_p / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +175,9 @@ def _random_spectrum(shape, seed):
 def test_pipeline_bytes_equal_reference_random(shape, seed):
     js = _random_spectrum(shape, seed)
     before = js.amplitude.copy()
-    fd = FiberDispersion(BETA_FIBER_FS2, float(js.axis_s[shape[0] // 3]))
-    phased = apply_fiber_phase(js, fd)
-    phased_ref = apply_fiber_phase_reference(js, fd).amplitude
+    fiber = (BETA_FIBER_FS2, float(js.axis_s[shape[0] // 3]))
+    phased = apply_fiber_phase(js, *fiber)
+    phased_ref = apply_fiber_phase_reference(js, *fiber).amplitude
     assert phased.amplitude.tobytes() == phased_ref.tobytes()
     jta = to_temporal(phased)
     assert jta.amplitude.tobytes() == to_temporal_reference(phased).amplitude.tobytes()
@@ -196,9 +203,9 @@ def test_to_temporal_non_complex128_input_equals_reference(dtype):
 
 
 def test_pipeline_bytes_equal_reference_model(jsa_1024, jta_free_1024, jta_fiber_1024, pump):
-    fd = FiberDispersion(BETA_FIBER_FS2, pump.omega_p / 2.0)
-    phased = apply_fiber_phase(jsa_1024, fd)
-    assert phased.amplitude.tobytes() == apply_fiber_phase_reference(jsa_1024, fd).amplitude.tobytes()
+    fiber = (BETA_FIBER_FS2, pump.omega_p / 2.0)
+    phased = apply_fiber_phase(jsa_1024, *fiber)
+    assert phased.amplitude.tobytes() == apply_fiber_phase_reference(jsa_1024, *fiber).amplitude.tobytes()
     assert (jta_free_1024.amplitude.tobytes()
             == to_temporal_reference(jsa_1024).amplitude.tobytes())
     assert (jta_fiber_1024.amplitude.tobytes()
@@ -224,6 +231,27 @@ def test_gaussian_pair_analytic_fwhm():
 
 # ---------------------------------------------------------------------------
 # entanglement time
+
+def _gaussian_pair(n_s, half_s, n_i, half_i):
+    """exp(-S^2 / 4 sigma_p^2) exp(-D^2 / 4 sigma_d^2) with
+    S = w_s + w_i - 2 w0 and D = (w_s - w_i) / 2, on axes w0 +- half."""
+    w0, sigma_p, sigma_d = 2.3e15, 1e13, 2e13
+    w_s = w0 + np.linspace(-half_s, half_s, n_s)
+    w_i = w0 + np.linspace(-half_i, half_i, n_i)
+    big_s = w_s[:, None] + w_i[None, :] - 2 * w0
+    big_d = (w_s[:, None] - w_i[None, :]) / 2
+    amp = np.exp(-big_s ** 2 / (4 * sigma_p ** 2)) * np.exp(-big_d ** 2 / (4 * sigma_d ** 2))
+    return JointSpectrum(amp.astype(complex), w_s, w_i, domain="spectral")
+
+
+@pytest.mark.parametrize("n_i, half_i", [(1024, 1.2e15), (700, 5e14)])
+def test_entanglement_time_independent_of_idler_sampling(n_i, half_i):
+    # along the sampled anti-diagonal t_s - t_i advances by dt_s + dt_i,
+    # so the idler's step must not move T_e
+    reference = entanglement_time_from_jti(to_temporal(_gaussian_pair(1024, 8e14, 1024, 8e14)))
+    te = entanglement_time_from_jti(to_temporal(_gaussian_pair(1024, 8e14, n_i, half_i)))
+    assert_close(te, reference, 5e-3, f"T_e with the idler on {n_i} points over +-{half_i:g} rad/s")
+
 
 def test_entanglement_time_free_golden(jta_free_1024):
     assert_close(entanglement_time_from_jti(jta_free_1024), GOLDEN_TE_FREE_FS,
@@ -405,8 +433,7 @@ def _assert_export_identical(js, tmp_path):
 
 def test_export_bytes_equal_reference_jsa_256(tmp_path, crystal, pump):
     jsa = build_jsa(crystal, pump, GridSpec(n=256, center_lambda_nm=810.0, half_span_nm=60.0))
-    fd = FiberDispersion(beta_fs2=BETA_FIBER_FS2, reference_omega=pump.omega_p / 2.0)
-    jti = to_temporal(apply_fiber_phase(jsa, fd))
+    jti = to_temporal(apply_fiber_phase(jsa, BETA_FIBER_FS2, pump.omega_p / 2.0))
     assert jti.axis_s[0] < 0
     for js in (jsa, jti):
         _assert_export_identical(js, tmp_path)

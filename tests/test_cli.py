@@ -33,7 +33,7 @@ SMALL_JSA = {
                 "temperature_C": 59.4, "calibration_offset_C": 49.0975327},
     "lambda_p_nm": 405.0,
     "pump_fwhm_nm": 0.01,
-    "grid": {"n": 256, "center_lambda_nm": 810.0, "half_span_nm": 60.0},
+    "grid": {"n": 256, "half_span_nm": 60.0},
     "fiber_beta_fs2": 33000.0,
 }
 
@@ -87,6 +87,9 @@ def chain_with(part, **changes):
                  id="jsa-crystal-list"),
     pytest.param("jsa", {**SMALL_JSA, "grid": 5}, "'grid' must be a JSON object",
                  id="jsa-grid-number"),
+    # the grid is centred on 2 * lambda_p_nm; its centre is not a key
+    pytest.param("jsa", {**SMALL_JSA, "grid": {"n": 256, "center_lambda_nm": 810.0}},
+                 "unexpected key 'grid.center_lambda_nm'", id="jsa-grid.center_lambda_nm"),
     pytest.param("jsa", {**SMALL_JSA, "pump_fwhm": 0.05},
                  "'pump_fwhm' is missing its unit suffix (expected 'pump_fwhm_nm')",
                  id="jsa-pump_fwhm-typo"),
@@ -409,7 +412,7 @@ def test_jsa_peak_memory_is_three_matrices(tmp_path, beta_fs2):
     n = 512
     cfg = write_json(tmp_path / "jsa.json", {
         **SMALL_JSA, "fiber_beta_fs2": beta_fs2,
-        "grid": {"n": n, "center_lambda_nm": 810.0, "half_span_nm": 30.0}})
+        "grid": {"n": n, "half_span_nm": 30.0}})
     assert run("jsa", "--config", cfg, "--out", str(tmp_path / "warm")) == 0
     tracemalloc.start()
     try:
@@ -458,8 +461,7 @@ def test_jsa_malformed_measured_input_exits_1(tmp_path, capsys, axis_s, row, whe
 
 def test_jsa_coverage_error_exits_1(tmp_path):
     cfg = write_json(tmp_path / "jsa.json",
-                     {**SMALL_JSA, "grid": {"n": 64, "center_lambda_nm": 810.0,
-                                            "half_span_nm": 0.05}})
+                     {**SMALL_JSA, "grid": {"n": 64, "half_span_nm": 0.05}})
     assert run("jsa", "--config", cfg, "--out", str(tmp_path / "o")) == 1
 
 

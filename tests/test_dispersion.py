@@ -167,6 +167,15 @@ def test_vectorized_matches_scalar(material):
         assert v == refractive_index(material, float(lam), 59.4)
 
 
+def test_gvd_scalar_equals_array_bitwise(material):
+    # every power is a product, so a scalar call (libm pow for a numpy
+    # scalar's **) and an array call (numpy's power loop) round alike
+    lams = np.random.default_rng(17).uniform(450.0, 3500.0, 20_000)
+    vec = gvd(material, lams, 100.0)
+    scalar = np.array([gvd(material, float(lam), 100.0) for lam in lams])
+    assert np.flatnonzero(scalar != vec).size == 0
+
+
 def test_wavevector_definition(material):
     omega = wavelength_nm_to_omega(810.0)
     n = refractive_index(material, 810.0, 59.4)

@@ -4,6 +4,9 @@ The subcommands themselves are not fuzzed: a config that passes may still
 ask for a grid too large to allocate.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,3 +71,51 @@ def test_check_passes_or_raises_config_error(command, data):
     for key, (kind, _) in table.items():
         if key in value and not isinstance(kind, dict):
             assert resolved[key] is value[key]
+
+
+# ---------------------------------------------------------------------------
+# the README's "Config keys" section against the tables
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _schema_keys(table, prefix=""):
+    """The keys of ``table``, dotted below the top level; ``crystal`` is one
+    key, since the README gives its table apart."""
+    keys = []
+    for key, (kind, _) in table.items():
+        if isinstance(kind, dict) and kind is not cli.CRYSTAL:
+            keys += _schema_keys(kind, f"{prefix}{key}.")
+        else:
+            keys.append(prefix + key)
+    return keys
+
+
+def _readme_keys(names):
+    """{name: keys} from the first paragraph of the README's "Config keys"
+    section that starts with each backticked name: the first column of the
+    table that follows it, or else the backticked names after its ``):``
+    (``etpa-report`` lists its keys in prose)."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Config keys\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("\n\n")
+    found = {}
+    for block, following in zip(blocks, blocks[1:] + [""]):
+        head = re.match(r"`([\w-]+)`", block)
+        if not head or head.group(1) not in names or head.group(1) in found:
+            continue
+        if following.startswith("|"):
+            rows = following.splitlines()[2:]  # below the header and its rule
+            found[head.group(1)] = [re.match(r"\| `([\w.]+)` \|", row).group(1) for row in rows]
+        else:
+            found[head.group(1)] = re.findall(r"`(\w+)`", block.partition("):")[2])
+    return found
+
+
+def test_readme_names_exactly_the_keys_of_each_table():
+    tables = {"crystal": cli.CRYSTAL,
+              **{command: table() for command, (_, table) in cli.COMMANDS.items()}}
+    readme = _readme_keys(tables)
+    assert readme.keys() == tables.keys()
+    for name, table in tables.items():
+        assert sorted(readme[name]) == sorted(_schema_keys(table)), name
