@@ -56,6 +56,8 @@ class PumpEnvelope:
     def from_wavelength(cls, lambda_p_nm: float, fwhm_nm: float) -> "PumpEnvelope":
         """CW pump at lambda_p_nm with a Gaussian linewidth given as FWHM in
         nm."""
+        if not fwhm_nm > 0:
+            raise DomainError(f"pump fwhm_nm must be positive, got {fwhm_nm}")
         omega_p = wavelength_nm_to_omega(lambda_p_nm)
         sigma_lambda = fwhm_nm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
         sigma_p = TWO_PI * C0 / (lambda_p_nm * NM) ** 2 * (sigma_lambda * NM)
@@ -71,6 +73,10 @@ class GridSpec:
     n: int
     center_lambda_nm: float
     half_span_nm: float
+
+    def __post_init__(self):
+        if not self.half_span_nm > 0:
+            raise DomainError(f"grid half_span_nm must be positive, got {self.half_span_nm}")
 
     def omega_axis(self) -> np.ndarray:
         center = wavelength_nm_to_omega(self.center_lambda_nm)

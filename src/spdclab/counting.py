@@ -344,38 +344,31 @@ def _merge(streams):
 
 def _timeline(streams, joined=None):
     """The timeline of the sorted ``streams`` (:func:`_merge`) as pieces
-    ``(times, codes)``, in order, of at most ``_PIECE_CLICKS`` clicks per
-    stream bar runs of equal timestamps and a NaN tail.
+    ``(times, codes)``, in order.
 
     The pieces start at the distinct stream values at stride
     ``_PIECE_CLICKS`` (sorted and deduplicated by hand: ``np.unique``
     imports ``numpy.ma``), each stream sliced there with ``searchsorted``
     (side left): equal timestamps share a piece, so the pieces, each merged
-    on its own, run in the timeline's (time, stream) order.  With
-    ``joined`` a piece also ends at a cluster cut, between adjacent clicks
-    x, y where ``joined(x, y)`` is false: the clicks after its last cut are
-    held, part by part, until a later piece brings a cut, so each cluster
-    lies whole in one piece.
+    on its own, run in the timeline's (time, stream) order and hold at most
+    ``_PIECE_CLICKS`` clicks per stream bar runs of equal timestamps and a
+    NaN tail.  With ``joined`` a piece starts only where a cluster starts:
+    a start value c stays only if ``joined(x, c)`` is false for the latest
+    click x below c in any stream, so each cluster lies whole in one piece
+    and a piece runs on past each start that falls inside a cluster.
     """
     cuts = np.sort(np.concatenate([np.empty(0), *(s[::_PIECE_CLICKS] for s in streams)]))
     cuts = np.concatenate((cuts[:1], cuts[1:][cuts[1:] > cuts[:-1]]))  # NaNs join the last piece
+    if joined is not None:
+        x = np.full(cuts[1:].shape, -np.inf)  # the latest click below each later start
+        for s in streams:
+            if len(s):
+                b = np.searchsorted(s, cuts[1:])
+                np.maximum(x, s[b - 1], out=x, where=b > 0)
+        cuts = np.concatenate((cuts[:1], cuts[1:][~joined(x, cuts[1:])]))
     bounds = [np.concatenate(([0], np.searchsorted(s, cuts[1:]), [len(s)])) for s in streams]
-    held = []  # the parts of the cluster that is still open
     for k in range(len(cuts)):
-        times, codes = _merge([s[b[k]:b[k + 1]] for s, b in zip(streams, bounds)])
-        if joined is None:
-            yield times, codes
-            continue
-        t = np.concatenate((held[-1][0][-1:] if held else times[:0], times))
-        opens = np.flatnonzero(~joined(t[:-1], t[1:])) + len(times) - len(t) + 1
-        if len(opens):  # times[opens[-1]] opens the last cluster of the piece
-            held.append((times[:opens[-1]], codes[:opens[-1]]))
-            yield tuple(map(np.concatenate, zip(*held)))
-            held = [(times[opens[-1]:], codes[opens[-1]:])]
-        else:
-            held.append((times, codes))
-    if held:
-        yield tuple(map(np.concatenate, zip(*held)))
+        yield _merge([s[b[k]:b[k + 1]] for s, b in zip(streams, bounds)])
 
 
 def _in_sort_order(x) -> bool:
@@ -387,19 +380,15 @@ def _in_sort_order(x) -> bool:
     return bool(ok.all())
 
 
-def _clusters(joined, m: int):
+def _clusters(joined):
     """The clusters of a timeline whose clicks k and k + 1 share one where
     ``joined[k]``: a mask over clicks, true at the first click of each
-    cluster of exactly ``m`` >= 2, and the first and end index of each
-    larger one."""
+    cluster of exactly two, and the first and end index of each larger
+    one."""
     linked = np.concatenate(([False], joined, [False]))  # linked[k]: clicks k - 1, k
-    n = max(len(linked) - m, 0)  # candidate first clicks
-    run = np.ones(n, dtype=bool)  # clicks s .. s + m - 1 share a cluster
-    for k in range(1, m):
-        run &= linked[k:k + n]
-    opens, closes = ~linked[:n], ~linked[m:m + n]
-    return (run & opens & closes, np.flatnonzero(run & opens & ~closes),
-            np.flatnonzero(run & ~opens & closes) + m)
+    pair, opens, closes = linked[1:-1], ~linked[:-2], ~linked[2:]
+    return (pair & opens & closes, np.flatnonzero(pair & opens & ~closes),
+            np.flatnonzero(pair & ~opens & closes) + 2)
 
 
 def _match_pairs_loop(a, b, window_ns: float) -> int:
@@ -428,12 +417,13 @@ def match_coincidences(a: np.ndarray, b: np.ndarray, window_ns: float) -> int:
     fl(|a - b|) >= fl(y - x) > window: while the two pointers sit in
     different clusters the walk matches nothing and advances the one in the
     earlier cluster, so inside each cluster it is the walk over that
-    cluster's clicks alone.  The timeline is read in pieces that end at
-    such cuts (:func:`_timeline`), so each cluster lies whole in one piece
-    and the sum over the pieces is the sum over the clusters.  One click
-    matches nothing and two count 1 iff they come from different streams;
-    only clusters of three or more run the loop.  A stream out of
-    ``np.sort``'s order (a NaN followed by a number included) is refused.
+    cluster's clicks alone.  The timeline is read in pieces that start
+    only where a cluster starts (:func:`_timeline`), so each cluster lies
+    whole in one piece and the sum over the pieces is the sum over the
+    clusters.  One click matches nothing and two count 1 iff they come
+    from different streams; only clusters of three or more run the loop.
+    A stream out of ``np.sort``'s order (a NaN followed by a number
+    included) is refused.
     """
     a, b = np.asarray(a), np.asarray(b)
     if not (_in_sort_order(a) and _in_sort_order(b)):
@@ -444,7 +434,7 @@ def match_coincidences(a: np.ndarray, b: np.ndarray, window_ns: float) -> int:
 
     matches = 0
     for times, codes in _timeline([a, b], joined):
-        two, firsts, ends = _clusters(joined(times[:-1], times[1:]), 2)
+        two, firsts, ends = _clusters(joined(times[:-1], times[1:]))
         matches += int(np.count_nonzero(two & (codes[:-1] != codes[1:])))
         for lo, hi in zip(firsts.tolist(), ends.tolist()):
             t, c = times[lo:hi], codes[lo:hi]
@@ -481,11 +471,10 @@ def match_triples(h, a, b, window_ns: float) -> int:
     so it neither matches nor skips a click >= y.  The a and b pointers
     thus enter each cluster at its first click on their side and leave it
     only by its own or later heralds, and the sum over the pieces of the
-    timeline, which end at such cuts (:func:`_timeline`), is the sum over
-    the clusters.  Fewer than three clicks lack a channel; three count 1
-    iff they come from the three channels and a and b lie in
-    [fl(h - window), fl(h + window)]; only clusters of four or more run the
-    loop.  A stream out of ``np.sort``'s order is refused.
+    timeline, which start only where a cluster starts (:func:`_timeline`),
+    is the sum over the clusters.  Fewer than three clicks lack a channel,
+    so only clusters of three or more run the loop.  A stream out of
+    ``np.sort``'s order is refused.
     """
     h, a, b = np.asarray(h), np.asarray(a), np.asarray(b)
     if not (_in_sort_order(h) and _in_sort_order(a) and _in_sort_order(b)):
@@ -496,14 +485,7 @@ def match_triples(h, a, b, window_ns: float) -> int:
 
     matches = 0
     for times, codes in _timeline([h, a, b], joined):
-        three, firsts, ends = _clusters(joined(times[:-1], times[1:]), 3)
-        k = np.flatnonzero(three)[:, None] + np.arange(3)
-        t, c = times[k], codes[k]
-        full = (c[:, 0] != c[:, 1]) & (c[:, 0] != c[:, 2]) & (c[:, 1] != c[:, 2])
-        t, c = t[full], c[full]
-        lo, hi = t[c == 0] - window_ns, t[c == 0] + window_ns
-        u, v = t[c == 1], t[c == 2]
-        matches += int(np.count_nonzero((u >= lo) & (u <= hi) & (v >= lo) & (v <= hi)))
+        _, firsts, ends = _clusters(joined(times[:-1], times[1:]))
         for first, end in zip(firsts.tolist(), ends.tolist()):
             t, c = times[first:end], codes[first:end]
             matches += _match_triples_loop(t[c == 0].tolist(), t[c == 1].tolist(),

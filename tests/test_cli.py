@@ -465,6 +465,23 @@ def test_jsa_coverage_error_exits_1(tmp_path):
     assert run("jsa", "--config", cfg, "--out", str(tmp_path / "o")) == 1
 
 
+@pytest.mark.parametrize("config, message", [
+    pytest.param({**SMALL_JSA, "grid": {"n": 64, "half_span_nm": -60.0}},
+                 "grid half_span_nm must be positive, got -60.0", id="half_span-negative"),
+    pytest.param({**SMALL_JSA, "grid": {"n": 64, "half_span_nm": 0}},
+                 "grid half_span_nm must be positive, got 0", id="half_span-zero"),
+    pytest.param({**SMALL_JSA, "pump_fwhm_nm": -0.01},
+                 "pump fwhm_nm must be positive, got -0.01", id="pump_fwhm-negative"),
+    pytest.param({**SMALL_JSA, "pump_fwhm_nm": 0.0},
+                 "pump fwhm_nm must be positive, got 0.0", id="pump_fwhm-zero"),
+])
+def test_jsa_nonpositive_width_exits_1_naming_it(tmp_path, capsys, config, message):
+    cfg = write_json(tmp_path / "jsa.json", config)
+    assert run("jsa", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"spdclab: {message}\n"
+    assert not (tmp_path / "o" / "jsi.csv").exists()
+
+
 def write_measured(path, axis_s, axis_i, intensity):
     with open(path, "w") as fh:
         fh.write("# axis_s: " + " ".join(repr(float(v)) for v in axis_s) + "\n")

@@ -62,14 +62,16 @@ def _streams(draw, n_streams, max_size):
     """Sorted click streams and a window: either arbitrary floats, or an
     integer grid with a window of a whole or half number of grid steps,
     where equal timestamps across streams and gaps of exactly w and 2w
-    occur."""
+    occur.  A stream may end in one or two NaNs, which np.sort puts
+    last."""
     if draw(st.booleans()):
         clicks = st.integers(0, 1000).map(float)
         w = draw(st.integers(1, 8)) / 2.0
     else:
         clicks = st.floats(0, 1e4, allow_nan=False)
         w = draw(st.floats(0.01, 50.0))
-    streams = [np.sort(np.array(draw(st.lists(clicks, max_size=max_size))))
+    streams = [np.sort(np.array(draw(st.lists(clicks, max_size=max_size))
+                                + [np.nan] * draw(st.integers(0, 2))))
                for _ in range(n_streams)]
     return (*streams, w)
 
@@ -102,8 +104,8 @@ def test_two_pointer_equals_bruteforce_small_pieces(piece, case):
 @given(case=_streams(3, 50))
 def test_timeline_pieces_join_to_merge(piece, case):
     """The pieces join to the whole merged timeline, hold at most
-    ``piece`` clicks of a stream of distinct values, and with ``joined``
-    end at a cut."""
+    ``piece`` clicks of a stream of distinct values bar its NaN tail, and
+    with ``joined`` end at a cut."""
     *streams, w = case
 
     def joined(x, y):
@@ -119,27 +121,30 @@ def test_timeline_pieces_join_to_merge(piece, case):
             for (t, _), (u, _) in zip(pieces[:-1], pieces[1:]):
                 assert link is None or not joined(t[-1], u[0])
             for k, s in enumerate(streams):
-                if link is None and len(np.unique(s)) == len(s):
-                    assert all(np.count_nonzero(c == k) <= piece for _, c in pieces)
+                finite = s[~np.isnan(s)]  # a NaN tail joins the last piece
+                if link is None and len(np.unique(finite)) == len(finite):
+                    assert all(np.count_nonzero((c == k) & ~np.isnan(t)) <= piece
+                               for t, c in pieces)
 
 
 def test_cluster_across_pieces_stays_whole():
     """Gaps of 0.25 under a window of 1: one cluster of 38 clicks over 19
-    of the 20 pieces, then a cut and a second cluster."""
+    of the 20 stride values, then a cut and a second cluster that no stride
+    value falls on, so one piece holds both."""
     a = np.arange(20) * 0.5
     b = np.concatenate((a[:-1] + 0.25, [100.0]))
     a[-1] = 100.5
     with mock.patch.object(ct, "_PIECE_CLICKS", 2):
         pieces = list(ct._timeline([a, b], lambda x, y: y - x <= 1.0))
-        assert [len(t) for t, _ in pieces] == [38, 2]
+        assert [len(t) for t, _ in pieces] == [40]
         assert ct.match_coincidences(a, b, 1.0) == match_coincidences_bruteforce(a, b, 1.0) == 20
         h = np.arange(12) * 0.5
         assert ct.match_triples(h, a, b, 1.0) == match_triples_bruteforce(h, a, b, 1.0)
 
 
 def test_timeline_pieces_of_lone_clicks_stay_apart():
-    """A piece whose only cut is at its start still closes the held
-    cluster: clicks 10 apart under a window of 1 come one per piece."""
+    """Every stride value that starts a cluster starts a piece: clicks 10
+    apart under a window of 1 come one per piece."""
     with mock.patch.object(ct, "_PIECE_CLICKS", 1):
         pieces = list(ct._timeline([np.arange(6) * 10.0], lambda x, y: y - x <= 1.0))
     assert [t.tolist() for t, _ in pieces] == [[0.0], [10.0], [20.0], [30.0], [40.0], [50.0]]
