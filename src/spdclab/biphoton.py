@@ -133,9 +133,7 @@ def phase_matching_function(cfg: CrystalConfig, omega_s, omega_i):
     """sinc(dk L / 2) per grid point, pumped at w_s + w_i; sinc(0) = 1."""
     w_s = np.asarray(omega_s, dtype=float)
     w_i = np.asarray(omega_i, dtype=float)
-    lambda_p_nm = omega_to_wavelength_nm(w_s + w_i)
-    cfg.model.check_wavelength(lambda_p_nm)  # name the pump first when it leaves the window
-    dk = delta_k(cfg, lambda_p_nm, omega_to_wavelength_nm(w_s))
+    dk = delta_k(cfg, omega_to_wavelength_nm(w_s + w_i), omega_to_wavelength_nm(w_s))
     x = dk * (cfg.length_mm * MM) / 2.0
     out = np.sinc(x / np.pi)
     return out if np.ndim(out) else float(out)

@@ -175,8 +175,8 @@ def cmd_simulate(args, cfg: dict, given: dict) -> int:
     payload = {
         "config": given,
         "seed": args.seed,
-        "raw": counts.payload(),
-        "corrected": corrected.payload(),
+        "raw": counts,
+        "corrected": corrected,
     }
     if chain.topology == "heralded":
         try:

@@ -1,5 +1,8 @@
 """Detection-chain model, Monte Carlo click-stream simulation and counting
 estimators (singles, coincidences, accidental correction, heralded g2).
+The counters return the ``raw`` and ``corrected`` objects of
+``count_summary.json`` as plain dicts, the pair of channels a < b keyed
+``"a-b"`` as the file writes it.
 
 Model notes
 -----------
@@ -22,7 +25,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -493,155 +497,103 @@ def match_triples(h, a, b, window_ns: float) -> int:
     return matches
 
 
-@dataclass(frozen=True)
-class CountSummary:
-    """Rates in counts/s with Poisson uncertainties sqrt(N)/T."""
-
-    integration_time_ms: float
-    coincidence_window_ns: float
-    singles: dict            # label -> rate
-    singles_err: dict
-    coincidences: dict       # (label_a, label_b) -> rate
-    coincidences_err: dict
-    accidentals: dict        # (label_a, label_b) -> estimated rate
-    triples: float | None = None
-    triples_err: float | None = None
-    triple_accidentals: float | None = None
-    warnings: tuple = ()
-    corrected: bool = False
-
-    def payload(self) -> dict:
-        return {
-            "integration_time_ms": self.integration_time_ms,
-            "coincidence_window_ns": self.coincidence_window_ns,
-            "singles_per_s": self.singles,
-            "singles_err_per_s": self.singles_err,
-            "coincidences_per_s": {f"{a}-{b}": v for (a, b), v in self.coincidences.items()},
-            "coincidences_err_per_s": {f"{a}-{b}": v for (a, b), v in self.coincidences_err.items()},
-            "accidentals_per_s": {f"{a}-{b}": v for (a, b), v in self.accidentals.items()},
-            "triples_per_s": self.triples,
-            "triples_err_per_s": self.triples_err,
-            "triple_accidentals_per_s": self.triple_accidentals,
-            "warnings": list(self.warnings),
-            "corrected": self.corrected,
-        }
-
-
 def accidental_rate(rate_a: float, rate_b: float, window_ns: float) -> float:
     """Chance-coincidence rate of two independent streams for a matcher
     that accepts |dt| <= window."""
     return 2.0 * rate_a * rate_b * (window_ns * 1e-9)
 
 
-def count_coincidences(tags: TagStream, window_ns: float) -> CountSummary:
+def count_coincidences(tags: TagStream, window_ns: float) -> dict:
     """Singles, pairwise coincidences (greedy earliest-match), accidental
-    estimates, and triple coincidences for the 3-channel topology."""
+    estimates, and triple coincidences for the 3-channel topology, in
+    counts/s with Poisson uncertainties sqrt(N)/T: the ``raw`` object of
+    ``count_summary.json``.  The pair of channels a < b is keyed ``"a-b"``;
+    the triple rates are None outside the heralded topology."""
     t_s = tags.integration_time_ms * 1e-3
-    labels = sorted(tags.channels)
-    singles = {}
-    singles_err = {}
-    for label in labels:
-        n = len(tags.channels[label])
-        singles[label] = n / t_s
-        singles_err[label] = np.sqrt(n) / t_s
-
-    coincidences = {}
-    coincidences_err = {}
-    accidentals = {}
-    for x in range(len(labels)):
-        for y in range(x + 1, len(labels)):
-            la, lb = labels[x], labels[y]
-            n = match_coincidences(tags.channels[la], tags.channels[lb], window_ns)
-            coincidences[(la, lb)] = n / t_s
-            coincidences_err[(la, lb)] = np.sqrt(n) / t_s
-            accidentals[(la, lb)] = accidental_rate(singles[la], singles[lb], window_ns)
-
-    triples = triples_err = triple_acc = None
-    if set(labels) == set(HERALDED_CHANNELS):
-        n3 = match_triples(tags.channels["h"], tags.channels["1"], tags.channels["2"], window_ns)
-        triples = n3 / t_s
-        triples_err = np.sqrt(n3) / t_s
-        triple_acc = singles["h"] * singles["1"] * singles["2"] * (2.0 * window_ns * 1e-9) ** 2
-
-    return CountSummary(
-        integration_time_ms=tags.integration_time_ms,
-        coincidence_window_ns=window_ns,
-        singles=singles,
-        singles_err=singles_err,
-        coincidences=coincidences,
-        coincidences_err=coincidences_err,
-        accidentals=accidentals,
-        triples=triples,
-        triples_err=triples_err,
-        triple_accidentals=triple_acc,
-    )
+    channels = tags.channels
+    labels = sorted(channels)
+    pairs = list(combinations(labels, 2))
+    clicks = {label: len(channels[label]) for label in labels}
+    matched = {f"{a}-{b}": match_coincidences(channels[a], channels[b], window_ns)
+               for a, b in pairs}
+    singles = {label: n / t_s for label, n in clicks.items()}
+    counts = {
+        "integration_time_ms": tags.integration_time_ms,
+        "coincidence_window_ns": window_ns,
+        "singles_per_s": singles,
+        "singles_err_per_s": {label: np.sqrt(n) / t_s for label, n in clicks.items()},
+        "coincidences_per_s": {key: n / t_s for key, n in matched.items()},
+        "coincidences_err_per_s": {key: np.sqrt(n) / t_s for key, n in matched.items()},
+        "accidentals_per_s": {f"{a}-{b}": accidental_rate(singles[a], singles[b], window_ns)
+                              for a, b in pairs},
+        "triples_per_s": None,
+        "triples_err_per_s": None,
+        "triple_accidentals_per_s": None,
+        "warnings": [],
+        "corrected": False,
+    }
+    if set(channels) == set(HERALDED_CHANNELS):
+        n3 = match_triples(channels["h"], channels["1"], channels["2"], window_ns)
+        counts["triples_per_s"] = n3 / t_s
+        counts["triples_err_per_s"] = np.sqrt(n3) / t_s
+        counts["triple_accidentals_per_s"] = (singles["h"] * singles["1"] * singles["2"]
+                                              * (2.0 * window_ns * 1e-9) ** 2)
+    return counts
 
 
-def correct_rates(counts: CountSummary, dark_rate_hz: float) -> CountSummary:
+def correct_rates(counts: dict, dark_rate_hz: float) -> dict:
     """Subtract the dark rate from every singles rate and accidental
     estimates from coincidences; uncertainties propagate in quadrature.
-    Negative corrected values clamp to zero and set a warning flag."""
-    t_s = counts.integration_time_ms * 1e-3
-    warnings = list(counts.warnings)
+    Negative corrected values clamp to zero and set a warning flag.
+    Returns a new dict of the shape of ``count_coincidences``; ``counts``
+    is left as it was."""
+    t_s = counts["integration_time_ms"] * 1e-3
+    out = {**counts, "warnings": list(counts["warnings"]), "corrected": True}
 
     def subtract(name, rate, background, excess):
         value = rate - background
         if value < 0:
-            warnings.append(f"{name}: {excess}, clamped to 0")
+            out["warnings"].append(f"{name}: {excess}, clamped to 0")
             value = 0.0
         return value, np.sqrt(rate * t_s + background * t_s) / t_s
 
-    singles = {}
-    singles_err = {}
-    for label, rate in counts.singles.items():
-        singles[label], singles_err[label] = subtract(
-            f"singles[{label}]", rate, dark_rate_hz, "dark rate exceeds measured rate")
+    darks = dict.fromkeys(counts["singles_per_s"], dark_rate_hz)
+    for kind, backgrounds, excess in (
+            ("singles", darks, "dark rate exceeds measured rate"),
+            ("coincidences", counts["accidentals_per_s"], "accidental estimate exceeds rate")):
+        rates, errs = {}, {}
+        for key, rate in counts[f"{kind}_per_s"].items():
+            rates[key], errs[key] = subtract(f"{kind}[{key}]", rate, backgrounds[key], excess)
+        out[f"{kind}_per_s"], out[f"{kind}_err_per_s"] = rates, errs
 
-    coincidences = {}
-    coincidences_err = {}
-    for key, rate in counts.coincidences.items():
-        coincidences[key], coincidences_err[key] = subtract(
-            f"coincidences[{key}]", rate, counts.accidentals[key], "accidental estimate exceeds rate")
-
-    triples = counts.triples
-    triples_err = counts.triples_err
-    if triples is not None:
-        triples, triples_err = subtract(
-            "triples", triples, counts.triple_accidentals, "accidental estimate exceeds rate")
-
-    return replace(
-        counts,
-        singles=singles,
-        singles_err=singles_err,
-        coincidences=coincidences,
-        coincidences_err=coincidences_err,
-        triples=triples,
-        triples_err=triples_err,
-        warnings=tuple(warnings),
-        corrected=True,
-    )
+    if counts["triples_per_s"] is not None:
+        out["triples_per_s"], out["triples_err_per_s"] = subtract(
+            "triples", counts["triples_per_s"], counts["triple_accidentals_per_s"],
+            "accidental estimate exceeds rate")
+    return out
 
 
-def heralded_g2(counts: CountSummary):
+def heralded_g2(counts: dict):
     """Heralded second-order correlation
     g2(0) = R_h * R_h12 / (R_h1 * R_h2), with first-order Poisson error
     propagation.  Returns (g2, uncertainty)."""
-    if counts.triples is None:
+    if counts["triples_per_s"] is None:
         raise EstimateUndefinedError("heralded g2 needs the 3-channel topology")
-    r_h = counts.singles["h"]
-    r_h1 = counts.coincidences[("1", "h")]
-    r_h2 = counts.coincidences[("2", "h")]
-    r_h12 = counts.triples
+    pairs, pairs_err = counts["coincidences_per_s"], counts["coincidences_err_per_s"]
+    r_h = counts["singles_per_s"]["h"]
+    r_h1 = pairs["1-h"]
+    r_h2 = pairs["2-h"]
+    r_h12 = counts["triples_per_s"]
     if r_h1 <= 0 or r_h2 <= 0 or r_h <= 0:
         raise EstimateUndefinedError(
             f"zero denominator in g2: R_h={r_h}, R_h1={r_h1}, R_h2={r_h2}")
     g2 = r_h * r_h12 / (r_h1 * r_h2)
     rel_sq = 0.0
     for value, err in (
-        (r_h, counts.singles_err["h"]),
-        (r_h12, counts.triples_err),
-        (r_h1, counts.coincidences_err[("1", "h")]),
-        (r_h2, counts.coincidences_err[("2", "h")]),
+        (r_h, counts["singles_err_per_s"]["h"]),
+        (r_h12, counts["triples_err_per_s"]),
+        (r_h1, pairs_err["1-h"]),
+        (r_h2, pairs_err["2-h"]),
     ):
         if value > 0:
             rel_sq += (err / value) ** 2

@@ -47,8 +47,10 @@ class SellmeierModel:
     def check_wavelength(self, lambda_nm) -> None:
         lam_um = np.asarray(lambda_nm, dtype=float) * NM / 1e-6
         if np.any(lam_um < self.wavelength_um_min) or np.any(lam_um > self.wavelength_um_max):
+            lo, hi = f"{np.min(lam_um):.4g}", f"{np.max(lam_um):.4g}"
+            span = lo if lo == hi else f"{lo}-{hi}"
             raise DomainError(
-                f"wavelength {np.min(lam_um):.4g}-{np.max(lam_um):.4g} um outside validity "
+                f"wavelength {span} um outside validity "
                 f"window [{self.wavelength_um_min}, {self.wavelength_um_max}] um"
             )
 

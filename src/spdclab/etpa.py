@@ -4,12 +4,14 @@ illuminated-volume scaling.
 
 Every number is a plain float whose name ends in its unit (``T_e_fs``,
 ``A_e_um2``), the convention of the scenario keys and the report keys.
+``scenario_from_inputs`` checks the six inputs of the estimate chain once
+and returns them as a dict keyed that way, which ``feasibility_report``
+reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import GM_IN_CM4_S, N_AVOGADRO
 from .errors import DomainError
@@ -34,30 +36,6 @@ def _power(x: float, n: int) -> float:
         return x ** n
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class EtpaScenario:
-    """All inputs of the absorption-rate estimate chain, each finite and
-    checked once, on construction."""
-
-    delta_c_GM: float
-    T_e_fs: float
-    A_e_um2: float
-    pair_flux_per_cm2_s: float
-    molecule_density_per_mL: float
-    spot_diameter_um: float
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            _finite(name, value)
-        _positive(self.delta_c_GM, "delta_c", "GM")
-        _positive(self.T_e_fs, "entanglement_time", "fs")
-        _positive(self.A_e_um2, "entanglement_area", "um^2")
-        if self.pair_flux_per_cm2_s < 0:
-            raise DomainError("pair flux must be nonnegative")
-        _positive(self.molecule_density_per_mL, "molecule_density", "1/mL")
-        _positive(self.spot_diameter_um, "spot_diameter", "um")
 
 
 def entanglement_area(wavelength_nm: float, numerical_aperture: float) -> float:
@@ -119,21 +97,32 @@ def load_scenario(path) -> dict:
     return check(SCENARIO, load_config(path))
 
 
-def scenario_from_inputs(data: dict) -> EtpaScenario:
-    """Build the full estimate-chain inputs from bench-level numbers."""
+def scenario_from_inputs(data: dict) -> dict:
+    """The six inputs of the absorption-rate estimate chain, from
+    bench-level numbers, each finite and checked once, here."""
     a_e = entanglement_area(data["focus_wavelength_nm"], data["focus_na"])
-    return EtpaScenario(
-        delta_c_GM=data["delta_c_GM"],
-        T_e_fs=data["T_e_fs"],
-        A_e_um2=a_e,
-        pair_flux_per_cm2_s=pair_flux(data["pair_rate_per_s"], a_e),
-        molecule_density_per_mL=molecule_density(data["mass_concentration_mg_per_mL"],
-                                                 data["molar_mass_g_per_mol"]),
-        spot_diameter_um=data["spot_diameter_um"],
-    )
+    scn = {
+        "delta_c_GM": data["delta_c_GM"],
+        "T_e_fs": data["T_e_fs"],
+        "A_e_um2": a_e,
+        "pair_flux_per_cm2_s": pair_flux(data["pair_rate_per_s"], a_e),
+        "molecule_density_per_mL": molecule_density(data["mass_concentration_mg_per_mL"],
+                                                    data["molar_mass_g_per_mol"]),
+        "spot_diameter_um": data["spot_diameter_um"],
+    }
+    for name, value in scn.items():
+        _finite(name, value)
+    _positive(scn["delta_c_GM"], "delta_c", "GM")
+    _positive(scn["T_e_fs"], "entanglement_time", "fs")
+    _positive(scn["A_e_um2"], "entanglement_area", "um^2")
+    if scn["pair_flux_per_cm2_s"] < 0:
+        raise DomainError("pair flux must be nonnegative")
+    _positive(scn["molecule_density_per_mL"], "molecule_density", "1/mL")
+    _positive(scn["spot_diameter_um"], "spot_diameter", "um")
+    return scn
 
 
-def feasibility_report(scn: EtpaScenario) -> dict:
+def feasibility_report(scn: dict) -> dict:
     """The full absorption-rate estimate chain as a flat dict; a value that
     overflows raises DomainError naming its key.
 
@@ -142,15 +131,15 @@ def feasibility_report(scn: EtpaScenario) -> dict:
     rates scale them by the molecules in the sphere (pi/6) d^3 of the spot
     (1 um^3 = 1e-12 mL).
     """
-    sigma_e_cm2 = entangled_cross_section(scn.delta_c_GM, scn.T_e_fs, scn.A_e_um2)
-    phi = scn.pair_flux_per_cm2_s
+    sigma_e_cm2 = entangled_cross_section(scn["delta_c_GM"], scn["T_e_fs"], scn["A_e_um2"])
+    phi = scn["pair_flux_per_cm2_s"]
     r_e = sigma_e_cm2 * phi
-    r_c = scn.delta_c_GM * GM_IN_CM4_S * _power(phi, 2)
-    volume_mL = math.pi / 6.0 * _power(scn.spot_diameter_um, 3) * 1e-12
-    molecules = scn.molecule_density_per_mL
+    r_c = scn["delta_c_GM"] * GM_IN_CM4_S * _power(phi, 2)
+    volume_mL = math.pi / 6.0 * _power(scn["spot_diameter_um"], 3) * 1e-12
+    molecules = scn["molecule_density_per_mL"]
     report = {
-        "entanglement_area_um2": scn.A_e_um2,
-        "entanglement_time_fs": scn.T_e_fs,
+        "entanglement_area_um2": scn["A_e_um2"],
+        "entanglement_time_fs": scn["T_e_fs"],
         "sigma_e_cm2": sigma_e_cm2,
         "pair_flux_per_cm2_s": phi,
         "molecule_density_per_mL": molecules,

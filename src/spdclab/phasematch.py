@@ -81,13 +81,14 @@ def delta_k(cfg: CrystalConfig, lambda_p_nm, lambda_s_nm):
     energy conservation and must lie inside the material validity window.
     """
     theta = cfg.effective_temperature_C
+    w_p = wavelength_nm_to_omega(lambda_p_nm)
+    k_p = wavevector(cfg.model, w_p, theta)  # checks the pump before the idler is derived
     lam_s = np.asarray(lambda_s_nm, dtype=float)
     lam_i = idler_wavelength_nm(lambda_p_nm, lam_s)
-    cfg.model.check_wavelength(lam_i)  # signal/pump checked inside wavevector
-    w_p = wavelength_nm_to_omega(lambda_p_nm)
+    cfg.model.check_wavelength(lam_i)  # the signal is checked inside wavevector
     w_s = wavelength_nm_to_omega(lam_s)
     w_i = w_p - w_s
-    out = (wavevector(cfg.model, w_p, theta)
+    out = (k_p
            - wavevector(cfg.model, w_s, theta)
            - wavevector(cfg.model, w_i, theta)
            - cfg.poling_wavenumber)

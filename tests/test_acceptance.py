@@ -116,7 +116,7 @@ def test_criterion_5_monte_carlo_closure():
     for seed in range(30):
         cs = ct.count_coincidences(ct.simulate_tags(src, chain, seed=seed),
                                    chain.coincidence_window_ns)
-        rates.append(ct.correct_rates(cs, 0.0).coincidences[("1", "2")])
+        rates.append(ct.correct_rates(cs, 0.0)["coincidences_per_s"]["1-2"])
     mean = float(np.mean(rates))
     sem = float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
     closure_ok = abs(mean - expected) <= 3 * sem
@@ -139,10 +139,10 @@ def test_criterion_5_monte_carlo_closure():
         for seed in (1000, 1001, 1002):
             cs = ct.count_coincidences(
                 ct.simulate_tags(ct.SourceRates(1450.0, power), hchain, seed=seed), 5.0)
-            rh += cs.singles["h"]
-            rh1 += cs.coincidences[("1", "h")]
-            rh2 += cs.coincidences[("2", "h")]
-            r12 += cs.triples
+            rh += cs["singles_per_s"]["h"]
+            rh1 += cs["coincidences_per_s"]["1-h"]
+            rh2 += cs["coincidences_per_s"]["2-h"]
+            r12 += cs["triples_per_s"]
         return rh * r12 / (rh1 * rh2)
 
     g2s = [g2_at(p) for p in (200.0, 400.0, 800.0)]
@@ -163,11 +163,11 @@ def _rate_table_from_mc(chain, powers, label, rate_scale=1.0, seed0=0):
             ct.simulate_tags(src, chain, seed=seed0 + k),
             chain.coincidence_window_ns)
         corrected = ct.correct_rates(cs, 0.0)
+        singles, singles_err = corrected["singles_per_s"], corrected["singles_err_per_s"]
         rows.append(analysis.RateRow(
-            power, corrected.singles["1"], corrected.singles_err["1"],
-            corrected.singles["2"], corrected.singles_err["2"],
-            corrected.coincidences[("1", "2")],
-            corrected.coincidences_err[("1", "2")], "pump", label))
+            power, singles["1"], singles_err["1"], singles["2"], singles_err["2"],
+            corrected["coincidences_per_s"]["1-2"],
+            corrected["coincidences_err_per_s"]["1-2"], "pump", label))
     return analysis.RateTable(tuple(rows))
 
 

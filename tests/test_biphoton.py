@@ -78,7 +78,7 @@ def test_phase_matching_peak_at_degeneracy(crystal):
 def test_phase_matching_names_the_pump_outside_the_window(crystal):
     # pump 392 nm and idler 6.3 um both leave the Sellmeier window; the
     # error names the pump, as the per-point pump path always has
-    with pytest.raises(DomainError, match=r"wavelength 0\.3924-0\.3924 um"):
+    with pytest.raises(DomainError, match=r"wavelength 0\.3924 um"):
         phase_matching_function(crystal, np.array([4.5e15]), np.array([0.3e15]))
 
 

@@ -12,6 +12,7 @@ from spdclab import cli
 from conftest import jsa_outputs_reference
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def config_path(name):
@@ -241,12 +242,14 @@ def test_refused_allocation_exits_1_with_one_line(tmp_path, capsys, monkeypatch)
                    "shape (1000000, 1000000) and data type float64\n")
 
 
-def test_pump_without_idler_energy_exits_1_naming_it(tmp_path, capsys):
-    # a negative pump wavelength leaves no signal a positive idler energy
-    cfg = write_json(tmp_path / "c.json", {**PAPER_TUNING, "lambda_p_nm": -405.0})
+@pytest.mark.parametrize("lambda_p_nm, shown_um", [(-405.0, "-0.405"), (6000.0, "6")],
+                         ids=["negative", "6000nm"])
+def test_pump_without_idler_energy_exits_1_naming_it(tmp_path, capsys, lambda_p_nm, shown_um):
+    # a pump outside the material window is named before the idler it implies
+    cfg = write_json(tmp_path / "c.json", {**PAPER_TUNING, "lambda_p_nm": lambda_p_nm})
     assert run("tuning-curve", "--config", cfg, "--out", str(tmp_path / "o")) == 1
-    assert capsys.readouterr().err == ("spdclab: signal 400 nm does not leave positive "
-                                       "idler energy for pump -405 nm\n")
+    assert capsys.readouterr().err == (f"spdclab: wavelength {shown_um} um outside validity "
+                                       "window [0.4, 4.0] um\n")
 
 
 def test_computation_error_exits_1(tmp_path, capsys):
@@ -721,12 +724,16 @@ def test_analyze_missing_table_exits_2(tmp_path):
     assert run("analyze", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
 
-def test_simulate_matches_golden_fixture(tmp_path):
-    """Frozen first run (seed 42, reference chain, 7 uW): the summary must
-    stay byte-identical across releases."""
-    golden = os.path.join(os.path.dirname(__file__), "data",
-                          "golden_count_summary_seed42.json")
+@pytest.mark.parametrize("config, golden", [
+    (config_path("paper_chain.json"), "golden_count_summary_seed42.json"),
+    (os.path.join(DATA, "heralded_chain.json"), "golden_count_summary_heralded_seed42.json"),
+], ids=["pair", "heralded"])
+def test_simulate_matches_golden_fixture(tmp_path, config, golden):
+    """Frozen first runs (seed 42): the reference pair chain at 7 uW, and a
+    heralded chain at 800 uW with a 5 ns window over 100 ms, which pins the
+    triples and heralded g2.  The summaries must stay byte-identical across
+    releases."""
     out = tmp_path / "out"
-    assert run("simulate", "--config", config_path("paper_chain.json"),
-               "--out", str(out), "--seed", "42") == 0
-    assert open(out / "count_summary.json", "rb").read() == open(golden, "rb").read()
+    assert run("simulate", "--config", config, "--out", str(out), "--seed", "42") == 0
+    assert (open(out / "count_summary.json", "rb").read()
+            == open(os.path.join(DATA, golden), "rb").read())

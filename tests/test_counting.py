@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -358,8 +359,8 @@ def test_accidental_rate_matches_simulation():
     for seed in range(10):
         tags = ct.simulate_tags(src, chain, seed=seed)
         cs = ct.count_coincidences(tags, chain.coincidence_window_ns)
-        measured.append(cs.coincidences[("1", "2")])
-        expected.append(cs.accidentals[("1", "2")])
+        measured.append(cs["coincidences_per_s"]["1-2"])
+        expected.append(cs["accidentals_per_s"]["1-2"])
     measured = np.mean(measured)
     expected = np.mean(expected)
     assert measured == pytest.approx(expected, rel=0.10)
@@ -466,64 +467,72 @@ def test_count_coincidences_equals_bruteforce_dense(topology):
     cs = ct.count_coincidences(tags, 300.0)
     t_s = tags.integration_time_ms * 1e-3
     ch = tags.channels
-    for (la, lb), rate in cs.coincidences.items():
-        assert rate == match_coincidences_bruteforce(ch[la], ch[lb], 300.0) / t_s, (la, lb)
+    for key, rate in cs["coincidences_per_s"].items():
+        la, lb = key.split("-")
+        assert rate == match_coincidences_bruteforce(ch[la], ch[lb], 300.0) / t_s, key
     if topology == "heralded":
-        assert cs.triples == match_triples_bruteforce(ch["h"], ch["1"], ch["2"], 300.0) / t_s
+        assert (cs["triples_per_s"]
+                == match_triples_bruteforce(ch["h"], ch["1"], ch["2"], 300.0) / t_s)
 
 
 def test_correct_rates_examples():
-    cs = ct.CountSummary(
-        integration_time_ms=1000.0, coincidence_window_ns=1.0,
-        singles={"1": 1000.0, "2": 800.0}, singles_err={"1": 31.6, "2": 28.3},
-        coincidences={("1", "2"): 100.0}, coincidences_err={("1", "2"): 10.0},
-        accidentals={("1", "2"): 20.0},
-    )
+    cs = {
+        "integration_time_ms": 1000.0, "coincidence_window_ns": 1.0,
+        "singles_per_s": {"1": 1000.0, "2": 800.0}, "singles_err_per_s": {"1": 31.6, "2": 28.3},
+        "coincidences_per_s": {"1-2": 100.0}, "coincidences_err_per_s": {"1-2": 10.0},
+        "accidentals_per_s": {"1-2": 20.0},
+        "triples_per_s": None, "triples_err_per_s": None, "triple_accidentals_per_s": None,
+        "warnings": [], "corrected": False,
+    }
     out = ct.correct_rates(cs, 850.0)
-    assert out.singles["1"] == pytest.approx(150.0)
-    assert out.singles["2"] == 0.0  # clamped
-    assert any("dark rate exceeds" in w for w in out.warnings)
-    assert out.coincidences[("1", "2")] == pytest.approx(80.0)
-    assert out.coincidences_err[("1", "2")] == pytest.approx(
+    assert out["singles_per_s"]["1"] == pytest.approx(150.0)
+    assert out["singles_per_s"]["2"] == 0.0  # clamped
+    assert any("dark rate exceeds" in w for w in out["warnings"])
+    assert out["coincidences_per_s"]["1-2"] == pytest.approx(80.0)
+    assert out["coincidences_err_per_s"]["1-2"] == pytest.approx(
         np.sqrt(100.0 + 20.0), rel=1e-9)
 
 
 def test_correct_rates_clamps_every_rate_in_order():
     """Singles, coincidences and triples each clamp at zero with their own
     warning, appended in that order after the warnings already held."""
-    cs = ct.CountSummary(
-        integration_time_ms=2000.0, coincidence_window_ns=5.0,
-        singles={"1": 40.0, "2": 900.0, "h": 30.0}, singles_err={"1": 4.0, "2": 21.0, "h": 3.0},
-        coincidences={("1", "2"): 5.0, ("1", "h"): 50.0, ("2", "h"): 2.0},
-        coincidences_err={("1", "2"): 1.5, ("1", "h"): 5.0, ("2", "h"): 1.0},
-        accidentals={("1", "2"): 8.0, ("1", "h"): 10.0, ("2", "h"): 3.0},
-        triples=1.0, triples_err=0.7, triple_accidentals=4.0, warnings=("earlier",),
-    )
+    cs = {
+        "integration_time_ms": 2000.0, "coincidence_window_ns": 5.0,
+        "singles_per_s": {"1": 40.0, "2": 900.0, "h": 30.0},
+        "singles_err_per_s": {"1": 4.0, "2": 21.0, "h": 3.0},
+        "coincidences_per_s": {"1-2": 5.0, "1-h": 50.0, "2-h": 2.0},
+        "coincidences_err_per_s": {"1-2": 1.5, "1-h": 5.0, "2-h": 1.0},
+        "accidentals_per_s": {"1-2": 8.0, "1-h": 10.0, "2-h": 3.0},
+        "triples_per_s": 1.0, "triples_err_per_s": 0.7, "triple_accidentals_per_s": 4.0,
+        "warnings": ["earlier"], "corrected": False,
+    }
+    before = copy.deepcopy(cs)
     out = ct.correct_rates(cs, 50.0)
-    assert out.warnings == (
+    assert cs == before  # the raw counts are written next to the corrected ones
+    assert out["warnings"] == [
         "earlier",
         "singles[1]: dark rate exceeds measured rate, clamped to 0",
         "singles[h]: dark rate exceeds measured rate, clamped to 0",
-        "coincidences[('1', '2')]: accidental estimate exceeds rate, clamped to 0",
-        "coincidences[('2', 'h')]: accidental estimate exceeds rate, clamped to 0",
+        "coincidences[1-2]: accidental estimate exceeds rate, clamped to 0",
+        "coincidences[2-h]: accidental estimate exceeds rate, clamped to 0",
         "triples: accidental estimate exceeds rate, clamped to 0",
-    )
-    assert out.singles == {"1": 0.0, "2": 850.0, "h": 0.0}
-    assert out.singles_err["1"] == np.sqrt(40.0 * 2.0 + 50.0 * 2.0) / 2.0
-    assert out.coincidences == {("1", "2"): 0.0, ("1", "h"): 40.0, ("2", "h"): 0.0}
-    assert out.coincidences_err[("2", "h")] == np.sqrt(2.0 * 2.0 + 3.0 * 2.0) / 2.0
-    assert out.triples == 0.0
-    assert out.triples_err == np.sqrt(1.0 * 2.0 + 4.0 * 2.0) / 2.0
-    assert out.corrected
+    ]
+    assert out["singles_per_s"] == {"1": 0.0, "2": 850.0, "h": 0.0}
+    assert out["singles_err_per_s"]["1"] == np.sqrt(40.0 * 2.0 + 50.0 * 2.0) / 2.0
+    assert out["coincidences_per_s"] == {"1-2": 0.0, "1-h": 40.0, "2-h": 0.0}
+    assert out["coincidences_err_per_s"]["2-h"] == np.sqrt(2.0 * 2.0 + 3.0 * 2.0) / 2.0
+    assert out["triples_per_s"] == 0.0
+    assert out["triples_err_per_s"] == np.sqrt(1.0 * 2.0 + 4.0 * 2.0) / 2.0
+    assert out["corrected"]
 
-    unclamped = ct.correct_rates(replace(cs, triples=7.5), 0.0)
-    assert unclamped.warnings == (
+    unclamped = ct.correct_rates({**cs, "triples_per_s": 7.5}, 0.0)
+    assert unclamped["warnings"] == [
         "earlier",
-        "coincidences[('1', '2')]: accidental estimate exceeds rate, clamped to 0",
-        "coincidences[('2', 'h')]: accidental estimate exceeds rate, clamped to 0",
-    )
-    assert unclamped.triples == 7.5 - 4.0
-    assert unclamped.triples_err == np.sqrt(7.5 * 2.0 + 4.0 * 2.0) / 2.0
+        "coincidences[1-2]: accidental estimate exceeds rate, clamped to 0",
+        "coincidences[2-h]: accidental estimate exceeds rate, clamped to 0",
+    ]
+    assert unclamped["triples_per_s"] == 7.5 - 4.0
+    assert unclamped["triples_err_per_s"] == np.sqrt(7.5 * 2.0 + 4.0 * 2.0) / 2.0
 
 
 def test_closure_pair_rate_recovery():
@@ -539,7 +548,7 @@ def test_closure_pair_rate_recovery():
         tags = ct.simulate_tags(src, chain, seed=seed)
         cs = ct.count_coincidences(tags, chain.coincidence_window_ns)
         corrected = ct.correct_rates(cs, chain.dark_rate_hz)
-        rates.append(corrected.coincidences[("1", "2")])
+        rates.append(corrected["coincidences_per_s"]["1-2"])
     mean = np.mean(rates)
     sigma = np.std(rates, ddof=1) / np.sqrt(len(rates))
     assert abs(mean - expected) < 3 * sigma + 1e-9, (mean, expected, sigma)
@@ -551,7 +560,7 @@ def test_closure_singles_rate():
     eta_s, _ = chain_efficiencies(chain)
     expected = src.pair_rate_hz * eta_s
     rates = [ct.count_coincidences(
-        ct.simulate_tags(src, chain, seed=s), 1.0).singles["1"] for s in range(30)]
+        ct.simulate_tags(src, chain, seed=s), 1.0)["singles_per_s"]["1"] for s in range(30)]
     mean = np.mean(rates)
     sigma = np.std(rates, ddof=1) / np.sqrt(len(rates))
     assert abs(mean - expected) < 3 * sigma + 1e-9
@@ -565,8 +574,8 @@ def test_heralded_topology_three_channels():
     tags = ct.simulate_tags(ct.SourceRates(1450.0, 50.0), chain, seed=3)
     assert set(tags.channels) == {"h", "1", "2"}
     cs = ct.count_coincidences(tags, 1.0)
-    assert cs.triples is not None
-    assert cs.triple_accidentals is not None
+    assert cs["triples_per_s"] is not None
+    assert cs["triple_accidentals_per_s"] is not None
 
 
 def test_g2_requires_heralded():
@@ -595,10 +604,10 @@ def _g2_at_power(power_uW, seeds, integration_ms=4000.0, window_ns=5.0):
         cs = ct.count_coincidences(
             ct.simulate_tags(ct.SourceRates(1450.0, power_uW), chain, seed=seed),
             window_ns)
-        rh += cs.singles["h"]
-        rh1 += cs.coincidences[("1", "h")]
-        rh2 += cs.coincidences[("2", "h")]
-        r12 += cs.triples
+        rh += cs["singles_per_s"]["h"]
+        rh1 += cs["coincidences_per_s"]["1-h"]
+        rh2 += cs["coincidences_per_s"]["2-h"]
+        r12 += cs["triples_per_s"]
     return rh * r12 / (rh1 * rh2)
 
 
