@@ -23,8 +23,6 @@ Model notes
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -76,6 +74,9 @@ class DetectionChain:
             raise DomainError("coincidence window must be positive")
         if not self.integration_time_ms > 0:
             raise DomainError("integration time must be positive")
+        if not self.coincidence_window_ns < self.integration_time_ms * 1e6:
+            raise DomainError(f"coincidence window {self.coincidence_window_ns} ns is not shorter "
+                              f"than the integration time {self.integration_time_ms} ms")
         if self.topology not in ("pair", "heralded"):
             raise DomainError(f"unknown topology {self.topology!r}")
         if self.dark_rate_hz < 0 or self.jitter_fwhm_ns < 0:
@@ -105,7 +106,7 @@ class SourceRates:
 @dataclass(frozen=True)
 class TagStream:
     """Per-channel sorted click timestamps (ns) within one integration
-    window."""
+    window, on the chain's channels (``HERALDED_CHANNELS``), none ``-0.0``."""
 
     channels: dict  # label -> np.ndarray of ns timestamps, strictly increasing
     integration_time_ms: float
@@ -114,25 +115,22 @@ class TagStream:
         limit = self.integration_time_ms * 1e6  # ns
         # the tests are negated so that NaN fails them
         for label, times in self.channels.items():
+            if label not in HERALDED_CHANNELS:
+                raise DomainError(f"channel {label!r}: not one of {HERALDED_CHANNELS}")
             if len(times) and not np.all(times[1:] > times[:-1]):
                 raise DomainError(f"channel {label}: timestamps not strictly increasing")
             if len(times) and not (times[0] >= 0 and times[-1] < limit):
                 raise DomainError(f"channel {label}: timestamps outside [0, window)")
+            if len(times) and np.signbit(times[0]):
+                raise DomainError(f"channel {label}: first timestamp is -0.0")
 
     def dump_csv(self, path) -> None:
         """``channel,timestamp_ns`` rows, sorted by timestamp and then by
-        label (:func:`_merge`), written as ``csv.writer`` writes them to a
-        text file in the locale's encoding (CRLF line ends, the csv module's
-        quoting of the label) with the timestamp as ``%.6f``.
+        label (:func:`_merge`), as ``csv.writer`` writes them (CRLF line
+        ends) with the timestamp as ``%.6f``, in ASCII.
 
-        The rows are written through a binary file one piece of the merged
-        timeline at a time (:func:`_timeline`).  A piece that holds a
-        ``-0.0``, or labels whose prefixes (the quoted label and ``,``)
-        differ in width, is written row by row by ``csv.writer``
-        (:func:`_csv_rows`).  Any other piece is rendered from integers
-        (:func:`_render_rows`): the prefix,
-        the digits of the whole nanoseconds, ``.``, six digits and the line
-        end.
+        The rows are written one piece of the merged timeline at a time
+        (:func:`_timeline`), each rendered from integers (:func:`_render_rows`).
         ``floor(t)`` and ``t - floor(t)`` are exact, so
         ``rint((t - floor(t)) * 1e6)`` is the correctly rounded fraction
         unless the product lies within 1e-9 of a .5 boundary (its rounding
@@ -145,41 +143,22 @@ class TagStream:
         slots.
         """
         labels = sorted(self.channels)
-        encoding = io.TextIOWrapper(io.BytesIO()).encoding  # open()'s default
-        prefixes = [_csv_rows([[label, ""]])[:-len(csv.excel.lineterminator)].encode(encoding)
-                    for label in labels]
-        widths = np.array([len(p) for p in prefixes], dtype=np.int64)
-        prefix_bytes = np.zeros((len(prefixes), widths.max(initial=0)), dtype=np.uint8)
-        for k, p in enumerate(prefixes):
-            prefix_bytes[k, :len(p)] = np.frombuffer(p, dtype=np.uint8)
-        line_end = csv.excel.lineterminator.encode(encoding)
+        label_bytes = np.array([ord(label) for label in labels], dtype=np.uint8)
         with open(path, "wb") as fh:
-            fh.write(_csv_rows([["channel", "timestamp_ns"]]).encode(encoding))
+            fh.write(b"channel,timestamp_ns\r\n")
             for times, codes in _timeline([np.asarray(self.channels[label], dtype=float)
                                            for label in labels]):
-                width = widths[codes].max()
-                if width == widths[codes].min() and not np.signbit(times).any():
-                    fh.write(_render_rows(times, prefix_bytes[codes, :width], line_end))
-                else:
-                    fh.write(_csv_rows([labels[c], f"{t:.6f}"] for c, t in
-                                       zip(codes.tolist(), times.tolist())).encode(encoding))
-
-
-def _csv_rows(rows) -> str:
-    """``rows`` as ``csv.writer`` writes them, line ends included."""
-    text = io.StringIO()
-    csv.writer(text).writerows(rows)
-    return text.getvalue()
+                fh.write(_render_rows(times, label_bytes[codes]))
 
 
 # 10**k for k = 1 .. 18: the least whole number of k + 1 digits
 _DIGIT_BOUNDS = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
-def _render_rows(times, prefixes, line_end: bytes) -> bytes:
+def _render_rows(times, labels) -> bytes:
     """One row per timestamp of the sorted ``times``, none of them
-    ``-0.0``: its prefix (row ``k`` of the uint8 array ``prefixes``),
-    ``f"{t:.6f}"`` and ``line_end``.  The rounding error window is proved in
+    ``-0.0``: its label byte (``labels[k]``), ``,``, ``f"{t:.6f}"`` and
+    CRLF.  The rounding error window is proved in
     :meth:`TagStream.dump_csv`."""
     whole = np.floor(times)
     scaled = (times - whole) * 1e6
@@ -189,25 +168,23 @@ def _render_rows(times, prefixes, line_end: bytes) -> bytes:
         whole_text, frac_text = f"{times[k]:.6f}".split(".")
         whole[k], frac[k] = int(whole_text), int(frac_text)
 
-    start = prefixes.shape[1]
     n_max = len(str(int(whole.max())))
-    point = start + n_max
+    point = 2 + n_max
     # byte j of every row in row j, laid out for the widest whole part: the
-    # rows of n digits start at row n_max - n, their prefix just before
-    # their digits, in place of the leading zeros they do not print
-    slots = np.empty((point + 7 + len(line_end), len(times)), dtype=np.uint8)
-    digits(whole, slots[start:point])
+    # rows of n digits start at row n_max - n, their label and "," just
+    # before their digits, in place of the leading zeros they do not print
+    slots = np.empty((point + 9, len(times)), dtype=np.uint8)
+    digits(whole, slots[2:point])
     slots[point] = ord(".")
     digits(frac, slots[point + 1:point + 7])
-    slots[point + 7:] = np.frombuffer(line_end, dtype=np.uint8)[:, None]
+    slots[point + 7:] = np.frombuffer(b"\r\n", dtype=np.uint8)[:, None]
     # whole never decreases: rows bounds[n - 1]:bounds[n] have n digits
-    bounds = [0, *np.searchsorted(whole, _DIGIT_BOUNDS), len(times)]
+    bounds = [0, *np.searchsorted(whole, _DIGIT_BOUNDS[:n_max - 1]), len(times)]
     parts = []
     for n_whole, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
-        if lo == hi:
-            continue
         run = slots[n_max - n_whole:, lo:hi]
-        run[:start] = prefixes[lo:hi].T
+        run[0] = labels[lo:hi]
+        run[1] = ord(",")
         parts.append(run.T.tobytes())
     return b"".join(parts)
 
@@ -536,8 +513,9 @@ def count_coincidences(tags: TagStream, window_ns: float) -> dict:
         n3 = match_triples(channels["h"], channels["1"], channels["2"], window_ns)
         counts["triples_per_s"] = n3 / t_s
         counts["triples_err_per_s"] = np.sqrt(n3) / t_s
+        span_s = 2.0 * window_ns * 1e-9
         counts["triple_accidentals_per_s"] = (singles["h"] * singles["1"] * singles["2"]
-                                              * (2.0 * window_ns * 1e-9) ** 2)
+                                              * (span_s * span_s))
     return counts
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -578,6 +579,18 @@ def test_simulate_over_pair_guard_exits_1(tmp_path, capsys):
     assert "expected 1e+11 pairs per window exceeds the 1e+10 run-time guard" in capsys.readouterr().err
 
 
+def test_simulate_window_not_shorter_than_integration_exits_1(tmp_path, capsys):
+    # (2 * 1e200 ns)**2 overflows a float; the chain refuses the window first
+    cfg = write_json(tmp_path / "chain.json", {
+        "chain": {**json.load(open(os.path.join(DATA, "heralded_chain.json")))["chain"],
+                  "coincidence_window_ns": 1e200},
+        "source": {"pairs_per_s_per_uW": 1450.0, "pump_power_uW": 0.01},
+    })
+    assert run("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == ("spdclab: coincidence window 1e+200 ns is not shorter "
+                                       "than the integration time 100.0 ms\n")
+
+
 def test_simulate_bad_chain_key_exits_2(tmp_path):
     cfg = write_json(tmp_path / "chain.json", {
         "chain": {"no_such_knob": 1.0},
@@ -671,6 +684,16 @@ def test_analyze_drop_flagged(tmp_path, capsys):
     assert report["flagged_rows"] == []
     assert all(pt["p_spdc_pW"] != 70.0 for pt in report["gamma"])
 
+    # a table whose every row is flagged is named with its key
+    table = tmp_path / "flagged.csv"
+    table.write_text(open(tables["solvent_csv"]).readline()
+                     + "10.0,3000.0,1500.0,2800.0,16.7,12.0,1.1,pump,x\n")
+    cfg = write_json(tmp_path / "an.json", {**tables, "solvent_csv": str(table),
+                                            "drop_flagged": True})
+    assert run("analyze", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (f"spdclab: solvent_csv {table}: every row is flagged, "
+                                       "so drop_flagged leaves none\n")
+
     # only a JSON boolean switches it: the string "no" is truthy
     cfg = write_json(tmp_path / "an.json", {**tables, "drop_flagged": "no"})
     assert run("analyze", "--config", cfg, "--out", str(tmp_path / "o")) == 2
@@ -731,9 +754,15 @@ def test_analyze_missing_table_exits_2(tmp_path):
 def test_simulate_matches_golden_fixture(tmp_path, config, golden):
     """Frozen first runs (seed 42): the reference pair chain at 7 uW, and a
     heralded chain at 800 uW with a 5 ns window over 100 ms, which pins the
-    triples and heralded g2.  The summaries must stay byte-identical across
-    releases."""
+    triples and heralded g2.  The summaries and the SHA-256 of the tags
+    (``sha256sum`` lines keyed ``<config name>/tags.csv``) must stay
+    byte-identical across releases."""
     out = tmp_path / "out"
     assert run("simulate", "--config", config, "--out", str(out), "--seed", "42") == 0
     assert (open(out / "count_summary.json", "rb").read()
             == open(os.path.join(DATA, golden), "rb").read())
+    digests = {name: digest for digest, name in
+               (line.split() for line in open(os.path.join(DATA, "golden_tags_seed42.sha256")))}
+    name = os.path.splitext(os.path.basename(config))[0]
+    assert (hashlib.sha256((out / "tags.csv").read_bytes()).hexdigest()
+            == digests[f"{name}/tags.csv"])

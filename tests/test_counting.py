@@ -374,6 +374,12 @@ def test_tagstream_validation():
     for times in ([np.nan], [1.0, np.nan], [np.nan, 1.0]):
         with pytest.raises(DomainError):
             ct.TagStream({"1": np.array(times)}, 100.0)
+    # the channels of a detection chain only, and no -0.0
+    for label in ("a", "bb", "x,y", ""):
+        with pytest.raises(DomainError, match=f"channel {label!r}: not one of"):
+            ct.TagStream({label: np.array([1.0])}, 100.0)
+    with pytest.raises(DomainError, match="channel 2: first timestamp is -0.0"):
+        ct.TagStream({"1": np.array([0.0]), "2": np.array([-0.0, 1.0])}, 100.0)
 
 
 # 5 s streams, so that timestamps may pass 2**31 ns
@@ -391,17 +397,26 @@ _DUMP_CASES = {
     "empty-channel": {"1": [], "2": [3.5]},
     "empty-stream": {},
     "quoted-label-negative-zero": {"x,y": [-0.0, 1.0], "": [0.0]},
-    # labels of one width: only the "-0.0" sends the chunk to csv.writer
+    # labels of one width, and a -0.0
     "negative-zero": {"1": [-0.0, 2.5], "2": [0.0, 1.25]},
     # rounding carries into one more whole digit than floor(t) has
     "digit-count-carry": {"1": [9.9999996, 99.9999995, 999999999.9999996, 1e9],
                           "2": [10.0, 99.9999996, 999999999.9999995, 1e9 + 1e-6]},
-    # prefixes of unequal width in one piece only
+    # labels of unequal width, in more than one piece
     "label-widths-first-chunk": {"a": list(np.arange(70000) * 1.5), "bb": [3.25]},
     # with pieces of two clicks, 2.0 is a cut time on every channel
     "equal-times-at-cut": {"h": [0.5, 1.0, 2.0, 3.0], "1": [1.0, 2.0, 2.5], "2": [2.0, 3.0]},
     # -0.0 after 0.0 in the timeline, at its first cut
     "signed-zero-at-cut": {"1": [0.0, 0.5, 1.0], "2": [-0.0, 1.0]},
+}
+
+# cases that no detection chain makes: TagStream refuses them, so no
+# tags.csv is written (case -> the refusal's message)
+_REFUSED_DUMP_CASES = {
+    "label-widths-first-chunk": "channel 'a': not one of",
+    "negative-zero": "channel 1: first timestamp is -0.0",
+    "quoted-label-negative-zero": "channel 'x,y': not one of",
+    "signed-zero-at-cut": "channel 2: first timestamp is -0.0",
 }
 
 
@@ -411,18 +426,25 @@ def _assert_dump_identical(tags, tmp_path):
     assert (tmp_path / "tags.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+def _assert_case_dumps_as_reference(case, tmp_path):
+    channels = {label: np.array(times, dtype=float) for label, times in _DUMP_CASES[case].items()}
+    if case in _REFUSED_DUMP_CASES:
+        with pytest.raises(DomainError, match=_REFUSED_DUMP_CASES[case]):
+            ct.TagStream(channels, 5000.0)
+        return
+    _assert_dump_identical(ct.TagStream(channels, 5000.0), tmp_path)
+
+
 @pytest.mark.parametrize("case", sorted(_DUMP_CASES))
 def test_dump_csv_bytes_equal_reference(case, tmp_path):
-    channels = {label: np.array(times, dtype=float) for label, times in _DUMP_CASES[case].items()}
-    _assert_dump_identical(ct.TagStream(channels, 5000.0), tmp_path)
+    _assert_case_dumps_as_reference(case, tmp_path)
 
 
 @pytest.mark.parametrize("piece", _SMALL_PIECES)
 @pytest.mark.parametrize("case", sorted(set(_DUMP_CASES) - {"label-widths-first-chunk"}))
 def test_dump_csv_small_pieces_bytes_equal_reference(case, piece, tmp_path, monkeypatch):
     monkeypatch.setattr(ct, "_PIECE_CLICKS", piece)
-    channels = {label: np.array(times, dtype=float) for label, times in _DUMP_CASES[case].items()}
-    _assert_dump_identical(ct.TagStream(channels, 5000.0), tmp_path)
+    _assert_case_dumps_as_reference(case, tmp_path)
 
 
 def test_dump_csv_bytes_equal_reference_simulated(tmp_path):
