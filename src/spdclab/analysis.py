@@ -29,7 +29,7 @@ _CSV_HEADER = ["P_SPDC_pW", "R_s1", "R_s1_err", "R_s2", "R_s2_err",
                "R_coin", "R_coin_err", "mode", "label"]
 
 # Rows whose singles carry more than this relative error are flagged in
-# reports (never auto-dropped).
+# reports; ``drop_flagged`` removes their points from the comparison.
 SINGLES_RELATIVE_ERROR_FLAG = 0.05
 
 
@@ -48,11 +48,6 @@ class RateRow:
     label: str
 
     def __post_init__(self):
-        if self.p_spdc_pW < 0:
-            raise TableParseError(f"P_SPDC must be nonnegative, got {self.p_spdc_pW}")
-        for name in ("r_s1_err", "r_s2_err", "r_coin_err"):
-            if getattr(self, name) < 0:
-                raise TableParseError(f"{name} must be nonnegative")
         if self.mode not in _MODES:
             raise TableParseError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not self.label:
@@ -60,33 +55,11 @@ class RateRow:
 
     def flagged(self) -> bool:
         """True if either singles rate has relative error above the flag
-        threshold (undefined relative error counts as flagged)."""
+        threshold; a zero rate is flagged only if its error is zero too."""
         for rate, err in ((self.r_s1, self.r_s1_err), (self.r_s2, self.r_s2_err)):
-            if rate <= 0 or err / rate > SINGLES_RELATIVE_ERROR_FLAG:
+            if err / rate > SINGLES_RELATIVE_ERROR_FLAG if rate > 0 else err == 0:
                 return True
         return False
-
-
-@dataclass(frozen=True)
-class RateTable:
-    rows: tuple
-
-    def __post_init__(self):
-        if not self.rows:
-            raise TableParseError("rate table has no rows")
-
-    def __len__(self):
-        return len(self.rows)
-
-    def by_mode(self, mode: str) -> "RateTable":
-        return RateTable(tuple(r for r in self.rows if r.mode == mode))
-
-    def modes(self):
-        return tuple(sorted({r.mode for r in self.rows}))
-
-    def flagged_rows(self):
-        """(P_SPDC, mode, label) of rows exceeding the singles-error flag."""
-        return [(r.p_spdc_pW, r.mode, r.label) for r in self.rows if r.flagged()]
 
 
 def _records(reader, path):
@@ -99,10 +72,11 @@ def _records(reader, path):
         raise TableParseError(f"{path} line {reader.line_num}: {exc}") from None
 
 
-def ingest_rate_table(path) -> RateTable:
-    """Read a rate-table CSV; a schema violation is reported as
-    ``PATH line N: reason`` for the first offending record, N being the
-    file line it ends on (the header is line 1)."""
+def ingest_rate_table(path) -> tuple:
+    """Read a rate-table CSV as the tuple of its ``RateRow``s; a schema
+    violation is reported as ``PATH line N: reason`` for the first
+    offending record, N being the file line it ends on (the header is
+    line 1)."""
     rows = []
     with reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)  # a quoted field may span lines
@@ -131,13 +105,13 @@ def ingest_rate_table(path) -> RateTable:
         raise TableParseError(f"empty rate table file: {path}")
     if not rows:
         raise TableParseError(f"rate table has a header but no rows: {path}")
-    return RateTable(tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
 # regression
 
-def fit_rate_curve(table: RateTable, model: str) -> dict:
+def fit_rate_curve(table: tuple, model: str) -> dict:
     """Weighted least squares of R_coin against P_SPDC with a free
     intercept.  Zero-uncertainty rows make the fit unweighted; mixed zero
     and nonzero uncertainties are rejected as inconsistent weighting.
@@ -154,9 +128,9 @@ def fit_rate_curve(table: RateTable, model: str) -> dict:
         raise SolverError(
             f"{model} fit needs at least {n_par + 1} rows, got {len(table)}"
         )
-    p = np.array([r.p_spdc_pW for r in table.rows])
-    y = np.array([r.r_coin for r in table.rows])
-    err = np.array([r.r_coin_err for r in table.rows])
+    p = np.array([r.p_spdc_pW for r in table])
+    y = np.array([r.r_coin for r in table])
+    err = np.array([r.r_coin_err for r in table])
     if np.all(err == 0):
         weights = np.ones_like(err)
     elif np.any(err == 0):
@@ -190,15 +164,15 @@ def fit_rate_curve(table: RateTable, model: str) -> dict:
 # ---------------------------------------------------------------------------
 # row-aligned comparisons
 
-def _align(solv: RateTable, samp: RateTable):
+def _align(solv: tuple, samp: tuple):
     """Pair rows by (P_SPDC, attenuation_mode), preserving solvent order."""
     key = lambda r: (r.p_spdc_pW, r.mode)
     samp_index = {}
-    for r in samp.rows:
+    for r in samp:
         samp_index.setdefault(key(r), []).append(r)
     pairs = []
     unmatched = []
-    for r in solv.rows:
+    for r in solv:
         bucket = samp_index.get(key(r))
         if bucket:
             pairs.append((r, bucket.pop(0)))
@@ -212,7 +186,7 @@ def _align(solv: RateTable, samp: RateTable):
     return pairs
 
 
-def absorption_rate(solv: RateTable, samp: RateTable):
+def absorption_rate(solv: tuple, samp: tuple):
     """Per-row transmitted-pair absorption rate, solvent minus sample, with
     quadrature-combined uncertainty: dicts with ``p_spdc_pW``, ``mode``,
     ``r_abs`` and ``r_abs_err``."""
@@ -223,7 +197,7 @@ def absorption_rate(solv: RateTable, samp: RateTable):
     ]
 
 
-def biphoton_ratio(solv: RateTable, samp: RateTable):
+def biphoton_ratio(solv: tuple, samp: tuple):
     """Per-row biphoton absorption ratio Gamma with first-order error
     propagation.  Rows where any rate in either table is nonpositive are
     skipped (not errored) and reported with a reason.
@@ -256,19 +230,32 @@ def biphoton_ratio(solv: RateTable, samp: RateTable):
 # ---------------------------------------------------------------------------
 # reports
 
-def analysis_report(solv: RateTable, samp: RateTable) -> dict:
+def analysis_report(solv: tuple, samp: tuple, drop_flagged: bool) -> dict:
     """Full comparison of a solvent-reference and a sample table: per-mode
     linear and quadratic fits of both tables, R_abs and Gamma series, skip
-    reasons and flagged rows."""
+    reasons and the flagged rows of both tables as read.  With
+    ``drop_flagged`` a (P_SPDC, mode) point flagged in either table leaves
+    both before the rows are paired, so no fit, R_abs or Gamma uses it."""
+    tables = {"solvent": solv, "sample": samp}
+    flagged = [{"table": name, "p_spdc_pW": r.p_spdc_pW, "mode": r.mode, "label": r.label}
+               for name, table in tables.items() for r in table if r.flagged()]
+    if drop_flagged:
+        points = {(f["p_spdc_pW"], f["mode"]) for f in flagged}
+        for name, table in tables.items():
+            tables[name] = tuple(r for r in table if (r.p_spdc_pW, r.mode) not in points)
+            if not tables[name]:
+                raise TableParseError(f"{name} table: every (P_SPDC, mode) point is flagged "
+                                      "in one table or both, so drop_flagged leaves none")
     fits = {}
-    for name, table in (("solvent", solv), ("sample", samp)):
-        for mode in table.modes():
-            sub = table.by_mode(mode)
+    for name, table in tables.items():
+        for mode in sorted({r.mode for r in table}):
+            sub = tuple(r for r in table if r.mode == mode)
             for model in ("linear", "quadratic"):
                 try:
                     fits[f"{name}.{mode}.{model}"] = fit_rate_curve(sub, model)
                 except SolverError as exc:
                     fits[f"{name}.{mode}.{model}"] = {"error": str(exc)}
+    solv, samp = tables.values()
     gammas, skipped = biphoton_ratio(solv, samp)
     return {
         "fits": fits,
@@ -276,11 +263,7 @@ def analysis_report(solv: RateTable, samp: RateTable) -> dict:
         "gamma": gammas,
         "skipped": [{"p_spdc_pW": p, "mode": m, "reason": why}
                     for p, m, why in skipped],
-        "flagged_rows": [
-            {"table": name, "p_spdc_pW": p, "mode": m, "label": lab}
-            for name, table in (("solvent", solv), ("sample", samp))
-            for p, m, lab in table.flagged_rows()
-        ],
+        "flagged_rows": flagged,
     }
 
 

@@ -32,7 +32,7 @@ import sys
 from dataclasses import replace
 
 from . import schema
-from .errors import ConfigError, InputError, SpdclabError, TableParseError
+from .errors import ConfigError, InputError, SpdclabError
 from .schema import BOOLEAN, NUMBER, PAIR, REQUIRED, STRING, WHOLE, one_of, write_json
 
 # Fixed default seed so runs are reproducible without any flags.
@@ -210,17 +210,9 @@ def cmd_analyze(args, cfg: dict, given: dict) -> int:
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    tables = {key: analysis.ingest_rate_table(resolve(cfg[key]))
-              for key in ("solvent_csv", "sample_csv")}
-    if cfg["drop_flagged"]:
-        for key, table in tables.items():
-            rows = tuple(r for r in table.rows if not r.flagged())
-            if not rows:
-                raise TableParseError(f"{key} {resolve(cfg[key])}: every row is flagged, "
-                                      "so drop_flagged leaves none")
-            tables[key] = analysis.RateTable(rows)
-
-    report = analysis.analysis_report(tables["solvent_csv"], tables["sample_csv"])
+    tables = [analysis.ingest_rate_table(resolve(cfg[key]))
+              for key in ("solvent_csv", "sample_csv")]
+    report = analysis.analysis_report(*tables, cfg["drop_flagged"])
     report["config"] = given
     report["dropped_flagged_rows"] = cfg["drop_flagged"]
     analysis.write_report_json(report, os.path.join(args.out, "analysis_report.json"))

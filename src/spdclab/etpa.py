@@ -65,7 +65,7 @@ def pair_flux(pair_rate_per_s: float, A_e_um2: float) -> float:
     """Photon-pair flux through the focal spot, 1/cm^2/s."""
     if pair_rate_per_s < 0:
         raise DomainError("pair rate must be nonnegative")
-    area_cm2 = _positive(A_e_um2, "spot_area", "um^2") * 1e-8
+    area_cm2 = _positive(A_e_um2, "entanglement_area", "um^2") * 1e-8
     return pair_rate_per_s / area_cm2
 
 
@@ -99,7 +99,8 @@ def load_scenario(path) -> dict:
 
 def scenario_from_inputs(data: dict) -> dict:
     """The six inputs of the absorption-rate estimate chain, from
-    bench-level numbers, each finite and checked once, here."""
+    bench-level numbers, each finite and checked once: the area and the
+    flux by ``pair_flux``, the others here."""
     a_e = entanglement_area(data["focus_wavelength_nm"], data["focus_na"])
     scn = {
         "delta_c_GM": data["delta_c_GM"],
@@ -114,9 +115,6 @@ def scenario_from_inputs(data: dict) -> dict:
         _finite(name, value)
     _positive(scn["delta_c_GM"], "delta_c", "GM")
     _positive(scn["T_e_fs"], "entanglement_time", "fs")
-    _positive(scn["A_e_um2"], "entanglement_area", "um^2")
-    if scn["pair_flux_per_cm2_s"] < 0:
-        raise DomainError("pair flux must be nonnegative")
     _positive(scn["molecule_density_per_mL"], "molecule_density", "1/mL")
     _positive(scn["spot_diameter_um"], "spot_diameter", "um")
     return scn

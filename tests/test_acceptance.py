@@ -168,7 +168,7 @@ def _rate_table_from_mc(chain, powers, label, rate_scale=1.0, seed0=0):
             power, singles["1"], singles_err["1"], singles["2"], singles_err["2"],
             corrected["coincidences_per_s"]["1-2"],
             corrected["coincidences_err_per_s"]["1-2"], "pump", label))
-    return analysis.RateTable(tuple(rows))
+    return tuple(rows)
 
 
 def test_criterion_6_gamma_statistic():

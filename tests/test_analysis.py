@@ -7,7 +7,6 @@ import pytest
 from spdclab import analysis
 from spdclab.analysis import (
     RateRow,
-    RateTable,
     absorption_rate,
     analysis_report,
     biphoton_ratio,
@@ -26,7 +25,7 @@ def make_row(p, s1, s2, coin, mode="pump", label="x", rel_err=0.01):
 
 
 def make_table(rows):
-    return RateTable(tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -35,8 +34,8 @@ def make_table(rows):
 def test_ingest_golden_fixture():
     table = ingest_rate_table(FIXTURE_SOLVENT)
     assert len(table) == 16
-    assert table.modes() == ("pump", "spdc")
-    assert table.rows[0].label == "toluene"
+    assert sorted({r.mode for r in table}) == ["pump", "spdc"]
+    assert table[0].label == "toluene"
 
 
 def test_ingest_empty_file(tmp_path):
@@ -103,7 +102,18 @@ def test_flagging_rule():
     assert not ok.flagged()
     assert bad.flagged()
     table = make_table([ok, bad])
-    assert table.flagged_rows() == [(20.0, "pump", "x")]
+    report = analysis_report(table, make_table([ok, make_row(20.0, 1000.0, 1000.0, 10.0)]),
+                             False)
+    assert report["flagged_rows"] == [
+        {"table": "solvent", "p_spdc_pW": 20.0, "mode": "pump", "label": "x"}]
+
+
+def test_zero_rate_flagged_only_without_error():
+    # a dark baseline 0 +- 0.316 is a measurement; 0 +- 0 has no error at all
+    dark = RateRow(0.0, 0.0, 0.316, 0.0, 0.316, 0.0, 0.316, "pump", "x")
+    assert not dark.flagged()
+    assert make_row(0.0, 0.0, 0.0, 0.0).flagged()
+    assert make_row(0.0, 1000.0, 0.0, 0.0).flagged()
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +263,7 @@ def test_gamma_invariant_under_global_rescale():
         return make_table([
             RateRow(r.p_spdc_pW, r.r_s1 * f1, r.r_s1_err * f1, r.r_s2 * f2,
                     r.r_s2_err * f2, r.r_coin * f1 * f2, r.r_coin_err * f1 * f2,
-                    r.mode, r.label) for r in table.rows])
+                    r.mode, r.label) for r in table])
 
     again, _ = biphoton_ratio(rescale(solv, 0.7, 0.5), rescale(samp, 0.7, 0.5))
     for b, a in zip(base, again):
@@ -275,7 +285,7 @@ def test_gamma_skips_nonpositive_rows():
 def test_analysis_report_fixture(tmp_path):
     solv = ingest_rate_table(FIXTURE_SOLVENT)
     samp = ingest_rate_table(FIXTURE_SAMPLE)
-    report = analysis_report(solv, samp)
+    report = analysis_report(solv, samp, False)
     assert set(report) == {"fits", "r_abs", "gamma", "skipped", "flagged_rows"}
     # fixture construction: Gamma = 0.05 on all usable rows
     for pt in report["gamma"]:

@@ -630,6 +630,14 @@ def test_etpa_underflowing_area_time_exits_1_naming_it(tmp_path, capsys):
     assert capsys.readouterr().err == "spdclab: sigma_e_cm2 must be finite, got inf\n"
 
 
+def test_etpa_underflowing_entanglement_area_exits_1_naming_it(tmp_path, capsys):
+    # (1.22 lambda / NA)^2 underflows to 0 um^2 for a tiny positive wavelength
+    cfg = write_json(tmp_path / "s.json", {**PAPER_SCENARIO, "focus_wavelength_nm": 1e-200})
+    assert run("etpa-report", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        "spdclab: entanglement_area must be strictly positive, got 0.0 um^2\n")
+
+
 def test_etpa_zero_flux(tmp_path):
     scenario = json.load(open(config_path("paper_scenario.json")))
     scenario["pair_rate_per_s"] = 0.0
@@ -659,6 +667,15 @@ def test_analyze_fixture_pair(tmp_path):
     assert (out / "plot_data.csv").exists()
 
 
+def test_analyze_matches_golden_fixture(tmp_path):
+    """The report of the paper rate tables, frozen like the seed-42 count
+    summaries: it must stay byte-identical across releases."""
+    out = tmp_path / "out"
+    assert run("analyze", "--config", config_path("paper_analyze.json"), "--out", str(out)) == 0
+    assert (open(out / "analysis_report.json", "rb").read()
+            == open(os.path.join(DATA, "golden_analysis_report.json"), "rb").read())
+
+
 def test_analyze_identical_tables_gamma_zero(tmp_path):
     cfg = write_json(tmp_path / "an.json", {
         "solvent_csv": config_path("rate_table_solvent.csv"),
@@ -681,23 +698,55 @@ def test_analyze_drop_flagged(tmp_path, capsys):
     assert run("analyze", "--config", cfg, "--out", str(out)) == 0
     report = json.load(open(out / "analysis_report.json"))
     assert report["dropped_flagged_rows"] is True
-    assert report["flagged_rows"] == []
+    # the flagged rows are listed as read, with or without the switch
+    kept = tmp_path / "kept"
+    assert run("analyze", "--config", write_json(tmp_path / "k.json", tables),
+               "--out", str(kept)) == 0
+    assert report["flagged_rows"] == json.load(open(kept / "analysis_report.json"))["flagged_rows"]
+    assert {f["p_spdc_pW"] for f in report["flagged_rows"]} == {70.0}
     assert all(pt["p_spdc_pW"] != 70.0 for pt in report["gamma"])
 
-    # a table whose every row is flagged is named with its key
+    # a table left with no rows is named, with the switch that emptied it
     table = tmp_path / "flagged.csv"
     table.write_text(open(tables["solvent_csv"]).readline()
                      + "10.0,3000.0,1500.0,2800.0,16.7,12.0,1.1,pump,x\n")
     cfg = write_json(tmp_path / "an.json", {**tables, "solvent_csv": str(table),
                                             "drop_flagged": True})
     assert run("analyze", "--config", cfg, "--out", str(tmp_path / "o")) == 1
-    assert capsys.readouterr().err == (f"spdclab: solvent_csv {table}: every row is flagged, "
-                                       "so drop_flagged leaves none\n")
+    assert capsys.readouterr().err == ("spdclab: solvent table: every (P_SPDC, mode) point is "
+                                       "flagged in one table or both, so drop_flagged leaves "
+                                       "none\n")
 
     # only a JSON boolean switches it: the string "no" is truthy
     cfg = write_json(tmp_path / "an.json", {**tables, "drop_flagged": "no"})
     assert run("analyze", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert "'drop_flagged' must be true or false" in capsys.readouterr().err
+
+
+def test_analyze_drop_flagged_removes_a_point_flagged_in_one_table(tmp_path):
+    # the solvent's 10 pW pump row gets a 50 % singles error; the sample's is clean
+    lines = open(config_path("rate_table_solvent.csv")).read().splitlines()
+    [i] = [k for k, line in enumerate(lines) if line.startswith("10.0,") and "pump" in line]
+    fields = lines[i].split(",")
+    fields[2] = str(0.5 * float(fields[1]))
+    lines[i] = ",".join(fields)
+    table = tmp_path / "solvent.csv"
+    table.write_text("\n".join(lines) + "\n")
+    cfg = write_json(tmp_path / "an.json", {"solvent_csv": str(table),
+                                            "sample_csv": config_path("rate_table_sample.csv"),
+                                            "drop_flagged": True})
+    out = tmp_path / "out"
+    assert run("analyze", "--config", cfg, "--out", str(out)) == 0
+    report = json.load(open(out / "analysis_report.json"))
+    assert [f for f in report["flagged_rows"] if f["p_spdc_pW"] == 10.0] == [
+        {"table": "solvent", "p_spdc_pW": 10.0, "mode": "pump", "label": "toluene"}]
+    for key in ("r_abs", "gamma", "skipped"):
+        assert not any(p["p_spdc_pW"] == 10.0 and p["mode"] == "pump" for p in report[key])
+    # 8 rows per table and mode, less the 70 pW point and the 10 pW pump point
+    n_points = {key: fit["n_points"] for key, fit in report["fits"].items()}
+    assert n_points == {f"{t}.{m}.{model}": 6 if m == "pump" else 7
+                        for t in ("solvent", "sample") for m in ("pump", "spdc")
+                        for model in ("linear", "quadratic")}
 
 
 @pytest.mark.parametrize("row", ["10.0,3000.0,17.3,2800.0,16.7,nan,1.1,pump,x",
