@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import math
 import warnings
 import numpy as np
 
@@ -163,8 +164,10 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpe
     total = float(np.sum(intensity))
     if total == 0.0:
         raise CoverageError("grid does not overlap the joint spectrum")
-    ring = (np.sum(intensity[0, :]) + np.sum(intensity[-1, :])
-            + np.sum(intensity[:, 0]) + np.sum(intensity[:, -1]))
+    # each boundary cell once: the first and last rows, then the first and
+    # last columns between them (one index when n = 1)
+    edges = sorted({0, len(axis) - 1})
+    ring = np.sum(intensity[edges]) + np.sum(intensity[1:-1, edges])
     del intensity
     fraction = float(ring / total)
     if fraction > COVERAGE_TOLERANCE:
@@ -210,9 +213,10 @@ def to_temporal(js: JointSpectrum) -> JointSpectrum:
 
     Time axes are derived from the frequency spacing; the phase origin of
     the transform is the sample at index n // 2 of each frequency axis.
-    The input is left unchanged: the transform and the scaling work in
-    place on the ``ifftshift`` copy (``fft2``'s ``out`` needs numpy >= 2.0),
-    so the call holds two n x n buffers besides its input. A real
+    The input is left unchanged: the transform, the scaling and the
+    ``fftshift`` (:func:`_fftshift_in_place`) work in place on the
+    ``ifftshift`` copy (``fft2``'s ``out`` needs numpy >= 2.0), so the call
+    holds one n x n buffer and two rows besides its input. A real
     amplitude is promoted to the matching complex type, as ``fft2`` would.
     """
     if js.domain != "spectral":
@@ -225,7 +229,7 @@ def to_temporal(js: JointSpectrum) -> JointSpectrum:
     jta = np.fft.ifftshift(js.amplitude).astype(np.result_type(js.amplitude, 1j), copy=False)
     np.fft.fft2(jta, out=jta)
     jta *= scale
-    jta = np.fft.fftshift(jta)
+    _fftshift_in_place(jta)
     t_s = np.fft.fftshift(np.fft.fftfreq(n_s, d=dw_s / TWO_PI))
     t_i = np.fft.fftshift(np.fft.fftfreq(n_i, d=dw_i / TWO_PI))
     return JointSpectrum(
@@ -236,6 +240,29 @@ def to_temporal(js: JointSpectrum) -> JointSpectrum:
         normalized=js.normalized,
         measured=js.measured,
     )
+
+
+def _fftshift_in_place(a: np.ndarray) -> None:
+    """Overwrite the 2D ``a`` with ``np.fft.fftshift(a)``, holding two rows
+    besides it.
+
+    Row r moves to row (r + n_s // 2) % n_s, rolled by n_i // 2 on its way.
+    The rows are moved along the cycles of that map, each cycle carrying
+    one row in a buffer while the row it replaces is saved in the other.
+    """
+    n_s, n_i = a.shape
+    h_s, h_i = n_s // 2, n_i // 2
+    carry, spare = np.empty(n_i, a.dtype), np.empty(n_i, a.dtype)
+    cycles = math.gcd(n_s, h_s)
+    for start in range(cycles):
+        carry[:] = a[start]
+        r = start
+        for _ in range(n_s // cycles):
+            r = (r + h_s) % n_s
+            spare[:] = a[r]
+            a[r, h_i:] = carry[:n_i - h_i]
+            a[r, :h_i] = carry[n_i - h_i:]
+            carry, spare = spare, carry
 
 
 def jti_difference_profile(js: JointSpectrum):
@@ -350,7 +377,7 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path) -> None:
     write_json(sidecar, sidecar_path)
 
 
-# values rendered per write in export_matrix_csv
+# values per chunk of export_matrix_csv and per row block of _resample_uniform
 _EXPORT_CHUNK_VALUES = 1 << 16
 
 # fl(10**k) for k = -_POW10_ZERO .. 308, correctly rounded by float()
@@ -437,6 +464,11 @@ def import_jsi_csv(csv_path, axis_units: str) -> JointSpectrum:
     taken so the result is amplitude-valued (phases can then be restored
     with :func:`apply_fiber_phase`).  A malformed axis value or matrix cell
     raises DomainError naming the axis or matrix row and the 0-based index.
+
+    Memory: the loaded and the resampled intensity (n x n floats each) are
+    held together; the loaded one is dropped before the square root is taken
+    in place and promoted to complex, so the import peaks at one and a half
+    n x n complex matrices.
     """
     with reading(csv_path), open(csv_path, encoding="utf-8") as fh:
         header = [fh.readline() for _ in range(2)]
@@ -465,8 +497,10 @@ def import_jsi_csv(csv_path, axis_units: str) -> JointSpectrum:
     axis_s, axis_i = (_check_axis(name, values, axis_units)
                       for name, values in zip(("axis_s", "axis_i"), raw))
     uni_s, uni_i, resampled = _resample_uniform(axis_s, axis_i, intensity)
+    del intensity
+    np.sqrt(resampled, out=resampled)
     return JointSpectrum(
-        amplitude=np.sqrt(resampled).astype(complex),
+        amplitude=resampled.astype(complex),
         axis_s=uni_s,
         axis_i=uni_i,
         domain="spectral",
@@ -530,6 +564,11 @@ def _resample_uniform(axis_s, axis_i, intensity):
     y = (x - g[i]) / (g[i + 1] - g[i]), the four corner terms summed from
     0.0 in the order below.  Every uniform point lies inside the data axes,
     so none takes a fill value.
+
+    The result is written into one preallocated array, a block of about
+    ``_EXPORT_CHUNK_VALUES`` cells (whole rows) at a time, so the
+    temporaries of the expression are block-sized and the call holds no
+    n x n array besides ``intensity`` and the result.
     """
     if axis_s[0] > axis_s[-1]:
         axis_s, intensity = axis_s[::-1], intensity[::-1, :]
@@ -538,10 +577,15 @@ def _resample_uniform(axis_s, axis_i, intensity):
     uni_s = np.linspace(axis_s[0], axis_s[-1], len(axis_s))
     uni_i = np.linspace(axis_i[0], axis_i[-1], len(axis_i))
     (i, y0), (j, y1) = _cells(axis_s, uni_s), _cells(axis_i, uni_i)
-    y0, y1 = y0[:, None], y1[None, :]
-    lo, hi = intensity[i], intensity[i + 1]
-    resampled = (0.0 + lo[:, j] * (1 - y0) * (1 - y1) + lo[:, j + 1] * (1 - y0) * y1
-                 + hi[:, j] * y0 * (1 - y1) + hi[:, j + 1] * y0 * y1)
+    y1 = y1[None, :]
+    resampled = np.empty((len(uni_s), len(uni_i)))
+    rows = max(1, _EXPORT_CHUNK_VALUES // len(uni_i))
+    for r in range(0, len(uni_s), rows):
+        block = slice(r, r + rows)
+        w = y0[block, None]
+        lo, hi = intensity[i[block]], intensity[i[block] + 1]
+        resampled[block] = (0.0 + lo[:, j] * (1 - w) * (1 - y1) + lo[:, j + 1] * (1 - w) * y1
+                            + hi[:, j] * w * (1 - y1) + hi[:, j + 1] * w * y1)
     return uni_s, uni_i, resampled
 
 

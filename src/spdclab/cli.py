@@ -137,10 +137,11 @@ def cmd_jsa(args, cfg: dict, given: dict) -> int:
         jsa = biphoton.build_jsa(crystal, env, grid)
         reference_omega = env.omega_p / 2.0
 
-    # at most one n x n input and the two buffers of one to_temporal are
-    # alive at a time: the free JTA is reduced to its profile at once, and
-    # the JSA is dropped once its fiber-phased copy exists.  The free FFT
-    # comes first, so it refuses non-uniform axes before any file is written.
+    # at most two n x n complex matrices are alive at a time, an input and
+    # the one buffer of to_temporal or apply_fiber_phase: the free JTA is
+    # reduced to its profile at once, and the JSA is dropped once its
+    # fiber-phased copy exists.  The free FFT comes first, so it refuses
+    # non-uniform axes before any file is written.
     profile_free = biphoton.jti_difference_profile(biphoton.to_temporal(jsa))
     biphoton.export_matrix_csv(jsa, os.path.join(args.out, "jsi.csv"),
                                os.path.join(args.out, "jsi.json"))

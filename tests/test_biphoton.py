@@ -109,6 +109,14 @@ def test_build_jsa_coverage_error(crystal, pump):
     assert float(fraction.group(1)) > biphoton.COVERAGE_TOLERANCE
 
 
+def test_build_jsa_ring_counts_each_boundary_cell_once(crystal, pump):
+    # at n = 2 every cell is a boundary cell, so the ring holds all the mass
+    with pytest.raises(CoverageError) as exc:
+        build_jsa(crystal, pump, GridSpec(n=2, center_lambda_nm=810.0, half_span_nm=60.0))
+    fraction = re.search(r"boundary ring holds (\S+) of the squared mass", str(exc.value))
+    assert biphoton.COVERAGE_TOLERANCE < float(fraction.group(1)) <= 1.0
+
+
 def test_joint_spectrum_invariants():
     with pytest.raises(DomainError):
         JointSpectrum(np.zeros((2, 2)), np.array([1.0, 0.5]), np.array([0.0, 1.0]),
@@ -171,7 +179,9 @@ def _random_spectrum(shape, seed):
     return JointSpectrum(amplitude, axis_s, axis_i, domain="spectral")
 
 
-@pytest.mark.parametrize("shape, seed", [((1024, 1024), 0), ((17, 33), 1), ((256, 255), 2)])
+# every parity pairing of the two axes, down to the smallest even and odd
+@pytest.mark.parametrize("shape, seed", [((1024, 1024), 0), ((17, 33), 1), ((256, 255), 2),
+                                         ((255, 256), 3), ((2, 2), 4), ((3, 2), 5)])
 def test_pipeline_bytes_equal_reference_random(shape, seed):
     js = _random_spectrum(shape, seed)
     before = js.amplitude.copy()

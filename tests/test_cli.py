@@ -410,22 +410,26 @@ def test_jsa_measured_outputs_equal_reference(tmp_path):
     assert_jsa_outputs_equal_reference(cfg2, tmp_path / "out", tmp_path / "ref")
 
 
-@pytest.mark.parametrize("beta_fs2", [33000.0, 0.0])
-def test_jsa_peak_memory_is_three_matrices(tmp_path, beta_fs2):
-    # n = 512: at 256 the 65 536-value export chunk weighs as much as a matrix
-    n = 512
-    cfg = write_json(tmp_path / "jsa.json", {
-        **SMALL_JSA, "fiber_beta_fs2": beta_fs2,
-        "grid": {"n": n, "half_span_nm": 30.0}})
+@pytest.mark.parametrize("beta_fs2, measured", [(33000.0, False), (0.0, False), (33000.0, True)],
+                         ids=["33000.0", "0.0", "measured"])
+def test_jsa_peak_memory_is_two_matrices(tmp_path, beta_fs2, measured):
+    # n = 1024: at 512 one 65 536-value export chunk adds 0.68 of a matrix
+    n = 1024
+    given = {**SMALL_JSA, "fiber_beta_fs2": beta_fs2, "grid": {"n": n, "half_span_nm": 60.0}}
+    cfg = write_json(tmp_path / "jsa.json", given)
     assert run("jsa", "--config", cfg, "--out", str(tmp_path / "warm")) == 0
+    if measured:  # the model's own JSI read back on its angular-frequency axes
+        cfg = write_json(tmp_path / "measured.json", {
+            **given, "measured_jsi_csv": str(tmp_path / "warm" / "jsi.csv"),
+            "measured_axis_units": "rad/s"})
     tracemalloc.start()
     try:
         assert run("jsa", "--config", cfg, "--out", str(tmp_path / "out")) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the input and the two buffers of one to_temporal, each n x n complex
-    assert peak < 3.5 * 16 * n * n
+    # an input and the one buffer of to_temporal, each n x n complex
+    assert peak < 2.25 * 16 * n * n
 
 
 def test_jsa_non_finite_measured_input_exits_1(tmp_path, capsys):
