@@ -169,8 +169,13 @@ def cmd_simulate(args, cfg: dict, given: dict) -> int:
     source = counting.SourceRates(**cfg["source"])
 
     tags = counting.simulate_tags(source, chain, seed=args.seed)
-    tags.dump_csv(os.path.join(args.out, "tags.csv"))
-    counts = counting.count_coincidences(tags, chain.coincidence_window_ns)
+    # the tag dump on a worker beside the counting, which only read the
+    # tags; its error goes first, as when the dump ran first
+    dump = counting.Worker(tags.dump_csv, os.path.join(args.out, "tags.csv"))
+    try:
+        counts = counting.count_coincidences(tags, chain.coincidence_window_ns)
+    finally:
+        dump.result()
     corrected = counting.correct_rates(counts, chain.dark_rate_hz)
 
     payload = {

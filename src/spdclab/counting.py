@@ -23,6 +23,7 @@ Model notes
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,12 +34,14 @@ from .errors import DomainError, EstimateUndefinedError
 
 # bound on the expected clicks of one window (_expected_clicks);
 # simulate_tags holds its clicks, not its pairs: at its peak about 16-24 B
-# per click (8 B per finished channel's click, plus the block lists, the
-# joined photons and their copy with the darks while a channel is sorted);
-# the tag dump and the matchers add one piece of the timeline
+# per click (8 B per click of a finished channel or of the block lists, plus
+# the channel being joined: its array with the darks, which takes its blocks
+# one by one, the dedup mask and the deduplicated copy); the tag dump and
+# the matchers add one piece of the timeline each
 _GUARD_MAX_EXPECTED_CLICKS = 1e8
 # bound on the expected pairs of one window: simulate_tags draws and routes
-# every pair (about 29 ns each on a 2-core Xeon), so this caps its run time
+# every pair (about 21 ns each on two threads of a 2-core Xeon, heralded),
+# so this caps its run time
 _GUARD_MAX_EXPECTED_PAIRS = 1e10
 
 # clicks per stream between the cut times of the merged timeline's pieces
@@ -47,6 +50,9 @@ _PIECE_CLICKS = 1 << 16
 
 # pairs drawn and routed per block in simulate_tags
 _PAIR_BLOCK = 1 << 16
+# per-pair random arrays of each topology: times, coupling, then two
+# detection draws (pair) or a routing and a loss draw per photon (heralded)
+_DRAWS = {"pair": 4, "heralded": 6}
 
 PAIR_CHANNELS = ("1", "2")
 HERALDED_CHANNELS = ("h", "1", "2")
@@ -189,20 +195,94 @@ def _render_rows(times, labels) -> bytes:
     return b"".join(parts)
 
 
-def _streams(rng, draws: int, n_pairs: int) -> list:
-    """``draws`` generators, the k-th at the state where the k-th of ``draws``
-    consecutive ``n_pairs``-double arrays drawn from ``rng`` would start;
-    ``rng`` itself moves past all of them.  ``uniform`` and ``random`` take
-    one 64-bit PCG64 output per value, so the k-th array starts
-    ``k * n_pairs`` outputs on."""
-    state = rng.bit_generator.state
+def _streams(state: dict, draws: int, n_pairs: int, first: int) -> list:
+    """``draws`` generators from the PCG64 ``state``, the k-th at pair
+    ``first`` of the k-th of ``draws`` consecutive ``n_pairs``-double arrays
+    drawn from that state.  ``uniform`` and ``random`` take one 64-bit
+    PCG64 output per value, so that pair is ``k * n_pairs + first`` outputs
+    on."""
     streams = []
     for k in range(draws):
         bit_generator = np.random.PCG64()
         bit_generator.state = state
-        streams.append(np.random.Generator(bit_generator.advance(k * n_pairs)))
-    rng.bit_generator.advance(draws * n_pairs)
+        streams.append(np.random.Generator(bit_generator.advance(k * n_pairs + first)))
     return streams
+
+
+def _pair_runs(n_pairs: int) -> list:
+    """The runs ``(first, stop)`` of pairs that :func:`simulate_tags` routes:
+    its ``_PAIR_BLOCK`` blocks halved into two contiguous runs, the first
+    (the larger if the count is odd) for the caller's thread and the second
+    for one worker.  A stream of one block is one run."""
+    n_blocks = -(-n_pairs // _PAIR_BLOCK)
+    if n_blocks < 2:
+        return [(0, n_pairs)]
+    split = (n_blocks + 1) // 2 * _PAIR_BLOCK
+    return [(0, split), (split, n_pairs)]
+
+
+def _route_pairs(chain: DetectionChain, state: dict, n_pairs: int, first: int, stop: int) -> dict:
+    """The photon clicks of pairs ``first`` to ``stop`` of the ``n_pairs``
+    drawn from the PCG64 ``state``: per (channel, photon) a list of arrays,
+    one per block of ``_PAIR_BLOCK`` pairs from ``first``, in pair order."""
+    window_ns = chain.integration_time_ms * 1e6
+    times, coupling, *per_photon = _streams(state, _DRAWS[chain.topology], n_pairs, first)
+    clicks = {(label, photon): [] for label in chain.channels for photon in range(2)}
+    # anti-correlated pair routing: eta_insertion is the per-port coupler
+    # transmission (split already included).  Heralded: two cascaded 50:50
+    # couplers with per-passage excess transmission eta_insertion; the
+    # herald arm passes one coupler, arms 1/2 pass two.
+    s1, s2 = _arm_survival(chain)
+    # one block's pair times and two of its draws, reused block by block
+    time_buffer, u_buffer, keep_buffer = np.empty((3, min(_PAIR_BLOCK, stop - first)))
+
+    for start in range(first, stop, _PAIR_BLOCK):
+        m = min(_PAIR_BLOCK, stop - start)
+        pair_times = times.random(out=time_buffer[:m])
+        pair_times *= window_ns  # as uniform(0.0, window_ns) computes it: 0.0 + window_ns * u
+        coupled = coupling.random(out=u_buffer[:m]) < chain.eta_coupling
+        if chain.topology == "pair":
+            for label, detection in zip(PAIR_CHANNELS, per_photon):
+                detected = coupled & (detection.random(out=u_buffer[:m]) < s1)
+                clicks[label, 0].append(pair_times[detected])
+        else:
+            for photon in range(2):  # the two photons of each pair, independently
+                u = per_photon[2 * photon].random(out=u_buffer[:m])
+                keep = per_photon[2 * photon + 1].random(out=keep_buffer[:m])
+                # the photons that survive on some arm, in increasing pair index
+                alive = np.flatnonzero(coupled & (keep < max(s1, s2)))
+                u, keep = u[alive], keep[alive]
+                clicks["h", photon].append(pair_times[alive[(u < 0.5) & (keep < s1)]])
+                clicks["1", photon].append(
+                    pair_times[alive[(u >= 0.5) & (u < 0.75) & (keep < s2)]])
+                clicks["2", photon].append(pair_times[alive[(u >= 0.75) & (keep < s2)]])
+    return clicks
+
+
+class Worker(threading.Thread):
+    """``fn(*args)`` on a thread of its own, started at once: ``result()``
+    joins the thread and returns what ``fn`` returned or raises what it
+    raised."""
+
+    def __init__(self, fn, *args):
+        super().__init__()
+        self._call = fn, args
+        self._outcome = None, None
+        self.start()
+
+    def run(self):
+        fn, args = self._call
+        try:
+            self._outcome = fn(*args), None
+        except BaseException as exc:  # re-raised by result() on the caller's thread
+            self._outcome = None, exc
+
+    def result(self):
+        self.join()
+        value, error = self._outcome
+        if error is not None:
+            raise error
+        return value
 
 
 def _arm_survival(chain: DetectionChain):
@@ -243,7 +323,14 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     and its dark times.  The pairs are drawn and routed in blocks of
     ``_PAIR_BLOCK``, each block reading its slice of every per-pair array
     from a generator advanced to that array's start, so memory follows the
-    clicks plus one block, not the pairs.
+    clicks plus a block per thread, not the pairs.  The blocks are halved
+    into two contiguous runs (:func:`_pair_runs`): the caller's thread
+    routes the first and one worker thread the second, each from its own
+    generators advanced to its first pair, and the click lists are joined
+    in block order, so the arrays do not depend on the split.  A stream of
+    one block is routed on the caller's thread alone.  Each channel's
+    jitter is added block by block in place, and its blocks and darks are
+    copied into one array that is sorted and deduplicated.
     """
     window_ns = chain.integration_time_ms * 1e6
     window_s = chain.integration_time_ms * 1e-3
@@ -264,46 +351,36 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
 
     rng = np.random.default_rng(seed)
     n_pairs = int(rng.poisson(rate * window_s))
-    draws = 4 if chain.topology == "pair" else 6
-    times, coupling, *per_photon = _streams(rng, draws, n_pairs)
-    # the photon clicks of each channel, per photon, block by block
-    clicks = {label: ([], []) for label in chain.channels}
-    # anti-correlated pair routing: eta_insertion is the per-port coupler
-    # transmission (split already included).  Heralded: two cascaded 50:50
-    # couplers with per-passage excess transmission eta_insertion; the
-    # herald arm passes one coupler, arms 1/2 pass two.
-    s1, s2 = _arm_survival(chain)
+    state = rng.bit_generator.state
+    rng.bit_generator.advance(_DRAWS[chain.topology] * n_pairs)  # past the per-pair arrays
+    first_run, *later_runs = _pair_runs(n_pairs)
+    workers = [Worker(_route_pairs, chain, state, n_pairs, *run) for run in later_runs]
+    try:
+        routed = [_route_pairs(chain, state, n_pairs, *first_run)]
+    finally:  # the worker is joined also when this thread's run fails
+        later = [worker.result() for worker in workers]
+    routed += later
 
-    for start in range(0, n_pairs, _PAIR_BLOCK):
-        m = min(_PAIR_BLOCK, n_pairs - start)
-        pair_times = times.uniform(0.0, window_ns, m)
-        coupled = coupling.random(m) < chain.eta_coupling
-        if chain.topology == "pair":
-            for label, detection in zip(PAIR_CHANNELS, per_photon):
-                clicks[label][0].append(pair_times[coupled & (detection.random(m) < s1)])
-        else:
-            for photon in range(2):  # the two photons of each pair, independently
-                u = per_photon[2 * photon].random(m)
-                keep = per_photon[2 * photon + 1].random(m)
-                # the photons that survive on some arm, in increasing pair index
-                alive = np.flatnonzero(coupled & (keep < max(s1, s2)))
-                u, keep = u[alive], keep[alive]
-                clicks["h"][photon].append(pair_times[alive[(u < 0.5) & (keep < s1)]])
-                clicks["1"][photon].append(
-                    pair_times[alive[(u >= 0.5) & (u < 0.75) & (keep < s2)]])
-                clicks["2"][photon].append(pair_times[alive[(u >= 0.75) & (keep < s2)]])
-
+    sigma = chain.jitter_fwhm_ns / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     channels = {}
     for label in chain.channels:
-        first, second = clicks.pop(label)
-        photon = np.concatenate([np.empty(0), *first, *second])
-        del first, second
+        # the channel's photon clicks in the order of the full-length
+        # arrays: per photon, the blocks of every run in turn
+        blocks = [block for photon in range(2) for clicks in routed
+                  for block in clicks.pop((label, photon))]
         if chain.jitter_fwhm_ns != 0:
-            sigma = chain.jitter_fwhm_ns / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-            photon += rng.normal(0.0, sigma, size=photon.shape)
+            for block in blocks:
+                block += rng.normal(0.0, sigma, size=block.shape)
+        n_photon = sum(len(block) for block in blocks)
         n_dark = rng.poisson(chain.dark_rate_hz * window_s)
-        merged = np.concatenate([photon, rng.uniform(0.0, window_ns, n_dark)])
-        del photon
+        merged = np.empty(n_photon + n_dark)
+        end = 0
+        for k, block in enumerate(blocks):
+            merged[end:end + len(block)] = block
+            end += len(block)
+            blocks[k] = None  # freed once copied
+        darks = rng.random(out=merged[n_photon:])
+        darks *= window_ns  # as uniform(0.0, window_ns) computes it
         merged.sort()
         merged = merged[np.searchsorted(merged, 0.0):np.searchsorted(merged, window_ns)]
         keep = np.empty(len(merged), dtype=bool)  # the first of each run of equal times

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -593,6 +594,55 @@ def test_simulate_window_not_shorter_than_integration_exits_1(tmp_path, capsys):
     assert run("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == ("spdclab: coincidence window 1e+200 ns is not shorter "
                                        "than the integration time 100.0 ms\n")
+
+
+def test_simulate_unwritable_tags_exits_2_without_summary(tmp_path, capsys):
+    # the dump fails on its worker; the counting beside it still ends first
+    out = tmp_path / "out"
+    (out / "tags.csv").mkdir(parents=True)
+    assert run("simulate", "--config", config_path("paper_chain.json"),
+               "--out", str(out), "--seed", "42") == 2
+    assert capsys.readouterr().err == f"spdclab: cannot write {out / 'tags.csv'}: Is a directory\n"
+    assert not (out / "count_summary.json").exists()
+
+
+def refuse_recording_thread(threads):
+    """A stand-in that records its thread and refuses an allocation."""
+    def refuse(*args, **kwargs):
+        threads.append(threading.current_thread())
+        raise MemoryError("Unable to allocate 96.0 MiB for an array with shape (12582912,) "
+                          "and data type uint8")
+    return refuse
+
+
+def test_simulate_refused_allocation_in_dump_exits_1_with_one_line(tmp_path, capsys,
+                                                                   monkeypatch):
+    from spdclab import counting
+
+    threads = []
+    monkeypatch.setattr(counting, "_render_rows", refuse_recording_thread(threads))
+    out = tmp_path / "out"
+    assert run("simulate", "--config", config_path("paper_chain.json"),
+               "--out", str(out), "--seed", "42") == 1
+    assert capsys.readouterr().err == (
+        "spdclab: out of memory: Unable to allocate 96.0 MiB for an array with shape "
+        "(12582912,) and data type uint8\n")
+    assert threads and threading.main_thread() not in threads
+    assert not (out / "count_summary.json").exists()
+
+
+def test_simulate_dump_error_goes_before_counting_error(tmp_path, capsys, monkeypatch):
+    # both threads fail: the dump's error is reported, as when it ran first
+    from spdclab import counting
+
+    threads = []
+    monkeypatch.setattr(counting, "count_coincidences", refuse_recording_thread(threads))
+    out = tmp_path / "out"
+    (out / "tags.csv").mkdir(parents=True)
+    assert run("simulate", "--config", config_path("paper_chain.json"),
+               "--out", str(out), "--seed", "42") == 2
+    assert capsys.readouterr().err == f"spdclab: cannot write {out / 'tags.csv'}: Is a directory\n"
+    assert threads == [threading.main_thread()]
 
 
 def test_simulate_bad_chain_key_exits_2(tmp_path):

@@ -271,6 +271,47 @@ def test_multi_block_cases_cross_block_boundaries():
         assert 3.2 * ct._PAIR_BLOCK < mean_pairs < 3.8 * ct._PAIR_BLOCK
 
 
+@pytest.mark.parametrize("jitter_fwhm_ns", [0.35, 0.0])
+@pytest.mark.parametrize("topology", ["pair", "heralded"])
+@pytest.mark.parametrize("mean_blocks, n_blocks", [(0.0, 0), (0.5, 1), (1.5, 2), (2.5, 3)],
+                         ids=["no-pairs", "one-block", "two-blocks", "three-blocks"])
+def test_simulate_tags_split_matches_reference_and_one_thread(monkeypatch, mean_blocks, n_blocks,
+                                                              topology, jitter_fwhm_ns):
+    """The caller's thread routes the first run of blocks and one worker
+    the second; one block (or none) stays on the caller's thread.  The
+    arrays equal the full-length reference and the one-run routing."""
+    src = ct.SourceRates(mean_blocks * ct._PAIR_BLOCK / 100.0, 100.0)  # mean pairs per 1 s
+    chain = ct.DetectionChain(topology=topology, dark_rate_hz=500.0, jitter_fwhm_ns=jitter_fwhm_ns,
+                              integration_time_ms=1000.0)
+    runs, workers = [], []
+    pair_runs = ct._pair_runs
+
+    class CountedWorker(ct.Worker):
+        def __init__(self, *args):
+            workers.append(args)
+            super().__init__(*args)
+
+    def recorded_runs(n_pairs):
+        runs.append(pair_runs(n_pairs))
+        return runs[-1]
+
+    monkeypatch.setattr(ct, "_pair_runs", recorded_runs)
+    monkeypatch.setattr(ct, "Worker", CountedWorker)
+    split = ct.simulate_tags(src, chain, seed=11)
+    (stream_runs,) = runs
+    assert -(-stream_runs[-1][1] // ct._PAIR_BLOCK) == n_blocks
+    assert len(stream_runs) == len(workers) + 1 == (2 if n_blocks > 1 else 1)
+
+    monkeypatch.setattr(ct, "_pair_runs", lambda n_pairs: [(0, n_pairs)])
+    one_thread = ct.simulate_tags(src, chain, seed=11)
+    assert len(workers) == (1 if n_blocks > 1 else 0)
+
+    reference = simulate_tags_reference(src, chain, 11)
+    for label, times in reference.items():
+        assert np.array_equal(split.channels[label], times), label
+        assert np.array_equal(one_thread.channels[label], times), label
+
+
 @pytest.mark.parametrize("topology", ["pair", "heralded"])
 def test_simulate_tags_memory_follows_clicks_not_pairs(topology):
     """1.16 M pairs but under 10 k clicks: the traced peak stays near one
