@@ -10,7 +10,7 @@ Coefficients live in a versioned data file shipped with the package (see
 once and frozen into an immutable :class:`SellmeierModel`.
 
 All functions are pure and accept scalars or numpy arrays for the
-wavelength or frequency argument.
+wavelength or frequency argument; ``wavevector`` also for the temperature.
 """
 
 from __future__ import annotations
@@ -54,10 +54,13 @@ class SellmeierModel:
                 f"window [{self.wavelength_um_min}, {self.wavelength_um_max}] um"
             )
 
-    def check_temperature(self, theta_C: float) -> None:
-        if not (self.temperature_C_min <= theta_C <= self.temperature_C_max):
+    def check_temperature(self, theta_C) -> None:
+        """Refuses a temperature, or the first of an array, outside the window."""
+        theta = np.asarray(theta_C)
+        outside = ~((self.temperature_C_min <= theta) & (theta <= self.temperature_C_max))
+        if np.any(outside):
             raise DomainError(
-                f"temperature {theta_C:.4g} C outside validity window "
+                f"temperature {theta.flat[np.argmax(outside)]:.4g} C outside validity window "
                 f"[{self.temperature_C_min}, {self.temperature_C_max}] C"
             )
 
@@ -105,18 +108,20 @@ def load_material(path=None) -> SellmeierModel:
     return _parse_material_text(text, path)
 
 
-def _n_squared_terms(model: SellmeierModel, lam_um, theta_C: float):
-    """n^2 and its first/second derivative with respect to lambda (in um)."""
+def _n_squared_terms(model: SellmeierModel, lam_um, theta_C):
+    """n^2 and its first/second derivative with respect to lambda (in um);
+    the wavelength and the temperature broadcast against each other."""
     c = model.coefficients
     f = (theta_C - _T_REF) * (theta_C + _T_REF + 2 * 273.16)
     P = c["a2"] + c["b2"] * f
     Q = c["a3"] + c["b3"] * f
     R = c["a4"] + c["b4"] * f
-    # powers as products (lam * lam, not lam ** 2): a numpy scalar raises
-    # through libm pow, which can round differently from an array's power
-    # loop; products give a scalar and an array call the same bits
+    # powers as products (lam * lam, not lam ** 2; Q * Q, not Q ** 2): a
+    # scalar raises through libm pow, which can round differently from an
+    # array's power loop; products give a scalar and an array call the same
+    # bits, over wavelength and over temperature alike
     u = lam_um * lam_um
-    d1 = u - Q ** 2
+    d1 = u - Q * Q
     d2 = u - c["a5"] ** 2
     n2 = c["a1"] + c["b1"] * f + P / d1 + R / d2 - c["a6"] * u
     # derivatives with respect to u = lam^2, then chain rule to lam
@@ -127,7 +132,7 @@ def _n_squared_terms(model: SellmeierModel, lam_um, theta_C: float):
     return n2, dn2_dlam, d2n2_dlam2
 
 
-def _index_and_derivatives(model: SellmeierModel, lambda_nm, theta_C: float):
+def _index_and_derivatives(model: SellmeierModel, lambda_nm, theta_C):
     model.check_wavelength(lambda_nm)
     model.check_temperature(theta_C)
     lam_um = np.asarray(lambda_nm, dtype=float) * 1e-3
@@ -150,12 +155,13 @@ def gvd(model: SellmeierModel, lambda_nm, theta_C: float):
     return out if np.ndim(lambda_nm) else float(out)
 
 
-def wavevector(model: SellmeierModel, omega, theta_C: float):
+def wavevector(model: SellmeierModel, omega, theta_C):
     """Propagation constant k = n(omega) * omega / c0 in 1/m.
 
-    ``omega`` in rad/s, scalar or array.
+    ``omega`` in rad/s and ``theta_C`` in degC, each a scalar or an array;
+    they broadcast against each other, and a 0-d result is a float.
     """
     lambda_nm = omega_to_wavelength_nm(np.asarray(omega, dtype=float))
     _, n, _, _ = _index_and_derivatives(model, lambda_nm, theta_C)
     out = n * np.asarray(omega, dtype=float) / C0
-    return out if np.ndim(omega) else float(out)
+    return out if np.ndim(out) else float(out)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import TWO_PI, UM, wavelength_nm_to_omega
+from .constants import TWO_PI, UM, omega_to_wavelength_nm, wavelength_nm_to_omega
 from .dispersion import SellmeierModel, wavevector
 from .errors import DomainError, SolverError
 
@@ -80,58 +80,91 @@ def delta_k(cfg: CrystalConfig, lambda_p_nm, lambda_s_nm):
     Either wavelength may be an array; the idler wavelength is derived from
     energy conservation and must lie inside the material validity window.
     """
-    theta = cfg.effective_temperature_C
+    return _delta_k(cfg, cfg.effective_temperature_C, lambda_p_nm, lambda_s_nm)
+
+
+def _delta_k(cfg: CrystalConfig, theta_C, lambda_p_nm, lambda_s_nm):
+    """``delta_k`` at the effective temperature ``theta_C`` in degC, a scalar
+    or an array that broadcasts against the wavelengths.
+
+    Refuses the first temperature, then every wavelength (the pump first,
+    then the idler it implies, then the signal and idler frequencies as the
+    wavevectors see them), then the other temperatures: the order of one
+    ``delta_k`` call per temperature, each on a config made for it.
+    """
+    model = cfg.model
+    model.check_temperature(np.asarray(theta_C).flat[:1])
     w_p = wavelength_nm_to_omega(lambda_p_nm)
-    k_p = wavevector(cfg.model, w_p, theta)  # checks the pump before the idler is derived
+    model.check_wavelength(omega_to_wavelength_nm(w_p))
     lam_s = np.asarray(lambda_s_nm, dtype=float)
-    lam_i = idler_wavelength_nm(lambda_p_nm, lam_s)
-    cfg.model.check_wavelength(lam_i)  # the signal is checked inside wavevector
+    model.check_wavelength(idler_wavelength_nm(lambda_p_nm, lam_s))
     w_s = wavelength_nm_to_omega(lam_s)
     w_i = w_p - w_s
-    out = (k_p
-           - wavevector(cfg.model, w_s, theta)
-           - wavevector(cfg.model, w_i, theta)
+    for w in (w_s, w_i):
+        model.check_wavelength(omega_to_wavelength_nm(w))
+    out = (wavevector(model, w_p, theta_C)
+           - wavevector(model, w_s, theta_C)
+           - wavevector(model, w_i, theta_C)
            - cfg.poling_wavenumber)
-    return out if np.ndim(lambda_s_nm) else float(out)
+    return out if np.ndim(out) else float(out)
 
 
-def bisect_root(fn, lo: float, hi: float, *, xtol: float) -> float:
-    """Bracketed bisection; deterministic for identical inputs."""
-    f_lo = fn(lo)
-    f_hi = fn(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise SolverError(f"no sign change on [{lo:.6g}, {hi:.6g}]")
+def bisect_root(fn, lo, hi, *, xtol: float):
+    """Bracketed bisection of the brackets [lo[j], hi[j]], all at once;
+    deterministic for identical inputs.
+
+    ``fn(x, k)`` returns the function of brackets ``k`` (an index array) at
+    ``x``, so each halving step is one call on the brackets still open.  Per
+    bracket: an endpoint where the function is exactly 0 is the root; the
+    first bracket without a sign change raises SolverError; a bracket stops
+    at the midpoint where the function is 0 or the bracket is narrower than
+    ``xtol``, and after BISECT_MAX_ITER halvings at its midpoint.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    k = np.arange(lo.size)
+    f_lo = fn(lo, k)
+    f_hi = fn(hi, k)
+    root = np.where(f_lo == 0.0, lo, hi)
+    unsolved = (f_lo != 0.0) & (f_hi != 0.0)
+    same = unsolved & (np.sign(f_lo) == np.sign(f_hi))
+    if np.any(same):
+        j = int(np.argmax(same))
+        raise SolverError(f"no sign change on [{lo[j]:.6g}, {hi[j]:.6g}]")
+    k = k[unsolved]
     for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_mid == 0.0 or (hi - lo) < xtol:
-            return mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+        if not k.size:
+            break
+        mid = 0.5 * (lo[k] + hi[k])
+        f_mid = fn(mid, k)
+        done = (f_mid == 0.0) | (hi[k] - lo[k] < xtol)
+        root[k[done]] = mid[done]
+        # f keeps the sign of f_lo at lo, so f_lo itself needs no update
+        up = ~done & (np.sign(f_mid) == np.sign(f_lo[k]))
+        down = ~done & ~up
+        lo[k[up]] = mid[up]
+        hi[k[down]] = mid[down]
+        k = k[~done]
+    root[k] = 0.5 * (lo[k] + hi[k])
+    return root
 
 
 def find_degeneracy_temperature(cfg: CrystalConfig, lambda_p_nm: float) -> float:
     """Reported temperature at which dk = 0 for the degenerate pair
-    lambda_s = lambda_i = 2 * lambda_p; dk is evaluated through ``delta_k``
-    at the effective (offset-applied) temperature.
+    lambda_s = lambda_i = 2 * lambda_p; dk is evaluated at the effective
+    (offset-applied) temperature.  The scan over temperature is one array
+    call of the dk body that ``delta_k`` uses, and so is each bisection step.
     """
     model = cfg.model
-    t_lo = model.temperature_C_min - cfg.calibration_offset_C
-    t_hi = model.temperature_C_max - cfg.calibration_offset_C
+    offset = cfg.calibration_offset_C
+    t_lo = model.temperature_C_min - offset
+    t_hi = model.temperature_C_max - offset
 
-    def delta_k_fn(theta):
-        return delta_k(replace(cfg, temperature_C=theta), lambda_p_nm, 2 * lambda_p_nm)
+    def dk(theta, k=None):  # k: the open brackets, all of this one config
+        return _delta_k(cfg, theta + offset, lambda_p_nm, 2 * lambda_p_nm)
 
     thetas = np.linspace(t_lo, t_hi, SCAN_POINTS)
-    values = np.array([delta_k_fn(t) for t in thetas])
-    signs = np.sign(values)
+    signs = np.sign(dk(thetas))
     crossings = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
     if len(crossings) == 0:
         raise SolverError(
@@ -140,8 +173,8 @@ def find_degeneracy_temperature(cfg: CrystalConfig, lambda_p_nm: float) -> float
         )
     i = crossings[0]
     # refine until |dk| is far below the poling wavenumber
-    theta = bisect_root(delta_k_fn, thetas[i], thetas[i + 1], xtol=1e-9)
-    if abs(delta_k_fn(theta)) > 1e-6 * cfg.poling_wavenumber:
+    theta = bisect_root(dk, thetas[i:i + 1], thetas[i + 1:i + 2], xtol=1e-9)[0]
+    if abs(dk(theta)) > 1e-6 * cfg.poling_wavenumber:
         raise SolverError(f"bisection did not converge at theta={theta:.4f} C")
     return float(theta)
 
@@ -178,26 +211,30 @@ def tuning_curve(cfg: CrystalConfig, lambda_p_nm: float, theta_range, grid: int)
     range.  For each temperature all roots of dk(lambda_s) = 0 with
     lambda_s <= 2*lambda_p are found by a coarse scan plus bisection
     refinement to 1e-4 nm; temperatures without roots yield no entries.
+    The scan of all temperatures is one array call, and the bisections of
+    all brackets advance together; the points come per temperature, in
+    ascending signal wavelength.
     """
     lo, hi = _signal_scan_range(cfg, lambda_p_nm)
     lam_grid = np.linspace(lo, hi, SCAN_POINTS)
-    points: list[TuningPoint] = []
-    for theta in np.linspace(theta_range[0], theta_range[1], grid):
-        c = replace(cfg, temperature_C=float(theta))
-        vals = delta_k(c, lambda_p_nm, lam_grid)
-        signs = np.sign(vals)
-        idx = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        roots = [
-            bisect_root(lambda ls: delta_k(c, lambda_p_nm, ls),
-                        lam_grid[i], lam_grid[i + 1], xtol=1e-4)
-            for i in idx
-        ]
-        if signs[-1] == 0:  # exact degeneracy lands on the last grid point
-            roots.append(lam_grid[-1])
-        for lam_s in sorted(roots):
-            lam_i = idler_wavelength_nm(lambda_p_nm, lam_s)
-            points.append(TuningPoint(float(theta), float(lam_s), float(lam_i)))
-    return points
+    thetas = np.linspace(theta_range[0], theta_range[1], grid)
+    theta_eff = thetas + cfg.calibration_offset_C
+    signs = np.sign(_delta_k(cfg, theta_eff[:, None], lambda_p_nm, lam_grid))
+    at, col = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
+    roots = bisect_root(lambda ls, k: _delta_k(cfg, theta_eff[at[k]], lambda_p_nm, ls),
+                        lam_grid[col], lam_grid[col + 1], xtol=1e-4)
+    # exact degeneracy lands on the last grid point
+    at_last = np.flatnonzero(signs[:, -1] == 0)
+    at = np.concatenate([at, at_last])
+    lam_s = np.concatenate([roots, np.full(at_last.size, lam_grid[-1])])
+    # roots of one temperature lie in disjoint brackets, ascending, and the
+    # last grid point is above them all: a stable sort by temperature
+    # leaves each temperature's roots in ascending order
+    order = np.argsort(at, kind="stable")
+    lam_s = lam_s[order]
+    lam_i = idler_wavelength_nm(lambda_p_nm, lam_s)
+    return [TuningPoint(float(thetas[t]), float(s), float(i))
+            for t, s, i in zip(at[order], lam_s, lam_i)]
 
 
 def export_tuning_curve_csv(points, path) -> None:

@@ -8,6 +8,7 @@ import pytest
 
 from spdclab import biphoton, cli, counting, dispersion, phasematch, schema
 from spdclab.constants import FS, MM, TWO_PI, omega_to_wavelength_nm, wavelength_nm_to_omega
+from spdclab.errors import SolverError
 
 # Bulk-model degeneracy temperature for the 405 nm -> 810 nm degenerate
 # pair, frozen from an independent root solve on the published Sellmeier
@@ -78,6 +79,53 @@ def group_index(model, lambda_nm, theta_C):
     lam_um, n, dn, _ = dispersion._index_and_derivatives(model, lambda_nm, theta_C)
     ng = n - lam_um * dn
     return ng if np.ndim(lambda_nm) else float(ng)
+
+
+def bisect_root_reference(fn, lo: float, hi: float, *, xtol: float) -> float:
+    """One bracket of ``phasematch.bisect_root``, one scalar ``fn(x)`` call
+    per endpoint and per halving."""
+    f_lo = fn(lo)
+    f_hi = fn(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if np.sign(f_lo) == np.sign(f_hi):
+        raise SolverError(f"no sign change on [{lo:.6g}, {hi:.6g}]")
+    for _ in range(phasematch.BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid)
+        if f_mid == 0.0 or (hi - lo) < xtol:
+            return mid
+        if np.sign(f_mid) == np.sign(f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def tuning_curve_reference(cfg, lambda_p_nm, theta_range, grid):
+    """``phasematch.tuning_curve`` one temperature at a time: a config per
+    temperature, a scan of ``delta_k`` over the signal grid, then one scalar
+    bisection per sign change."""
+    lo, hi = phasematch._signal_scan_range(cfg, lambda_p_nm)
+    lam_grid = np.linspace(lo, hi, phasematch.SCAN_POINTS)
+    points = []
+    for theta in np.linspace(theta_range[0], theta_range[1], grid):
+        c = replace(cfg, temperature_C=float(theta))
+        signs = np.sign(phasematch.delta_k(c, lambda_p_nm, lam_grid))
+        idx = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+        roots = [
+            bisect_root_reference(lambda ls: phasematch.delta_k(c, lambda_p_nm, ls),
+                                  lam_grid[i], lam_grid[i + 1], xtol=1e-4)
+            for i in idx
+        ]
+        if signs[-1] == 0:
+            roots.append(lam_grid[-1])
+        for lam_s in sorted(roots):
+            lam_i = phasematch.idler_wavelength_nm(lambda_p_nm, lam_s)
+            points.append(phasematch.TuningPoint(float(theta), float(lam_s), float(lam_i)))
+    return points
 
 
 def chain_efficiencies(chain):

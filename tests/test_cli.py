@@ -254,6 +254,22 @@ def test_pump_without_idler_energy_exits_1_naming_it(tmp_path, capsys, lambda_p_
                                        "window [0.4, 4.0] um\n")
 
 
+@pytest.mark.parametrize("lambda_p_nm, theta_range, message", [
+    (405.0, [100.0, 200.0], "temperature 202.4 C outside validity window [20.0, 200.0] C"),
+    (6000.0, [160.0, 200.0], "temperature 209.1 C outside validity window [20.0, 200.0] C"),
+    (6000.0, [100.0, 200.0], "wavelength 6 um outside validity window [0.4, 4.0] um"),
+    (3000.0, [100.0, 200.0], "wavelength 4-6 um outside validity window [0.4, 4.0] um"),
+], ids=["later-temperature", "first-temperature", "pump", "idler"])
+def test_tuning_curve_refuses_in_scan_order(tmp_path, capsys, lambda_p_nm, theta_range,
+                                            message):
+    # the scan refuses its first temperature (+ the offset) before any
+    # wavelength, and the other temperatures after every wavelength
+    cfg = write_json(tmp_path / "c.json", {**PAPER_TUNING, "lambda_p_nm": lambda_p_nm,
+                                           "theta_range_C": theta_range})
+    assert run("tuning-curve", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"spdclab: {message}\n"
+
+
 def test_computation_error_exits_1(tmp_path, capsys):
     # a poling period that can never be phase matched -> solver error
     cfg = write_json(tmp_path / "c.json", {
@@ -303,6 +319,18 @@ def test_tuning_curve_deterministic(tmp_path):
         outs.append((open(out / "tuning_curve.csv", "rb").read(),
                      open(out / "tuning_summary.json", "rb").read()))
     assert outs[0] == outs[1]
+
+
+def test_tuning_curve_matches_golden_fixture(tmp_path):
+    """The tuning curve and degeneracy summary of the paper config, frozen
+    like the seed-42 count summaries: they must stay byte-identical across
+    releases."""
+    out = tmp_path / "out"
+    assert run("tuning-curve", "--config", config_path("paper_tuning.json"),
+               "--out", str(out)) == 0
+    for name in ("tuning_summary.json", "tuning_curve.csv"):
+        assert ((out / name).read_bytes()
+                == open(os.path.join(DATA, f"golden_{name}"), "rb").read())
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):

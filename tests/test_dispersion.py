@@ -160,6 +160,21 @@ def test_validity_window_raises(material):
         refractive_index(material, 810.0, 500.0)
 
 
+def test_check_temperature_names_the_first_value_outside(material):
+    window = "outside validity window [20.0, 200.0] C"
+    with pytest.raises(DomainError) as scalar:
+        material.check_temperature(239.0975327)
+    assert str(scalar.value) == f"temperature 239.1 C {window}"
+    with pytest.raises(DomainError) as nan:
+        material.check_temperature(float("nan"))
+    assert str(nan.value) == f"temperature nan C {window}"
+    with pytest.raises(DomainError) as array:
+        material.check_temperature(np.array([[50.0, 200.0, 202.4], [-10.9, 20.0, 250.0]]))
+    assert str(array.value) == f"temperature 202.4 C {window}"
+    material.check_temperature(np.array([20.0, 110.0, 200.0]))
+    material.check_temperature(np.empty(0))
+
+
 def test_vectorized_matches_scalar(material):
     lams = np.array([600.0, 810.0, 1600.0])
     vec = refractive_index(material, lams, 59.4)
