@@ -126,8 +126,7 @@ def pump_envelope(env: PumpEnvelope, omega_s, omega_i):
     under signal/idler exchange.
     """
     detuning = np.asarray(omega_s, dtype=float) + np.asarray(omega_i, dtype=float) - env.omega_p
-    out = np.exp(-detuning ** 2 / (2.0 * env.sigma_p ** 2))
-    return out if np.ndim(out) else float(out)
+    return np.exp(-detuning ** 2 / (2.0 * env.sigma_p ** 2))
 
 
 def phase_matching_function(cfg: CrystalConfig, omega_s, omega_i):
@@ -136,8 +135,7 @@ def phase_matching_function(cfg: CrystalConfig, omega_s, omega_i):
     w_i = np.asarray(omega_i, dtype=float)
     dk = delta_k(cfg, omega_to_wavelength_nm(w_s + w_i), omega_to_wavelength_nm(w_s))
     x = dk * (cfg.length_mm * MM) / 2.0
-    out = np.sinc(x / np.pi)
-    return out if np.ndim(out) else float(out)
+    return np.sinc(x / np.pi)
 
 
 def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpectrum:

@@ -101,12 +101,12 @@ def cmd_tuning_curve(args, cfg: dict, given: dict) -> int:
     crystal = _crystal(cfg["crystal"])
     lambda_p = cfg["lambda_p_nm"]
 
+    # both solves before either output, so a refusal leaves no file
     points = phasematch.tuning_curve(crystal, lambda_p, cfg["theta_range_C"], grid=cfg["grid"])
-    phasematch.export_tuning_curve_csv(
-        points, os.path.join(args.out, "tuning_curve.csv"))
-
     theta_deg_model = phasematch.find_degeneracy_temperature(
         replace(crystal, calibration_offset_C=0.0), lambda_p)
+
+    phasematch.export_tuning_curve_csv(points, os.path.join(args.out, "tuning_curve.csv"))
     summary = {
         "config": given,
         "lambda_p_nm": lambda_p,
@@ -139,24 +139,26 @@ def cmd_jsa(args, cfg: dict, given: dict) -> int:
 
     # at most two n x n complex matrices are alive at a time, an input and
     # the one buffer of to_temporal or apply_fiber_phase: the free JTA is
-    # reduced to its profile at once, and the JSA is dropped once its
-    # fiber-phased copy exists.  The free FFT comes first, so it refuses
-    # non-uniform axes before any file is written.
-    profile_free = biphoton.jti_difference_profile(biphoton.to_temporal(jsa))
+    # reduced to its T_e at once, and the JSA is dropped once its
+    # fiber-phased copy exists.  The free FFT and T_e come before jsi.*, the
+    # fiber T_e before jti.*: a refused T_e leaves no matrix it comes from.
+    te_free = biphoton.half_max_width_fs(
+        *biphoton.jti_difference_profile(biphoton.to_temporal(jsa)))
     biphoton.export_matrix_csv(jsa, os.path.join(args.out, "jsi.csv"),
                                os.path.join(args.out, "jsi.json"))
     jsa_fiber = biphoton.apply_fiber_phase(jsa, beta_fs2, reference_omega)
     del jsa
     jta_fiber = biphoton.to_temporal(jsa_fiber)
     del jsa_fiber
+    te_fiber = biphoton.entanglement_time_from_jti(jta_fiber)
     biphoton.export_matrix_csv(jta_fiber, os.path.join(args.out, "jti.csv"),
                                os.path.join(args.out, "jti.json"))
 
     report = {
         "config": given,
         "fiber_beta_fs2": beta_fs2,
-        "entanglement_time_free_fs": biphoton.half_max_width_fs(*profile_free),
-        "entanglement_time_fiber_fs": biphoton.entanglement_time_from_jti(jta_fiber),
+        "entanglement_time_free_fs": te_free,
+        "entanglement_time_fiber_fs": te_fiber,
         "measured_input": bool(measured),
     }
     write_json(report, os.path.join(args.out, "te_report.json"))

@@ -10,7 +10,8 @@ Coefficients live in a versioned data file shipped with the package (see
 once and frozen into an immutable :class:`SellmeierModel`.
 
 All functions are pure and accept scalars or numpy arrays for the
-wavelength or frequency argument; ``wavevector`` also for the temperature.
+wavelength or frequency argument and for the temperature, which broadcast
+against each other; scalar arguments give an ``np.float64``.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _index_and_derivatives(model: SellmeierModel, lambda_nm, theta_C):
     return lam_um, n, dn, d2n
 
 
-def gvd(model: SellmeierModel, lambda_nm, theta_C: float):
+def gvd(model: SellmeierModel, lambda_nm, theta_C):
     """Group velocity dispersion d2k/domega2 in s^2/m.
 
     Uses the standard identity d2k/domega2 = lambda^3 / (2 pi c^2) * d2n/dlambda2.
@@ -151,17 +152,14 @@ def gvd(model: SellmeierModel, lambda_nm, theta_C: float):
     lam_um, _, _, d2n = _index_and_derivatives(model, lambda_nm, theta_C)
     lam_m = lam_um * 1e-6
     d2n_m = d2n / (1e-6) ** 2  # 1/m^2
-    out = lam_m * lam_m * lam_m / (TWO_PI * C0 ** 2) * d2n_m
-    return out if np.ndim(lambda_nm) else float(out)
+    return lam_m * lam_m * lam_m / (TWO_PI * C0 ** 2) * d2n_m
 
 
 def wavevector(model: SellmeierModel, omega, theta_C):
     """Propagation constant k = n(omega) * omega / c0 in 1/m.
 
-    ``omega`` in rad/s and ``theta_C`` in degC, each a scalar or an array;
-    they broadcast against each other, and a 0-d result is a float.
+    ``omega`` in rad/s and ``theta_C`` in degC, each a scalar or an array.
     """
     lambda_nm = omega_to_wavelength_nm(np.asarray(omega, dtype=float))
     _, n, _, _ = _index_and_derivatives(model, lambda_nm, theta_C)
-    out = n * np.asarray(omega, dtype=float) / C0
-    return out if np.ndim(out) else float(out)
+    return n * np.asarray(omega, dtype=float) / C0

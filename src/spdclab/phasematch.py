@@ -12,7 +12,6 @@ hidden.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,8 +69,7 @@ def idler_wavelength_nm(lambda_p_nm, lambda_s_nm):
                         for lam in (lambda_p_nm, lambda_s_nm))
         raise DomainError(
             f"signal {lam_s:.6g} nm does not leave positive idler energy for pump {lam_p:.6g} nm")
-    out = 1.0 / inv
-    return out if np.ndim(out) else float(out)
+    return 1.0 / inv
 
 
 def delta_k(cfg: CrystalConfig, lambda_p_nm, lambda_s_nm):
@@ -102,11 +100,10 @@ def _delta_k(cfg: CrystalConfig, theta_C, lambda_p_nm, lambda_s_nm):
     w_i = w_p - w_s
     for w in (w_s, w_i):
         model.check_wavelength(omega_to_wavelength_nm(w))
-    out = (wavevector(model, w_p, theta_C)
-           - wavevector(model, w_s, theta_C)
-           - wavevector(model, w_i, theta_C)
-           - cfg.poling_wavenumber)
-    return out if np.ndim(out) else float(out)
+    return (wavevector(model, w_p, theta_C)
+            - wavevector(model, w_s, theta_C)
+            - wavevector(model, w_i, theta_C)
+            - cfg.poling_wavenumber)
 
 
 def bisect_root(fn, lo, hi, *, xtol: float):
@@ -188,13 +185,6 @@ def fit_calibration_offset(cfg: CrystalConfig, lambda_p_nm: float,
     return theta_deg - measured_degeneracy_C
 
 
-@dataclass(frozen=True)
-class TuningPoint:
-    theta_C: float
-    lambda_s_nm: float
-    lambda_i_nm: float
-
-
 def _signal_scan_range(cfg: CrystalConfig, lambda_p_nm: float):
     """Signal wavelengths for which signal, idler and pump all stay inside
     the material validity window."""
@@ -207,12 +197,13 @@ def _signal_scan_range(cfg: CrystalConfig, lambda_p_nm: float):
 
 
 def tuning_curve(cfg: CrystalConfig, lambda_p_nm: float, theta_range, grid: int):
-    """Phase-matched (theta, lambda_s, lambda_i) branches over a temperature
-    range.  For each temperature all roots of dk(lambda_s) = 0 with
+    """Phase-matched branches over a temperature range, as an
+    ``(n_points, 3)`` float array of ``(theta_C, lambda_s_nm, lambda_i_nm)``
+    rows.  For each temperature all roots of dk(lambda_s) = 0 with
     lambda_s <= 2*lambda_p are found by a coarse scan plus bisection
-    refinement to 1e-4 nm; temperatures without roots yield no entries.
+    refinement to 1e-4 nm; temperatures without roots yield no rows.
     The scan of all temperatures is one array call, and the bisections of
-    all brackets advance together; the points come per temperature, in
+    all brackets advance together; the rows come per temperature, in
     ascending signal wavelength.
     """
     lo, hi = _signal_scan_range(cfg, lambda_p_nm)
@@ -232,16 +223,13 @@ def tuning_curve(cfg: CrystalConfig, lambda_p_nm: float, theta_range, grid: int)
     # leaves each temperature's roots in ascending order
     order = np.argsort(at, kind="stable")
     lam_s = lam_s[order]
-    lam_i = idler_wavelength_nm(lambda_p_nm, lam_s)
-    return [TuningPoint(float(thetas[t]), float(s), float(i))
-            for t, s, i in zip(at[order], lam_s, lam_i)]
+    return np.column_stack([thetas[at[order]], lam_s, idler_wavelength_nm(lambda_p_nm, lam_s)])
 
 
 def export_tuning_curve_csv(points, path) -> None:
-    """CSV with header ``theta_C,lambda_s_nm,lambda_i_nm,branch``."""
+    """CSV with header ``theta_C,lambda_s_nm,lambda_i_nm,branch`` and one
+    ``signal`` row per row of ``points``, in the CRLF-terminated form of
+    ``csv.writer``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta_C", "lambda_s_nm", "lambda_i_nm", "branch"])
-        for p in points:
-            writer.writerow([f"{p.theta_C:.6f}", f"{p.lambda_s_nm:.6f}",
-                             f"{p.lambda_i_nm:.6f}", "signal"])
+        fh.write("theta_C,lambda_s_nm,lambda_i_nm,branch\r\n")
+        fh.writelines("%.6f,%.6f,%.6f,signal\r\n" % tuple(p) for p in points)

@@ -107,7 +107,7 @@ def bisect_root_reference(fn, lo: float, hi: float, *, xtol: float) -> float:
 def tuning_curve_reference(cfg, lambda_p_nm, theta_range, grid):
     """``phasematch.tuning_curve`` one temperature at a time: a config per
     temperature, a scan of ``delta_k`` over the signal grid, then one scalar
-    bisection per sign change."""
+    bisection per sign change; the same ``(n_points, 3)`` array."""
     lo, hi = phasematch._signal_scan_range(cfg, lambda_p_nm)
     lam_grid = np.linspace(lo, hi, phasematch.SCAN_POINTS)
     points = []
@@ -124,8 +124,18 @@ def tuning_curve_reference(cfg, lambda_p_nm, theta_range, grid):
             roots.append(lam_grid[-1])
         for lam_s in sorted(roots):
             lam_i = phasematch.idler_wavelength_nm(lambda_p_nm, lam_s)
-            points.append(phasematch.TuningPoint(float(theta), float(lam_s), float(lam_i)))
-    return points
+            points.append((float(theta), float(lam_s), float(lam_i)))
+    return np.array(points, dtype=float).reshape(-1, 3)
+
+
+def export_tuning_curve_csv_reference(points, path) -> None:
+    """``phasematch.export_tuning_curve_csv`` through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["theta_C", "lambda_s_nm", "lambda_i_nm", "branch"])
+        for theta_C, lambda_s_nm, lambda_i_nm in points:
+            writer.writerow([f"{theta_C:.6f}", f"{lambda_s_nm:.6f}",
+                             f"{lambda_i_nm:.6f}", "signal"])
 
 
 def chain_efficiencies(chain):

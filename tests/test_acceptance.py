@@ -90,10 +90,9 @@ def test_criterion_4_degeneracy_and_tuning_geometry(material, crystal):
         (THETA_DEG_MEASURED_C + 0.5, THETA_DEG_MEASURED_C + 12.0), grid=13)
 
     energy_ok = all(
-        abs(1.0 / LAMBDA_P_NM - 1.0 / p.lambda_s_nm - 1.0 / p.lambda_i_nm)
-        <= 1e-12 * (1.0 / LAMBDA_P_NM) for p in points)
-    signal = [p.lambda_s_nm for p in points]
-    idler = [p.lambda_i_nm for p in points]
+        abs(1.0 / LAMBDA_P_NM - 1.0 / lambda_s_nm - 1.0 / lambda_i_nm)
+        <= 1e-12 * (1.0 / LAMBDA_P_NM) for _, lambda_s_nm, lambda_i_nm in points)
+    signal, idler = list(points[:, 1]), list(points[:, 2])
     monotone_ok = (all(a > b for a, b in zip(signal, signal[1:]))
                    and all(a < b for a, b in zip(idler, idler[1:])))
     ok = (np.isfinite(theta_model) and len(points) >= 10

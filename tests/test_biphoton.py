@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spdclab import biphoton
+from spdclab import biphoton, dispersion, phasematch
 from spdclab.biphoton import (
     GridSpec,
     JointSpectrum,
@@ -60,6 +60,19 @@ def test_pump_envelope_trivials(pump):
     # symmetric under signal/idler exchange
     a, b = pump.omega_p / 2 + 1e11, pump.omega_p / 2 - 3e11
     assert pump_envelope(pump, a, b) == pump_envelope(pump, b, a)
+
+
+def test_scalar_inputs_give_numpy_float64(material, crystal, pump):
+    # the chain returns what numpy computes: a 0-d result is an np.float64
+    # (a float), never a 0-d array
+    w_s, w_i = wavelength_nm_to_omega(800.0), wavelength_nm_to_omega(820.0)
+    values = [dispersion.wavevector(material, w_s, 59.4),
+              dispersion.gvd(material, 810.0, 59.4),
+              phasematch.idler_wavelength_nm(LAMBDA_P_NM, 800.0),
+              phasematch.delta_k(crystal, LAMBDA_P_NM, 800.0),
+              pump_envelope(pump, w_s, w_i),
+              phase_matching_function(crystal, w_s, w_i)]
+    assert [type(v) for v in values] == [np.float64] * len(values)
 
 
 def test_pump_from_wavelength():

@@ -65,6 +65,7 @@ def test_unreadable_input_exits_2_and_names_path(tmp_path, capsys):
 
 
 PAPER_TUNING = json.load(open(config_path("paper_tuning.json")))
+PAPER_JSA = json.load(open(config_path("paper_jsa.json")))
 PAPER_SCENARIO = json.load(open(config_path("paper_scenario.json")))
 PAPER_CHAIN = json.load(open(config_path("paper_chain.json")))
 
@@ -280,6 +281,19 @@ def test_computation_error_exits_1(tmp_path, capsys):
     rc = run("tuning-curve", "--config", cfg, "--out", str(tmp_path))
     assert rc == 1
     assert "no phase matching" in capsys.readouterr().err
+
+
+def test_tuning_curve_unsolved_degeneracy_exits_1_before_any_output(tmp_path, capsys):
+    # the curve has 53 rows, but the degenerate pair never phase-matches in
+    # the window; both solves run before either file is written
+    cfg = write_json(tmp_path / "c.json", {**PAPER_TUNING, "lambda_p_nm": 400.0,
+                                           "theta_range_C": [20.0, 150.0], "grid": 53})
+    out = tmp_path / "o"
+    assert run("tuning-curve", "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "spdclab: no phase matching in range: dk(theta) has no sign change on "
+        "[20.00, 200.00] C (500 scan points)\n")
+    assert os.listdir(out) == []
 
 
 def test_missing_unit_suffix_exits_2(tmp_path, capsys):
@@ -527,9 +541,9 @@ def write_measured(path, axis_s, axis_i, intensity):
     return str(path)
 
 
-def test_jsa_flat_jti_exits_1_after_both_matrices(tmp_path, capsys):
-    # one nonzero cell: the JTI is flat, so the T_e walk fails after both
-    # matrices are written and before the report
+def test_jsa_flat_jti_exits_1_before_any_output(tmp_path, capsys):
+    # one nonzero cell: the free JTI is flat, so its T_e walk fails, and
+    # it runs before the first matrix is written
     axis = 2.3e15 + 1e12 * np.arange(16)
     intensity = np.zeros((16, 16))
     intensity[8, 8] = 1.0
@@ -540,7 +554,23 @@ def test_jsa_flat_jti_exits_1_after_both_matrices(tmp_path, capsys):
     assert run("jsa", "--config", cfg, "--out", str(out)) == 1
     assert capsys.readouterr().err == (
         "spdclab: JTI profile does not drop below half maximum inside the grid\n")
-    assert sorted(os.listdir(out)) == ["jsi.csv", "jsi.json", "jti.csv", "jti.json"]
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("half_span_nm, listing", [(60.0, []), (200.0, ["jsi.csv", "jsi.json"])],
+                         ids=["free", "fiber"])
+def test_jsa_te_refusal_leaves_no_matrix_it_follows_from(tmp_path, capsys, half_span_nm,
+                                                         listing):
+    # the paper crystal on 16 points: at 60 nm the free JTI never drops to
+    # half maximum and nothing is written; at 200 nm the free T_e is found,
+    # jsi.* is written, and the fiber walk fails before jti.*
+    cfg = write_json(tmp_path / "jsa.json", {**PAPER_JSA,
+                                             "grid": {"n": 16, "half_span_nm": half_span_nm}})
+    out = tmp_path / "out"
+    assert run("jsa", "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "spdclab: JTI profile does not drop below half maximum inside the grid\n")
+    assert sorted(os.listdir(out)) == listing
 
 
 def test_jsa_non_uniform_axes_exit_1_before_any_output(tmp_path, capsys):

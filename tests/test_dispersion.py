@@ -191,6 +191,14 @@ def test_gvd_scalar_equals_array_bitwise(material):
     assert np.flatnonzero(scalar != vec).size == 0
 
 
+def test_gvd_temperature_array_equals_scalar_calls_bitwise(material):
+    thetas = np.linspace(20.0, 200.0, 361)
+    vec = gvd(material, 810.0, thetas)
+    scalar = np.array([gvd(material, 810.0, float(theta)) for theta in thetas])
+    assert vec.shape == thetas.shape
+    assert np.flatnonzero(scalar != vec).size == 0
+
+
 def test_wavevector_definition(material):
     omega = wavelength_nm_to_omega(810.0)
     n = refractive_index(material, 810.0, 59.4)

@@ -21,7 +21,8 @@ from spdclab.phasematch import (
 )
 
 from conftest import (THETA_DEG_MODEL_C, THETA_DEG_MEASURED_C, LAMBDA_P_NM, assert_close,
-                      bisect_root_reference, tuning_curve_reference)
+                      bisect_root_reference, export_tuning_curve_csv_reference,
+                      tuning_curve_reference)
 
 
 def bulk_crystal(material, temperature_C=100.0):
@@ -231,29 +232,26 @@ def curve(crystal):
 
 def test_tuning_curve_energy_conservation(curve):
     assert len(curve) > 0
-    for p in curve:
+    for _, lambda_s_nm, lambda_i_nm in curve:
         assert 1.0 / LAMBDA_P_NM == pytest.approx(
-            1.0 / p.lambda_s_nm + 1.0 / p.lambda_i_nm, rel=1e-12)
-        assert p.lambda_s_nm <= 2 * LAMBDA_P_NM + 1e-9
+            1.0 / lambda_s_nm + 1.0 / lambda_i_nm, rel=1e-12)
+        assert lambda_s_nm <= 2 * LAMBDA_P_NM + 1e-9
 
 
 def test_tuning_curve_branches_monotone(curve):
     """Above the degeneracy temperature the signal branch walks to shorter
     and the idler branch to longer wavelengths (parabola-like split)."""
-    thetas = [p.theta_C for p in curve]
+    thetas, signal, idler = (list(column) for column in curve.T)
     assert thetas == sorted(thetas)
-    signal = [p.lambda_s_nm for p in curve]
-    idler = [p.lambda_i_nm for p in curve]
     assert all(a > b for a, b in zip(signal, signal[1:]))
     assert all(a < b for a, b in zip(idler, idler[1:]))
     assert all(s < 2 * LAMBDA_P_NM < i for s, i in zip(signal, idler))
 
 
 def test_tuning_curve_residuals(crystal, curve):
-    from dataclasses import replace
-    for p in curve[:3]:
-        c = replace(crystal, temperature_C=p.theta_C)
-        assert abs(delta_k(c, LAMBDA_P_NM, p.lambda_s_nm)) < 1e-3 * crystal.poling_wavenumber
+    for theta_C, lambda_s_nm, _ in curve[:3]:
+        c = replace(crystal, temperature_C=float(theta_C))
+        assert abs(delta_k(c, LAMBDA_P_NM, lambda_s_nm)) < 1e-3 * crystal.poling_wavenumber
 
 
 @pytest.mark.parametrize("lambda_p_nm, theta_range, grid, offset", [
@@ -275,23 +273,30 @@ def test_tuning_curve_matches_per_temperature_oracle(crystal, lambda_p_nm, theta
                                                      offset):
     cfg = crystal if offset is None else replace(crystal, calibration_offset_C=offset)
     points = tuning_curve(cfg, lambda_p_nm, theta_range, grid)
-    assert points == tuning_curve_reference(cfg, lambda_p_nm, theta_range, grid)
+    assert points.dtype == np.float64
+    assert np.array_equal(points, tuning_curve_reference(cfg, lambda_p_nm, theta_range, grid))
     if grid == 9:
-        assert points == []
+        assert points.shape == (0, 3)
 
 
 def test_below_degeneracy_no_roots(crystal):
     pts = tuning_curve(crystal, LAMBDA_P_NM,
                        (THETA_DEG_MEASURED_C - 12.0, THETA_DEG_MEASURED_C - 2.0),
                        grid=5)
-    assert pts == []
+    assert pts.shape == (0, 3)
 
 
 def test_export_csv(tmp_path, curve):
-    path = tmp_path / "tc.csv"
-    export_tuning_curve_csv(curve, path)
-    with open(path, newline="") as fh:
+    # the paper curve, an empty one, and values that round across a digit,
+    # carry a sign or reach the exponent range
+    edges = np.array([[-0.0000004, 999.9999995, 1e20], [-12.5, 0.0, 5e-7]])
+    for name, points in (("curve", curve), ("empty", curve[:0]), ("edges", edges)):
+        path, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+        export_tuning_curve_csv(points, path)
+        export_tuning_curve_csv_reference(points, ref)
+        assert path.read_bytes() == ref.read_bytes(), name
+    with open(tmp_path / "curve.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["theta_C", "lambda_s_nm", "lambda_i_nm", "branch"]
     assert len(rows) == len(curve) + 1
-    assert float(rows[1][1]) == pytest.approx(curve[0].lambda_s_nm, abs=1e-5)
+    assert float(rows[1][1]) == pytest.approx(curve[0, 1], abs=1e-5)
