@@ -87,7 +87,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class JointSpectrum:
-    """Complex amplitude sampled on a 2D (signal, idler) grid.
+    """Amplitude sampled on a 2D (signal, idler) grid: real until a phase
+    (:func:`apply_fiber_phase`) or the transform (:func:`to_temporal`)
+    makes it complex.
 
     In the spectral domain the axes are angular frequencies in rad/s; in
     the temporal domain they are times in seconds.
@@ -97,8 +99,6 @@ class JointSpectrum:
     axis_s: np.ndarray
     axis_i: np.ndarray
     domain: str  # "spectral" | "temporal"
-    normalized: bool = False
-    measured: bool = False
 
     def __post_init__(self):
         if self.domain not in ("spectral", "temporal"):
@@ -139,12 +139,18 @@ def phase_matching_function(cfg: CrystalConfig, omega_s, omega_i):
 
 
 def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpectrum:
-    """Normalized joint spectral amplitude alpha * phi on a square grid.
+    """Normalized joint spectral amplitude alpha * phi on a square grid, a
+    real float64 matrix.
 
     Raises CoverageError when a non-negligible fraction of the squared mass
     sits in the outermost grid ring, i.e. the grid truncates the spectrum.
     """
     axis = grid.omega_axis()
+    # allocated before the n x n temporaries, while glibc's malloc still
+    # maps a block this size on its own: freeing a temporary moves such
+    # blocks onto its heap, where the JSA would stay resident after
+    # `spdclab jsa` drops it
+    amp = np.zeros((len(axis), len(axis)))
     alpha = pump_envelope(env, axis[:, None], axis[None, :])
     # Only evaluate the dispersion model where the pump envelope is
     # non-negligible: far off the energy-conservation diagonal the
@@ -154,7 +160,6 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpe
     if not np.any(mask):
         raise CoverageError("grid does not overlap the pump envelope")
     rows, cols = np.nonzero(mask)
-    amp = np.zeros_like(alpha)
     amp[mask] = alpha[mask] * phase_matching_function(cfg, axis[rows], axis[cols])
     del alpha, mask, rows, cols
 
@@ -174,13 +179,7 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpe
 
     dw = axis[1] - axis[0]
     amp /= np.sqrt(total * dw * dw)
-    return JointSpectrum(
-        amplitude=amp.astype(complex),
-        axis_s=axis.copy(),
-        axis_i=axis.copy(),
-        domain="spectral",
-        normalized=True,
-    )
+    return JointSpectrum(amplitude=amp, axis_s=axis.copy(), axis_i=axis.copy(), domain="spectral")
 
 
 def apply_fiber_phase(js: JointSpectrum, beta_fs2: float, reference_omega: float) -> JointSpectrum:
@@ -215,7 +214,8 @@ def to_temporal(js: JointSpectrum) -> JointSpectrum:
     ``fftshift`` (:func:`_fftshift_in_place`) work in place on the
     ``ifftshift`` copy (``fft2``'s ``out`` needs numpy >= 2.0), so the call
     holds one n x n buffer and two rows besides its input. A real
-    amplitude is promoted to the matching complex type, as ``fft2`` would.
+    amplitude is promoted to the matching complex type, as ``fft2`` would;
+    its real ``ifftshift`` copy is held until the complex buffer exists.
     """
     if js.domain != "spectral":
         raise DomainError("to_temporal expects a spectral-domain spectrum")
@@ -230,14 +230,7 @@ def to_temporal(js: JointSpectrum) -> JointSpectrum:
     _fftshift_in_place(jta)
     t_s = np.fft.fftshift(np.fft.fftfreq(n_s, d=dw_s / TWO_PI))
     t_i = np.fft.fftshift(np.fft.fftfreq(n_i, d=dw_i / TWO_PI))
-    return JointSpectrum(
-        amplitude=jta,
-        axis_s=t_s,
-        axis_i=t_i,
-        domain="temporal",
-        normalized=js.normalized,
-        measured=js.measured,
-    )
+    return JointSpectrum(amplitude=jta, axis_s=t_s, axis_i=t_i, domain="temporal")
 
 
 def _fftshift_in_place(a: np.ndarray) -> None:
@@ -320,9 +313,11 @@ def half_max_width_fs(tau, prof) -> float:
 # matrix export / measured-JSI import
 
 
-def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path) -> None:
+def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path, measured: bool) -> None:
     """Write the intensity matrix as CSV with axis header rows plus a JSON
-    sidecar carrying units and the domain tag.
+    sidecar carrying units, the domain tag and the provenance: ``measured``
+    for a matrix that comes from an imported intensity, ``normalized``
+    (its negation) for one that comes from the unit-norm model JSA.
 
     The CSV holds exactly the bytes of the writer it replaces::
 
@@ -369,8 +364,8 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path) -> None:
     sidecar = {
         "domain": js.domain,
         "axis_units": units,
-        "normalized": js.normalized,
-        "measured": js.measured,
+        "normalized": not measured,
+        "measured": measured,
     }
     write_json(sidecar, sidecar_path)
 
@@ -459,14 +454,13 @@ def import_jsi_csv(csv_path, axis_units: str) -> JointSpectrum:
 
     Wavelength axes (nm) are accepted and converted; the intensity is
     resampled onto a uniform angular-frequency grid and the square root is
-    taken so the result is amplitude-valued (phases can then be restored
-    with :func:`apply_fiber_phase`).  A malformed axis value or matrix cell
-    raises DomainError naming the axis or matrix row and the 0-based index.
+    taken in place, so the result is a real float64 amplitude (phases can
+    then be restored with :func:`apply_fiber_phase`).  A malformed axis
+    value or matrix cell raises DomainError naming the axis or matrix row
+    and the 0-based index.
 
     Memory: the loaded and the resampled intensity (n x n floats each) are
-    held together; the loaded one is dropped before the square root is taken
-    in place and promoted to complex, so the import peaks at one and a half
-    n x n complex matrices.
+    held together, so the import peaks near one n x n complex matrix.
     """
     with reading(csv_path), open(csv_path, encoding="utf-8") as fh:
         header = [fh.readline() for _ in range(2)]
@@ -497,14 +491,7 @@ def import_jsi_csv(csv_path, axis_units: str) -> JointSpectrum:
     uni_s, uni_i, resampled = _resample_uniform(axis_s, axis_i, intensity)
     del intensity
     np.sqrt(resampled, out=resampled)
-    return JointSpectrum(
-        amplitude=resampled.astype(complex),
-        axis_s=uni_s,
-        axis_i=uni_i,
-        domain="spectral",
-        normalized=False,
-        measured=True,
-    )
+    return JointSpectrum(amplitude=resampled, axis_s=uni_s, axis_i=uni_i, domain="spectral")
 
 
 def _parse_axis(name: str, line: str) -> np.ndarray:

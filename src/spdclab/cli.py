@@ -102,7 +102,11 @@ def cmd_tuning_curve(args, cfg: dict, given: dict) -> int:
     lambda_p = cfg["lambda_p_nm"]
 
     # both solves before either output, so a refusal leaves no file
-    points = phasematch.tuning_curve(crystal, lambda_p, cfg["theta_range_C"], grid=cfg["grid"])
+    try:
+        points = phasematch.tuning_curve(crystal, lambda_p, cfg["theta_range_C"], grid=cfg["grid"])
+    except ArithmeticError:  # a pump float arithmetic cannot convert, 0 nm included
+        crystal.model.check_wavelength(lambda_p)
+        raise
     theta_deg_model = phasematch.find_degeneracy_temperature(
         replace(crystal, calibration_offset_C=0.0), lambda_p)
 
@@ -126,40 +130,44 @@ def cmd_jsa(args, cfg: dict, given: dict) -> int:
     lambda_p = cfg["lambda_p_nm"]
     beta_fs2 = cfg["fiber_beta_fs2"]
 
-    measured = cfg["measured_jsi_csv"]
+    measured = bool(cfg["measured_jsi_csv"])
     if measured:
-        jsa = biphoton.import_jsi_csv(measured, axis_units=cfg["measured_axis_units"])
+        jsa = biphoton.import_jsi_csv(cfg["measured_jsi_csv"], axis_units=cfg["measured_axis_units"])
         reference_omega = float(jsa.axis_s[len(jsa.axis_s) // 2])
     else:
         crystal = _crystal(cfg["crystal"])
-        env = biphoton.PumpEnvelope.from_wavelength(lambda_p, fwhm_nm=cfg["pump_fwhm_nm"])
-        grid = biphoton.GridSpec(center_lambda_nm=2 * lambda_p, **cfg["grid"])
-        jsa = biphoton.build_jsa(crystal, env, grid)
+        try:
+            env = biphoton.PumpEnvelope.from_wavelength(lambda_p, fwhm_nm=cfg["pump_fwhm_nm"])
+            grid = biphoton.GridSpec(center_lambda_nm=2 * lambda_p, **cfg["grid"])
+            jsa = biphoton.build_jsa(crystal, env, grid)
+        except ArithmeticError:  # a pump float arithmetic cannot convert, 0 nm included
+            crystal.model.check_wavelength(lambda_p)
+            raise
         reference_omega = env.omega_p / 2.0
 
-    # at most two n x n complex matrices are alive at a time, an input and
-    # the one buffer of to_temporal or apply_fiber_phase: the free JTA is
-    # reduced to its T_e at once, and the JSA is dropped once its
-    # fiber-phased copy exists.  The free FFT and T_e come before jsi.*, the
-    # fiber T_e before jti.*: a refused T_e leaves no matrix it comes from.
-    te_free = biphoton.half_max_width_fs(
-        *biphoton.jti_difference_profile(biphoton.to_temporal(jsa)))
+    # the JSA is real until the fiber phase; at most two n x n complex
+    # matrices are alive at a time, an input and the one buffer of
+    # to_temporal or apply_fiber_phase: the free JTA is reduced to its T_e
+    # at once, and the JSA is dropped once its fiber-phased copy exists.
+    # The free FFT and T_e come before jsi.*, the fiber T_e before jti.*: a
+    # refused T_e leaves no matrix it comes from.
+    te_free = biphoton.entanglement_time_from_jti(biphoton.to_temporal(jsa))
     biphoton.export_matrix_csv(jsa, os.path.join(args.out, "jsi.csv"),
-                               os.path.join(args.out, "jsi.json"))
+                               os.path.join(args.out, "jsi.json"), measured)
     jsa_fiber = biphoton.apply_fiber_phase(jsa, beta_fs2, reference_omega)
     del jsa
     jta_fiber = biphoton.to_temporal(jsa_fiber)
     del jsa_fiber
     te_fiber = biphoton.entanglement_time_from_jti(jta_fiber)
     biphoton.export_matrix_csv(jta_fiber, os.path.join(args.out, "jti.csv"),
-                               os.path.join(args.out, "jti.json"))
+                               os.path.join(args.out, "jti.json"), measured)
 
     report = {
         "config": given,
         "fiber_beta_fs2": beta_fs2,
         "entanglement_time_free_fs": te_free,
         "entanglement_time_fiber_fs": te_fiber,
-        "measured_input": bool(measured),
+        "measured_input": measured,
     }
     write_json(report, os.path.join(args.out, "te_report.json"))
     return 0

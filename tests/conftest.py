@@ -160,9 +160,7 @@ def to_spectral(js, centers):
     c_s, c_i = centers
     axis_s = c_s + np.fft.fftshift(np.fft.fftfreq(n_s, d=dt_s / TWO_PI))
     axis_i = c_i + np.fft.fftshift(np.fft.fftfreq(n_i, d=dt_i / TWO_PI))
-    return biphoton.JointSpectrum(amplitude=amp, axis_s=axis_s, axis_i=axis_i,
-                                  domain="spectral", normalized=js.normalized,
-                                  measured=js.measured)
+    return biphoton.JointSpectrum(amplitude=amp, axis_s=axis_s, axis_i=axis_i, domain="spectral")
 
 
 def _fwhm_linear(x, y):
@@ -305,7 +303,7 @@ def intensity(js):
     return np.abs(js.amplitude) ** 2
 
 
-def export_matrix_csv_reference(js, csv_path, sidecar_path) -> None:
+def export_matrix_csv_reference(js, csv_path, sidecar_path, measured) -> None:
     """``np.savetxt`` matrix export from the full intensity, the reference
     for ``biphoton.export_matrix_csv``."""
     units = "rad/s" if js.domain == "spectral" else "s"
@@ -316,8 +314,8 @@ def export_matrix_csv_reference(js, csv_path, sidecar_path) -> None:
     sidecar = {
         "domain": js.domain,
         "axis_units": units,
-        "normalized": js.normalized,
-        "measured": js.measured,
+        "normalized": not measured,
+        "measured": measured,
     }
     with open(sidecar_path, "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -335,9 +333,8 @@ def build_jsa_reference(cfg, env, grid):
     amp[mask] = alpha[mask] * biphoton.phase_matching_function(cfg, w_s[mask], w_i[mask])
     total = float(np.sum(amp ** 2))
     dw = axis[1] - axis[0]
-    return biphoton.JointSpectrum(amplitude=(amp / np.sqrt(total * dw * dw)).astype(complex),
-                                  axis_s=axis.copy(), axis_i=axis.copy(),
-                                  domain="spectral", normalized=True)
+    return biphoton.JointSpectrum(amplitude=amp / np.sqrt(total * dw * dw),
+                                  axis_s=axis.copy(), axis_i=axis.copy(), domain="spectral")
 
 
 def apply_fiber_phase_reference(js, beta_fs2, reference_omega):
@@ -376,16 +373,18 @@ def jsa_outputs_reference(config_path, out) -> None:
     jta_free = to_temporal_reference(jsa)
     jta_fiber = to_temporal_reference(
         apply_fiber_phase_reference(jsa, cfg["fiber_beta_fs2"], reference_omega))
+    measured = bool(cfg["measured_jsi_csv"])
     os.makedirs(out, exist_ok=True)
-    export_matrix_csv_reference(jsa, os.path.join(out, "jsi.csv"), os.path.join(out, "jsi.json"))
+    export_matrix_csv_reference(jsa, os.path.join(out, "jsi.csv"), os.path.join(out, "jsi.json"),
+                                measured)
     export_matrix_csv_reference(jta_fiber, os.path.join(out, "jti.csv"),
-                                os.path.join(out, "jti.json"))
+                                os.path.join(out, "jti.json"), measured)
     schema.write_json({
         "config": given,
         "fiber_beta_fs2": cfg["fiber_beta_fs2"],
         "entanglement_time_free_fs": biphoton.entanglement_time_from_jti(jta_free),
         "entanglement_time_fiber_fs": biphoton.entanglement_time_from_jti(jta_fiber),
-        "measured_input": bool(cfg["measured_jsi_csv"]),
+        "measured_input": measured,
     }, os.path.join(out, "te_report.json"))
 
 

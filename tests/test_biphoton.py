@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -110,9 +110,22 @@ def test_phase_matching_sinc_shape(crystal):
 # JSA construction
 
 def test_build_jsa_normalized_and_symmetric(jsa_1024):
-    assert jsa_1024.normalized
     assert total_mass(jsa_1024) == pytest.approx(1.0, rel=1e-9)
     assert np.allclose(jsa_1024.amplitude, jsa_1024.amplitude.T, atol=1e-12)
+
+
+def test_amplitude_is_real_until_a_phase_or_the_transform(tmp_path, crystal, pump):
+    # the model and the measured JSA are float64; the fiber phase and the
+    # FFT make them complex
+    assert [f.name for f in fields(JointSpectrum)] == ["amplitude", "axis_s", "axis_i", "domain"]
+    jsa = build_jsa(crystal, pump, GridSpec(n=128, center_lambda_nm=810.0, half_span_nm=60.0))
+    export_matrix_csv(jsa, tmp_path / "jsi.csv", tmp_path / "jsi.json", False)
+    back = import_jsi_csv(tmp_path / "jsi.csv", axis_units="rad/s")
+    for js in (jsa, back):
+        assert js.amplitude.dtype == np.float64
+        assert to_temporal(js).amplitude.dtype == np.complex128
+        phased = apply_fiber_phase(js, BETA_FIBER_FS2, pump.omega_p / 2.0)
+        assert phased.amplitude.dtype == np.complex128
 
 
 def test_build_jsa_coverage_error(crystal, pump):
@@ -330,14 +343,13 @@ def test_gvm_entanglement_time(crystal):
 def test_export_import_roundtrip(tmp_path, crystal, pump):
     jsa = build_jsa(crystal, pump, GridSpec(n=128, center_lambda_nm=810.0, half_span_nm=60.0))
     csv_path = tmp_path / "jsi.csv"
-    export_matrix_csv(jsa, csv_path, tmp_path / "jsi.json")
+    export_matrix_csv(jsa, csv_path, tmp_path / "jsi.json", False)
     with open(tmp_path / "jsi.json") as fh:
         sidecar = json.load(fh)
     assert sidecar["domain"] == "spectral"
     assert sidecar["axis_units"] == "rad/s"
 
     back = import_jsi_csv(csv_path, axis_units="rad/s")
-    assert back.measured
     assert np.allclose(intensity(back), intensity(jsa), rtol=1e-6, atol=1e-12)
     assert np.allclose(back.axis_s, jsa.axis_s, rtol=1e-9)
 
@@ -448,8 +460,8 @@ def test_resample_bitwise_equals_reference_measured_like():
 
 
 def _assert_export_identical(js, tmp_path):
-    export_matrix_csv(js, tmp_path / "m.csv", tmp_path / "m.json")
-    export_matrix_csv_reference(js, tmp_path / "ref.csv", tmp_path / "ref.json")
+    export_matrix_csv(js, tmp_path / "m.csv", tmp_path / "m.json", False)
+    export_matrix_csv_reference(js, tmp_path / "ref.csv", tmp_path / "ref.json", False)
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "m.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 

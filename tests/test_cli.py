@@ -255,6 +255,24 @@ def test_pump_without_idler_energy_exits_1_naming_it(tmp_path, capsys, lambda_p_
                                        "window [0.4, 4.0] um\n")
 
 
+@pytest.mark.parametrize("command, config", [("jsa", SMALL_JSA), ("tuning-curve", PAPER_TUNING)],
+                         ids=["jsa", "tuning-curve"])
+@pytest.mark.parametrize("lambda_p_nm, shown_um",
+                         [(0, "0"), (1e-320, "0"), (1e300, "1e+297"), (-30.0, "-0.03")],
+                         ids=["zero", "underflow", "overflow", "zero-grid-edge"])
+def test_pump_float_arithmetic_cannot_convert_exits_1_naming_it(tmp_path, capsys, command, config,
+                                                                lambda_p_nm, shown_um):
+    # 0 nm has no frequency, 1e-320 nm is 0 m, the square of 1e300 nm
+    # overflows, and the jsa grid around -30 nm has an edge at 2 * -30 + 60
+    # = 0 nm: each is refused by the window, in one line, with no output
+    cfg = write_json(tmp_path / "c.json", {**config, "lambda_p_nm": lambda_p_nm})
+    out = tmp_path / "o"
+    assert run(command, "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (f"spdclab: wavelength {shown_um} um outside validity "
+                                       "window [0.4, 4.0] um\n")
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("lambda_p_nm, theta_range, message", [
     (405.0, [100.0, 200.0], "temperature 202.4 C outside validity window [20.0, 200.0] C"),
     (6000.0, [160.0, 200.0], "temperature 209.1 C outside validity window [20.0, 200.0] C"),
@@ -421,6 +439,12 @@ def test_jsa_measured_input_route(tmp_path):
     assert run("jsa", "--config", cfg2, "--out", str(out2)) == 0
     report = json.load(open(out2 / "te_report.json"))
     assert report["measured_input"] is True
+    # the sidecars name the provenance: the model JSA is normalized, a
+    # measured one is not
+    for out, measured in ((out1, False), (out2, True)):
+        for name, domain, units in (("jsi.json", "spectral", "rad/s"), ("jti.json", "temporal", "s")):
+            assert json.load(open(out / name)) == {"axis_units": units, "domain": domain,
+                                                   "measured": measured, "normalized": not measured}
     # sqrt(JSI) discards the sinc sidelobe signs, so the reconstructed T_e
     # differs from the model's; it must still be finite and fiber-broadened
     assert report["entanglement_time_free_fs"] > 0
@@ -455,7 +479,7 @@ def test_jsa_measured_outputs_equal_reference(tmp_path):
 
 @pytest.mark.parametrize("beta_fs2, measured", [(33000.0, False), (0.0, False), (33000.0, True)],
                          ids=["33000.0", "0.0", "measured"])
-def test_jsa_peak_memory_is_two_matrices(tmp_path, beta_fs2, measured):
+def test_jsa_peak_memory_is_two_matrices(tmp_path, monkeypatch, beta_fs2, measured):
     # n = 1024: at 512 one 65 536-value export chunk adds 0.68 of a matrix
     n = 1024
     given = {**SMALL_JSA, "fiber_beta_fs2": beta_fs2, "grid": {"n": n, "half_span_nm": 60.0}}
@@ -465,6 +489,15 @@ def test_jsa_peak_memory_is_two_matrices(tmp_path, beta_fs2, measured):
         cfg = write_json(tmp_path / "measured.json", {
             **given, "measured_jsi_csv": str(tmp_path / "warm" / "jsi.csv"),
             "measured_axis_units": "rad/s"})
+        from spdclab import biphoton
+        import_jsi_csv, import_peak = biphoton.import_jsi_csv, []
+
+        def traced_import(*args, **kwargs):  # nothing large is allocated before it
+            js = import_jsi_csv(*args, **kwargs)
+            import_peak.append(tracemalloc.get_traced_memory()[1])
+            return js
+
+        monkeypatch.setattr(biphoton, "import_jsi_csv", traced_import)
     tracemalloc.start()
     try:
         assert run("jsa", "--config", cfg, "--out", str(tmp_path / "out")) == 0
@@ -473,6 +506,8 @@ def test_jsa_peak_memory_is_two_matrices(tmp_path, beta_fs2, measured):
         tracemalloc.stop()
     # an input and the one buffer of to_temporal, each n x n complex
     assert peak < 2.25 * 16 * n * n
+    if measured:  # the loaded and the resampled float64 intensity
+        assert import_peak[0] < 1.3 * 16 * n * n
 
 
 def test_jsa_non_finite_measured_input_exits_1(tmp_path, capsys):
