@@ -32,7 +32,7 @@ import sys
 from dataclasses import replace
 
 from . import schema
-from .errors import ConfigError, InputError, SpdclabError
+from .errors import ConfigError, CoverageError, InputError, SpdclabError
 from .schema import BOOLEAN, NUMBER, PAIR, REQUIRED, STRING, WHOLE, one_of, write_json
 
 # Fixed default seed so runs are reproducible without any flags.
@@ -140,7 +140,9 @@ def cmd_jsa(args, cfg: dict, given: dict) -> int:
             env = biphoton.PumpEnvelope.from_wavelength(lambda_p, fwhm_nm=cfg["pump_fwhm_nm"])
             grid = biphoton.GridSpec(center_lambda_nm=2 * lambda_p, **cfg["grid"])
             jsa = biphoton.build_jsa(crystal, env, grid)
-        except ArithmeticError:  # a pump float arithmetic cannot convert, 0 nm included
+        except (ArithmeticError, CoverageError):
+            # a pump float arithmetic cannot convert (0 nm included), or one so
+            # far out that the grid's half span rounds to 0 rad/s (1e150 nm)
             crystal.model.check_wavelength(lambda_p)
             raise
         reference_omega = env.omega_p / 2.0

@@ -429,24 +429,28 @@ def _timeline(streams, joined=None):
         yield _merge([s[b[k]:b[k + 1]] for s, b in zip(streams, bounds)])
 
 
-def _in_sort_order(x) -> bool:
-    """Whether ``x`` is in ``np.sort``'s order: no value is above the next
-    one, and a NaN is followed only by NaNs."""
-    later = x[1:]
-    ok = np.isnan(later)
-    ok |= x[:-1] <= later
-    return bool(ok.all())
-
-
-def _clusters(joined):
-    """The clusters of a timeline whose clicks k and k + 1 share one where
-    ``joined[k]``: a mask over clicks, true at the first click of each
-    cluster of exactly two, and the first and end index of each larger
-    one."""
-    linked = np.concatenate(([False], joined, [False]))  # linked[k]: clicks k - 1, k
-    pair, opens, closes = linked[1:-1], ~linked[:-2], ~linked[2:]
-    return (pair & opens & closes, np.flatnonzero(pair & opens & ~closes),
-            np.flatnonzero(pair & ~opens & closes) + 2)
+def _clusters(streams, joined):
+    """The clusters of the merged timeline of ``streams``, cut between
+    adjacent clicks x <= y unless ``joined(x, y)``: per piece of the
+    timeline (:func:`_timeline`), its stream codes, a mask true at the
+    first click of each cluster of exactly two, and per larger cluster its
+    clicks as one list per stream.  A piece starts only where a cluster
+    starts, so a sum over the clusters of the pieces is the sum over the
+    clusters of the timeline.  A stream out of ``np.sort``'s order (a value
+    above the next one, or a NaN followed by a number) is refused first.
+    """
+    streams = [np.asarray(s) for s in streams]
+    if not all((np.isnan(s[1:]) | (s[:-1] <= s[1:])).all() for s in streams):
+        raise DomainError("coincidence matching requires sorted streams")
+    for times, codes in _timeline(streams, joined):
+        # linked[k]: clicks k - 1 and k share a cluster
+        linked = np.concatenate(([False], joined(times[:-1], times[1:]), [False]))
+        pair, opens, closes = linked[1:-1], ~linked[:-2], ~linked[2:]
+        larger = zip(np.flatnonzero(pair & opens & ~closes).tolist(),
+                     (np.flatnonzero(pair & ~opens & closes) + 2).tolist())
+        yield codes, pair & opens & closes, [
+            [times[lo:hi][codes[lo:hi] == k].tolist() for k in range(len(streams))]
+            for lo, hi in larger]
 
 
 def _match_pairs_loop(a, b, window_ns: float) -> int:
@@ -469,34 +473,24 @@ def match_coincidences(a: np.ndarray, b: np.ndarray, window_ns: float) -> int:
     most one partner.  A match requires |t_a - t_b| <= window.
 
     The count is the sum over the clusters of the merged timeline of a and
-    b, cut between adjacent clicks x <= y unless fl(y - x) <= window (fl:
-    the float64 result; a NaN, sorted last, is cut off alone).  Rounding is
-    monotone, so every a <= x and b >= y (or b <= x and a >= y) have
-    fl(|a - b|) >= fl(y - x) > window: while the two pointers sit in
-    different clusters the walk matches nothing and advances the one in the
-    earlier cluster, so inside each cluster it is the walk over that
-    cluster's clicks alone.  The timeline is read in pieces that start
-    only where a cluster starts (:func:`_timeline`), so each cluster lies
-    whole in one piece and the sum over the pieces is the sum over the
-    clusters.  One click matches nothing and two count 1 iff they come
-    from different streams; only clusters of three or more run the loop.
-    A stream out of ``np.sort``'s order (a NaN followed by a number
-    included) is refused.
+    b (:func:`_clusters`), cut between adjacent clicks x <= y unless
+    fl(y - x) <= window (fl: the float64 result; a NaN, sorted last, is cut
+    off alone).  Rounding is monotone, so every a <= x and b >= y (or
+    b <= x and a >= y) have fl(|a - b|) >= fl(y - x) > window: while the
+    two pointers sit in different clusters the walk matches nothing and
+    advances the one in the earlier cluster, so inside each cluster it is
+    the walk over that cluster's clicks alone.  One click matches nothing
+    and two count 1 iff they come from different streams; only clusters of
+    three or more run the loop.  A stream out of ``np.sort``'s order is
+    refused.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    if not (_in_sort_order(a) and _in_sort_order(b)):
-        raise DomainError("coincidence matching requires sorted streams")
-
     def joined(x, y):
         return y - x <= window_ns
 
     matches = 0
-    for times, codes in _timeline([a, b], joined):
-        two, firsts, ends = _clusters(joined(times[:-1], times[1:]))
+    for codes, two, larger in _clusters([a, b], joined):
         matches += int(np.count_nonzero(two & (codes[:-1] != codes[1:])))
-        for lo, hi in zip(firsts.tolist(), ends.tolist()):
-            t, c = times[lo:hi], codes[lo:hi]
-            matches += _match_pairs_loop(t[c == 0].tolist(), t[c == 1].tolist(), window_ns)
+        matches += sum(_match_pairs_loop(*clicks, window_ns) for clicks in larger)
     return matches
 
 
@@ -521,34 +515,22 @@ def match_triples(h, a, b, window_ns: float) -> int:
     taken if both are <= fl(t + window).
 
     The count is the sum over the clusters of the merged timeline of h, a
-    and b, cut between adjacent clicks x <= y unless fl(y - window) <= x or
-    y <= fl(x + window), the loop's own expressions (a NaN is cut off
-    alone).  Rounding is monotone, so a herald t >= y has fl(t - window) >=
-    fl(y - window) > x and skips every a or b click <= x; a herald t <= x
-    has fl(t + window) <= fl(x + window) < y and fl(t - window) <= t < y,
-    so it neither matches nor skips a click >= y.  The a and b pointers
-    thus enter each cluster at its first click on their side and leave it
-    only by its own or later heralds, and the sum over the pieces of the
-    timeline, which start only where a cluster starts (:func:`_timeline`),
-    is the sum over the clusters.  Fewer than three clicks lack a channel,
-    so only clusters of three or more run the loop.  A stream out of
-    ``np.sort``'s order is refused.
+    and b (:func:`_clusters`), cut between adjacent clicks x <= y unless
+    fl(y - window) <= x or y <= fl(x + window), the loop's own expressions
+    (a NaN is cut off alone).  Rounding is monotone, so a herald t >= y has
+    fl(t - window) >= fl(y - window) > x and skips every a or b click
+    <= x; a herald t <= x has fl(t + window) <= fl(x + window) < y and
+    fl(t - window) <= t < y, so it neither matches nor skips a click >= y.
+    The a and b pointers thus enter each cluster at its first click on
+    their side and leave it only by its own or later heralds.  Fewer than
+    three clicks lack a channel, so only clusters of three or more run the
+    loop.  A stream out of ``np.sort``'s order is refused.
     """
-    h, a, b = np.asarray(h), np.asarray(a), np.asarray(b)
-    if not (_in_sort_order(h) and _in_sort_order(a) and _in_sort_order(b)):
-        raise DomainError("coincidence matching requires sorted streams")
-
     def joined(x, y):
         return (y - window_ns <= x) | (y <= x + window_ns)
 
-    matches = 0
-    for times, codes in _timeline([h, a, b], joined):
-        _, firsts, ends = _clusters(joined(times[:-1], times[1:]))
-        for first, end in zip(firsts.tolist(), ends.tolist()):
-            t, c = times[first:end], codes[first:end]
-            matches += _match_triples_loop(t[c == 0].tolist(), t[c == 1].tolist(),
-                                           t[c == 2].tolist(), window_ns)
-    return matches
+    return sum(_match_triples_loop(*clicks, window_ns)
+               for _, _, larger in _clusters([h, a, b], joined) for clicks in larger)
 
 
 def accidental_rate(rate_a: float, rate_b: float, window_ns: float) -> float:

@@ -258,13 +258,16 @@ def test_pump_without_idler_energy_exits_1_naming_it(tmp_path, capsys, lambda_p_
 @pytest.mark.parametrize("command, config", [("jsa", SMALL_JSA), ("tuning-curve", PAPER_TUNING)],
                          ids=["jsa", "tuning-curve"])
 @pytest.mark.parametrize("lambda_p_nm, shown_um",
-                         [(0, "0"), (1e-320, "0"), (1e300, "1e+297"), (-30.0, "-0.03")],
-                         ids=["zero", "underflow", "overflow", "zero-grid-edge"])
+                         [(0, "0"), (1e-320, "0"), (1e300, "1e+297"), (-30.0, "-0.03"),
+                          (1e150, "1e+147")],
+                         ids=["zero", "underflow", "overflow", "zero-grid-edge", "flat-grid"])
 def test_pump_float_arithmetic_cannot_convert_exits_1_naming_it(tmp_path, capsys, command, config,
                                                                 lambda_p_nm, shown_um):
     # 0 nm has no frequency, 1e-320 nm is 0 m, the square of 1e300 nm
-    # overflows, and the jsa grid around -30 nm has an edge at 2 * -30 + 60
-    # = 0 nm: each is refused by the window, in one line, with no output
+    # overflows, the jsa grid around -30 nm has an edge at 2 * -30 + 60
+    # = 0 nm, and around 2e150 nm its half span rounds to 0 rad/s, so it
+    # overlaps no pump envelope: each is refused by the window, in one
+    # line, with no output
     cfg = write_json(tmp_path / "c.json", {**config, "lambda_p_nm": lambda_p_nm})
     out = tmp_path / "o"
     assert run(command, "--config", cfg, "--out", str(out)) == 1

@@ -172,8 +172,17 @@ def test_matchers_refuse_nan_before_a_number():
         ct.match_coincidences(np.array([1.0, nan, 2.0]), np.array([1.0]), 1.0)
     with pytest.raises(DomainError, match="requires sorted streams"):
         ct.match_coincidences(np.array([1.0]), np.array([nan, 1.0]), 1.0)
+
+
+_TRIPLE_POSITIONS = ["h", "a", "b"]
+
+
+@pytest.mark.parametrize("position", range(3), ids=_TRIPLE_POSITIONS)
+def test_triples_refuse_nan_before_a_number(position):
+    streams = [np.array([1.0])] * 3
+    streams[position] = np.array([np.nan, np.nan, 1.0])
     with pytest.raises(DomainError, match="requires sorted streams"):
-        ct.match_triples(np.array([1.0]), np.array([1.0]), np.array([nan, nan, 1.0]), 1.0)
+        ct.match_triples(*streams, 1.0)
 
 
 def test_matchers_ignore_trailing_nan():
@@ -192,9 +201,12 @@ def test_triples_trivial():
     assert ct.match_triples(h, np.array([12.0]), np.array([9.8]), 1.0) == 0
 
 
-def test_triples_require_sorted():
-    with pytest.raises(DomainError):
-        ct.match_triples(np.array([0.0]), np.array([1.0, 0.0]), np.array([0.0]), 1.0)
+@pytest.mark.parametrize("position", range(3), ids=_TRIPLE_POSITIONS)
+def test_triples_require_sorted(position):
+    streams = [np.array([0.0])] * 3
+    streams[position] = np.array([1.0, 0.0])
+    with pytest.raises(DomainError, match="requires sorted streams"):
+        ct.match_triples(*streams, 1.0)
 
 
 @settings(max_examples=200, deadline=None)
