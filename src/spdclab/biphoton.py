@@ -62,6 +62,9 @@ class PumpEnvelope:
         omega_p = wavelength_nm_to_omega(lambda_p_nm)
         sigma_lambda = fwhm_nm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
         sigma_p = TWO_PI * C0 / (lambda_p_nm * NM) ** 2 * (sigma_lambda * NM)
+        if not sigma_p ** 2 > 0:  # pump_envelope divides by it
+            raise DomainError(
+                f"pump fwhm_nm too narrow: its variance underflows to 0, got {fwhm_nm}")
         return cls(omega_p=omega_p, sigma_p=sigma_p)
 
 
@@ -462,6 +465,8 @@ def import_jsi_csv(csv_path, axis_units: str) -> JointSpectrum:
     Memory: the loaded and the resampled intensity (n x n floats each) are
     held together, so the import peaks near one n x n complex matrix.
     """
+    if axis_units not in ("nm", "rad/s"):
+        raise DomainError(f"unsupported axis units {axis_units!r}")
     with reading(csv_path), open(csv_path, encoding="utf-8") as fh:
         header = [fh.readline() for _ in range(2)]
         if not all(line.startswith("#") for line in header):
@@ -483,8 +488,6 @@ def import_jsi_csv(csv_path, axis_units: str) -> JointSpectrum:
                           f"column {col} (0-based): {intensity[row, col]}")
     if np.any(intensity < 0):
         raise DomainError("measured intensity must be nonnegative")
-    if axis_units not in ("nm", "rad/s"):
-        raise DomainError(f"unsupported axis units {axis_units!r}")
 
     axis_s, axis_i = (_check_axis(name, values, axis_units)
                       for name, values in zip(("axis_s", "axis_i"), raw))

@@ -32,7 +32,7 @@ import sys
 from dataclasses import replace
 
 from . import schema
-from .errors import ConfigError, CoverageError, InputError, SpdclabError
+from .errors import ConfigError, InputError, SpdclabError
 from .schema import BOOLEAN, NUMBER, PAIR, REQUIRED, STRING, WHOLE, one_of, write_json
 
 # Fixed default seed so runs are reproducible without any flags.
@@ -102,11 +102,7 @@ def cmd_tuning_curve(args, cfg: dict, given: dict) -> int:
     lambda_p = cfg["lambda_p_nm"]
 
     # both solves before either output, so a refusal leaves no file
-    try:
-        points = phasematch.tuning_curve(crystal, lambda_p, cfg["theta_range_C"], grid=cfg["grid"])
-    except ArithmeticError:  # a pump float arithmetic cannot convert, 0 nm included
-        crystal.model.check_wavelength(lambda_p)
-        raise
+    points = phasematch.tuning_curve(crystal, lambda_p, cfg["theta_range_C"], grid=cfg["grid"])
     theta_deg_model = phasematch.find_degeneracy_temperature(
         replace(crystal, calibration_offset_C=0.0), lambda_p)
 
@@ -136,15 +132,10 @@ def cmd_jsa(args, cfg: dict, given: dict) -> int:
         reference_omega = float(jsa.axis_s[len(jsa.axis_s) // 2])
     else:
         crystal = _crystal(cfg["crystal"])
-        try:
-            env = biphoton.PumpEnvelope.from_wavelength(lambda_p, fwhm_nm=cfg["pump_fwhm_nm"])
-            grid = biphoton.GridSpec(center_lambda_nm=2 * lambda_p, **cfg["grid"])
-            jsa = biphoton.build_jsa(crystal, env, grid)
-        except (ArithmeticError, CoverageError):
-            # a pump float arithmetic cannot convert (0 nm included), or one so
-            # far out that the grid's half span rounds to 0 rad/s (1e150 nm)
-            crystal.model.check_wavelength(lambda_p)
-            raise
+        crystal.model.check_wavelength(lambda_p)  # as configured, before it is converted
+        env = biphoton.PumpEnvelope.from_wavelength(lambda_p, fwhm_nm=cfg["pump_fwhm_nm"])
+        grid = biphoton.GridSpec(center_lambda_nm=2 * lambda_p, **cfg["grid"])
+        jsa = biphoton.build_jsa(crystal, env, grid)
         reference_omega = env.omega_p / 2.0
 
     # the JSA is real until the fiber phase; at most two n x n complex

@@ -85,15 +85,16 @@ def _delta_k(cfg: CrystalConfig, theta_C, lambda_p_nm, lambda_s_nm):
     """``delta_k`` at the effective temperature ``theta_C`` in degC, a scalar
     or an array that broadcasts against the wavelengths.
 
-    Refuses the first temperature, then every wavelength (the pump first,
-    then the idler it implies, then the signal and idler frequencies as the
-    wavevectors see them), then the other temperatures: the order of one
-    ``delta_k`` call per temperature, each on a config made for it.
+    Refuses the first temperature, then every wavelength (the pump as given,
+    before any conversion divides by it, then the idler it implies, then
+    the signal and idler frequencies as the wavevectors see them), then the
+    other temperatures: the order of one ``delta_k`` call per temperature,
+    each on a config made for it.
     """
     model = cfg.model
     model.check_temperature(np.asarray(theta_C).flat[:1])
+    model.check_wavelength(lambda_p_nm)
     w_p = wavelength_nm_to_omega(lambda_p_nm)
-    model.check_wavelength(omega_to_wavelength_nm(w_p))
     lam_s = np.asarray(lambda_s_nm, dtype=float)
     model.check_wavelength(idler_wavelength_nm(lambda_p_nm, lam_s))
     w_s = wavelength_nm_to_omega(lam_s)
@@ -206,10 +207,12 @@ def tuning_curve(cfg: CrystalConfig, lambda_p_nm: float, theta_range, grid: int)
     all brackets advance together; the rows come per temperature, in
     ascending signal wavelength.
     """
-    lo, hi = _signal_scan_range(cfg, lambda_p_nm)
-    lam_grid = np.linspace(lo, hi, SCAN_POINTS)
     thetas = np.linspace(theta_range[0], theta_range[1], grid)
     theta_eff = thetas + cfg.calibration_offset_C
+    # the scan's first refusals, before the scan range divides by the pump
+    cfg.model.check_temperature(theta_eff[:1])
+    cfg.model.check_wavelength(lambda_p_nm)
+    lam_grid = np.linspace(*_signal_scan_range(cfg, lambda_p_nm), SCAN_POINTS)
     signs = np.sign(_delta_k(cfg, theta_eff[:, None], lambda_p_nm, lam_grid))
     at, col = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
     roots = bisect_root(lambda ls, k: _delta_k(cfg, theta_eff[at[k]], lambda_p_nm, ls),

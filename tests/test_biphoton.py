@@ -354,6 +354,13 @@ def test_export_import_roundtrip(tmp_path, crystal, pump):
     assert np.allclose(back.axis_s, jsa.axis_s, rtol=1e-9)
 
 
+def test_import_refuses_axis_units_before_reading(tmp_path):
+    # the argument is checked before the file is opened, so a missing file
+    # does not hide it
+    with pytest.raises(DomainError, match="unsupported axis units 'um'"):
+        import_jsi_csv(tmp_path / "missing.csv", axis_units="um")
+
+
 def test_import_jsi_nm_axes(tmp_path):
     lam = np.linspace(800.0, 820.0, 32)
     jsi = np.exp(-((lam[:, None] - 810.0) ** 2 + (lam[None, :] - 810.0) ** 2) / 8.0)

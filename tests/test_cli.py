@@ -261,13 +261,14 @@ def test_pump_without_idler_energy_exits_1_naming_it(tmp_path, capsys, lambda_p_
                          [(0, "0"), (1e-320, "0"), (1e300, "1e+297"), (-30.0, "-0.03"),
                           (1e150, "1e+147")],
                          ids=["zero", "underflow", "overflow", "zero-grid-edge", "flat-grid"])
+@pytest.mark.filterwarnings("error")
 def test_pump_float_arithmetic_cannot_convert_exits_1_naming_it(tmp_path, capsys, command, config,
                                                                 lambda_p_nm, shown_um):
     # 0 nm has no frequency, 1e-320 nm is 0 m, the square of 1e300 nm
     # overflows, the jsa grid around -30 nm has an edge at 2 * -30 + 60
-    # = 0 nm, and around 2e150 nm its half span rounds to 0 rad/s, so it
-    # overlaps no pump envelope: each is refused by the window, in one
-    # line, with no output
+    # = 0 nm, and around 2e150 nm its half span rounds to 0 rad/s: each
+    # pump is refused by the window before it is converted, in one line,
+    # with no warning and no output
     cfg = write_json(tmp_path / "c.json", {**config, "lambda_p_nm": lambda_p_nm})
     out = tmp_path / "o"
     assert run(command, "--config", cfg, "--out", str(out)) == 1
@@ -281,7 +282,8 @@ def test_pump_float_arithmetic_cannot_convert_exits_1_naming_it(tmp_path, capsys
     (6000.0, [160.0, 200.0], "temperature 209.1 C outside validity window [20.0, 200.0] C"),
     (6000.0, [100.0, 200.0], "wavelength 6 um outside validity window [0.4, 4.0] um"),
     (3000.0, [100.0, 200.0], "wavelength 4-6 um outside validity window [0.4, 4.0] um"),
-], ids=["later-temperature", "first-temperature", "pump", "idler"])
+    (0, [160.0, 200.0], "temperature 209.1 C outside validity window [20.0, 200.0] C"),
+], ids=["later-temperature", "first-temperature", "pump", "idler", "first-temperature-zero-pump"])
 def test_tuning_curve_refuses_in_scan_order(tmp_path, capsys, lambda_p_nm, theta_range,
                                             message):
     # the scan refuses its first temperature (+ the offset) before any
@@ -290,6 +292,21 @@ def test_tuning_curve_refuses_in_scan_order(tmp_path, capsys, lambda_p_nm, theta
                                            "theta_range_C": theta_range})
     assert run("tuning-curve", "--config", cfg, "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == f"spdclab: {message}\n"
+
+
+@pytest.mark.parametrize("lambda_p_nm, message", [
+    (4000.5, "wavelength 4.001 um outside validity window [0.4, 4.0] um"),
+    (3000.0, "wavelength 5.941-6.06 um outside validity window [0.4, 4.0] um"),
+], ids=["pump", "grid-band"])
+def test_jsa_names_the_pump_as_configured_then_the_grid_band(tmp_path, capsys, lambda_p_nm,
+                                                              message):
+    # a pump outside the window is named as configured; an in-window pump
+    # whose grid needs pump wavelengths outside it names their span
+    cfg = write_json(tmp_path / "c.json", {**PAPER_JSA, "lambda_p_nm": lambda_p_nm})
+    out = tmp_path / "o"
+    assert run("jsa", "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"spdclab: {message}\n"
+    assert os.listdir(out) == []
 
 
 def test_computation_error_exits_1(tmp_path, capsys):
@@ -569,6 +586,18 @@ def test_jsa_nonpositive_width_exits_1_naming_it(tmp_path, capsys, config, messa
     assert run("jsa", "--config", cfg, "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == f"spdclab: {message}\n"
     assert not (tmp_path / "o" / "jsi.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_jsa_width_too_narrow_for_floats_exits_1_naming_it(tmp_path, capsys):
+    # sigma_p is about 5e-288 rad/s at 1e-300 nm: its square, which the
+    # pump envelope divides by, is 0 in floats
+    cfg = write_json(tmp_path / "jsa.json", {**SMALL_JSA, "pump_fwhm_nm": 1e-300})
+    out = tmp_path / "o"
+    assert run("jsa", "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "spdclab: pump fwhm_nm too narrow: its variance underflows to 0, got 1e-300\n")
+    assert os.listdir(out) == []
 
 
 def write_measured(path, axis_s, axis_i, intensity):

@@ -184,6 +184,17 @@ def test_delta_k_refuses_in_the_order_of_one_call_per_temperature(material):
         phasematch._delta_k(cfg, too_hot[::-1, None], 390.0, np.array([810.0, 5000.0]))
 
 
+@pytest.mark.parametrize("solve", [
+    lambda cfg: delta_k(cfg, 0.0, 810.0),
+    lambda cfg: find_degeneracy_temperature(cfg, 0.0),
+    lambda cfg: tuning_curve(cfg, 0.0, (90.0, 110.0), grid=3),
+], ids=["delta_k", "find_degeneracy_temperature", "tuning_curve"])
+def test_zero_nm_pump_is_refused_before_it_is_converted(material, solve):
+    # 0 nm has no frequency: the window names it before any division
+    with pytest.raises(DomainError, match=r"^wavelength 0 um outside validity window"):
+        solve(bulk_crystal(material))
+
+
 def test_find_degeneracy_synthetic_injection(material, monkeypatch):
     # the scan and the bisection both call the dk body at the effective
     # temperature (the offset is 0 here)
