@@ -9,8 +9,9 @@ ratio makes Gamma insensitive to any loss applied identically to both
 channels of both measurements, so a nonzero Gamma isolates pair-selective
 (two-photon) absorption from plain attenuation.
 
-The fit, R_abs and Gamma functions return the plain dicts that
-:func:`analysis_report` writes, one per fit or table row.
+:func:`fit_rate_curve` and :func:`compare_tables`, which pairs the two
+tables once for R_abs, Gamma and the skipped rows, return the plain dicts
+that :func:`analysis_report` writes, one per fit or table row.
 """
 
 from __future__ import annotations
@@ -62,26 +63,17 @@ class RateRow:
         return False
 
 
-def _records(reader, path):
-    """The records of the ``csv.reader`` ``reader`` of ``path``; one it
-    cannot parse, such as a field past ``csv.field_size_limit()``, raises
-    TableParseError."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise TableParseError(f"{path} line {reader.line_num}: {exc}") from None
-
-
 def ingest_rate_table(path) -> tuple:
     """Read a rate-table CSV as the tuple of its ``RateRow``s; a schema
-    violation is reported as ``PATH line N: reason`` for the first
-    offending record, N being the file line it ends on (the header is
-    line 1)."""
+    violation, or a record the reader cannot parse such as a field past
+    ``csv.field_size_limit()``, is reported as ``PATH line N: reason`` for
+    the first offending record, N being the file line it ends on (the
+    header is line 1)."""
     rows = []
     with reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)  # a quoted field may span lines
-        for index, record in enumerate(_records(reader, path)):
-            try:
+        try:
+            for index, record in enumerate(reader):
                 if index == 0:
                     if [h.strip() for h in record] != _CSV_HEADER:
                         raise TableParseError(f"bad header, expected {','.join(_CSV_HEADER)}")
@@ -90,17 +82,17 @@ def ingest_rate_table(path) -> tuple:
                     continue
                 if len(record) != len(_CSV_HEADER):
                     raise TableParseError(f"expected {len(_CSV_HEADER)} fields, got {len(record)}")
-                values = [float(v) for v in record[:7]]
+                try:
+                    values = [float(v) for v in record[:7]]
+                except ValueError as exc:
+                    raise TableParseError(f"malformed number: {exc}") from None
                 if not all(map(math.isfinite, values)):
                     raise TableParseError("malformed number: nan or infinity")
                 if any(v < 0 for v in values):
                     raise TableParseError("negative rate or uncertainty")
                 rows.append(RateRow(*values, record[7].strip(), record[8].strip()))
-            except TableParseError as exc:
-                raise TableParseError(f"{path} line {reader.line_num}: {exc}") from None
-            except ValueError as exc:  # from float()
-                raise TableParseError(
-                    f"{path} line {reader.line_num}: malformed number: {exc}") from None
+        except (TableParseError, csv.Error) as exc:
+            raise TableParseError(f"{path} line {reader.line_num}: {exc}") from None
     if reader.line_num == 0:
         raise TableParseError(f"empty rate table file: {path}")
     if not rows:
@@ -186,33 +178,25 @@ def _align(solv: tuple, samp: tuple):
     return pairs
 
 
-def absorption_rate(solv: tuple, samp: tuple):
-    """Per-row transmitted-pair absorption rate, solvent minus sample, with
-    quadrature-combined uncertainty: dicts with ``p_spdc_pW``, ``mode``,
-    ``r_abs`` and ``r_abs_err``."""
-    return [
-        {"p_spdc_pW": a.p_spdc_pW, "mode": a.mode, "r_abs": a.r_coin - b.r_coin,
-         "r_abs_err": math.hypot(a.r_coin_err, b.r_coin_err)}
-        for a, b in _align(solv, samp)
-    ]
+def compare_tables(solv: tuple, samp: tuple):
+    """Pair the rows of a solvent and a sample table and compare each pair.
 
-
-def biphoton_ratio(solv: tuple, samp: tuple):
-    """Per-row biphoton absorption ratio Gamma with first-order error
-    propagation.  Rows where any rate in either table is nonpositive are
-    skipped (not errored) and reported with a reason.
-
-    Returns (points, skipped): points are dicts with ``p_spdc_pW``,
-    ``mode``, ``gamma`` and ``gamma_err``; skipped is a list of
-    (P_SPDC, mode, reason) tuples.
+    Returns (r_abs, gamma, skipped), lists of dicts that each start with
+    the pair's ``p_spdc_pW`` and ``mode``.  Every pair has an ``r_abs``
+    entry: the transmitted-pair absorption rate, solvent minus sample, as
+    ``r_abs`` with the quadrature-combined ``r_abs_err``.  A pair with a
+    nonpositive rate in either row is in ``skipped`` with its ``reason``;
+    every other pair has a ``gamma`` entry: Gamma as ``gamma`` with its
+    first-order ``gamma_err``.
     """
-    points = []
-    skipped = []
+    r_abs, gamma, skipped = [], [], []
     for a, b in _align(solv, samp):
+        point = {"p_spdc_pW": a.p_spdc_pW, "mode": a.mode}
+        r_abs.append({**point, "r_abs": a.r_coin - b.r_coin,
+                      "r_abs_err": math.hypot(a.r_coin_err, b.r_coin_err)})
         rates = (a.r_s1, a.r_s2, a.r_coin, b.r_s1, b.r_s2, b.r_coin)
         if any(v <= 0 for v in rates):
-            skipped.append((a.p_spdc_pW, a.mode,
-                            "nonpositive rate in solvent or sample row"))
+            skipped.append({**point, "reason": "nonpositive rate in solvent or sample row"})
             continue
         ratio = (b.r_s1 * b.r_s2 / b.r_coin) / (a.r_s1 * a.r_s2 / a.r_coin)
         rel_sq = sum(
@@ -222,9 +206,8 @@ def biphoton_ratio(solv: tuple, samp: tuple):
                 (b.r_s1, b.r_s1_err), (b.r_s2, b.r_s2_err), (b.r_coin, b.r_coin_err),
             )
         )
-        points.append({"p_spdc_pW": a.p_spdc_pW, "mode": a.mode, "gamma": 1.0 - ratio,
-                       "gamma_err": ratio * math.sqrt(rel_sq)})
-    return points, skipped
+        gamma.append({**point, "gamma": 1.0 - ratio, "gamma_err": ratio * math.sqrt(rel_sq)})
+    return r_abs, gamma, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +238,9 @@ def analysis_report(solv: tuple, samp: tuple, drop_flagged: bool) -> dict:
                     fits[f"{name}.{mode}.{model}"] = fit_rate_curve(sub, model)
                 except SolverError as exc:
                     fits[f"{name}.{mode}.{model}"] = {"error": str(exc)}
-    solv, samp = tables.values()
-    gammas, skipped = biphoton_ratio(solv, samp)
-    return {
-        "fits": fits,
-        "r_abs": absorption_rate(solv, samp),
-        "gamma": gammas,
-        "skipped": [{"p_spdc_pW": p, "mode": m, "reason": why}
-                    for p, m, why in skipped],
-        "flagged_rows": flagged,
-    }
+    r_abs, gamma, skipped = compare_tables(*tables.values())
+    return {"fits": fits, "r_abs": r_abs, "gamma": gamma, "skipped": skipped,
+            "flagged_rows": flagged}
 
 
 def write_plot_data_csv(report: dict, path) -> None:

@@ -60,11 +60,15 @@ class PumpEnvelope:
         if not fwhm_nm > 0:
             raise DomainError(f"pump fwhm_nm must be positive, got {fwhm_nm}")
         omega_p = wavelength_nm_to_omega(lambda_p_nm)
-        sigma_lambda = fwhm_nm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+        # in Python floats, whose products overflow to inf without a warning
+        sigma_lambda = fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
         sigma_p = TWO_PI * C0 / (lambda_p_nm * NM) ** 2 * (sigma_lambda * NM)
-        if not sigma_p ** 2 > 0:  # pump_envelope divides by it
+        variance = sigma_p * sigma_p  # pump_envelope divides by it
+        if not variance > 0:
             raise DomainError(
                 f"pump fwhm_nm too narrow: its variance underflows to 0, got {fwhm_nm}")
+        if variance == math.inf:
+            raise DomainError(f"pump fwhm_nm too wide: its variance overflows, got {fwhm_nm}")
         return cls(omega_p=omega_p, sigma_p=sigma_p)
 
 

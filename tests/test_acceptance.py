@@ -179,13 +179,13 @@ def test_criterion_6_gamma_statistic():
     # pure loss: extra transmission 0.8 on each detector
     loss_chain = ct.DetectionChain(eta_detector=0.6 * 0.8, **base)
     loss = _rate_table_from_mc(loss_chain, powers, "loss-sample", seed0=200)
-    pts_loss, _ = analysis.biphoton_ratio(solv, loss)
+    _, pts_loss, _ = analysis.compare_tables(solv, loss)
     loss_ok = all(abs(p["gamma"]) <= 3 * p["gamma_err"] for p in pts_loss)
 
     # pair-selective removal: 20% of pairs absorbed
     etpa_sample = _rate_table_from_mc(solv_chain, powers, "etpa-sample",
                                       rate_scale=0.8, seed0=300)
-    pts_etpa, _ = analysis.biphoton_ratio(solv, etpa_sample)
+    _, pts_etpa, _ = analysis.compare_tables(solv, etpa_sample)
     etpa_ok = all(p["gamma"] > 3 * p["gamma_err"] for p in pts_etpa)
 
     ok = loss_ok and etpa_ok

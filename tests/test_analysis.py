@@ -7,9 +7,8 @@ import pytest
 from spdclab import analysis
 from spdclab.analysis import (
     RateRow,
-    absorption_rate,
     analysis_report,
-    biphoton_ratio,
+    compare_tables,
     fit_rate_curve,
     ingest_rate_table,
 )
@@ -190,11 +189,11 @@ def test_fit_chi2_distribution():
 def test_absorption_rate_trivials():
     solv = make_table([make_row(10.0, 1.0, 1.0, 100.0, rel_err=0.03)])
     samp = make_table([make_row(10.0, 1.0, 1.0, 80.0, rel_err=0.05)])
-    [point] = absorption_rate(solv, samp)
+    [point], _, _ = compare_tables(solv, samp)
     assert point["r_abs"] == pytest.approx(20.0)
     assert point["r_abs_err"] == pytest.approx(math.hypot(3.0, 4.0))  # 5.0
     # identical tables -> zeros with nonzero uncertainty
-    [zero] = absorption_rate(solv, solv)
+    [zero], _, _ = compare_tables(solv, solv)
     assert zero["r_abs"] == 0.0
     assert zero["r_abs_err"] > 0
 
@@ -202,8 +201,8 @@ def test_absorption_rate_trivials():
 def test_absorption_rate_antisymmetric():
     solv = make_table([make_row(p, 10.0, 10.0, 5.0 * p) for p in (1.0, 2.0)])
     samp = make_table([make_row(p, 10.0, 10.0, 4.0 * p) for p in (1.0, 2.0)])
-    fwd = absorption_rate(solv, samp)
-    rev = absorption_rate(samp, solv)
+    fwd, _, _ = compare_tables(solv, samp)
+    rev, _, _ = compare_tables(samp, solv)
     for f, r in zip(fwd, rev):
         assert f["r_abs"] == -r["r_abs"]
 
@@ -212,7 +211,7 @@ def test_alignment_error_lists_unmatched():
     solv = make_table([make_row(1.0, 1, 1, 1), make_row(2.0, 1, 1, 1)])
     samp = make_table([make_row(1.0, 1, 1, 1), make_row(3.0, 1, 1, 1)])
     with pytest.raises(AlignmentError) as exc:
-        absorption_rate(solv, samp)
+        compare_tables(solv, samp)
     assert "('solvent', 2.0, 'pump')" in str(exc.value)
     assert "('sample', 3.0, 'pump')" in str(exc.value)
 
@@ -222,7 +221,7 @@ def test_alignment_error_lists_unmatched():
 
 def test_gamma_identical_tables_is_zero():
     table = make_table([make_row(p, 100.0, 90.0, 10.0) for p in (1.0, 2.0)])
-    points, skipped = biphoton_ratio(table, table)
+    _, points, skipped = compare_tables(table, table)
     assert skipped == []
     for pt in points:
         assert pt["gamma"] == pytest.approx(0.0, abs=1e-15)
@@ -236,7 +235,7 @@ def test_gamma_pure_loss_is_zero():
     solv_rows = [make_row(p, 100.0 * p, 90.0 * p, 10.0 * p) for p in (1.0, 2.0, 3.0)]
     samp_rows = [make_row(r.p_spdc_pW, r.r_s1 * t, r.r_s2 * t, r.r_coin * t * t)
                  for r in solv_rows]
-    points, _ = biphoton_ratio(make_table(solv_rows), make_table(samp_rows))
+    _, points, _ = compare_tables(make_table(solv_rows), make_table(samp_rows))
     for pt in points:
         assert pt["gamma"] == pytest.approx(0.0, abs=1e-12)
 
@@ -249,7 +248,7 @@ def test_gamma_pair_removal_is_positive():
     solv_rows = [make_row(p, 100.0 * p, 90.0 * p, 10.0 * p) for p in (1.0, 2.0)]
     samp_rows = [make_row(r.p_spdc_pW, r.r_s1 * keep, r.r_s2 * keep, r.r_coin * keep)
                  for r in solv_rows]
-    points, _ = biphoton_ratio(make_table(solv_rows), make_table(samp_rows))
+    _, points, _ = compare_tables(make_table(solv_rows), make_table(samp_rows))
     for pt in points:
         assert pt["gamma"] == pytest.approx(eps, abs=1e-12)
 
@@ -257,7 +256,7 @@ def test_gamma_pair_removal_is_positive():
 def test_gamma_invariant_under_global_rescale():
     solv = make_table([make_row(p, 100.0 * p, 90.0 * p, 10.0 * p) for p in (1.0, 2.0)])
     samp = make_table([make_row(p, 95.0 * p, 85.0 * p, 9.0 * p) for p in (1.0, 2.0)])
-    base, _ = biphoton_ratio(solv, samp)
+    _, base, _ = compare_tables(solv, samp)
 
     def rescale(table, f1, f2):
         return make_table([
@@ -265,7 +264,7 @@ def test_gamma_invariant_under_global_rescale():
                     r.r_s2_err * f2, r.r_coin * f1 * f2, r.r_coin_err * f1 * f2,
                     r.mode, r.label) for r in table])
 
-    again, _ = biphoton_ratio(rescale(solv, 0.7, 0.5), rescale(samp, 0.7, 0.5))
+    _, again, _ = compare_tables(rescale(solv, 0.7, 0.5), rescale(samp, 0.7, 0.5))
     for b, a in zip(base, again):
         assert abs(b["gamma"] - a["gamma"]) < 1e-12
 
@@ -273,10 +272,12 @@ def test_gamma_invariant_under_global_rescale():
 def test_gamma_skips_nonpositive_rows():
     solv = make_table([make_row(0.0, 0.0, 0.0, 0.0), make_row(1.0, 10.0, 10.0, 1.0)])
     samp = make_table([make_row(0.0, 0.0, 0.0, 0.0), make_row(1.0, 10.0, 10.0, 1.0)])
-    points, skipped = biphoton_ratio(solv, samp)
+    r_abs, points, skipped = compare_tables(solv, samp)
     assert len(points) == 1
     assert len(skipped) == 1
-    assert skipped[0][0] == 0.0
+    assert skipped[0]["p_spdc_pW"] == 0.0
+    # a skipped pair still has its R_abs
+    assert [p["p_spdc_pW"] for p in r_abs] == [0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

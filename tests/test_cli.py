@@ -600,6 +600,19 @@ def test_jsa_width_too_narrow_for_floats_exits_1_naming_it(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fwhm_nm, shown", [(1e200, "1e+200"), (1e300, "1e+300")])
+def test_jsa_width_too_wide_for_floats_exits_1_naming_it(tmp_path, capsys, fwhm_nm, shown):
+    # sigma_p is about 5e212 rad/s at 1e200 nm, so its square is inf; at
+    # 1e300 nm sigma_p itself is inf
+    cfg = write_json(tmp_path / "jsa.json", {**SMALL_JSA, "pump_fwhm_nm": fwhm_nm})
+    out = tmp_path / "o"
+    assert run("jsa", "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"spdclab: pump fwhm_nm too wide: its variance overflows, got {shown}\n")
+    assert os.listdir(out) == []
+
+
 def write_measured(path, axis_s, axis_i, intensity):
     with open(path, "w") as fh:
         fh.write("# axis_s: " + " ".join(repr(float(v)) for v in axis_s) + "\n")
