@@ -19,8 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .errors import AlignmentError, SolverError, TableParseError
 from .schema import reading, write_json as write_report_json
@@ -108,6 +107,18 @@ def fit_rate_curve(table: tuple, model: str) -> dict:
     intercept.  Zero-uncertainty rows make the fit unweighted; mixed zero
     and nonzero uncertainties are rejected as inconsistent weighting.
 
+    Each weight is the float ``1.0 / err**2``.  The normal equations of
+    the table's floats and these weights are summed and solved exactly, so
+    each reported number is the exact least-squares value rounded once; a
+    standard error is the square root of its rounded variance (rounded at
+    a power-of-two scale where the variance is a normal float).  The design
+    has rank min(degree + 1, distinct powers), and the fit needs full rank.
+    Powers that differ only in their last bit, such as 1.0 and
+    1.0 + 2**-52, are distinct: the fit is made, with the huge standard
+    errors that so small a spread gives (2**52 for the slope of two rows
+    at each).  A weight or a reported number that does not fit in a finite
+    float raises ``SolverError`` naming it.
+
     Returns the report entry: ``model``, ``coefficients`` and
     ``standard_errors`` (ascending order, intercept first),
     ``reduced_chi2`` and ``n_points``.
@@ -120,37 +131,89 @@ def fit_rate_curve(table: tuple, model: str) -> dict:
         raise SolverError(
             f"{model} fit needs at least {n_par + 1} rows, got {len(table)}"
         )
-    p = np.array([r.p_spdc_pW for r in table])
-    y = np.array([r.r_coin for r in table])
-    err = np.array([r.r_coin_err for r in table])
-    if np.all(err == 0):
-        weights = np.ones_like(err)
-    elif np.any(err == 0):
+    p = [r.p_spdc_pW for r in table]
+    errors = [r.r_coin_err for r in table]
+    if not any(errors):
+        weights = [1.0] * len(table)
+    elif not all(errors):
         raise SolverError("mixed zero and nonzero uncertainties; "
                           "cannot form consistent weights")
     else:
-        weights = 1.0 / err ** 2
-
-    design = np.vander(p, n_par, increasing=True)
-    wx = design * weights[:, None]
-    normal = design.T @ wx
-    if np.linalg.matrix_rank(normal) < n_par:
+        # err * err, not err ** 2: libm's pow may differ in the last bit
+        weights = [1.0 / (e * e) if e * e else math.inf for e in errors]
+        for r, w in zip(table, weights):
+            if not 0.0 < w < math.inf:
+                raise SolverError(
+                    f"{model} fit: the weight 1/R_coin_err**2 of the row at "
+                    f"P_SPDC {r.p_spdc_pW} pW does not fit in a finite float "
+                    f"(R_coin_err {r.r_coin_err})")
+    if len(set(p)) < n_par:
         raise SolverError(
             f"rank-deficient design for {model} fit: the {len(table)} rows "
             f"span fewer than {n_par} independent power values"
         )
-    cov = np.linalg.inv(normal)
-    coef = cov @ (design.T @ (weights * y))
-    residuals = y - design @ coef
-    chi2 = float(np.sum(weights * residuals ** 2))
-    dof = len(table) - n_par
+
+    # Each column as integers over one power of two: every sum is exact.
+    (xs, x_scale), (ys, y_scale), (ws, w_scale) = (
+        _integers(column) for column in (p, [r.r_coin for r in table], weights))
+    moments = [0] * (2 * n_par - 1)  # sum w x^k
+    rhs = [0] * n_par                # sum w x^j y
+    wyy = 0                          # sum w y^2
+    for x, y, w in zip(xs, ys, ws):
+        term = w
+        for k in range(len(moments)):
+            moments[k] += term
+            term *= x
+        term = w * y
+        wyy += term * y
+        for j in range(n_par):
+            rhs[j] += term
+            term *= x
+
+    # Gauss-Jordan on [N | b | I]: N is positive definite, so no pivoting
+    rows = [[Fraction(moments[j + k], w_scale * x_scale ** (j + k)) for k in range(n_par)]
+            + [Fraction(rhs[j], w_scale * x_scale ** j * y_scale)]
+            + [int(j == k) for k in range(n_par)]
+            for j in range(n_par)]
+    b = [row[n_par] for row in rows]
+    for j, pivot_row in enumerate(rows):
+        pivot = pivot_row[j]
+        pivot_row[:] = [v / pivot for v in pivot_row]
+        for other in rows:
+            if other is not pivot_row and other[j]:
+                factor = other[j]
+                other[:] = [v - factor * u for v, u in zip(other, pivot_row)]
+    coef = [row[n_par] for row in rows]
+    chi2 = Fraction(wyy, w_scale * y_scale ** 2) - sum(c * bj for c, bj in zip(coef, b))
+
+    def rounded(name, value, sqrt=False):
+        try:
+            if not sqrt:
+                return float(value)
+            # sqrt of the rounded value, taken where that value is a normal
+            # float: a variance outside the float range keeps its root
+            k = (value.numerator.bit_length() - value.denominator.bit_length()) // 2
+            return math.ldexp(math.sqrt(value / Fraction(4) ** k), k)
+        except OverflowError:
+            raise SolverError(
+                f"{model} fit: {name} does not fit in a finite float") from None
+
     return {
         "model": model,
-        "coefficients": coef.tolist(),
-        "standard_errors": np.sqrt(np.diag(cov)).tolist(),
-        "reduced_chi2": chi2 / dof,
+        "coefficients": [rounded(f"coefficients[{j}]", c) for j, c in enumerate(coef)],
+        "standard_errors": [rounded(f"standard_errors[{j}]", row[n_par + 1 + j], sqrt=True)
+                            for j, row in enumerate(rows)],
+        "reduced_chi2": rounded("reduced_chi2", chi2 / (len(table) - n_par)),
         "n_points": len(table),
     }
+
+
+def _integers(values: list) -> tuple:
+    """The floats ``values`` as integers over one power of two: (ints, scale)
+    with ``values[i] == ints[i] / scale`` exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 # ---------------------------------------------------------------------------

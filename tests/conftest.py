@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import os
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -408,6 +410,43 @@ def resample_jsi_reference(axis_s, axis_i, intensity):
     w_s, w_i = np.meshgrid(uni_s, uni_i, indexing="ij")
     resampled = np.clip(interp(np.stack([w_s, w_i], axis=-1)), 0.0, None)
     return uni_s, uni_i, resampled
+
+
+def _det(matrix):
+    """Determinant by cofactor expansion along the first row."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    return sum((-1) ** k * matrix[0][k] * _det([row[:k] + row[k + 1:] for row in matrix[1:]])
+               for k in range(len(matrix)))
+
+
+def fit_rate_curve_oracle(table, model: str) -> dict:
+    """Reference for ``analysis.fit_rate_curve`` on a table it accepts: the
+    weights numpy computes, ``1.0 / err ** 2`` on an array (all 1 when every
+    error is 0), the normal equations summed row by row in ``Fraction``, the
+    inverse from cofactors over the determinant, and chi-squared as the
+    weighted sum of the exact residuals; each number rounded once."""
+    n_par = 2 if model == "linear" else 3
+    errors = np.array([r.r_coin_err for r in table])
+    weights = (1.0 / errors ** 2).tolist() if errors.any() else [1.0] * len(table)
+    rows = [(Fraction(w), Fraction(r.p_spdc_pW), Fraction(r.r_coin))
+            for w, r in zip(weights, table)]
+    normal = [[sum(w * p ** (j + k) for w, p, _ in rows) for k in range(n_par)]
+              for j in range(n_par)]
+    rhs = [sum(w * p ** j * y for w, p, y in rows) for j in range(n_par)]
+    det = _det(normal)
+    inverse = [[(-1) ** (j + k) * _det([row[:j] + row[j + 1:]
+                                         for i, row in enumerate(normal) if i != k]) / det
+                for k in range(n_par)] for j in range(n_par)]
+    coef = [sum(a * b for a, b in zip(inverse[j], rhs)) for j in range(n_par)]
+    chi2 = sum(w * (y - sum(c * p ** k for k, c in enumerate(coef))) ** 2 for w, p, y in rows)
+    return {
+        "model": model,
+        "coefficients": [float(c) for c in coef],
+        "standard_errors": [math.sqrt(float(inverse[j][j])) for j in range(n_par)],
+        "reduced_chi2": float(chi2 / (len(table) - n_par)),
+        "n_points": len(table),
+    }
 
 
 def total_mass(js) -> float:

@@ -1,8 +1,10 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
+from conftest import fit_rate_curve_oracle
 
 from spdclab import analysis
 from spdclab.analysis import (
@@ -181,6 +183,103 @@ def test_fit_chi2_distribution():
                 for pi, yi in zip(p, y)]
         chis.append(fit_rate_curve(make_table(rows), "linear")["reduced_chi2"])
     assert 0.8 < np.mean(chis) < 1.2
+
+
+@pytest.mark.parametrize("path", [FIXTURE_SOLVENT, FIXTURE_SAMPLE])
+def test_fit_fixture_equals_fraction_oracle(path):
+    table = ingest_rate_table(path)
+    for mode in ("pump", "spdc"):
+        sub = tuple(r for r in table if r.mode == mode)
+        for model in ("linear", "quadratic"):
+            assert fit_rate_curve(sub, model) == fit_rate_curve_oracle(sub, model)
+
+
+@pytest.mark.parametrize("model", ["linear", "quadratic"])
+def test_fit_random_table_equals_fraction_oracle(model):
+    rng = np.random.default_rng(2024)
+    p = rng.uniform(0.0, 200.0, 200)
+    rows = make_table(RateRow(pi, 1.0, 0.1, 1.0, 0.1, yi, ei, "pump", "x") for pi, yi, ei in
+                      zip(p, 3.0 + 1.1 * p + 0.002 * p ** 2 + rng.normal(0, 2.0, p.size),
+                          rng.uniform(0.5, 5.0, p.size)))
+    assert fit_rate_curve(rows, model) == fit_rate_curve_oracle(rows, model)
+
+
+def test_fit_exactly_linear_rows_give_zero_intercept_and_chi2():
+    """The solvent pump rows lie on R_coin = 1.2 P_SPDC in their floats, so
+    the exact least-squares solution is intercept 0, slope 1.2 and chi2 0."""
+    pump = tuple(r for r in ingest_rate_table(FIXTURE_SOLVENT) if r.mode == "pump")
+    linear = fit_rate_curve(pump, "linear")
+    assert linear["coefficients"] == [0.0, 1.2]
+    assert linear["reduced_chi2"] == 0.0
+    quadratic = fit_rate_curve(pump, "quadratic")
+    assert quadratic["coefficients"] == [0.0, 1.2, 0.0]
+    assert quadratic["reduced_chi2"] == 0.0
+
+
+def test_fit_near_duplicate_powers_are_distinct():
+    """1.0 and its float neighbour 1.0 + 2**-52 are two power values: the
+    linear fit is made, with standard errors of 2**52."""
+    rows = make_table(RateRow(p, 1.0, 0.1, 1.0, 0.1, 3.0, 0.0, "pump", "x")
+                      for p in (1.0, 1.0, 1.0 + 2 ** -52, 1.0 + 2 ** -52))
+    fit = fit_rate_curve(rows, "linear")
+    assert fit == fit_rate_curve_oracle(rows, "linear")
+    assert fit["coefficients"] == [3.0, 0.0]
+    assert fit["standard_errors"] == [2.0 ** 52, 2.0 ** 52]
+    with pytest.raises(SolverError, match="fewer than 3 independent power values"):
+        fit_rate_curve(rows, "quadratic")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("err", [1e-200, 1e200], ids=["weight-overflows", "weight-underflows"])
+def test_fit_refuses_a_weight_outside_the_floats(err):
+    rows = make_table(RateRow(p, 1.0, 0.1, 1.0, 0.1, 1.2 * p, err, "pump", "x")
+                      for p in (10.0, 20.0, 40.0, 70.0))
+    message = ("linear fit: the weight 1/R_coin_err**2 of the row at P_SPDC 10.0 pW "
+               f"does not fit in a finite float (R_coin_err {err})")
+    with pytest.raises(SolverError, match=re.escape(message)):
+        fit_rate_curve(rows, "linear")
+
+
+@pytest.mark.filterwarnings("error")
+def test_analysis_report_records_a_refused_weight():
+    rows = make_table(RateRow(p, 1.0, 0.1, 1.0, 0.1, 1.2 * p, 1e-200, "pump", "x")
+                      for p in (10.0, 20.0, 40.0, 70.0))
+    report = analysis_report(rows, rows, False)
+    assert set(report["fits"]["solvent.pump.quadratic"]) == {"error"}
+    assert report["fits"]["solvent.pump.quadratic"]["error"].startswith(
+        "quadratic fit: the weight 1/R_coin_err**2")
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_powers_near_1e200():
+    """Powers whose squares overflow a float still fit: scaling every power
+    by 2**664 (about 1.2e200) scales the slope and its standard error by
+    2**-664 exactly and leaves the rest of the linear fit as it is."""
+    ps = (10.0, 20.0, 40.0, 70.0, 100.0, 150.0)
+    ys = (11.0, 25.0, 47.0, 86.0, 119.0, 181.0)
+
+    def table(scale):
+        return make_table(RateRow(p * scale, 1.0, 0.1, 1.0, 0.1, y, 1.5, "pump", "x")
+                          for p, y in zip(ps, ys))
+
+    base, huge = fit_rate_curve(table(1.0), "linear"), fit_rate_curve(table(2.0 ** 664), "linear")
+    for key in ("coefficients", "standard_errors"):
+        assert huge[key] == [base[key][0], math.ldexp(base[key][1], -664)]
+    assert huge["reduced_chi2"] == base["reduced_chi2"]
+    quadratic = fit_rate_curve(table(2.0 ** 664), "quadratic")
+    oracle = fit_rate_curve_oracle(table(2.0 ** 664), "quadratic")
+    assert quadratic["coefficients"] == oracle["coefficients"]
+    assert quadratic["reduced_chi2"] == oracle["reduced_chi2"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_refuses_a_coefficient_outside_the_floats():
+    rows = make_table(RateRow(p * 1e-200, 1.0, 0.1, 1.0, 0.1, 1.2 * p, 1.0, "pump", "x")
+                      for p in (10.0, 20.0, 40.0, 70.0, 100.0))
+    assert fit_rate_curve(rows, "linear")["coefficients"][1] == pytest.approx(1.2e200)
+    with pytest.raises(SolverError,
+                       match=r"^quadratic fit: coefficients\[2\] does not fit in a finite float$"):
+        fit_rate_curve(rows, "quadratic")
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,22 @@ def test_etpa_report_does_not_load_numpy(tmp_path):
     assert done.returncode == 0
 
 
+def test_analyze_does_not_load_numpy(tmp_path):
+    """Without numpy, the report cannot depend on the BLAS kernel that
+    OpenBLAS picks for the CPU: a forced one gives the golden bytes."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Zen",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, spdclab.cli; rc = spdclab.cli.main(sys.argv[1:]); "
+            "sys.exit(3 if 'numpy' in sys.modules else rc)")
+    done = subprocess.run([sys.executable, "-c", code, "analyze",
+                           "--config", config_path("paper_analyze.json"),
+                           "--out", str(tmp_path / "out")], env=env, timeout=60)
+    assert done.returncode == 0
+    assert ((tmp_path / "out" / "analysis_report.json").read_bytes()
+            == open(os.path.join(DATA, "golden_analysis_report.json"), "rb").read())
+
+
 # ---------------------------------------------------------------------------
 # jsa
 
