@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlignmentError, SolverError, TableParseError
+from .errors import AlignmentError, DomainError, SolverError, TableParseError
 from .schema import reading, write_json as write_report_json
 
 _MODES = ("pump", "spdc")
@@ -250,27 +250,40 @@ def compare_tables(solv: tuple, samp: tuple):
     ``r_abs`` with the quadrature-combined ``r_abs_err``.  A pair with a
     nonpositive rate in either row is in ``skipped`` with its ``reason``;
     every other pair has a ``gamma`` entry: Gamma as ``gamma`` with its
-    first-order ``gamma_err``.
+    first-order ``gamma_err``.  A pair with a number that is not a finite
+    float is refused.
     """
     r_abs, gamma, skipped = [], [], []
     for a, b in _align(solv, samp):
         point = {"p_spdc_pW": a.p_spdc_pW, "mode": a.mode}
-        r_abs.append({**point, "r_abs": a.r_coin - b.r_coin,
-                      "r_abs_err": math.hypot(a.r_coin_err, b.r_coin_err)})
+        r_abs.append(_finite(point, r_abs=a.r_coin - b.r_coin,
+                             r_abs_err=math.hypot(a.r_coin_err, b.r_coin_err)))
         rates = (a.r_s1, a.r_s2, a.r_coin, b.r_s1, b.r_s2, b.r_coin)
         if any(v <= 0 for v in rates):
             skipped.append({**point, "reason": "nonpositive rate in solvent or sample row"})
             continue
         ratio = (b.r_s1 * b.r_s2 / b.r_coin) / (a.r_s1 * a.r_s2 / a.r_coin)
-        rel_sq = sum(
-            (err / rate) ** 2
-            for rate, err in (
-                (a.r_s1, a.r_s1_err), (a.r_s2, a.r_s2_err), (a.r_coin, a.r_coin_err),
-                (b.r_s1, b.r_s1_err), (b.r_s2, b.r_s2_err), (b.r_coin, b.r_coin_err),
+        try:  # Python's ** raises OverflowError where the square is inf
+            rel_sq = sum(
+                (err / rate) ** 2
+                for rate, err in (
+                    (a.r_s1, a.r_s1_err), (a.r_s2, a.r_s2_err), (a.r_coin, a.r_coin_err),
+                    (b.r_s1, b.r_s1_err), (b.r_s2, b.r_s2_err), (b.r_coin, b.r_coin_err),
+                )
             )
-        )
-        gamma.append({**point, "gamma": 1.0 - ratio, "gamma_err": ratio * math.sqrt(rel_sq)})
+        except OverflowError:
+            rel_sq = math.inf
+        gamma.append(_finite(point, gamma=1.0 - ratio, gamma_err=ratio * math.sqrt(rel_sq)))
     return r_abs, gamma, skipped
+
+
+def _finite(point: dict, **values) -> dict:
+    """``point`` extended by ``values``, each a finite float (JSON has no inf)."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"rows at P_SPDC {point['p_spdc_pW']} pW, mode {point['mode']}: "
+                              f"{name} is {value}, not a finite float")
+    return {**point, **values}
 
 
 # ---------------------------------------------------------------------------

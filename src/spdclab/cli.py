@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import schema
 from .errors import ConfigError, InputError, SpdclabError
@@ -103,8 +102,7 @@ def cmd_tuning_curve(args, cfg: dict, given: dict) -> int:
 
     # both solves before either output, so a refusal leaves no file
     points = phasematch.tuning_curve(crystal, lambda_p, cfg["theta_range_C"], grid=cfg["grid"])
-    theta_deg_model = phasematch.find_degeneracy_temperature(
-        replace(crystal, calibration_offset_C=0.0), lambda_p)
+    theta_deg_model = phasematch.find_degeneracy_temperature(crystal, lambda_p)
 
     phasematch.export_tuning_curve_csv(points, os.path.join(args.out, "tuning_curve.csv"))
     summary = {

@@ -4,15 +4,15 @@ signal/idler tuning curves versus temperature.
 
 The waveguide's modal dispersion is unknown, so the bulk Sellmeier model
 plus an additive ``calibration_offset_C`` stands in for it: every index is
-evaluated at ``temperature_C + calibration_offset_C``.  The offset is meant
-to be fitted once so that the solved degeneracy temperature maps onto the
-measured one, keeping the bulk/waveguide discrepancy visible instead of
-hidden.
+evaluated at ``temperature_C + calibration_offset_C``.  The degeneracy
+search solves for that effective temperature, and the offset, fitted once,
+maps it onto the measured one, keeping the bulk/waveguide discrepancy
+visible instead of hidden.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,18 +148,15 @@ def bisect_root(fn, lo, hi, *, xtol: float):
 
 
 def find_degeneracy_temperature(cfg: CrystalConfig, lambda_p_nm: float) -> float:
-    """Reported temperature at which dk = 0 for the degenerate pair
-    lambda_s = lambda_i = 2 * lambda_p; dk is evaluated at the effective
-    (offset-applied) temperature.  The scan over temperature is one array
+    """Effective temperature at which dk = 0 for the degenerate pair
+    lambda_s = lambda_i = 2 * lambda_p; a crystal reports it minus its
+    ``calibration_offset_C``.  The scan over the model's window is one array
     call of the dk body that ``delta_k`` uses, and so is each bisection step.
     """
-    model = cfg.model
-    offset = cfg.calibration_offset_C
-    t_lo = model.temperature_C_min - offset
-    t_hi = model.temperature_C_max - offset
+    t_lo, t_hi = cfg.model.temperature_C_min, cfg.model.temperature_C_max
 
     def dk(theta, k=None):  # k: the open brackets, all of this one config
-        return _delta_k(cfg, theta + offset, lambda_p_nm, 2 * lambda_p_nm)
+        return _delta_k(cfg, theta, lambda_p_nm, 2 * lambda_p_nm)
 
     thetas = np.linspace(t_lo, t_hi, SCAN_POINTS)
     signs = np.sign(dk(thetas))
@@ -180,10 +177,8 @@ def find_degeneracy_temperature(cfg: CrystalConfig, lambda_p_nm: float) -> float
 def fit_calibration_offset(cfg: CrystalConfig, lambda_p_nm: float,
                            measured_degeneracy_C: float) -> float:
     """One-time offset so that the solved degeneracy temperature equals the
-    measured one: offset = theta_deg(model, zero offset) - theta_measured."""
-    base = replace(cfg, calibration_offset_C=0.0)
-    theta_deg = find_degeneracy_temperature(base, lambda_p_nm)
-    return theta_deg - measured_degeneracy_C
+    measured one: offset = theta_deg(effective) - theta_measured."""
+    return find_degeneracy_temperature(cfg, lambda_p_nm) - measured_degeneracy_C
 
 
 def _signal_scan_range(cfg: CrystalConfig, lambda_p_nm: float):
@@ -202,10 +197,11 @@ def tuning_curve(cfg: CrystalConfig, lambda_p_nm: float, theta_range, grid: int)
     ``(n_points, 3)`` float array of ``(theta_C, lambda_s_nm, lambda_i_nm)``
     rows.  For each temperature all roots of dk(lambda_s) = 0 with
     lambda_s <= 2*lambda_p are found by a coarse scan plus bisection
-    refinement to 1e-4 nm; temperatures without roots yield no rows.
-    The scan of all temperatures is one array call, and the bisections of
-    all brackets advance together; the rows come per temperature, in
-    ascending signal wavelength.
+    refinement to 1e-4 nm; temperatures without roots yield no rows.  A
+    root lies in each sign change of the scan, or at each exact zero after a
+    nonzero point.  The scan of all temperatures is one array call, and the
+    bisections of all brackets advance together; the rows come per
+    temperature, in ascending signal wavelength.
     """
     thetas = np.linspace(theta_range[0], theta_range[1], grid)
     theta_eff = thetas + cfg.calibration_offset_C
@@ -213,20 +209,11 @@ def tuning_curve(cfg: CrystalConfig, lambda_p_nm: float, theta_range, grid: int)
     cfg.model.check_temperature(theta_eff[:1])
     cfg.model.check_wavelength(lambda_p_nm)
     lam_grid = np.linspace(*_signal_scan_range(cfg, lambda_p_nm), SCAN_POINTS)
-    signs = np.sign(_delta_k(cfg, theta_eff[:, None], lambda_p_nm, lam_grid))
-    at, col = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
-    roots = bisect_root(lambda ls, k: _delta_k(cfg, theta_eff[at[k]], lambda_p_nm, ls),
+    s = np.sign(_delta_k(cfg, theta_eff[:, None], lambda_p_nm, lam_grid))
+    at, col = np.nonzero((s[:, :-1] * s[:, 1:] < 0) | ((s[:, 1:] == 0) & (s[:, :-1] != 0)))
+    lam_s = bisect_root(lambda ls, k: _delta_k(cfg, theta_eff[at[k]], lambda_p_nm, ls),
                         lam_grid[col], lam_grid[col + 1], xtol=1e-4)
-    # exact degeneracy lands on the last grid point
-    at_last = np.flatnonzero(signs[:, -1] == 0)
-    at = np.concatenate([at, at_last])
-    lam_s = np.concatenate([roots, np.full(at_last.size, lam_grid[-1])])
-    # roots of one temperature lie in disjoint brackets, ascending, and the
-    # last grid point is above them all: a stable sort by temperature
-    # leaves each temperature's roots in ascending order
-    order = np.argsort(at, kind="stable")
-    lam_s = lam_s[order]
-    return np.column_stack([thetas[at[order]], lam_s, idler_wavelength_nm(lambda_p_nm, lam_s)])
+    return np.column_stack([thetas[at], lam_s, idler_wavelength_nm(lambda_p_nm, lam_s)])
 
 
 def export_tuning_curve_csv(points, path) -> None:

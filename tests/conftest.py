@@ -115,15 +115,13 @@ def tuning_curve_reference(cfg, lambda_p_nm, theta_range, grid):
     points = []
     for theta in np.linspace(theta_range[0], theta_range[1], grid):
         c = replace(cfg, temperature_C=float(theta))
-        signs = np.sign(phasematch.delta_k(c, lambda_p_nm, lam_grid))
-        idx = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+        s = np.sign(phasematch.delta_k(c, lambda_p_nm, lam_grid))
+        idx = np.nonzero((s[:-1] * s[1:] < 0) | ((s[1:] == 0) & (s[:-1] != 0)))[0]
         roots = [
             bisect_root_reference(lambda ls: phasematch.delta_k(c, lambda_p_nm, ls),
                                   lam_grid[i], lam_grid[i + 1], xtol=1e-4)
             for i in idx
         ]
-        if signs[-1] == 0:
-            roots.append(lam_grid[-1])
         for lam_s in sorted(roots):
             lam_i = phasematch.idler_wavelength_nm(lambda_p_nm, lam_s)
             points.append((float(theta), float(lam_s), float(lam_i)))

@@ -84,7 +84,8 @@ def test_criterion_3_entanglement_time(crystal, jta_free_1024, jta_fiber_1024):
 def test_criterion_4_degeneracy_and_tuning_geometry(material, crystal):
     bulk = phasematch.CrystalConfig(material, 20.0, 2.72, 100.0, 0.0)
     theta_model = phasematch.find_degeneracy_temperature(bulk, LAMBDA_P_NM)
-    theta_reported = phasematch.find_degeneracy_temperature(crystal, LAMBDA_P_NM)
+    theta_reported = (phasematch.find_degeneracy_temperature(crystal, LAMBDA_P_NM)
+                      - crystal.calibration_offset_C)
     points = phasematch.tuning_curve(
         crystal, LAMBDA_P_NM,
         (THETA_DEG_MEASURED_C + 0.5, THETA_DEG_MEASURED_C + 12.0), grid=13)

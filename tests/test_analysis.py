@@ -14,7 +14,7 @@ from spdclab.analysis import (
     fit_rate_curve,
     ingest_rate_table,
 )
-from spdclab.errors import AlignmentError, SolverError, TableParseError
+from spdclab.errors import AlignmentError, DomainError, SolverError, TableParseError
 
 FIXTURE_SOLVENT = "configs/rate_table_solvent.csv"
 FIXTURE_SAMPLE = "configs/rate_table_sample.csv"
@@ -377,6 +377,15 @@ def test_gamma_skips_nonpositive_rows():
     assert skipped[0]["p_spdc_pW"] == 0.0
     # a skipped pair still has its R_abs
     assert [p["p_spdc_pW"] for p in r_abs] == [0.0, 1.0]
+
+
+def test_gamma_outside_the_floats_is_refused():
+    # singles of 1e200 in the sample row: their product, and so Gamma, overflows
+    solv = make_table([make_row(1.0, 10.0, 10.0, 1.0)])
+    samp = make_table([make_row(1.0, 1e200, 1e200, 1.0)])
+    with pytest.raises(DomainError,
+                       match=r"^rows at P_SPDC 1.0 pW, mode pump: gamma is -inf, not a finite"):
+        compare_tables(solv, samp)
 
 
 # ---------------------------------------------------------------------------

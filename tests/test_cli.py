@@ -385,6 +385,23 @@ def test_tuning_curve_matches_golden_fixture(tmp_path):
                 == open(os.path.join(DATA, f"golden_{name}"), "rb").read())
 
 
+def test_tuning_curve_takes_the_crystal_at_its_effective_temperature(tmp_path):
+    # 10 C is outside the model window, but the indices are evaluated at
+    # 10 + 49.1 C: the curve and every summary number are the paper config's
+    cold = {**PAPER_TUNING, "crystal": {**PAPER_TUNING["crystal"], "temperature_C": 10.0}}
+    outs = {}
+    for name, cfg in (("paper", PAPER_TUNING), ("cold", cold)):
+        outs[name] = tmp_path / name
+        assert run("tuning-curve", "--config", write_json(tmp_path / f"{name}.json", cfg),
+                   "--out", str(outs[name])) == 0
+    assert ((outs["cold"] / "tuning_curve.csv").read_bytes()
+            == (outs["paper"] / "tuning_curve.csv").read_bytes())
+    summary = {name: json.load(open(out / "tuning_summary.json")) for name, out in outs.items()}
+    assert summary["cold"].pop("config") == cold
+    assert summary["paper"].pop("config") == PAPER_TUNING
+    assert summary["cold"] == summary["paper"]
+
+
 def test_cli_import_does_not_load_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ,
@@ -955,6 +972,39 @@ def test_analyze_drop_flagged_removes_a_point_flagged_in_one_table(tmp_path):
     assert n_points == {f"{t}.{m}.{model}": 6 if m == "pump" else 7
                         for t in ("solvent", "sample") for m in ("pump", "spdc")
                         for model in ("linear", "quadratic")}
+
+
+def edit_pump_10pW_row(path, table, **cells):
+    """Write the packaged rate ``table`` to ``path`` with the given cells of
+    its 10 pW pump row replaced."""
+    lines = open(config_path(f"rate_table_{table}.csv")).read().splitlines()
+    header = lines[0].split(",")
+    [i] = [k for k, line in enumerate(lines) if line.startswith("10.0,") and "pump" in line]
+    fields = lines[i].split(",")
+    for name, value in cells.items():
+        fields[header.index(name)] = value
+    lines[i] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("solvent, sample, quantity", [
+    ({"R_coin_err": "1e200"}, {}, "gamma_err"),
+    ({"R_coin": "1e-300", "R_coin_err": "1e10"}, {}, "gamma_err"),
+    ({"R_coin_err": "1.7e308"}, {"R_coin_err": "1.7e308"}, "r_abs_err"),
+], ids=["square-overflows", "ratio-overflows", "hypot-overflows"])
+def test_analyze_non_finite_error_exits_1_naming_the_row(tmp_path, capsys, solvent, sample,
+                                                         quantity):
+    # finite cells whose propagated error leaves the floats: refused in one
+    # line, with no traceback and no Infinity written
+    cfg = write_json(tmp_path / "an.json", {
+        "solvent_csv": edit_pump_10pW_row(tmp_path / "solvent.csv", "solvent", **solvent),
+        "sample_csv": edit_pump_10pW_row(tmp_path / "sample.csv", "sample", **sample)})
+    out = tmp_path / "out"
+    assert run("analyze", "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"spdclab: rows at P_SPDC 10.0 pW, mode pump: {quantity} is inf, not a finite float\n")
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("row", ["10.0,3000.0,17.3,2800.0,16.7,nan,1.1,pump,x",

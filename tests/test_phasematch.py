@@ -204,6 +204,13 @@ def test_find_degeneracy_synthetic_injection(material, monkeypatch):
     assert theta == pytest.approx(50.0, abs=1e-6)
 
 
+def test_degeneracy_temperature_is_the_effective_one(material):
+    # the search never reads the offset: the same bits with and without it
+    shifted = CrystalConfig(material, 20.0, 2.72, THETA_DEG_MEASURED_C, 49.0975327)
+    assert (find_degeneracy_temperature(shifted, LAMBDA_P_NM)
+            == find_degeneracy_temperature(bulk_crystal(material), LAMBDA_P_NM))
+
+
 def test_degeneracy_temperature_golden(material):
     cfg = bulk_crystal(material)
     theta = find_degeneracy_temperature(cfg, LAMBDA_P_NM)
@@ -224,7 +231,7 @@ def test_calibration_offset_fixed_point(material, calibration_offset):
     assert calibration_offset == pytest.approx(
         THETA_DEG_MODEL_C - THETA_DEG_MEASURED_C, abs=1e-6)
     cfg = CrystalConfig(material, 20.0, 2.72, THETA_DEG_MEASURED_C, calibration_offset)
-    theta = find_degeneracy_temperature(cfg, LAMBDA_P_NM)
+    theta = find_degeneracy_temperature(cfg, LAMBDA_P_NM) - cfg.calibration_offset_C
     assert theta == pytest.approx(THETA_DEG_MEASURED_C, abs=1e-6)
     # fitting again with the offset in place returns the same offset
     assert fit_calibration_offset(cfg, LAMBDA_P_NM, THETA_DEG_MEASURED_C) == pytest.approx(
@@ -288,6 +295,19 @@ def test_tuning_curve_matches_per_temperature_oracle(crystal, lambda_p_nm, theta
     assert np.array_equal(points, tuning_curve_reference(cfg, lambda_p_nm, theta_range, grid))
     if grid == 9:
         assert points.shape == (0, 3)
+
+
+def test_tuning_curve_returns_an_exact_zero_at_an_interior_scan_point(crystal, monkeypatch):
+    lam_grid = np.linspace(*phasematch._signal_scan_range(crystal, LAMBDA_P_NM),
+                           phasematch.SCAN_POINTS)
+    target = lam_grid[200]
+    # dk is exactly 0 at one interior scan point, so no product of
+    # neighbouring signs is negative
+    monkeypatch.setattr(phasematch, "_delta_k",
+                        lambda c, theta, lp, ls: (np.asarray(ls) - target) + 0.0 * theta)
+    points = tuning_curve(crystal, LAMBDA_P_NM, (50.0, 70.0), grid=3)
+    assert points.tolist() == [[theta, target, idler_wavelength_nm(LAMBDA_P_NM, target)]
+                               for theta in (50.0, 60.0, 70.0)]
 
 
 def test_below_degeneracy_no_roots(crystal):
