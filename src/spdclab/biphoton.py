@@ -140,7 +140,8 @@ def phase_matching_function(cfg: CrystalConfig, omega_s, omega_i):
     """sinc(dk L / 2) per grid point, pumped at w_s + w_i; sinc(0) = 1."""
     w_s = np.asarray(omega_s, dtype=float)
     w_i = np.asarray(omega_i, dtype=float)
-    dk = delta_k(cfg, omega_to_wavelength_nm(w_s + w_i), omega_to_wavelength_nm(w_s))
+    dk = delta_k(cfg, cfg.effective_temperature_C, omega_to_wavelength_nm(w_s + w_i),
+                 omega_to_wavelength_nm(w_s))
     x = dk * (cfg.length_mm * MM) / 2.0
     return np.sinc(x / np.pi)
 
@@ -150,8 +151,12 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpe
     real float64 matrix.
 
     Raises CoverageError when a non-negligible fraction of the squared mass
-    sits in the outermost grid ring, i.e. the grid truncates the spectrum.
+    sits in the outermost grid ring, i.e. the grid truncates the spectrum,
+    and MemoryError, before any array is made, when numpy cannot index it.
     """
+    if int(grid.n) ** 2 > np.iinfo(np.intp).max:
+        raise MemoryError(f"grid.n {grid.n} makes a {grid.n} x {grid.n} matrix, "
+                          "larger than numpy can index")
     axis = grid.omega_axis()
     # allocated before the n x n temporaries, while glibc's malloc still
     # maps a block this size on its own: freeing a temporary moves such

@@ -4,10 +4,13 @@ signal/idler tuning curves versus temperature.
 
 The waveguide's modal dispersion is unknown, so the bulk Sellmeier model
 plus an additive ``calibration_offset_C`` stands in for it: every index is
-evaluated at ``temperature_C + calibration_offset_C``.  The degeneracy
-search solves for that effective temperature, and the offset, fitted once,
-maps it onto the measured one, keeping the bulk/waveguide discrepancy
-visible instead of hidden.
+evaluated at an effective temperature, a crystal's ``temperature_C +
+calibration_offset_C`` or a tuning-curve temperature plus the offset.  The
+degeneracy search solves for the effective temperature, and the offset,
+fitted once, maps it onto the measured one, keeping the bulk/waveguide
+discrepancy visible instead of hidden.  The one ``delta_k`` takes the
+effective temperature as an argument and checks it against the material
+window; a crystal does not check its own.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ class CrystalConfig:
             raise DomainError(f"crystal length must be positive, got {self.length_mm} mm")
         if not self.poling_period_um > 0:
             raise DomainError(f"poling period must be positive, got {self.poling_period_um} um")
-        self.model.check_temperature(self.effective_temperature_C)
 
     @property
     def effective_temperature_C(self) -> float:
@@ -72,24 +74,18 @@ def idler_wavelength_nm(lambda_p_nm, lambda_s_nm):
     return 1.0 / inv
 
 
-def delta_k(cfg: CrystalConfig, lambda_p_nm, lambda_s_nm):
-    """Wave-vector mismatch dk = k_p - k_s - k_i - 2 pi / Lambda in 1/m.
+def delta_k(cfg: CrystalConfig, theta_C, lambda_p_nm, lambda_s_nm):
+    """Wave-vector mismatch dk = k_p - k_s - k_i - 2 pi / Lambda in 1/m at
+    the effective temperature ``theta_C`` in degC (a crystal's own is
+    ``cfg.effective_temperature_C``).
 
-    Either wavelength may be an array; the idler wavelength is derived from
-    energy conservation and must lie inside the material validity window.
-    """
-    return _delta_k(cfg, cfg.effective_temperature_C, lambda_p_nm, lambda_s_nm)
-
-
-def _delta_k(cfg: CrystalConfig, theta_C, lambda_p_nm, lambda_s_nm):
-    """``delta_k`` at the effective temperature ``theta_C`` in degC, a scalar
-    or an array that broadcasts against the wavelengths.
-
-    Refuses the first temperature, then every wavelength (the pump as given,
-    before any conversion divides by it, then the idler it implies, then
-    the signal and idler frequencies as the wavevectors see them), then the
-    other temperatures: the order of one ``delta_k`` call per temperature,
-    each on a config made for it.
+    The temperature and either wavelength may be a scalar or an array, all
+    broadcasting together; the idler wavelength is derived from energy
+    conservation.  Refuses the first temperature, then every wavelength
+    outside the material window (the pump as given, before any conversion
+    divides by it, then the idler it implies, then the signal and idler
+    frequencies as the wavevectors see them), then the other temperatures:
+    the order of one call per temperature.
     """
     model = cfg.model
     model.check_temperature(np.asarray(theta_C).flat[:1])
@@ -151,12 +147,12 @@ def find_degeneracy_temperature(cfg: CrystalConfig, lambda_p_nm: float) -> float
     """Effective temperature at which dk = 0 for the degenerate pair
     lambda_s = lambda_i = 2 * lambda_p; a crystal reports it minus its
     ``calibration_offset_C``.  The scan over the model's window is one array
-    call of the dk body that ``delta_k`` uses, and so is each bisection step.
+    call of ``delta_k``, and so is each bisection step.
     """
     t_lo, t_hi = cfg.model.temperature_C_min, cfg.model.temperature_C_max
 
     def dk(theta, k=None):  # k: the open brackets, all of this one config
-        return _delta_k(cfg, theta, lambda_p_nm, 2 * lambda_p_nm)
+        return delta_k(cfg, theta, lambda_p_nm, 2 * lambda_p_nm)
 
     thetas = np.linspace(t_lo, t_hi, SCAN_POINTS)
     signs = np.sign(dk(thetas))
@@ -201,17 +197,21 @@ def tuning_curve(cfg: CrystalConfig, lambda_p_nm: float, theta_range, grid: int)
     root lies in each sign change of the scan, or at each exact zero after a
     nonzero point.  The scan of all temperatures is one array call, and the
     bisections of all brackets advance together; the rows come per
-    temperature, in ascending signal wavelength.
+    temperature, in ascending signal wavelength.  A ``grid`` whose scan numpy
+    cannot index is a MemoryError, raised before any array is made.
     """
+    if int(grid) * SCAN_POINTS > np.iinfo(np.intp).max:
+        raise MemoryError(f"grid {grid} makes a {grid} x {SCAN_POINTS} dk scan, "
+                          "larger than numpy can index")
     thetas = np.linspace(theta_range[0], theta_range[1], grid)
     theta_eff = thetas + cfg.calibration_offset_C
     # the scan's first refusals, before the scan range divides by the pump
     cfg.model.check_temperature(theta_eff[:1])
     cfg.model.check_wavelength(lambda_p_nm)
     lam_grid = np.linspace(*_signal_scan_range(cfg, lambda_p_nm), SCAN_POINTS)
-    s = np.sign(_delta_k(cfg, theta_eff[:, None], lambda_p_nm, lam_grid))
+    s = np.sign(delta_k(cfg, theta_eff[:, None], lambda_p_nm, lam_grid))
     at, col = np.nonzero((s[:, :-1] * s[:, 1:] < 0) | ((s[:, 1:] == 0) & (s[:, :-1] != 0)))
-    lam_s = bisect_root(lambda ls, k: _delta_k(cfg, theta_eff[at[k]], lambda_p_nm, ls),
+    lam_s = bisect_root(lambda ls, k: delta_k(cfg, theta_eff[at[k]], lambda_p_nm, ls),
                         lam_grid[col], lam_grid[col + 1], xtol=1e-4)
     return np.column_stack([thetas[at], lam_s, idler_wavelength_nm(lambda_p_nm, lam_s)])
 

@@ -107,19 +107,21 @@ def bisect_root_reference(fn, lo: float, hi: float, *, xtol: float) -> float:
 
 
 def tuning_curve_reference(cfg, lambda_p_nm, theta_range, grid):
-    """``phasematch.tuning_curve`` one temperature at a time: a config per
-    temperature, a scan of ``delta_k`` over the signal grid, then one scalar
-    bisection per sign change; the same ``(n_points, 3)`` array."""
+    """``phasematch.tuning_curve`` one temperature at a time: a scan of
+    ``delta_k`` at that temperature plus the offset over the signal grid,
+    then one scalar bisection per sign change; the same ``(n_points, 3)``
+    array."""
     lo, hi = phasematch._signal_scan_range(cfg, lambda_p_nm)
     lam_grid = np.linspace(lo, hi, phasematch.SCAN_POINTS)
     points = []
     for theta in np.linspace(theta_range[0], theta_range[1], grid):
-        c = replace(cfg, temperature_C=float(theta))
-        s = np.sign(phasematch.delta_k(c, lambda_p_nm, lam_grid))
+        theta_eff = float(theta) + cfg.calibration_offset_C
+        s = np.sign(phasematch.delta_k(cfg, theta_eff, lambda_p_nm, lam_grid))
         idx = np.nonzero((s[:-1] * s[1:] < 0) | ((s[1:] == 0) & (s[:-1] != 0)))[0]
         roots = [
-            bisect_root_reference(lambda ls: phasematch.delta_k(c, lambda_p_nm, ls),
-                                  lam_grid[i], lam_grid[i + 1], xtol=1e-4)
+            bisect_root_reference(
+                lambda ls: phasematch.delta_k(cfg, theta_eff, lambda_p_nm, ls),
+                lam_grid[i], lam_grid[i + 1], xtol=1e-4)
             for i in idx
         ]
         for lam_s in sorted(roots):
@@ -199,7 +201,7 @@ def entanglement_time_cw_oracle(cfg, lambda_p_nm, beta_fs2, n=2 ** 16,
     big_omega = -omega_max + d_omega * np.arange(n)
     omega_p = wavelength_nm_to_omega(lambda_p_nm)
     lambda_s_nm = omega_to_wavelength_nm(omega_p / 2.0 + big_omega)
-    dk = phasematch.delta_k(cfg, lambda_p_nm, lambda_s_nm)
+    dk = phasematch.delta_k(cfg, cfg.effective_temperature_C, lambda_p_nm, lambda_s_nm)
     phi = np.sinc(dk * (cfg.length_mm * MM) / 2.0 / np.pi)
     amp = phi * np.exp(1j * (beta_fs2 * FS ** 2) * big_omega ** 2)
     jta = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(amp))) * d_omega / np.sqrt(2.0 * np.pi)

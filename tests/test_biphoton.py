@@ -69,7 +69,8 @@ def test_scalar_inputs_give_numpy_float64(material, crystal, pump):
     values = [dispersion.wavevector(material, w_s, 59.4),
               dispersion.gvd(material, 810.0, 59.4),
               phasematch.idler_wavelength_nm(LAMBDA_P_NM, 800.0),
-              phasematch.delta_k(crystal, LAMBDA_P_NM, 800.0),
+              phasematch.delta_k(crystal, crystal.effective_temperature_C, LAMBDA_P_NM,
+                                  800.0),
               pump_envelope(pump, w_s, w_i),
               phase_matching_function(crystal, w_s, w_i)]
     assert [type(v) for v in values] == [np.float64] * len(values)

@@ -245,6 +245,25 @@ def test_refused_allocation_exits_1_with_one_line(tmp_path, capsys, monkeypatch)
                    "shape (1000000, 1000000) and data type float64\n")
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("tuning-curve", {**PAPER_TUNING, "grid": 10 ** 20},
+     "grid 100000000000000000000 makes a 100000000000000000000 x 500 dk scan"),
+    ("jsa", {**PAPER_JSA, "grid": {"n": 10 ** 20}},
+     "grid.n 100000000000000000000 makes a 100000000000000000000 x 100000000000000000000 "
+     "matrix"),
+], ids=["tuning-curve", "jsa"])
+def test_grid_numpy_cannot_index_exits_1_with_one_line(tmp_path, capsys, command, config,
+                                                        message):
+    # numpy would refuse arrays this large before allocating anything; the
+    # run refuses them before numpy is asked, naming the key and its value
+    cfg = write_json(tmp_path / "c.json", config)
+    out = tmp_path / "o"
+    assert run(command, "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (f"spdclab: out of memory: {message}, "
+                                       "larger than numpy can index\n")
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("lambda_p_nm, shown_um", [(-405.0, "-0.405"), (6000.0, "6")],
                          ids=["negative", "6000nm"])
 def test_pump_without_idler_energy_exits_1_naming_it(tmp_path, capsys, lambda_p_nm, shown_um):
@@ -386,20 +405,26 @@ def test_tuning_curve_matches_golden_fixture(tmp_path):
 
 
 def test_tuning_curve_takes_the_crystal_at_its_effective_temperature(tmp_path):
-    # 10 C is outside the model window, but the indices are evaluated at
-    # 10 + 49.1 C: the curve and every summary number are the paper config's
-    cold = {**PAPER_TUNING, "crystal": {**PAPER_TUNING["crystal"], "temperature_C": 10.0}}
-    outs = {}
-    for name, cfg in (("paper", PAPER_TUNING), ("cold", cold)):
-        outs[name] = tmp_path / name
+    # 10 C is outside the model window, and 200 + 49.1 C is too, but the
+    # curve is evaluated at each theta + 49.1 C and never at temperature_C:
+    # the curve and every summary number are the paper config's
+    outs = {"paper": tmp_path / "paper"}
+    configs = {"paper": PAPER_TUNING}
+    for temperature_C in (10.0, 200.0):
+        configs[temperature_C] = {**PAPER_TUNING, "crystal": {**PAPER_TUNING["crystal"],
+                                                              "temperature_C": temperature_C}}
+        outs[temperature_C] = tmp_path / str(temperature_C)
+    for name, cfg in configs.items():
         assert run("tuning-curve", "--config", write_json(tmp_path / f"{name}.json", cfg),
                    "--out", str(outs[name])) == 0
-    assert ((outs["cold"] / "tuning_curve.csv").read_bytes()
-            == (outs["paper"] / "tuning_curve.csv").read_bytes())
     summary = {name: json.load(open(out / "tuning_summary.json")) for name, out in outs.items()}
-    assert summary["cold"].pop("config") == cold
-    assert summary["paper"].pop("config") == PAPER_TUNING
-    assert summary["cold"] == summary["paper"]
+    for name, cfg in configs.items():
+        assert summary[name].pop("config") == cfg
+    for temperature_C in (10.0, 200.0):
+        assert ((outs[temperature_C] / "tuning_curve.csv").read_bytes()
+                == (outs["paper"] / "tuning_curve.csv").read_bytes())
+        assert summary[temperature_C] == summary["paper"]
+
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):
@@ -468,6 +493,17 @@ def test_jsa_small_grid(tmp_path):
     assert (out / "jsi.csv").exists() and (out / "jti.csv").exists()
     sidecar = json.load(open(out / "jsi.json"))
     assert sidecar["domain"] == "spectral"
+
+
+def test_jsa_refuses_an_effective_temperature_outside_the_window(tmp_path, capsys):
+    # the crystal does not check its temperature, but the JSA is evaluated
+    # at 200 + 49.1 C, which delta_k refuses before any output
+    hot = {**PAPER_JSA, "crystal": {**PAPER_JSA["crystal"], "temperature_C": 200.0}}
+    out = tmp_path / "o"
+    assert run("jsa", "--config", write_json(tmp_path / "c.json", hot), "--out", str(out)) == 1
+    assert capsys.readouterr().err == ("spdclab: temperature 249.1 C outside validity window "
+                                       "[20.0, 200.0] C\n")
+    assert os.listdir(out) == []
 
 
 def test_jsa_beta_zero_reports_equal_times(tmp_path):

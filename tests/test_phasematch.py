@@ -37,8 +37,10 @@ def test_crystal_invariants(material):
         CrystalConfig(material, -1.0, 2.72, 100.0)
     with pytest.raises(DomainError):
         CrystalConfig(material, 20.0, 0.0, 100.0)
-    with pytest.raises(DomainError):
-        CrystalConfig(material, 20.0, 2.72, 100.0, 150.0)  # effective T out of window
+    # the crystal does not check its effective temperature; delta_k does
+    hot = CrystalConfig(material, 20.0, 2.72, 100.0, 150.0)
+    with pytest.raises(DomainError, match="^temperature 250 C"):
+        delta_k(hot, hot.effective_temperature_C, 405.0, 810.0)
 
 
 def test_poling_wavenumber(material):
@@ -56,9 +58,9 @@ def test_idler_energy_conservation():
 def test_delta_k_vectorized_matches_scalar(material):
     cfg = bulk_crystal(material)
     lams = np.array([780.0, 810.0, 840.0])
-    vec = delta_k(cfg, LAMBDA_P_NM, lams)
+    vec = delta_k(cfg, 100.0, LAMBDA_P_NM, lams)
     for lam, v in zip(lams, vec):
-        assert v == delta_k(cfg, LAMBDA_P_NM, float(lam))
+        assert v == delta_k(cfg, 100.0, LAMBDA_P_NM, float(lam))
 
 
 @settings(max_examples=100, deadline=None)
@@ -67,10 +69,10 @@ def test_delta_k_vectorized_matches_scalar(material):
        theta=st.floats(20.0, 200.0))
 def test_delta_k_array_pump_matches_scalar_bitwise(material, points, theta):
     # the per-point pump path of build_jsa against one scalar call per point
-    cfg = bulk_crystal(material, theta)
+    cfg = bulk_crystal(material)
     pump, signal = np.array(points).T
-    vec = delta_k(cfg, pump, signal)
-    scalar = np.array([delta_k(cfg, float(p), float(s)) for p, s in points])
+    vec = delta_k(cfg, theta, pump, signal)
+    scalar = np.array([delta_k(cfg, theta, float(p), float(s)) for p, s in points])
     assert vec.tobytes() == scalar.tobytes()
 
 
@@ -93,11 +95,11 @@ def test_delta_k_array_temperature_matches_scalar_bitwise(material):
     assert thetas.size >= 100
     cfg = bulk_crystal(material)
     signal = np.linspace(700.0, 900.0, 41)
-    vec = phasematch._delta_k(cfg, thetas[:, None], LAMBDA_P_NM, signal)
-    scalar = np.array([[delta_k(replace(cfg, temperature_C=t), LAMBDA_P_NM, s)
-                        for s in signal.tolist()] for t in thetas.tolist()])
+    vec = delta_k(cfg, thetas[:, None], LAMBDA_P_NM, signal)
+    scalar = np.array([[delta_k(cfg, t, LAMBDA_P_NM, s) for s in signal.tolist()]
+                       for t in thetas.tolist()])
     assert vec.tobytes() == scalar.tobytes()
-    degenerate = phasematch._delta_k(cfg, thetas, LAMBDA_P_NM, 2 * LAMBDA_P_NM)
+    degenerate = delta_k(cfg, thetas, LAMBDA_P_NM, 2 * LAMBDA_P_NM)
     assert signal[22] == 2 * LAMBDA_P_NM
     assert degenerate.tobytes() == scalar[:, 22].tobytes()
 
@@ -174,18 +176,18 @@ def test_delta_k_refuses_in_the_order_of_one_call_per_temperature(material):
     cfg = bulk_crystal(material)
     too_hot = np.array([100.0, 300.0])
     with pytest.raises(DomainError, match="^temperature 300 C"):
-        phasematch._delta_k(cfg, too_hot, LAMBDA_P_NM, 810.0)
+        delta_k(cfg, too_hot, LAMBDA_P_NM, 810.0)
     # a 5 um signal leaves a 440.7 nm idler inside the window
     with pytest.raises(DomainError, match="^wavelength 5 um"):
-        phasematch._delta_k(cfg, too_hot, LAMBDA_P_NM, 5000.0)
+        delta_k(cfg, too_hot, LAMBDA_P_NM, 5000.0)
     with pytest.raises(DomainError, match="^wavelength 0.39 um"):
-        phasematch._delta_k(cfg, too_hot, 390.0, 810.0)
+        delta_k(cfg, too_hot, 390.0, 810.0)
     with pytest.raises(DomainError, match="^temperature 300 C"):
-        phasematch._delta_k(cfg, too_hot[::-1, None], 390.0, np.array([810.0, 5000.0]))
+        delta_k(cfg, too_hot[::-1, None], 390.0, np.array([810.0, 5000.0]))
 
 
 @pytest.mark.parametrize("solve", [
-    lambda cfg: delta_k(cfg, 0.0, 810.0),
+    lambda cfg: delta_k(cfg, 100.0, 0.0, 810.0),
     lambda cfg: find_degeneracy_temperature(cfg, 0.0),
     lambda cfg: tuning_curve(cfg, 0.0, (90.0, 110.0), grid=3),
 ], ids=["delta_k", "find_degeneracy_temperature", "tuning_curve"])
@@ -196,10 +198,10 @@ def test_zero_nm_pump_is_refused_before_it_is_converted(material, solve):
 
 
 def test_find_degeneracy_synthetic_injection(material, monkeypatch):
-    # the scan and the bisection both call the dk body at the effective
+    # the scan and the bisection both call delta_k at the effective
     # temperature (the offset is 0 here)
     cfg = bulk_crystal(material)
-    monkeypatch.setattr(phasematch, "_delta_k", lambda c, theta, lp, ls: 50.0 - theta)
+    monkeypatch.setattr(phasematch, "delta_k", lambda c, theta, lp, ls: 50.0 - theta)
     theta = find_degeneracy_temperature(cfg, LAMBDA_P_NM)
     assert theta == pytest.approx(50.0, abs=1e-6)
 
@@ -216,8 +218,7 @@ def test_degeneracy_temperature_golden(material):
     theta = find_degeneracy_temperature(cfg, LAMBDA_P_NM)
     assert_close(theta, THETA_DEG_MODEL_C, 1e-8, "bulk degeneracy temperature")
     # residual mismatch far below the poling wavenumber
-    at_deg = CrystalConfig(material, 20.0, 2.72, theta, 0.0)
-    assert abs(delta_k(at_deg, LAMBDA_P_NM, 2 * LAMBDA_P_NM)) < 1e-6 * cfg.poling_wavenumber
+    assert abs(delta_k(cfg, theta, LAMBDA_P_NM, 2 * LAMBDA_P_NM)) < 1e-6 * cfg.poling_wavenumber
 
 
 def test_no_phase_matching_raises(material):
@@ -268,8 +269,9 @@ def test_tuning_curve_branches_monotone(curve):
 
 def test_tuning_curve_residuals(crystal, curve):
     for theta_C, lambda_s_nm, _ in curve[:3]:
-        c = replace(crystal, temperature_C=float(theta_C))
-        assert abs(delta_k(c, LAMBDA_P_NM, lambda_s_nm)) < 1e-3 * crystal.poling_wavenumber
+        theta_eff = theta_C + crystal.calibration_offset_C
+        assert (abs(delta_k(crystal, theta_eff, LAMBDA_P_NM, lambda_s_nm))
+                < 1e-3 * crystal.poling_wavenumber)
 
 
 @pytest.mark.parametrize("lambda_p_nm, theta_range, grid, offset", [
@@ -303,7 +305,7 @@ def test_tuning_curve_returns_an_exact_zero_at_an_interior_scan_point(crystal, m
     target = lam_grid[200]
     # dk is exactly 0 at one interior scan point, so no product of
     # neighbouring signs is negative
-    monkeypatch.setattr(phasematch, "_delta_k",
+    monkeypatch.setattr(phasematch, "delta_k",
                         lambda c, theta, lp, ls: (np.asarray(ls) - target) + 0.0 * theta)
     points = tuning_curve(crystal, LAMBDA_P_NM, (50.0, 70.0), grid=3)
     assert points.tolist() == [[theta, target, idler_wavelength_nm(LAMBDA_P_NM, target)]
