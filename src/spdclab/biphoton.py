@@ -151,12 +151,15 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpe
     real float64 matrix.
 
     Raises CoverageError when a non-negligible fraction of the squared mass
-    sits in the outermost grid ring, i.e. the grid truncates the spectrum,
-    and MemoryError, before any array is made, when numpy cannot index it.
+    sits in the outermost grid ring, i.e. the grid truncates the spectrum.
+    Before any array is made, raises MemoryError when numpy cannot index
+    it, then DomainError when the crystal's effective temperature is
+    outside the material window.
     """
     if int(grid.n) ** 2 > np.iinfo(np.intp).max:
         raise MemoryError(f"grid.n {grid.n} makes a {grid.n} x {grid.n} matrix, "
                           "larger than numpy can index")
+    cfg.model.check_temperature(cfg.effective_temperature_C)  # before any n x n array
     axis = grid.omega_axis()
     # allocated before the n x n temporaries, while glibc's malloc still
     # maps a block this size on its own: freeing a temporary moves such

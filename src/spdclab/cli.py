@@ -22,6 +22,10 @@ included), 2 usage/config error (a key that is unknown, missing or of the
 wrong kind, an input file that is missing, unreadable or not UTF-8, a
 config that is not valid JSON, a negative ``--seed``, or an output that
 cannot be written).
+
+``main`` sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already set, before
+any layer imports numpy: no subcommand calls BLAS, and the idle worker that
+OpenBLAS otherwise starts spins on a second CPU.
 """
 
 from __future__ import annotations
@@ -269,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any layer imports numpy
     args = build_parser().parse_args(argv)
     handler, table = COMMANDS[args.command]
     try:

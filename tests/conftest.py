@@ -459,3 +459,12 @@ def assert_close(value, expected, rel, label=""):
     __tracebackhide__ = True
     err = abs(value - expected) / abs(expected)
     assert err <= rel, f"{label}: {value} vs {expected} (rel err {err:.3e} > {rel})"
+
+
+def src_env(**variables) -> dict:
+    """The environment of a child Python that imports spdclab from this
+    checkout: ``os.environ`` with ``variables`` set and ``src`` first on
+    ``PYTHONPATH``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, **variables,
+            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -142,6 +143,21 @@ def test_build_jsa_ring_counts_each_boundary_cell_once(crystal, pump):
         build_jsa(crystal, pump, GridSpec(n=2, center_lambda_nm=810.0, half_span_nm=60.0))
     fraction = re.search(r"boundary ring holds (\S+) of the squared mass", str(exc.value))
     assert biphoton.COVERAGE_TOLERANCE < float(fraction.group(1)) <= 1.0
+
+
+def test_build_jsa_refuses_the_effective_temperature_before_any_matrix(crystal, pump):
+    # 200 + 49.1 C is outside the window: refused before the n x n JSA, the
+    # pump envelope or its mask exist (each 8 or 1 MB at n = 1024)
+    hot = replace(crystal, temperature_C=200.0)
+    grid = GridSpec(n=1024, center_lambda_nm=810.0, half_span_nm=60.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"^temperature 249.1 C outside validity window"):
+            build_jsa(hot, pump, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_joint_spectrum_invariants():

@@ -11,7 +11,7 @@ import pytest
 
 from spdclab import cli
 
-from conftest import jsa_outputs_reference
+from conftest import jsa_outputs_reference, src_env
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -428,9 +428,7 @@ def test_tuning_curve_takes_the_crystal_at_its_effective_temperature(tmp_path):
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = src_env()
     code = "import sys, spdclab.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
@@ -453,9 +451,7 @@ def test_cli_import_does_not_load_scipy(tmp_path):
 
 
 def test_etpa_report_does_not_load_numpy(tmp_path):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = src_env()
     code = ("import sys, spdclab.cli; rc = spdclab.cli.main(sys.argv[1:]); "
             "sys.exit(3 if 'numpy' in sys.modules else rc)")
     done = subprocess.run([sys.executable, "-c", code, "etpa-report",
@@ -468,9 +464,7 @@ def test_etpa_report_does_not_load_numpy(tmp_path):
 def test_analyze_does_not_load_numpy(tmp_path):
     """Without numpy, the report cannot depend on the BLAS kernel that
     OpenBLAS picks for the CPU: a forced one gives the golden bytes."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Zen",
-           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = src_env(OPENBLAS_CORETYPE="Zen")
     code = ("import sys, spdclab.cli; rc = spdclab.cli.main(sys.argv[1:]); "
             "sys.exit(3 if 'numpy' in sys.modules else rc)")
     done = subprocess.run([sys.executable, "-c", code, "analyze",
@@ -479,6 +473,54 @@ def test_analyze_does_not_load_numpy(tmp_path):
     assert done.returncode == 0
     assert ((tmp_path / "out" / "analysis_report.json").read_bytes()
             == open(os.path.join(DATA, "golden_analysis_report.json"), "rb").read())
+
+
+def _threads_after(argv, env) -> list:
+    """The exit code, the thread count and OPENBLAS_NUM_THREADS of a child
+    that runs ``cli.main(argv)``, or only imports ``spdclab.cli`` when
+    ``argv`` is None."""
+    code = ("import os, sys, spdclab.cli\n"
+            "rc = spdclab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(rc, len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    done = subprocess.run([sys.executable, "-c", code, *(argv or ())], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return done.stdout.split()
+
+
+def _env_without_blas_threads(**variables) -> dict:
+    # in-process cli.main calls of earlier tests set it in this process
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return {**env, **variables}
+
+
+@pytest.fixture(scope="module")
+def openblas_pool():
+    """Skips unless numpy links OpenBLAS and, imported bare, starts a worker
+    thread beside the main one."""
+    if not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2:
+        pytest.skip("needs /proc/self/task and two CPUs")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip(f"numpy links {blas.get('name')}, not OpenBLAS")
+    code = "import os, numpy; print(len(os.listdir('/proc/self/task')))"
+    done = subprocess.run([sys.executable, "-c", code], env=_env_without_blas_threads(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    if int(done.stdout) <= 1:
+        pytest.skip("a bare import numpy starts no BLAS worker here")
+
+
+def test_cli_starts_numpy_with_one_blas_thread(tmp_path, openblas_pool):
+    argv = ["tuning-curve", "--config", config_path("paper_tuning.json"), "--out", str(tmp_path)]
+    assert _threads_after(argv, _env_without_blas_threads()) == ["0", "1", "1"]
+    # a value the user set wins, and stays set
+    env = _env_without_blas_threads(OPENBLAS_NUM_THREADS="2")
+    assert _threads_after(argv, env) == ["0", "2", "2"]
+
+
+def test_cli_import_leaves_the_blas_thread_count_alone():
+    # a library caller keeps its BLAS pool: only cli.main sets the variable
+    assert _threads_after(None, _env_without_blas_threads())[2] == "None"
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +539,7 @@ def test_jsa_small_grid(tmp_path):
 
 def test_jsa_refuses_an_effective_temperature_outside_the_window(tmp_path, capsys):
     # the crystal does not check its temperature, but the JSA is evaluated
-    # at 200 + 49.1 C, which delta_k refuses before any output
+    # at 200 + 49.1 C, which build_jsa refuses before any array or output
     hot = {**PAPER_JSA, "crystal": {**PAPER_JSA["crystal"], "temperature_C": 200.0}}
     out = tmp_path / "o"
     assert run("jsa", "--config", write_json(tmp_path / "c.json", hot), "--out", str(out)) == 1
