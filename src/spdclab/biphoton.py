@@ -26,7 +26,7 @@ import math
 import warnings
 import numpy as np
 
-from ._ascii import digits
+from ._ascii import digit_work, digits
 from .constants import C0, TWO_PI, NM, MM, FS, wavelength_nm_to_omega, omega_to_wavelength_nm
 from .errors import CoverageError, DomainError
 from .phasematch import CrystalConfig, delta_k
@@ -150,23 +150,24 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpe
     """Normalized joint spectral amplitude alpha * phi on a square grid, a
     real float64 matrix.
 
-    Raises CoverageError when a non-negligible fraction of the squared mass
-    sits in the outermost grid ring, i.e. the grid truncates the spectrum.
-    Before any array is made, raises MemoryError when numpy cannot index
-    it, then DomainError when the crystal's effective temperature is
-    outside the material window.
+    Only the band of anti-diagonals i + j that the pump envelope reaches is
+    evaluated (:func:`_pump_band`); every other cell is 0.  Raises
+    CoverageError when no cell of the band holds an envelope above 1e-16,
+    then when a non-negligible fraction of the squared mass sits in the
+    outermost grid ring, i.e. the grid truncates the spectrum.  Before any
+    array is made, raises MemoryError when numpy cannot index it, then
+    DomainError when the crystal's effective temperature is outside the
+    material window.  The call holds the JSA, its square for the
+    normalisation and arrays of the band's size.
     """
     if int(grid.n) ** 2 > np.iinfo(np.intp).max:
         raise MemoryError(f"grid.n {grid.n} makes a {grid.n} x {grid.n} matrix, "
                           "larger than numpy can index")
     cfg.model.check_temperature(cfg.effective_temperature_C)  # before any n x n array
     axis = grid.omega_axis()
-    # allocated before the n x n temporaries, while glibc's malloc still
-    # maps a block this size on its own: freeing a temporary moves such
-    # blocks onto its heap, where the JSA would stay resident after
-    # `spdclab jsa` drops it
     amp = np.zeros((len(axis), len(axis)))
-    alpha = pump_envelope(env, axis[:, None], axis[None, :])
+    rows, cols = _pump_band(env, axis)
+    alpha = pump_envelope(env, axis[rows], axis[cols])
     # Only evaluate the dispersion model where the pump envelope is
     # non-negligible: far off the energy-conservation diagonal the
     # amplitude is zero anyway and the implied pump wavelength can leave
@@ -174,8 +175,8 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpe
     mask = alpha > 1e-16
     if not np.any(mask):
         raise CoverageError("grid does not overlap the pump envelope")
-    rows, cols = np.nonzero(mask)
-    amp[mask] = alpha[mask] * phase_matching_function(cfg, axis[rows], axis[cols])
+    rows, cols = rows[mask], cols[mask]
+    amp[rows, cols] = alpha[mask] * phase_matching_function(cfg, axis[rows], axis[cols])
     del alpha, mask, rows, cols
 
     intensity = amp ** 2
@@ -197,11 +198,45 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpe
     return JointSpectrum(amplitude=amp, axis_s=axis.copy(), axis_i=axis.copy(), domain="spectral")
 
 
+def _pump_band(env: PumpEnvelope, axis: np.ndarray):
+    """Row and column indices, in row-major order, of the cells of the
+    square grid on ``axis`` that lie on the band of anti-diagonals
+    k = i + j whose first cell (least i) has a pump envelope above 1e-24,
+    widened by two anti-diagonals on each side; empty when there is none.
+
+    Along one anti-diagonal w_s + w_i changes only by rounding, so a cell
+    whose envelope exceeds 1e-16 lies in the band: the build keeps the
+    cells of the full grid, in the same order.
+    """
+    n = len(axis)
+    k = np.arange(2 * n - 1)
+    first = np.maximum(k - (n - 1), 0)
+    inside = np.flatnonzero(pump_envelope(env, axis[first], axis[k - first]) > 1e-24)
+    lo, hi = (inside[0] - 2, inside[-1] + 2) if len(inside) else (0, -1)
+    i = np.arange(n)
+    start = np.maximum(lo - i, 0)
+    counts = np.maximum(np.minimum(hi - i, n - 1) + 1 - start, 0)
+    rows = np.repeat(i, counts)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - start, counts)
+    return rows, cols
+
+
+def _fiber_phases(js: JointSpectrum, beta_fs2: float, reference_omega: float):
+    """The phase factors exp(i beta/2 (omega - reference_omega)^2) of the
+    signal and the idler axis, beta_fs2 in fs^2."""
+    beta = beta_fs2 * FS ** 2
+    phase_s = np.exp(1j * beta / 2.0 * (js.axis_s - reference_omega) ** 2)
+    phase_i = np.exp(1j * beta / 2.0 * (js.axis_i - reference_omega) ** 2)
+    return phase_s, phase_i
+
+
 def apply_fiber_phase(js: JointSpectrum, beta_fs2: float, reference_omega: float) -> JointSpectrum:
     """Multiply by the quadratic dispersion phase
     exp(i beta/2 (omega - reference_omega)^2) of each arm, beta_fs2 being
     the group delay dispersion in fs^2 that each photon sees outside the
     crystal; beta = 0 is free space and returns ``js`` itself.
+    :func:`to_temporal` applies the same phase, value for value, while it
+    copies its input.
 
     Pure phase: |output| == |input| pointwise, marginals unchanged.
     """
@@ -211,41 +246,72 @@ def apply_fiber_phase(js: JointSpectrum, beta_fs2: float, reference_omega: float
         raise DomainError("fiber dispersion must be finite")
     if beta_fs2 == 0.0:
         return js
-    beta = beta_fs2 * FS ** 2
-    phase_s = np.exp(1j * beta / 2.0 * (js.axis_s - reference_omega) ** 2)
-    phase_i = np.exp(1j * beta / 2.0 * (js.axis_i - reference_omega) ** 2)
+    phase_s, phase_i = _fiber_phases(js, beta_fs2, reference_omega)
     amp = js.amplitude * phase_s[:, None]
     amp *= phase_i[None, :]
     return replace(js, amplitude=amp)
 
 
-def to_temporal(js: JointSpectrum) -> JointSpectrum:
-    """Centered 2D DFT of the JSA; returns the joint temporal amplitude,
-    ``fftshift(fft2(ifftshift(a))) * scale`` value for value.
+def to_temporal(js: JointSpectrum, beta_fs2: float = 0.0,
+                reference_omega: float = 0.0) -> JointSpectrum:
+    """Centered 2D DFT of the JSA behind a fiber of group delay dispersion
+    ``beta_fs2`` (fs^2 per photon, referred to ``reference_omega``; 0 is
+    free space); returns the joint temporal amplitude,
+    ``fftshift(fft2(ifftshift(a))) * scale`` value for value, where ``a``
+    is ``apply_fiber_phase(js, beta_fs2, reference_omega).amplitude``.
 
     Time axes are derived from the frequency spacing; the phase origin of
     the transform is the sample at index n // 2 of each frequency axis.
-    The input is left unchanged: the transform, the scaling and the
-    ``fftshift`` (:func:`_fftshift_in_place`) work in place on the
-    ``ifftshift`` copy (``fft2``'s ``out`` needs numpy >= 2.0), so the call
-    holds one n x n buffer and two rows besides its input. A real
-    amplitude is promoted to the matching complex type, as ``fft2`` would;
-    its real ``ifftshift`` copy is held until the complex buffer exists.
+    The input is left unchanged: the ``ifftshift`` of the input is written
+    into the one complex n x n buffer as four block copies, times phase_s
+    of each source row, and the buffer is then multiplied in place by the
+    shifted phase_i, so each value is (input * phase_s) * phase_i as
+    :func:`apply_fiber_phase` forms it.  The transform, the scaling and the
+    ``fftshift`` (:func:`_fftshift_in_place`) also work in place
+    (``fft2``'s ``out`` needs numpy >= 2.0).  So the call holds that
+    buffer, two rows and the phase vectors besides its input.  A real
+    amplitude is promoted to the matching complex type, as ``fft2`` would,
+    or to complex128 by a phase.  Every refusal comes before the buffer
+    exists.
     """
     if js.domain != "spectral":
         raise DomainError("to_temporal expects a spectral-domain spectrum")
+    if not np.isfinite(beta_fs2):
+        raise DomainError("fiber dispersion must be finite")
     if not js.axes_uniform():
         raise DomainError("FFT requires uniformly spaced axes")
     n_s, n_i = js.amplitude.shape
     dw_s, dw_i = js.step("s"), js.step("i")
     scale = dw_s * dw_i / TWO_PI  # unitary continuum normalization
-    jta = np.fft.ifftshift(js.amplitude).astype(np.result_type(js.amplitude, 1j), copy=False)
+    if beta_fs2 == 0.0:
+        phase_s = phase_i = None
+        jta = np.empty((n_s, n_i), np.result_type(js.amplitude, 1j))
+    else:
+        phase_s, phase_i = _fiber_phases(js, beta_fs2, reference_omega)
+        jta = np.empty((n_s, n_i), np.result_type(js.amplitude, phase_s))
+    for src_s, dst_s in _ifftshift_blocks(n_s):
+        for src_i, dst_i in _ifftshift_blocks(n_i):
+            if phase_s is None:
+                jta[dst_s, dst_i] = js.amplitude[src_s, src_i]
+            else:
+                np.multiply(js.amplitude[src_s, src_i], phase_s[src_s, None], out=jta[dst_s, dst_i])
+    if phase_i is not None:
+        # whole rows: numpy rounds an in-place complex product over a run of
+        # one value (a one-column block) differently from a longer run
+        jta *= np.fft.ifftshift(phase_i)[None, :]
     np.fft.fft2(jta, out=jta)
     jta *= scale
     _fftshift_in_place(jta)
     t_s = np.fft.fftshift(np.fft.fftfreq(n_s, d=dw_s / TWO_PI))
     t_i = np.fft.fftshift(np.fft.fftfreq(n_i, d=dw_i / TWO_PI))
     return JointSpectrum(amplitude=jta, axis_s=t_s, axis_i=t_i, domain="temporal")
+
+
+def _ifftshift_blocks(n: int):
+    """(source, destination) slices of the two blocks that
+    ``np.fft.ifftshift`` moves along an axis of length ``n``."""
+    h = n // 2
+    return (slice(h, n), slice(0, n - h)), (slice(0, h), slice(n - h, n))
 
 
 def _fftshift_in_place(a: np.ndarray) -> None:
@@ -375,7 +441,13 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path, measured: bool)
     with open(csv_path, "wb") as fh:
         fh.write(("# axis_s: " + " ".join(f"{v:.12e}" for v in js.axis_s) + "\n").encode())
         fh.write(("# axis_i: " + " ".join(f"{v:.12e}" for v in js.axis_i) + "\n").encode())
-        _write_matrix(fh, js.amplitude, lambda chunk: np.abs(chunk) ** 2)
+        square = np.empty(min(js.amplitude.size, _EXPORT_CHUNK_VALUES))
+
+        def intensity(chunk):  # np.abs(chunk) ** 2 into one reused buffer
+            out = square[:len(chunk)]
+            return np.square(np.abs(chunk, out=out), out=out)
+
+        _write_matrix(fh, js.amplitude, intensity)
     sidecar = {
         "domain": js.domain,
         "axis_units": units,
@@ -406,62 +478,104 @@ def _write_matrix(fh, matrix, values) -> None:
     """Write ``np.savetxt(fh, values(matrix), delimiter=",", fmt="%.12e")``
     to the binary ``fh``.  ``values`` acts elementwise; it is applied to one
     flat run of at most ``_EXPORT_CHUNK_VALUES`` cells at a time, so no
-    full-size result is held."""
+    full-size result is held.  The rendering arrays are allocated once
+    (:class:`_E12Scratch`) and reused for every run."""
     flat = matrix.reshape(-1)
+    scratch = _E12Scratch(min(flat.size, _EXPORT_CHUNK_VALUES))
     for lo in range(0, flat.size, _EXPORT_CHUNK_VALUES):
-        fh.write(_render_e12(values(flat[lo:lo + _EXPORT_CHUNK_VALUES]), lo, matrix.shape[1]))
+        fh.write(_render_e12(values(flat[lo:lo + _EXPORT_CHUNK_VALUES]), lo, matrix.shape[1],
+                             scratch))
 
 
-def _render_e12(values, first: int, n_cols: int) -> bytes:
+class _E12Scratch:
+    """The arrays that :func:`_render_e12` fills for a run of up to
+    ``size`` values; the slot of value k is row k of ``slots``."""
+
+    def __init__(self, size: int):
+        self.nonzero = np.empty(size, dtype=bool)
+        self.flag = np.empty(size, dtype=bool)
+        self.magnitude = np.empty(size)
+        self.q = np.empty(size)
+        self.work = np.empty(size)
+        self.exponent = np.empty(size, dtype=np.int64)
+        self.index = np.empty(size, dtype=np.int64)
+        self.digits = digit_work(size)
+        self.field = np.empty((18, size), dtype=np.uint8)
+        self.slots = np.empty((size, 19), dtype=np.uint8)
+
+
+def _render_e12(values, first: int, n_cols: int, scratch: _E12Scratch):
     """``'%.12e' % v`` plus its separator for each value of a flat run of a
     row-major matrix that starts at flat index ``first``: ``\\n`` after the
-    last column, ``,`` after the others.
+    last column, ``,`` after the others.  Returns the text as bytes or as
+    the rows of ``scratch.slots`` that hold it.
 
     The slot layout, and the proof of the error bound that decides which
     values take their slot from ``'%.12e'``, are in
     :func:`export_matrix_csv`.
     """
-    separators = np.full(len(values), ord(","), dtype=np.uint8)
+    slots = scratch.slots[:len(values)]
+    separators = slots[:, 18]
+    separators[...] = ord(",")
     separators[(n_cols - 1 - first) % n_cols::n_cols] = ord("\n")
-    nonzero = np.flatnonzero(values)
-    magnitude = values[nonzero]
-    fits = not np.signbit(values).any() and np.all(
-        (magnitude >= _MIN_SCALED) & (magnitude <= np.finfo(float).max))
-    if fits:
-        exponent = np.floor(np.log10(magnitude)).astype(np.int64)
-        q = magnitude * _POW10[_POW10_ZERO + 12 - exponent]
-        exponent += (q >= 1e13).astype(np.int64) - (q < 1e12)
-        q = magnitude * _POW10[_POW10_ZERO + 12 - exponent]
-        mantissa = np.rint(q)
-        fallback = np.flatnonzero(np.abs(q - np.floor(q) - 0.5) < _HALF_WINDOW)
-        carry = mantissa == 1e13  # 9.999999999999|5.. rounds up to 1.000000000000e(E+1)
-        mantissa[carry] = 1e12
+    nonzero = np.not_equal(values, 0.0, out=scratch.nonzero[:len(values)])
+    count = int(np.count_nonzero(nonzero))
+    magnitude = (values if count == len(values)
+                 else np.compress(nonzero, values, out=scratch.magnitude[:count]))
+    fits = not np.signbit(values, out=scratch.flag[:len(values)]).any() and (
+        count == 0 or (magnitude.min() >= _MIN_SCALED and magnitude.max() <= np.finfo(float).max))
+    if fits and count:
+        q, work, flag = scratch.q[:count], scratch.work[:count], scratch.flag[:count]
+        exponent, index = scratch.exponent[:count], scratch.index[:count]
+        np.copyto(exponent, np.floor(np.log10(magnitude, out=q), out=q), casting="unsafe")
+        _scale(magnitude, exponent, index, work, q)
+        exponent += np.greater_equal(q, 1e13, out=flag)
+        exponent -= np.less(q, 1e12, out=flag)
+        _scale(magnitude, exponent, index, work, q)
+        np.subtract(q, np.floor(q, out=work), out=work)
+        np.abs(np.subtract(work, 0.5, out=work), out=work)
+        fallback = np.flatnonzero(np.less(work, _HALF_WINDOW, out=flag))
+        mantissa = np.rint(q, out=q)
+        carry = np.equal(mantissa, 1e13, out=flag)  # 9.999999999999|5.. rounds up to 1.000000000000e(E+1)
+        np.copyto(mantissa, 1e12, where=carry)
         exponent += carry
         exponent[fallback] = 0  # a fallback takes its exponent from its text
         texts = [b"%.12e" % v for v in magnitude[fallback].tolist()]
-        fits = np.all(np.abs(exponent) < 100) and all(len(t) == 18 for t in texts)
+        fits = -100 < exponent.min() and exponent.max() < 100 and all(len(t) == 18 for t in texts)
     if not fits:
         return b"".join(b"%.12e%c" % pair for pair in zip(values.tolist(), separators.tolist()))
+    if count == 0:
+        slots[:, :18] = _ZERO_E12
+        return slots
 
     # byte j of every nonzero field in row j: d.dddddddddddde±dd
-    field = np.empty((18, len(nonzero)), dtype=np.uint8)
-    digits(mantissa.astype(np.int64), field[1:14])
+    field = scratch.field[:, :count]
+    np.copyto(index, mantissa, casting="unsafe")
+    digits(index, field[1:14], scratch.digits)
     field[0] = field[1]
     field[1] = ord(".")
     field[14] = ord("e")
-    field[15] = np.where(exponent < 0, ord("-"), ord("+"))
-    digits(np.abs(exponent), field[16:])
+    field[15] = ord("+")
+    np.copyto(field[15], ord("-"), where=np.less(exponent, 0, out=flag))
+    digits(np.abs(exponent, out=exponent), field[16:], scratch.digits)
     if texts:
         field[:, fallback] = np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(-1, 18).T
 
-    slots = np.empty((len(values), 19), dtype=np.uint8)
-    if len(nonzero) == len(values):
+    if count == len(values):
         slots[:, :18] = field.T
     else:
         slots[:, :18] = _ZERO_E12
         slots[nonzero, :18] = field.T
-    slots[:, 18] = separators
-    return slots.tobytes()
+    return slots
+
+
+def _scale(magnitude, exponent, index, work, out) -> None:
+    """``out = magnitude * _POW10[_POW10_ZERO + 12 - exponent]``, through
+    the int64 ``index`` and the float ``work``; every exponent of a
+    rendered value keeps the index inside ``_POW10``, so clipping it
+    changes nothing and spares ``take`` its copy of ``work``."""
+    np.subtract(_POW10_ZERO + 12, exponent, out=index)
+    np.multiply(magnitude, np.take(_POW10, index, out=work, mode="clip"), out=out)
 
 
 def import_jsi_csv(csv_path, axis_units: str) -> JointSpectrum:

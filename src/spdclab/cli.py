@@ -140,19 +140,17 @@ def cmd_jsa(args, cfg: dict, given: dict) -> int:
         jsa = biphoton.build_jsa(crystal, env, grid)
         reference_omega = env.omega_p / 2.0
 
-    # the JSA is real until the fiber phase; at most two n x n complex
-    # matrices are alive at a time, an input and the one buffer of
-    # to_temporal or apply_fiber_phase: the free JTA is reduced to its T_e
-    # at once, and the JSA is dropped once its fiber-phased copy exists.
-    # The free FFT and T_e come before jsi.*, the fiber T_e before jti.*: a
-    # refused T_e leaves no matrix it comes from.
+    # the JSA stays real; each to_temporal holds it and one n x n complex
+    # buffer, into which it copies the JSA shifted (and, for the fiber,
+    # phased): the free JTA is reduced to its T_e at once, and the JSA is
+    # dropped once the fiber JTA exists.  The free FFT and T_e come before
+    # jsi.*, the fiber T_e before jti.*: a refused T_e leaves no matrix it
+    # comes from.
     te_free = biphoton.entanglement_time_from_jti(biphoton.to_temporal(jsa))
     biphoton.export_matrix_csv(jsa, os.path.join(args.out, "jsi.csv"),
                                os.path.join(args.out, "jsi.json"), measured)
-    jsa_fiber = biphoton.apply_fiber_phase(jsa, beta_fs2, reference_omega)
+    jta_fiber = biphoton.to_temporal(jsa, beta_fs2, reference_omega)
     del jsa
-    jta_fiber = biphoton.to_temporal(jsa_fiber)
-    del jsa_fiber
     te_fiber = biphoton.entanglement_time_from_jti(jta_fiber)
     biphoton.export_matrix_csv(jta_fiber, os.path.join(args.out, "jti.csv"),
                                os.path.join(args.out, "jti.json"), measured)

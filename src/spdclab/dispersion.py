@@ -1,9 +1,10 @@
 """Propagation constant and group velocity dispersion of 5% MgO-doped
 congruent lithium niobate (extraordinary axis), from the
 temperature-dependent Sellmeier model of Gayer et al., Appl. Phys. B 91,
-343 (2008).  The index n and its wavelength derivatives come from the
-private ``_index_and_derivatives``; the refractive and group index are test
-oracles (``tests/conftest.py``).
+343 (2008).  ``wavevector`` evaluates the index n alone (the private
+``_index``); ``gvd`` also needs its wavelength derivatives, which
+``_index_and_derivatives`` adds to the same n.  The refractive and group
+index are test oracles (``tests/conftest.py``).
 
 Coefficients live in a versioned data file shipped with the package (see
 ``data/mgo_cln_5pct_e.txt`` and ``docs/materials.md``); they are parsed
@@ -109,9 +110,10 @@ def load_material(path=None) -> SellmeierModel:
     return _parse_material_text(text, path)
 
 
-def _n_squared_terms(model: SellmeierModel, lam_um, theta_C):
-    """n^2 and its first/second derivative with respect to lambda (in um);
-    the wavelength and the temperature broadcast against each other."""
+def _n_squared(model: SellmeierModel, lam_um, theta_C):
+    """n^2, and the terms P, R, u = lambda^2, d1 and d2 that its wavelength
+    derivatives reuse (lambda in um); the wavelength and the temperature
+    broadcast against each other."""
     c = model.coefficients
     f = (theta_C - _T_REF) * (theta_C + _T_REF + 2 * 273.16)
     P = c["a2"] + c["b2"] * f
@@ -125,22 +127,30 @@ def _n_squared_terms(model: SellmeierModel, lam_um, theta_C):
     d1 = u - Q * Q
     d2 = u - c["a5"] ** 2
     n2 = c["a1"] + c["b1"] * f + P / d1 + R / d2 - c["a6"] * u
-    # derivatives with respect to u = lam^2, then chain rule to lam
-    dn2_du = -P / (d1 * d1) - R / (d2 * d2) - c["a6"]
-    d2n2_du2 = 2 * P / (d1 * d1 * d1) + 2 * R / (d2 * d2 * d2)
-    dn2_dlam = 2 * lam_um * dn2_du
-    d2n2_dlam2 = 2 * dn2_du + 4 * u * d2n2_du2
-    return n2, dn2_dlam, d2n2_dlam2
+    return n2, (P, R, u, d1, d2)
 
 
-def _index_and_derivatives(model: SellmeierModel, lambda_nm, theta_C):
+def _index(model: SellmeierModel, lambda_nm, theta_C):
+    """lambda in um, n, and the terms of n^2 (:func:`_n_squared`), after
+    both window checks."""
     model.check_wavelength(lambda_nm)
     model.check_temperature(theta_C)
     lam_um = np.asarray(lambda_nm, dtype=float) * 1e-3
-    n2, dn2, d2n2 = _n_squared_terms(model, lam_um, theta_C)
-    n = np.sqrt(n2)
-    dn = dn2 / (2 * n)              # dn/dlam, 1/um
-    d2n = (d2n2 - 2 * (dn * dn)) / (2 * n)  # d2n/dlam2, 1/um^2
+    n2, terms = _n_squared(model, lam_um, theta_C)
+    return lam_um, np.sqrt(n2), terms
+
+
+def _index_and_derivatives(model: SellmeierModel, lambda_nm, theta_C):
+    """lambda in um, n, dn/dlambda (1/um) and d2n/dlambda2 (1/um^2)."""
+    lam_um, n, (P, R, u, d1, d2) = _index(model, lambda_nm, theta_C)
+    a6 = model.coefficients["a6"]
+    # derivatives of n^2 with respect to u = lam^2, then chain rule to lam
+    dn2_du = -P / (d1 * d1) - R / (d2 * d2) - a6
+    d2n2_du2 = 2 * P / (d1 * d1 * d1) + 2 * R / (d2 * d2 * d2)
+    dn2 = 2 * lam_um * dn2_du
+    d2n2 = 2 * dn2_du + 4 * u * d2n2_du2
+    dn = dn2 / (2 * n)
+    d2n = (d2n2 - 2 * (dn * dn)) / (2 * n)
     return lam_um, n, dn, d2n
 
 
@@ -161,5 +171,5 @@ def wavevector(model: SellmeierModel, omega, theta_C):
     ``omega`` in rad/s and ``theta_C`` in degC, each a scalar or an array.
     """
     lambda_nm = omega_to_wavelength_nm(np.asarray(omega, dtype=float))
-    _, n, _, _ = _index_and_derivatives(model, lambda_nm, theta_C)
+    _, n, _ = _index(model, lambda_nm, theta_C)
     return n * np.asarray(omega, dtype=float) / C0

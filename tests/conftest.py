@@ -63,8 +63,7 @@ def jta_free_1024(jsa_1024):
 
 @pytest.fixture(scope="session")
 def jta_fiber_1024(jsa_1024, pump):
-    return biphoton.to_temporal(
-        biphoton.apply_fiber_phase(jsa_1024, BETA_FIBER_FS2, pump.omega_p / 2.0))
+    return biphoton.to_temporal(jsa_1024, BETA_FIBER_FS2, pump.omega_p / 2.0)
 
 
 def refractive_index(model, lambda_nm, theta_C):

@@ -126,6 +126,7 @@ def test_amplitude_is_real_until_a_phase_or_the_transform(tmp_path, crystal, pum
     for js in (jsa, back):
         assert js.amplitude.dtype == np.float64
         assert to_temporal(js).amplitude.dtype == np.complex128
+        assert to_temporal(js, BETA_FIBER_FS2, pump.omega_p / 2.0).amplitude.dtype == np.complex128
         phased = apply_fiber_phase(js, BETA_FIBER_FS2, pump.omega_p / 2.0)
         assert phased.amplitude.dtype == np.complex128
 
@@ -206,12 +207,32 @@ def test_fiber_phase_refuses_non_finite_beta(jsa_1024, jta_free_1024, pump, beta
 # ---------------------------------------------------------------------------
 # in-place pipeline against the out-of-place expressions, bit for bit
 
+# the band-only build against the full grid: centred on 2 lambda_p, where
+# the pump band runs corner to corner, and off it, where its anti-diagonals
+# end on the top and left (790 nm) or the bottom and right (840 nm) edges
 @pytest.mark.parametrize("grid", [GridSpec(n=1024, center_lambda_nm=810.0, half_span_nm=60.0),
-                                  GridSpec(n=301, center_lambda_nm=812.0, half_span_nm=45.0)])
+                                  GridSpec(n=301, center_lambda_nm=812.0, half_span_nm=45.0),
+                                  GridSpec(n=64, center_lambda_nm=810.0, half_span_nm=60.0),
+                                  GridSpec(n=2048, center_lambda_nm=810.0, half_span_nm=60.0),
+                                  GridSpec(n=256, center_lambda_nm=790.0, half_span_nm=60.0),
+                                  GridSpec(n=301, center_lambda_nm=840.0, half_span_nm=90.0)])
 def test_build_jsa_bytes_equal_meshgrid_reference(crystal, pump, grid):
     js, ref = build_jsa(crystal, pump, grid), build_jsa_reference(crystal, pump, grid)
     assert js.amplitude.tobytes() == ref.amplitude.tobytes()
     assert js.axis_s.tobytes() == ref.axis_s.tobytes() == js.axis_i.tobytes()
+    band = np.add.outer(np.arange(grid.n), np.arange(grid.n))[js.amplitude != 0]
+    if grid.center_lambda_nm != 810.0:
+        assert (band.max() < grid.n - 1) == (grid.center_lambda_nm < 810.0)
+        assert (band.min() > grid.n - 1) == (grid.center_lambda_nm > 810.0)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(n=64, center_lambda_nm=700.0, half_span_nm=20.0),
+                                  GridSpec(n=1, center_lambda_nm=810.0, half_span_nm=60.0)])
+def test_build_jsa_refuses_a_grid_that_misses_the_pump_envelope(crystal, pump, grid):
+    # w_s + w_i > w_p on every cell of 680-720 nm; the one cell of n = 1
+    # lies at 870 nm on both axes
+    with pytest.raises(CoverageError, match=r"^grid does not overlap the pump envelope$"):
+        build_jsa(crystal, pump, grid)
 
 
 def _random_spectrum(shape, seed):
@@ -234,7 +255,17 @@ def test_pipeline_bytes_equal_reference_random(shape, seed):
     assert phased.amplitude.tobytes() == phased_ref.tobytes()
     jta = to_temporal(phased)
     assert jta.amplitude.tobytes() == to_temporal_reference(phased).amplitude.tobytes()
-    # neither call writes into its input
+    # the phase applied while the shifted input is copied into the FFT
+    # buffer, on a complex input and on a real one (as the model and the
+    # measured JSA are), against the phased copy transformed out of place
+    real = replace(js, amplitude=js.amplitude.real.copy())
+    for spectrum in (js, real):
+        kept = spectrum.amplitude.copy()
+        jta = to_temporal(spectrum, *fiber).amplitude
+        ref = to_temporal_reference(apply_fiber_phase_reference(spectrum, *fiber)).amplitude
+        assert jta.dtype == np.complex128 and jta.tobytes() == ref.tobytes()
+        assert spectrum.amplitude.tobytes() == kept.tobytes()
+    # no call writes into its input
     assert js.amplitude.tobytes() == before.tobytes()
     assert phased.amplitude.tobytes() == phased_ref.tobytes()
 
@@ -256,13 +287,38 @@ def test_to_temporal_non_complex128_input_equals_reference(dtype):
 
 
 def test_pipeline_bytes_equal_reference_model(jsa_1024, jta_free_1024, jta_fiber_1024, pump):
+    # jta_fiber_1024 is to_temporal(jsa_1024, beta, w_p / 2), as spdclab jsa
+    # computes it
     fiber = (BETA_FIBER_FS2, pump.omega_p / 2.0)
+    before = jsa_1024.amplitude.copy()
     phased = apply_fiber_phase(jsa_1024, *fiber)
-    assert phased.amplitude.tobytes() == apply_fiber_phase_reference(jsa_1024, *fiber).amplitude.tobytes()
+    phased_ref = apply_fiber_phase_reference(jsa_1024, *fiber)
+    assert phased.amplitude.tobytes() == phased_ref.amplitude.tobytes()
     assert (jta_free_1024.amplitude.tobytes()
             == to_temporal_reference(jsa_1024).amplitude.tobytes())
     assert (jta_fiber_1024.amplitude.tobytes()
-            == to_temporal_reference(phased).amplitude.tobytes())
+            == to_temporal_reference(phased_ref).amplitude.tobytes())
+    assert (to_temporal(jsa_1024, *fiber).amplitude.tobytes()
+            == jta_fiber_1024.amplitude.tobytes())
+    assert jsa_1024.amplitude.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("beta_fs2", [float("nan"), float("inf"), float("-inf"), BETA_FIBER_FS2])
+def test_to_temporal_refuses_before_any_matrix(jsa_1024, jta_free_1024, pump, beta_fs2):
+    # the domain first, then the dispersion, each before the n x n complex
+    # buffer (16 MB at n = 1024) or a phased copy exists
+    cases = [(jta_free_1024, r"^to_temporal expects a spectral-domain spectrum$")]
+    if not np.isfinite(beta_fs2):
+        cases.append((jsa_1024, r"^fiber dispersion must be finite$"))
+    for js, message in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=message):
+                to_temporal(js, beta_fs2, pump.omega_p / 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
 
 
 def test_gaussian_pair_analytic_fwhm():
