@@ -33,11 +33,11 @@ from ._ascii import digits
 from .errors import DomainError, EstimateUndefinedError
 
 # bound on the expected clicks of one window (_expected_clicks);
-# simulate_tags holds its clicks, not its pairs: at its peak about 16-24 B
-# per click (8 B per click of a finished channel or of the block lists, plus
-# the channel being joined: its array with the darks, which takes its blocks
-# one by one, the dedup mask and the deduplicated copy); the tag dump and
-# the matchers add one piece of the timeline each
+# simulate_tags holds its clicks, not its pairs: 8 B per click in the
+# channel arrays, which it allocates before routing with about 12 sqrt(m)
+# + 64 spare slots per region of m mean clicks, plus a block of draws per
+# thread, and 1 B per click of one channel for its dedup mask; the tag dump
+# and the matchers add one piece of the timeline each
 _GUARD_MAX_EXPECTED_CLICKS = 1e8
 # bound on the expected pairs of one window: simulate_tags draws and routes
 # every pair (about 21 ns each on two threads of a 2-core Xeon, heralded),
@@ -45,11 +45,18 @@ _GUARD_MAX_EXPECTED_CLICKS = 1e8
 _GUARD_MAX_EXPECTED_PAIRS = 1e10
 
 # clicks per stream between the cut times of the merged timeline's pieces
-# (_timeline), which the tag dump and the matchers hold one at a time
-_PIECE_CLICKS = 1 << 16
+# (_timeline), which the tag dump and the matchers hold one at a time, and
+# neighbours per slice of the matchers' sortedness check
+_PIECE_CLICKS = 1 << 14
 
 # pairs drawn and routed per block in simulate_tags
 _PAIR_BLOCK = 1 << 16
+# jitter values drawn at a time in simulate_tags.  Freeing a 2 MB chunk
+# lifts glibc's dynamic mmap threshold, so the tag dump's and the matchers'
+# per-piece arrays are reused from the heap instead of mapped and faulted in
+# afresh for each piece: at 1 << 16, the heralded-mc chain's dump and
+# counting took 23 k more page faults and 0.03 to 0.05 s more
+_JITTER_CHUNK = 1 << 18
 # per-pair random arrays of each topology: times, coupling, then two
 # detection draws (pair) or a routing and a loss draw per photon (heralded)
 _DRAWS = {"pair": 4, "heralded": 6}
@@ -221,42 +228,55 @@ def _pair_runs(n_pairs: int) -> list:
     return [(0, split), (split, n_pairs)]
 
 
-def _route_pairs(chain: DetectionChain, state: dict, n_pairs: int, first: int, stop: int) -> dict:
-    """The photon clicks of pairs ``first`` to ``stop`` of the ``n_pairs``
-    drawn from the PCG64 ``state``: per (channel, photon) a list of arrays,
-    one per block of ``_PAIR_BLOCK`` pairs from ``first``, in pair order."""
+def _route_pairs(chain: DetectionChain, state: dict, n_pairs: int, first: int, stop: int,
+                 regions: dict) -> dict:
+    """Route pairs ``first`` to ``stop`` of the ``n_pairs`` drawn from the
+    PCG64 ``state`` into ``regions``: per (channel, photon) a view of its
+    region in the channel's array, filled from its start in pair order,
+    one block of ``_PAIR_BLOCK`` pairs at a time.  Returns per (channel,
+    photon) the clicks written and, once the region is full, the rest as a
+    list of arrays, one per block, in pair order."""
     window_ns = chain.integration_time_ms * 1e6
     times, coupling, *per_photon = _streams(state, _DRAWS[chain.topology], n_pairs, first)
-    clicks = {(label, photon): [] for label in chain.channels for photon in range(2)}
+    routed = {key: [0, []] for key in regions}
     # anti-correlated pair routing: eta_insertion is the per-port coupler
     # transmission (split already included).  Heralded: two cascaded 50:50
     # couplers with per-passage excess transmission eta_insertion; the
     # herald arm passes one coupler, arms 1/2 pass two.
     s1, s2 = _arm_survival(chain)
-    # one block's pair times and two of its draws, reused block by block
-    time_buffer, u_buffer, keep_buffer = np.empty((3, min(_PAIR_BLOCK, stop - first)))
+    # one block's draws of one per-pair array at a time: the pair times are
+    # drawn last, once the pairs that click are known (each array has a
+    # generator of its own, so the order of the arrays does not matter)
+    buffer = np.empty(min(_PAIR_BLOCK, stop - first))
 
     for start in range(first, stop, _PAIR_BLOCK):
-        m = min(_PAIR_BLOCK, stop - start)
-        pair_times = times.random(out=time_buffer[:m])
-        pair_times *= window_ns  # as uniform(0.0, window_ns) computes it: 0.0 + window_ns * u
-        coupled = coupling.random(out=u_buffer[:m]) < chain.eta_coupling
+        draws = buffer[:min(_PAIR_BLOCK, stop - start)]
+        coupled = coupling.random(out=draws) < chain.eta_coupling
+        clicks = {}  # per (channel, photon): the block's pairs that click there
         if chain.topology == "pair":
             for label, detection in zip(PAIR_CHANNELS, per_photon):
-                detected = coupled & (detection.random(out=u_buffer[:m]) < s1)
-                clicks[label, 0].append(pair_times[detected])
+                clicks[label, 0] = np.flatnonzero(coupled & (detection.random(out=draws) < s1))
         else:
             for photon in range(2):  # the two photons of each pair, independently
-                u = per_photon[2 * photon].random(out=u_buffer[:m])
-                keep = per_photon[2 * photon + 1].random(out=keep_buffer[:m])
+                keep = per_photon[2 * photon + 1].random(out=draws)
                 # the photons that survive on some arm, in increasing pair index
                 alive = np.flatnonzero(coupled & (keep < max(s1, s2)))
-                u, keep = u[alive], keep[alive]
-                clicks["h", photon].append(pair_times[alive[(u < 0.5) & (keep < s1)]])
-                clicks["1", photon].append(
-                    pair_times[alive[(u >= 0.5) & (u < 0.75) & (keep < s2)]])
-                clicks["2", photon].append(pair_times[alive[(u >= 0.75) & (keep < s2)]])
-    return clicks
+                keep = keep[alive]
+                u = per_photon[2 * photon].random(out=draws)[alive]
+                clicks["h", photon] = alive[(u < 0.5) & (keep < s1)]
+                clicks["1", photon] = alive[(u >= 0.5) & (u < 0.75) & (keep < s2)]
+                clicks["2", photon] = alive[(u >= 0.75) & (keep < s2)]
+        pair_times = times.random(out=draws)
+        pair_times *= window_ns  # as uniform(0.0, window_ns) computes it: 0.0 + window_ns * u
+        for key, index in clicks.items():  # into the region while it has room
+            done = routed[key]
+            room = min(len(index), len(regions[key]) - done[0])
+            np.take(pair_times, index[:room], out=regions[key][done[0]:done[0] + room],
+                    mode="clip")
+            done[0] += room
+            if room < len(index):
+                done[1].append(pair_times[index[room:]])
+    return routed
 
 
 class Worker(threading.Thread):
@@ -293,17 +313,36 @@ def _arm_survival(chain: DetectionChain):
             chain.eta_insertion ** 2 * chain.eta_detector)
 
 
+def _click_probabilities(chain: DetectionChain) -> dict:
+    """Per (channel, photon) that can click there, the probability that
+    this photon of a pair does: the pair couples (``eta_coupling``), and
+    the photon survives its arm with probability s1 (either channel of
+    ``pair``, whose first photon goes to channel 1 and second to channel
+    2, both keyed photon 0; the herald arm, half the photons of
+    ``heralded``) or s2 (arm 1 or 2, a quarter each)."""
+    s1, s2 = _arm_survival(chain)
+    if chain.topology == "pair":
+        return {(label, 0): chain.eta_coupling * s1 for label in PAIR_CHANNELS}
+    share = {"h": 0.5 * s1, "1": 0.25 * s2, "2": 0.25 * s2}
+    return {(label, photon): chain.eta_coupling * share[label]
+            for label in HERALDED_CHANNELS for photon in range(2)}
+
+
 def _expected_clicks(src: SourceRates, chain: DetectionChain) -> float:
     """Mean photon plus dark clicks of one window, before jitter moves a
-    click out of it and before equal timestamps merge: each of the two
-    photons of a coupled pair clicks with probability s1 (pair) or
-    (s1 + s2) / 2 (heralded: the herald arm with s1 half the time, arm 1 or
-    2 with s2 otherwise), and every channel adds its dark counts."""
+    click out of it and before equal timestamps merge: the pairs times the
+    click probabilities of their photons (:func:`_click_probabilities`),
+    plus every channel's dark counts."""
     window_s = chain.integration_time_ms * 1e-3
-    s1, s2 = _arm_survival(chain)
-    survive = s1 if chain.topology == "pair" else (s1 + s2) / 2
-    return (src.pair_rate_hz * window_s * chain.eta_coupling * 2 * survive
+    return (src.pair_rate_hz * window_s * sum(_click_probabilities(chain).values())
             + chain.dark_rate_hz * window_s * len(chain.channels))
+
+
+def _capacity(mean: float) -> int:
+    """Slots for a binomial or Poisson count of this ``mean``: by a
+    Chernoff bound it exceeds mean + 12 sqrt(mean) + 64 with a chance
+    below 1e-30."""
+    return int(mean + 12.0 * np.sqrt(mean) + 64)
 
 
 def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStream:
@@ -326,11 +365,21 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     clicks plus a block per thread, not the pairs.  The blocks are halved
     into two contiguous runs (:func:`_pair_runs`): the caller's thread
     routes the first and one worker thread the second, each from its own
-    generators advanced to its first pair, and the click lists are joined
-    in block order, so the arrays do not depend on the split.  A stream of
-    one block is routed on the caller's thread alone.  Each channel's
-    jitter is added block by block in place, and its blocks and darks are
-    copied into one array that is sorted and deduplicated.
+    generators advanced to its first pair.
+
+    Each click is held once.  Before routing, every channel gets one array
+    with a region per (photon, run), sized by :func:`_capacity` for that
+    region's mean clicks, and a region for its darks; each run writes its
+    clicks straight into its regions.  Read region by region, the photon
+    clicks come in the order of the full-length arrays (per photon, the
+    runs in turn), so the arrays do not depend on the split.  The jitter is
+    added in place, drawn in chunks of ``_JITTER_CHUNK`` across the
+    regions (``normal`` draws its values in sequence, so the chunks change
+    no value); unused slots hold +inf, which the window cut after the sort
+    drops.  A region that overflows keeps its excess apart, and the
+    channel is then packed into one array of its exact size.  Equal
+    timestamps (zero jitter) are merged by one copy; without them the
+    sorted array is kept as it is.
     """
     window_ns = chain.integration_time_ms * 1e6
     window_s = chain.integration_time_ms * 1e-3
@@ -353,10 +402,28 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     n_pairs = int(rng.poisson(rate * window_s))
     state = rng.bit_generator.state
     rng.bit_generator.advance(_DRAWS[chain.topology] * n_pairs)  # past the per-pair arrays
-    first_run, *later_runs = _pair_runs(n_pairs)
-    workers = [Worker(_route_pairs, chain, state, n_pairs, *run) for run in later_runs]
+    runs = _pair_runs(n_pairs)
+
+    # per channel one array: the regions of its (photon, run) in that order,
+    # then dark_slots for its darks
+    probability = _click_probabilities(chain)
+    dark_slots = _capacity(chain.dark_rate_hz * window_s)
+    regions = [{} for _ in runs]  # per run: (channel, photon) -> its region
+    slots = {}
+    for label in chain.channels:
+        sizes = {(key, run): _capacity((stop - first) * p)
+                 for key, p in probability.items() if key[0] == label
+                 for run, (first, stop) in enumerate(runs)}
+        slots[label] = np.empty(sum(sizes.values()) + dark_slots)
+        end = 0
+        for (key, run), size in sizes.items():
+            regions[run][key] = slots[label][end:end + size]
+            end += size
+
+    workers = [Worker(_route_pairs, chain, state, n_pairs, *run, owned)
+               for run, owned in zip(runs[1:], regions[1:])]
     try:
-        routed = [_route_pairs(chain, state, n_pairs, *first_run)]
+        routed = [_route_pairs(chain, state, n_pairs, *runs[0], regions[0])]
     finally:  # the worker is joined also when this thread's run fails
         later = [worker.result() for worker in workers]
     routed += later
@@ -364,29 +431,43 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     sigma = chain.jitter_fwhm_ns / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     channels = {}
     for label in chain.channels:
+        merged = slots.pop(label)
         # the channel's photon clicks in the order of the full-length
-        # arrays: per photon, the blocks of every run in turn
-        blocks = [block for photon in range(2) for clicks in routed
-                  for block in clicks.pop((label, photon))]
-        if chain.jitter_fwhm_ns != 0:
-            for block in blocks:
-                block += rng.normal(0.0, sigma, size=block.shape)
-        n_photon = sum(len(block) for block in blocks)
-        n_dark = rng.poisson(chain.dark_rate_hz * window_s)
-        merged = np.empty(n_photon + n_dark)
-        end = 0
-        for k, block in enumerate(blocks):
-            merged[end:end + len(block)] = block
-            end += len(block)
-            blocks[k] = None  # freed once copied
-        darks = rng.random(out=merged[n_photon:])
-        darks *= window_ns  # as uniform(0.0, window_ns) computes it
+        # arrays: per photon, each run's region and then its overflow
+        parts, overflow = [], False
+        for key in probability:
+            if key[0] == label:
+                for owned, clicks in zip(regions, routed):
+                    filled, spilled = clicks.pop(key)
+                    parts += [owned[key][:filled], *spilled]
+                    owned.pop(key)[filled:] = np.inf
+                    overflow |= bool(spilled)
+        if chain.jitter_fwhm_ns != 0:  # in chunks across the parts, in their order
+            starts = np.cumsum([0] + [len(part) for part in parts]).tolist()
+            for lo in range(0, starts[-1], _JITTER_CHUNK):
+                jitter = rng.normal(0.0, sigma, size=min(_JITTER_CHUNK, starts[-1] - lo))
+                for part, start in zip(parts, starts):
+                    a, b = max(lo, start), min(lo + len(jitter), start + len(part))
+                    if a < b:
+                        part[a - start:b - start] += jitter[a - lo:b - lo]
+                del jitter  # before the next chunk is drawn
+        n_dark = int(rng.poisson(chain.dark_rate_hz * window_s))
+        dark = merged[len(merged) - dark_slots:]
+        if overflow or n_dark > dark_slots:  # packed into one array of the exact size
+            n_photon = sum(len(part) for part in parts)
+            merged = np.empty(n_photon + n_dark)
+            np.concatenate(parts, out=merged[:n_photon])
+            dark = merged[n_photon:]
+        del parts  # the views that kept a packed channel's first array
+        dark[n_dark:] = np.inf
+        dark = rng.random(out=dark[:n_dark])
+        dark *= window_ns  # as uniform(0.0, window_ns) computes it
         merged.sort()
         merged = merged[np.searchsorted(merged, 0.0):np.searchsorted(merged, window_ns)]
         keep = np.empty(len(merged), dtype=bool)  # the first of each run of equal times
         keep[:1] = True
         np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-        channels[label] = merged[keep]
+        channels[label] = merged if keep.all() else merged[keep]
     return TagStream(channels=channels, integration_time_ms=chain.integration_time_ms)
 
 
@@ -429,6 +510,16 @@ def _timeline(streams, joined=None):
         yield _merge([s[b[k]:b[k + 1]] for s, b in zip(streams, bounds)])
 
 
+def _in_sort_order(s) -> bool:
+    """Whether no value of ``s`` lies above the next one and no NaN comes
+    before a number, checked ``_PIECE_CLICKS`` neighbours at a time."""
+    for lo in range(0, len(s) - 1, _PIECE_CLICKS):
+        hi = min(lo + _PIECE_CLICKS, len(s) - 1)
+        if not (np.isnan(s[lo + 1:hi + 1]) | (s[lo:hi] <= s[lo + 1:hi + 1])).all():
+            return False
+    return True
+
+
 def _clusters(streams, joined):
     """The clusters of the merged timeline of ``streams``, cut between
     adjacent clicks x <= y unless ``joined(x, y)``: per piece of the
@@ -440,7 +531,7 @@ def _clusters(streams, joined):
     above the next one, or a NaN followed by a number) is refused first.
     """
     streams = [np.asarray(s) for s in streams]
-    if not all((np.isnan(s[1:]) | (s[:-1] <= s[1:])).all() for s in streams):
+    if not all(_in_sort_order(s) for s in streams):
         raise DomainError("coincidence matching requires sorted streams")
     for times, codes in _timeline(streams, joined):
         # linked[k]: clicks k - 1 and k share a cluster

@@ -1,4 +1,5 @@
 import copy
+import sys
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -340,6 +341,101 @@ def test_simulate_tags_memory_follows_clicks_not_pairs(topology):
     assert peak < 8e6
 
 
+@pytest.mark.parametrize("capacity", ["no-margin", "empty"])
+@pytest.mark.parametrize("n_runs", [1, 2])
+@pytest.mark.parametrize("topology", ["pair", "heralded"])
+def test_simulate_tags_overflowing_regions_equal_reference(monkeypatch, topology, n_runs,
+                                                          capacity):
+    """Regions sized at their mean clicks (no margin) or at none: photon
+    regions and the dark region overflow, in one run and in two, with
+    jitter and darks, and the channels still equal the full-length
+    reference.  Without slots every region that gets a click overflows,
+    and each channel's 500 mean darks overflow its dark region."""
+    src = ct.SourceRates(2.5 * ct._PAIR_BLOCK / 100.0, 100.0)  # mean pairs per 1 s
+    chain = ct.DetectionChain(topology=topology, dark_rate_hz=500.0, integration_time_ms=1000.0)
+    monkeypatch.setattr(ct, "_capacity", int if capacity == "no-margin" else lambda mean: 0)
+    if n_runs == 1:
+        monkeypatch.setattr(ct, "_pair_runs", lambda n_pairs: [(0, n_pairs)])
+    route_pairs, spilled = ct._route_pairs, []
+
+    def recorded_route_pairs(*args):
+        routed = route_pairs(*args)
+        spilled.append(sorted(key for key, (_, overflow) in routed.items() if overflow))
+        return routed
+
+    monkeypatch.setattr(ct, "_route_pairs", recorded_route_pairs)
+    tags = ct.simulate_tags(src, chain, seed=2)
+    assert len(spilled) == n_runs
+    if capacity == "empty":
+        assert spilled == [sorted(ct._click_probabilities(chain))] * n_runs
+    else:
+        assert any(spilled)  # a region filled to its mean, the rest kept apart
+    reference = simulate_tags_reference(src, chain, 2)
+    for label, times in reference.items():
+        assert len(times) > 500
+        assert np.array_equal(tags.channels[label], times), label
+
+
+@pytest.mark.parametrize("topology", ["pair", "heralded"])
+def test_simulate_tags_overflowing_dark_region_alone_equals_reference(monkeypatch, topology):
+    """Every photon region keeps its margin, but the dark region (mean 500)
+    gets no slots: each channel is packed for its darks alone."""
+    src = ct.SourceRates(2.5 * ct._PAIR_BLOCK / 100.0, 100.0)  # mean pairs per 1 s
+    chain = ct.DetectionChain(topology=topology, dark_rate_hz=500.0, integration_time_ms=1000.0)
+    capacity = ct._capacity
+    monkeypatch.setattr(ct, "_capacity", lambda mean: 0 if mean == 500.0 else capacity(mean))
+    tags = ct.simulate_tags(src, chain, seed=2)
+    reference = simulate_tags_reference(src, chain, 2)
+    for label, times in reference.items():
+        assert np.array_equal(tags.channels[label], times), label
+
+
+def test_simulate_tags_routing_threads_share_the_channel_arrays(monkeypatch):
+    """One routing run per block: five worker threads and the caller's,
+    more than the cores, each writing its own regions of the channel
+    arrays, under a short switch interval.  A lost or misplaced write
+    would break the equality with the reference."""
+    src = ct.SourceRates(5.5 * ct._PAIR_BLOCK / 100.0, 100.0)  # mean pairs per 1 s
+    chain = ct.DetectionChain(topology="heralded", dark_rate_hz=500.0, integration_time_ms=1000.0)
+    runs = []
+
+    def one_run_per_block(n_pairs):
+        runs.extend((first, min(first + ct._PAIR_BLOCK, n_pairs))
+                    for first in range(0, n_pairs, ct._PAIR_BLOCK))
+        return runs
+
+    monkeypatch.setattr(ct, "_pair_runs", one_run_per_block)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tags = ct.simulate_tags(src, chain, seed=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs) == 6
+    reference = simulate_tags_reference(src, chain, 3)
+    for label, times in reference.items():
+        assert np.array_equal(tags.channels[label], times), label
+
+
+def test_simulate_tags_holds_each_click_once():
+    """About 300 k heralded clicks at the default constants: above its
+    finished channels, simulate_tags holds the per-block draws of its two
+    threads and the spare slots of its regions (2.55 MB measured, seeds
+    9-14).  Holding the routed blocks apart from the channel arrays, it
+    read 3.5 to 3.9 MB."""
+    chain = ct.DetectionChain(topology="heralded", integration_time_ms=800.0)
+    src = ct.SourceRates(1450.0, 800.0)
+    ct.simulate_tags(ct.SourceRates(1450.0, 1.0), chain, 1)  # first calls may import and cache
+    tracemalloc.start()
+    try:
+        tags = ct.simulate_tags(src, chain, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2e5 < sum(len(t) for t in tags.channels.values()) < 5e5
+    assert peak - sum(t.nbytes for t in tags.channels.values()) < 3.0e6
+
+
 def test_zero_rate_source_gives_empty_streams():
     tags = ct.simulate_tags(ct.SourceRates(0.0, 0.0), ct.DetectionChain(), seed=1)
     assert all(len(v) == 0 for v in tags.channels.values())
@@ -527,6 +623,30 @@ def test_dump_and_counting_memory_follows_pieces_not_clicks(tmp_path, monkeypatc
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6
+
+
+def test_dump_beside_counting_memory_at_default_pieces(tmp_path):
+    """The same 300 k clicks at the default ``_PIECE_CLICKS``, the dump on
+    a worker beside the counting as ``simulate`` runs them: 2.9 to 3.6 MB
+    measured above the held channels (seeds 9-14), where pieces of 65 536
+    clicks per stream read 11.3 to 12.6 MB."""
+    chain = ct.DetectionChain(topology="heralded", integration_time_ms=800.0)
+    tags = ct.simulate_tags(ct.SourceRates(1450.0, 800.0), chain, seed=9)
+    assert 2e5 < sum(len(t) for t in tags.channels.values()) < 5e5
+    small = ct.TagStream({label: t[:10] for label, t in tags.channels.items()}, 800.0)
+    small.dump_csv(tmp_path / "warm.csv")  # first calls may import and cache
+    ct.count_coincidences(small, 1.0)
+    tracemalloc.start()
+    try:
+        dump = ct.Worker(tags.dump_csv, tmp_path / "tags.csv")
+        try:
+            ct.count_coincidences(tags, chain.coincidence_window_ns)
+        finally:
+            dump.result()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6
 
 
 # ---------------------------------------------------------------------------
