@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from ._ascii import digits
-from .errors import DomainError, EstimateUndefinedError
+from .errors import CoverageError, DomainError, EstimateUndefinedError
 
 # bound on the expected clicks of one window (_expected_clicks);
 # simulate_tags holds its clicks, not its pairs: 8 B per click in the
@@ -234,11 +234,11 @@ def _route_pairs(chain: DetectionChain, state: dict, n_pairs: int, first: int, s
     PCG64 ``state`` into ``regions``: per (channel, photon) a view of its
     region in the channel's array, filled from its start in pair order,
     one block of ``_PAIR_BLOCK`` pairs at a time.  Returns per (channel,
-    photon) the clicks written and, once the region is full, the rest as a
-    list of arrays, one per block, in pair order."""
+    photon) the clicks written; a block that would run past its region is
+    refused."""
     window_ns = chain.integration_time_ms * 1e6
     times, coupling, *per_photon = _streams(state, _DRAWS[chain.topology], n_pairs, first)
-    routed = {key: [0, []] for key in regions}
+    filled = dict.fromkeys(regions, 0)
     # anti-correlated pair routing: eta_insertion is the per-port coupler
     # transmission (split already included).  Heralded: two cascaded 50:50
     # couplers with per-passage excess transmission eta_insertion; the
@@ -268,15 +268,14 @@ def _route_pairs(chain: DetectionChain, state: dict, n_pairs: int, first: int, s
                 clicks["2", photon] = alive[(u >= 0.75) & (keep < s2)]
         pair_times = times.random(out=draws)
         pair_times *= window_ns  # as uniform(0.0, window_ns) computes it: 0.0 + window_ns * u
-        for key, index in clicks.items():  # into the region while it has room
-            done = routed[key]
-            room = min(len(index), len(regions[key]) - done[0])
-            np.take(pair_times, index[:room], out=regions[key][done[0]:done[0] + room],
-                    mode="clip")
-            done[0] += room
-            if room < len(index):
-                done[1].append(pair_times[index[room:]])
-    return routed
+        for key, index in clicks.items():
+            start, region = filled[key], regions[key]
+            if start + len(index) > len(region):
+                raise CoverageError(f"channel {key[0]}: more clicks than the "
+                                    f"{len(region)} slots sized for them")
+            np.take(pair_times, index, out=region[start:start + len(index)], mode="clip")
+            filled[key] += len(index)
+    return filled
 
 
 class Worker(threading.Thread):
@@ -376,10 +375,9 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     added in place, drawn in chunks of ``_JITTER_CHUNK`` across the
     regions (``normal`` draws its values in sequence, so the chunks change
     no value); unused slots hold +inf, which the window cut after the sort
-    drops.  A region that overflows keeps its excess apart, and the
-    channel is then packed into one array of its exact size.  Equal
-    timestamps (zero jitter) are merged by one copy; without them the
-    sorted array is kept as it is.
+    drops.  Equal timestamps (zero jitter) are merged by one copy; without
+    them the sorted array is kept as it is.  A region too small for its
+    clicks is refused (``CoverageError``).
     """
     window_ns = chain.integration_time_ms * 1e6
     window_s = chain.integration_time_ms * 1e-3
@@ -433,15 +431,13 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     for label in chain.channels:
         merged = slots.pop(label)
         # the channel's photon clicks in the order of the full-length
-        # arrays: per photon, each run's region and then its overflow
-        parts, overflow = [], False
+        # arrays: per photon, each run's region
+        parts = []
         for key in probability:
             if key[0] == label:
-                for owned, clicks in zip(regions, routed):
-                    filled, spilled = clicks.pop(key)
-                    parts += [owned[key][:filled], *spilled]
-                    owned.pop(key)[filled:] = np.inf
-                    overflow |= bool(spilled)
+                for owned, filled in zip(regions, routed):
+                    parts.append(owned[key][:filled[key]])
+                    owned.pop(key)[filled[key]:] = np.inf
         if chain.jitter_fwhm_ns != 0:  # in chunks across the parts, in their order
             starts = np.cumsum([0] + [len(part) for part in parts]).tolist()
             for lo in range(0, starts[-1], _JITTER_CHUNK):
@@ -452,13 +448,10 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
                         part[a - start:b - start] += jitter[a - lo:b - lo]
                 del jitter  # before the next chunk is drawn
         n_dark = int(rng.poisson(chain.dark_rate_hz * window_s))
+        if n_dark > dark_slots:
+            raise CoverageError(f"channel {label}: more dark counts than the "
+                                f"{dark_slots} slots sized for them")
         dark = merged[len(merged) - dark_slots:]
-        if overflow or n_dark > dark_slots:  # packed into one array of the exact size
-            n_photon = sum(len(part) for part in parts)
-            merged = np.empty(n_photon + n_dark)
-            np.concatenate(parts, out=merged[:n_photon])
-            dark = merged[n_photon:]
-        del parts  # the views that kept a packed channel's first array
         dark[n_dark:] = np.inf
         dark = rng.random(out=dark[:n_dark])
         dark *= window_ns  # as uniform(0.0, window_ns) computes it

@@ -26,7 +26,8 @@ TAGS = "golden_tags_seed42.sha256"
 # and "stderr" ("") are exact.  An output may equal a "golden" of tests/data,
 # a "golden_json" (golden, edits), its "sha256" line in TAGS or a "json"
 # object (... for any value); "same_as" names an earlier case whose --out
-# must match file for file, and "empty" asks that --out stay empty.
+# must match file for file, and "empty" asks that --out stay empty (or
+# not be made).
 
 
 def read(path):
@@ -129,6 +130,46 @@ CASES = [
             "pump fwhm_nm too narrow: its variance underflows to 0, got 1e-300"),
     refusal("wide_pump_jsa", JSA, {"pump_fwhm_nm": 1e300},
             "pump fwhm_nm too wide: its variance overflows, got 1e+300"),
+    # a measured JSI without its two "# axis" header rows
+    refusal("headerless_measured_jsa", JSA,
+            {"measured_jsi_csv": "{repo}/configs/rate_table_solvent.csv"},
+            "matrix CSV must start with two axis header rows"),
+    # a chain without pairs: no herald has a partner, so g2 is undefined
+    # and noted, not refused
+    {"name": "no_pump_heralded_chain", "config": HERALDED["config"], "args": CHAIN["args"],
+     "edits": {"source.pump_power_uW": 0},
+     "json": {"count_summary.json": {
+         "config": ..., "seed": 42, "raw": ..., "corrected": ..., "heralded_g2": None,
+         "heralded_g2_note": "zero denominator in g2: R_h=130.0, R_h1=0.0, R_h2=0.0"}}},
+    # a seed that is not a whole number, refused before --out is made
+    {"name": "word_seed", "config": CHAIN["config"], "args": ["simulate", "--seed", "abc"],
+     "exit": 2,
+     "stderr": "usage: spdclab simulate [-h] --config CONFIG [--out OUT] [--seed SEED]\n"
+               "spdclab simulate: error: argument --seed: invalid int value: 'abc'\n",
+     "empty": True},
+    refusal("no_time_chain", HERALDED, {"chain.integration_time_ms": 0},
+            "integration time must be positive"),
+    refusal("negative_dark_chain", HERALDED, {"chain.dark_rate_hz": -1.0},
+            "dark rate and jitter must be nonnegative"),
+    refusal("no_focus_scenario", SCENARIO, {"focus_wavelength_nm": 0},
+            "wavelength must be positive"),
+    refusal("no_sample_scenario", SCENARIO, {"mass_concentration_mg_per_mL": 0},
+            "mass concentration and molar mass must be positive"),
+    # an R_coin_err of 0 among nonzero ones: the solvent pump fits cannot
+    # weigh their rows and report why in place of their numbers
+    {"name": "mixed_errors_analyze", "config": ANALYZE["config"], "args": ANALYZE["args"],
+     "edits": {"solvent_csv": "{work}/mixed_solvent.csv",
+               "sample_csv": "{repo}/configs/rate_table_sample.csv"},
+     "files": {"mixed_solvent.csv": ("configs/rate_table_solvent.csv",
+                                     "12.0,1.095445,pump", "12.0,0,pump")},
+     "json": {"analysis_report.json": {
+         "config": ..., "dropped_flagged_rows": False, "flagged_rows": ..., "gamma": ...,
+         "r_abs": ..., "skipped": ...,
+         "fits": {**{f"{table}.{mode}.{model}": ... for table in ("solvent", "sample")
+                     for mode in ("pump", "spdc") for model in ("linear", "quadratic")},
+                  **dict.fromkeys(("solvent.pump.linear", "solvent.pump.quadratic"), {
+                      "error": "mixed zero and nonzero uncertainties; "
+                               "cannot form consistent weights"})}}}},
 ]
 
 
@@ -182,7 +223,7 @@ def problems(command, case, work):
         yield f"exit {done.returncode}, expected {case.get('exit', 0)}"
     if done.stderr != case.get("stderr", ""):
         yield f"stderr {done.stderr!r}, expected {case.get('stderr', '')!r}"
-    files = outputs(out)
+    files = outputs(out) if os.path.isdir(out) else {}  # a usage error makes no --out
     if case.get("empty") and files:
         yield f"--out holds {sorted(files)}"
     for name, golden in case.get("golden", {}).items():

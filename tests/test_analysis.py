@@ -53,6 +53,20 @@ def test_ingest_bad_header(tmp_path):
         ingest_rate_table(path)
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["10.0,3000.0,17.3,2800.0,16.7,12.0,1.1,pump, "], "{path} line 2: label must be nonempty"),
+    (["10.0,3000.0,17.3,abc,16.7,12.0,1.1,pump,x"],
+     "{path} line 2: malformed number: could not convert string to float: 'abc'"),
+    ([], "rate table has a header but no rows: {path}"),
+], ids=["empty-label", "non-numeric-cell", "header-only"])
+def test_ingest_refuses_a_malformed_table(tmp_path, rows, message):
+    path = tmp_path / "table.csv"
+    with open(FIXTURE_SOLVENT) as fh:
+        path.write_text(fh.readline() + "".join(row + "\n" for row in rows))
+    with pytest.raises(TableParseError, match=f"^{re.escape(message.format(path=path))}$"):
+        ingest_rate_table(path)
+
+
 def test_ingest_negative_rate_reports_line(tmp_path):
     path = tmp_path / "neg.csv"
     with open(FIXTURE_SOLVENT) as fh:

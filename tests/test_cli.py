@@ -4,11 +4,12 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spdclab import cli
+from spdclab import cli, counting
 
 from conftest import jsa_outputs_reference, src_env
 
@@ -22,6 +23,11 @@ def config_path(name):
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def write_json(path, payload):
@@ -63,10 +69,10 @@ def test_unreadable_input_exits_2_and_names_path(tmp_path, capsys):
     assert err.startswith(f"spdclab: cannot read {adir}: ") and err.count("\n") == 1
 
 
-PAPER_TUNING = json.load(open(config_path("paper_tuning.json")))
-PAPER_JSA = json.load(open(config_path("paper_jsa.json")))
-PAPER_SCENARIO = json.load(open(config_path("paper_scenario.json")))
-PAPER_CHAIN = json.load(open(config_path("paper_chain.json")))
+PAPER_TUNING = load_json(config_path("paper_tuning.json"))
+PAPER_JSA = load_json(config_path("paper_jsa.json"))
+PAPER_SCENARIO = load_json(config_path("paper_scenario.json"))
+PAPER_CHAIN = load_json(config_path("paper_chain.json"))
 
 
 def crystal_with(**changes):
@@ -340,7 +346,7 @@ def test_computation_error_exits_1(tmp_path, capsys):
 
 
 def test_missing_unit_suffix_exits_2(tmp_path, capsys):
-    scenario = json.load(open(config_path("paper_scenario.json")))
+    scenario = load_json(config_path("paper_scenario.json"))
     scenario["T_e"] = scenario.pop("T_e_fs")
     bad = write_json(tmp_path / "scenario.json", scenario)
     rc = run("etpa-report", "--config", bad, "--out", str(tmp_path))
@@ -356,12 +362,12 @@ def test_tuning_curve_paper_config(tmp_path, calibration_offset):
     rc = run("tuning-curve", "--config", config_path("paper_tuning.json"),
              "--out", str(out))
     assert rc == 0
-    summary = json.load(open(out / "tuning_summary.json"))
+    summary = load_json(out / "tuning_summary.json")
     assert summary["theta_deg_C"] == pytest.approx(59.4, abs=1e-4)
     assert summary["theta_deg_model_C"] == pytest.approx(108.4975, abs=1e-3)
     assert summary["fitted_calibration_offset_C"] == calibration_offset
     # the config as written, without the defaults the check filled in
-    assert summary["config"] == json.load(open(config_path("paper_tuning.json")))
+    assert summary["config"] == load_json(config_path("paper_tuning.json"))
     with open(out / "tuning_curve.csv") as fh:
         header = fh.readline().strip()
     assert header == "theta_C,lambda_s_nm,lambda_i_nm,branch"
@@ -387,7 +393,7 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, "jsa", "--config", cfg,
                            "--out", str(tmp_path / "out")], env=env, timeout=60)
     assert done.returncode == 0
-    assert json.load(open(tmp_path / "out" / "te_report.json"))["measured_input"] is True
+    assert load_json(tmp_path / "out" / "te_report.json")["measured_input"] is True
 
 
 def test_etpa_report_does_not_load_numpy(tmp_path):
@@ -412,7 +418,7 @@ def test_analyze_does_not_load_numpy(tmp_path):
                            "--out", str(tmp_path / "out")], env=env, timeout=60)
     assert done.returncode == 0
     assert ((tmp_path / "out" / "analysis_report.json").read_bytes()
-            == open(os.path.join(DATA, "golden_analysis_report.json"), "rb").read())
+            == Path(os.path.join(DATA, "golden_analysis_report.json")).read_bytes())
 
 
 def _threads_after(argv, env) -> list:
@@ -470,10 +476,10 @@ def test_jsa_small_grid(tmp_path):
     cfg = write_json(tmp_path / "jsa.json", SMALL_JSA)
     out = tmp_path / "out"
     assert run("jsa", "--config", cfg, "--out", str(out)) == 0
-    report = json.load(open(out / "te_report.json"))
+    report = load_json(out / "te_report.json")
     assert report["entanglement_time_fiber_fs"] > report["entanglement_time_free_fs"]
     assert (out / "jsi.csv").exists() and (out / "jti.csv").exists()
-    sidecar = json.load(open(out / "jsi.json"))
+    sidecar = load_json(out / "jsi.json")
     assert sidecar["domain"] == "spectral"
 
 
@@ -481,7 +487,7 @@ def test_jsa_beta_zero_reports_equal_times(tmp_path):
     cfg = write_json(tmp_path / "jsa.json", {**SMALL_JSA, "fiber_beta_fs2": 0.0})
     out = tmp_path / "out"
     assert run("jsa", "--config", cfg, "--out", str(out)) == 0
-    report = json.load(open(out / "te_report.json"))
+    report = load_json(out / "te_report.json")
     assert report["entanglement_time_free_fs"] == report["entanglement_time_fiber_fs"]
 
 
@@ -497,13 +503,13 @@ def test_jsa_measured_input_route(tmp_path):
     })
     out2 = tmp_path / "measured"
     assert run("jsa", "--config", cfg2, "--out", str(out2)) == 0
-    report = json.load(open(out2 / "te_report.json"))
+    report = load_json(out2 / "te_report.json")
     assert report["measured_input"] is True
     # the sidecars name the provenance: the model JSA is normalized, a
     # measured one is not
     for out, measured in ((out1, False), (out2, True)):
         for name, domain, units in (("jsi.json", "spectral", "rad/s"), ("jti.json", "temporal", "s")):
-            assert json.load(open(out / name)) == {"axis_units": units, "domain": domain,
+            assert load_json(out / name) == {"axis_units": units, "domain": domain,
                                                    "measured": measured, "normalized": not measured}
     # sqrt(JSI) discards the sinc sidelobe signs, so the reconstructed T_e
     # differs from the model's; it must still be finite and fiber-broadened
@@ -727,17 +733,17 @@ def test_simulate_deterministic_and_seeded(tmp_path):
         out = tmp_path / sub
         assert run("simulate", "--config", config_path("paper_chain.json"),
                    "--out", str(out), "--seed", "42") == 0
-        blobs.append((open(out / "tags.csv", "rb").read(),
-                      open(out / "count_summary.json", "rb").read()))
+        blobs.append(((out / "tags.csv").read_bytes(),
+                      (out / "count_summary.json").read_bytes()))
     assert blobs[0] == blobs[1]
-    summary = json.load(open(tmp_path / "a" / "count_summary.json"))
+    summary = load_json(tmp_path / "a" / "count_summary.json")
     assert summary["seed"] == 42
     assert "config" in summary
     assert summary["raw"]["singles_per_s"]["1"] > 0
     out3 = tmp_path / "c"
     assert run("simulate", "--config", config_path("paper_chain.json"),
                "--out", str(out3), "--seed", "43") == 0
-    assert open(out3 / "tags.csv", "rb").read() != blobs[0][0]
+    assert (out3 / "tags.csv").read_bytes() != blobs[0][0]
 
 
 def test_simulate_zero_rate(tmp_path):
@@ -747,7 +753,7 @@ def test_simulate_zero_rate(tmp_path):
     })
     out = tmp_path / "out"
     assert run("simulate", "--config", cfg, "--out", str(out)) == 0
-    summary = json.load(open(out / "count_summary.json"))
+    summary = load_json(out / "count_summary.json")
     assert summary["raw"]["singles_per_s"] == {"1": 0.0, "2": 0.0}
 
 
@@ -758,7 +764,7 @@ def test_simulate_heralded_populates_triples(tmp_path):
     })
     out = tmp_path / "out"
     assert run("simulate", "--config", cfg, "--out", str(out)) == 0
-    summary = json.load(open(out / "count_summary.json"))
+    summary = load_json(out / "count_summary.json")
     assert summary["raw"]["triples_per_s"] is not None
     assert "heralded_g2" in summary
 
@@ -773,10 +779,21 @@ def test_simulate_over_pair_guard_exits_1(tmp_path, capsys):
     assert "expected 1e+11 pairs per window exceeds the 1e+10 run-time guard" in capsys.readouterr().err
 
 
+def test_simulate_region_too_small_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # regions sized at no slots: the first block refuses, before any output
+    monkeypatch.setattr(counting, "_capacity", lambda mean: 0)
+    out = tmp_path / "out"
+    assert run("simulate", "--config", config_path("paper_chain.json"),
+               "--out", str(out), "--seed", "42") == 1
+    assert capsys.readouterr().err == ("spdclab: channel 1: more clicks than the 0 slots "
+                                       "sized for them\n")
+    assert os.listdir(out) == []
+
+
 def test_simulate_window_not_shorter_than_integration_exits_1(tmp_path, capsys):
     # (2 * 1e200 ns)**2 overflows a float; the chain refuses the window first
     cfg = write_json(tmp_path / "chain.json", {
-        "chain": {**json.load(open(os.path.join(DATA, "heralded_chain.json")))["chain"],
+        "chain": {**load_json(os.path.join(DATA, "heralded_chain.json"))["chain"],
                   "coincidence_window_ns": 1e200},
         "source": {"pairs_per_s_per_uW": 1450.0, "pump_power_uW": 0.01},
     })
@@ -850,11 +867,11 @@ def test_etpa_report_paper_scenario(tmp_path, capsys):
     rc = run("etpa-report", "--config", config_path("paper_scenario.json"),
              "--out", str(out))
     assert rc == 0
-    payload = json.load(open(out / "etpa_report.json"))
+    payload = load_json(out / "etpa_report.json")
     report = payload["report"]
     assert report["entanglement_area_um2"] == pytest.approx(2.13, rel=0.02)
     assert report["R_eTPA_volume_per_s"] == pytest.approx(1.7e-7, rel=0.10)
-    text = open(out / "etpa_report.txt").read()
+    text = (out / "etpa_report.txt").read_text()
     assert "sigma_e" in text
     assert "sigma_e" in capsys.readouterr().out
 
@@ -882,12 +899,12 @@ def test_etpa_underflowing_entanglement_area_exits_1_naming_it(tmp_path, capsys)
 
 
 def test_etpa_zero_flux(tmp_path):
-    scenario = json.load(open(config_path("paper_scenario.json")))
+    scenario = load_json(config_path("paper_scenario.json"))
     scenario["pair_rate_per_s"] = 0.0
     cfg = write_json(tmp_path / "s.json", scenario)
     out = tmp_path / "out"
     assert run("etpa-report", "--config", cfg, "--out", str(out)) == 0
-    report = json.load(open(out / "etpa_report.json"))["report"]
+    report = load_json(out / "etpa_report.json")["report"]
     assert report["R_eTPA_volume_per_s"] == 0.0
     assert report["R_cTPA_volume_per_s"] == 0.0
 
@@ -900,7 +917,7 @@ def test_analyze_fixture_pair(tmp_path):
     rc = run("analyze", "--config", config_path("paper_analyze.json"),
              "--out", str(out))
     assert rc == 0
-    report = json.load(open(out / "analysis_report.json"))
+    report = load_json(out / "analysis_report.json")
     for pt in report["gamma"]:
         assert pt["gamma"] == pytest.approx(0.05, abs=1e-9)
     assert any(f["p_spdc_pW"] == 70.0 for f in report["flagged_rows"])
@@ -917,7 +934,7 @@ def test_analyze_identical_tables_gamma_zero(tmp_path):
     })
     out = tmp_path / "out"
     assert run("analyze", "--config", cfg, "--out", str(out)) == 0
-    report = json.load(open(out / "analysis_report.json"))
+    report = load_json(out / "analysis_report.json")
     for pt in report["gamma"]:
         assert pt["gamma"] == pytest.approx(0.0, abs=1e-12)
     for pt in report["r_abs"]:
@@ -930,20 +947,20 @@ def test_analyze_drop_flagged(tmp_path, capsys):
     cfg = write_json(tmp_path / "an.json", {**tables, "drop_flagged": True})
     out = tmp_path / "out"
     assert run("analyze", "--config", cfg, "--out", str(out)) == 0
-    report = json.load(open(out / "analysis_report.json"))
+    report = load_json(out / "analysis_report.json")
     assert report["dropped_flagged_rows"] is True
     # the flagged rows are listed as read, with or without the switch
     kept = tmp_path / "kept"
     assert run("analyze", "--config", write_json(tmp_path / "k.json", tables),
                "--out", str(kept)) == 0
-    assert report["flagged_rows"] == json.load(open(kept / "analysis_report.json"))["flagged_rows"]
+    assert report["flagged_rows"] == load_json(kept / "analysis_report.json")["flagged_rows"]
     assert {f["p_spdc_pW"] for f in report["flagged_rows"]} == {70.0}
     assert all(pt["p_spdc_pW"] != 70.0 for pt in report["gamma"])
 
     # a table left with no rows is named, with the switch that emptied it
     table = tmp_path / "flagged.csv"
-    table.write_text(open(tables["solvent_csv"]).readline()
-                     + "10.0,3000.0,1500.0,2800.0,16.7,12.0,1.1,pump,x\n")
+    with open(tables["solvent_csv"]) as fh:
+        table.write_text(fh.readline() + "10.0,3000.0,1500.0,2800.0,16.7,12.0,1.1,pump,x\n")
     cfg = write_json(tmp_path / "an.json", {**tables, "solvent_csv": str(table),
                                             "drop_flagged": True})
     assert run("analyze", "--config", cfg, "--out", str(tmp_path / "o")) == 1
@@ -959,7 +976,7 @@ def test_analyze_drop_flagged(tmp_path, capsys):
 
 def test_analyze_drop_flagged_removes_a_point_flagged_in_one_table(tmp_path):
     # the solvent's 10 pW pump row gets a 50 % singles error; the sample's is clean
-    lines = open(config_path("rate_table_solvent.csv")).read().splitlines()
+    lines = Path(config_path("rate_table_solvent.csv")).read_text().splitlines()
     [i] = [k for k, line in enumerate(lines) if line.startswith("10.0,") and "pump" in line]
     fields = lines[i].split(",")
     fields[2] = str(0.5 * float(fields[1]))
@@ -971,7 +988,7 @@ def test_analyze_drop_flagged_removes_a_point_flagged_in_one_table(tmp_path):
                                             "drop_flagged": True})
     out = tmp_path / "out"
     assert run("analyze", "--config", cfg, "--out", str(out)) == 0
-    report = json.load(open(out / "analysis_report.json"))
+    report = load_json(out / "analysis_report.json")
     assert [f for f in report["flagged_rows"] if f["p_spdc_pW"] == 10.0] == [
         {"table": "solvent", "p_spdc_pW": 10.0, "mode": "pump", "label": "toluene"}]
     for key in ("r_abs", "gamma", "skipped"):
@@ -986,7 +1003,7 @@ def test_analyze_drop_flagged_removes_a_point_flagged_in_one_table(tmp_path):
 def edit_pump_10pW_row(path, table, **cells):
     """Write the packaged rate ``table`` to ``path`` with the given cells of
     its 10 pW pump row replaced."""
-    lines = open(config_path(f"rate_table_{table}.csv")).read().splitlines()
+    lines = Path(config_path(f"rate_table_{table}.csv")).read_text().splitlines()
     header = lines[0].split(",")
     [i] = [k for k, line in enumerate(lines) if line.startswith("10.0,") and "pump" in line]
     fields = lines[i].split(",")
@@ -1020,7 +1037,8 @@ def test_analyze_non_finite_error_exits_1_naming_the_row(tmp_path, capsys, solve
                                  "inf,3000.0,17.3,2800.0,16.7,12.0,1.1,pump,x"],
                          ids=["R_coin-nan", "P_SPDC-inf"])
 def test_analyze_non_finite_cell_exits_1_before_any_fit(tmp_path, capfd, row):
-    header = open(config_path("rate_table_solvent.csv")).readline()
+    with open(config_path("rate_table_solvent.csv")) as fh:
+        header = fh.readline()
     table = tmp_path / "t.csv"
     table.write_text(header + row + "\n")
     cfg = write_json(tmp_path / "an.json", {
@@ -1033,10 +1051,10 @@ def test_analyze_non_finite_cell_exits_1_before_any_fit(tmp_path, capfd, row):
 
 
 def test_analyze_bad_solvent_table_names_its_path_and_line(tmp_path, capsys):
-    lines = open(config_path("rate_table_solvent.csv")).read().splitlines()
+    lines = Path(config_path("rate_table_solvent.csv")).read_text().splitlines()
     lines.insert(4, "10.0,3000.0,17.3")
     (tmp_path / "solvent.csv").write_text("\n".join(lines) + "\n")
-    (tmp_path / "sample.csv").write_text(open(config_path("rate_table_sample.csv")).read())
+    (tmp_path / "sample.csv").write_text(Path(config_path("rate_table_sample.csv")).read_text())
     cfg = write_json(tmp_path / "an.json", {"solvent_csv": "solvent.csv",
                                             "sample_csv": "sample.csv"})
     assert run("analyze", "--config", cfg, "--out", str(tmp_path / "out")) == 1
@@ -1045,7 +1063,7 @@ def test_analyze_bad_solvent_table_names_its_path_and_line(tmp_path, capsys):
 
 
 def test_analyze_field_past_csv_limit_names_its_path_and_line(tmp_path, capsys):
-    lines = open(config_path("rate_table_solvent.csv")).read().splitlines()
+    lines = Path(config_path("rate_table_solvent.csv")).read_text().splitlines()
     lines[1] = "1" * 200_000 + lines[1][lines[1].index(","):]
     (tmp_path / "solvent.csv").write_text("\n".join(lines) + "\n")
     cfg = write_json(tmp_path / "an.json", {

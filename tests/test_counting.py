@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdclab import counting as ct
-from spdclab.errors import DomainError, EstimateUndefinedError
+from spdclab.errors import CoverageError, DomainError, EstimateUndefinedError
 
 from conftest import (chain_efficiencies, dump_csv_reference, match_coincidences_bruteforce,
                       match_triples_bruteforce, simulate_tags_reference)
@@ -341,53 +341,24 @@ def test_simulate_tags_memory_follows_clicks_not_pairs(topology):
     assert peak < 8e6
 
 
-@pytest.mark.parametrize("capacity", ["no-margin", "empty"])
-@pytest.mark.parametrize("n_runs", [1, 2])
+@pytest.mark.parametrize("region, n_runs", [("photon", 1), ("photon", 2), ("dark", 2)])
 @pytest.mark.parametrize("topology", ["pair", "heralded"])
-def test_simulate_tags_overflowing_regions_equal_reference(monkeypatch, topology, n_runs,
-                                                          capacity):
-    """Regions sized at their mean clicks (no margin) or at none: photon
-    regions and the dark region overflow, in one run and in two, with
-    jitter and darks, and the channels still equal the full-length
-    reference.  Without slots every region that gets a click overflows,
-    and each channel's 500 mean darks overflow its dark region."""
-    src = ct.SourceRates(2.5 * ct._PAIR_BLOCK / 100.0, 100.0)  # mean pairs per 1 s
-    chain = ct.DetectionChain(topology=topology, dark_rate_hz=500.0, integration_time_ms=1000.0)
-    monkeypatch.setattr(ct, "_capacity", int if capacity == "no-margin" else lambda mean: 0)
-    if n_runs == 1:
-        monkeypatch.setattr(ct, "_pair_runs", lambda n_pairs: [(0, n_pairs)])
-    route_pairs, spilled = ct._route_pairs, []
-
-    def recorded_route_pairs(*args):
-        routed = route_pairs(*args)
-        spilled.append(sorted(key for key, (_, overflow) in routed.items() if overflow))
-        return routed
-
-    monkeypatch.setattr(ct, "_route_pairs", recorded_route_pairs)
-    tags = ct.simulate_tags(src, chain, seed=2)
-    assert len(spilled) == n_runs
-    if capacity == "empty":
-        assert spilled == [sorted(ct._click_probabilities(chain))] * n_runs
-    else:
-        assert any(spilled)  # a region filled to its mean, the rest kept apart
-    reference = simulate_tags_reference(src, chain, 2)
-    for label, times in reference.items():
-        assert len(times) > 500
-        assert np.array_equal(tags.channels[label], times), label
-
-
-@pytest.mark.parametrize("topology", ["pair", "heralded"])
-def test_simulate_tags_overflowing_dark_region_alone_equals_reference(monkeypatch, topology):
-    """Every photon region keeps its margin, but the dark region (mean 500)
-    gets no slots: each channel is packed for its darks alone."""
+def test_simulate_tags_refuses_a_region_too_small_for_its_clicks(monkeypatch, topology, region,
+                                                                 n_runs):
+    """Regions sized at no slots: the photon regions, routed in one run or
+    in two (both threads refuse), or the dark region alone (mean 500).  The
+    first channel to get a click is named."""
     src = ct.SourceRates(2.5 * ct._PAIR_BLOCK / 100.0, 100.0)  # mean pairs per 1 s
     chain = ct.DetectionChain(topology=topology, dark_rate_hz=500.0, integration_time_ms=1000.0)
     capacity = ct._capacity
-    monkeypatch.setattr(ct, "_capacity", lambda mean: 0 if mean == 500.0 else capacity(mean))
-    tags = ct.simulate_tags(src, chain, seed=2)
-    reference = simulate_tags_reference(src, chain, 2)
-    for label, times in reference.items():
-        assert np.array_equal(tags.channels[label], times), label
+    monkeypatch.setattr(ct, "_capacity", lambda mean: 0 if region == "photon" or mean == 500.0
+                        else capacity(mean))
+    if n_runs == 1:
+        monkeypatch.setattr(ct, "_pair_runs", lambda n_pairs: [(0, n_pairs)])
+    what = "clicks" if region == "photon" else "dark counts"
+    with pytest.raises(CoverageError, match=f"^channel {chain.channels[0]}: more {what} than "
+                                            "the 0 slots sized for them$"):
+        ct.simulate_tags(src, chain, seed=2)
 
 
 def test_simulate_tags_routing_threads_share_the_channel_arrays(monkeypatch):
