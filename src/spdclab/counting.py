@@ -51,11 +51,8 @@ _PIECE_CLICKS = 1 << 14
 
 # pairs drawn and routed per block in simulate_tags
 _PAIR_BLOCK = 1 << 16
-# jitter values drawn at a time in simulate_tags.  Freeing a 2 MB chunk
-# lifts glibc's dynamic mmap threshold, so the tag dump's and the matchers'
-# per-piece arrays are reused from the heap instead of mapped and faulted in
-# afresh for each piece: at 1 << 16, the heralded-mc chain's dump and
-# counting took 23 k more page faults and 0.03 to 0.05 s more
+# most jitter values that simulate_tags draws at a time (2 MB of doubles),
+# which caps its memory above the channel arrays
 _JITTER_CHUNK = 1 << 18
 # per-pair random arrays of each topology: times, coupling, then two
 # detection draws (pair) or a routing and a loss draw per photon (heralded)
@@ -234,8 +231,8 @@ def _route_pairs(chain: DetectionChain, state: dict, n_pairs: int, first: int, s
     PCG64 ``state`` into ``regions``: per (channel, photon) a view of its
     region in the channel's array, filled from its start in pair order,
     one block of ``_PAIR_BLOCK`` pairs at a time.  Returns per (channel,
-    photon) the clicks written; a block that would run past its region is
-    refused."""
+    photon) the filled start of its region; a block that would run past its
+    region is refused."""
     window_ns = chain.integration_time_ms * 1e6
     times, coupling, *per_photon = _streams(state, _DRAWS[chain.topology], n_pairs, first)
     filled = dict.fromkeys(regions, 0)
@@ -275,7 +272,7 @@ def _route_pairs(chain: DetectionChain, state: dict, n_pairs: int, first: int, s
                                     f"{len(region)} slots sized for them")
             np.take(pair_times, index, out=region[start:start + len(index)], mode="clip")
             filled[key] += len(index)
-    return filled
+    return {key: region[:filled[key]] for key, region in regions.items()}
 
 
 class Worker(threading.Thread):
@@ -367,17 +364,18 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     generators advanced to its first pair.
 
     Each click is held once.  Before routing, every channel gets one array
-    with a region per (photon, run), sized by :func:`_capacity` for that
-    region's mean clicks, and a region for its darks; each run writes its
-    clicks straight into its regions.  Read region by region, the photon
-    clicks come in the order of the full-length arrays (per photon, the
-    runs in turn), so the arrays do not depend on the split.  The jitter is
-    added in place, drawn in chunks of ``_JITTER_CHUNK`` across the
-    regions (``normal`` draws its values in sequence, so the chunks change
-    no value); unused slots hold +inf, which the window cut after the sort
-    drops.  Equal timestamps (zero jitter) are merged by one copy; without
-    them the sorted array is kept as it is.  A region too small for its
-    clicks is refused (``CoverageError``).
+    of +inf with a region per (photon, run), sized by :func:`_capacity` for
+    that region's mean clicks, and a region for its darks; each run writes
+    its clicks straight into its regions and hands back their filled
+    starts.  Read region by region, the photon clicks come in the order of
+    the full-length arrays (per photon, the runs in turn), so the arrays do
+    not depend on the split.  The jitter is added in place, region by
+    region, drawn in chunks of at most ``_JITTER_CHUNK`` values (``normal``
+    draws its values in sequence, so the chunks change no value).  The
+    slots left unfilled keep their +inf, which the window cut after the
+    sort drops.  Equal timestamps (zero jitter) are merged by one copy;
+    without them the sorted array is kept as it is.  A region too small
+    for its clicks is refused (``CoverageError``).
     """
     window_ns = chain.integration_time_ms * 1e6
     window_s = chain.integration_time_ms * 1e-3
@@ -412,7 +410,7 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
         sizes = {(key, run): _capacity((stop - first) * p)
                  for key, p in probability.items() if key[0] == label
                  for run, (first, stop) in enumerate(runs)}
-        slots[label] = np.empty(sum(sizes.values()) + dark_slots)
+        slots[label] = np.full(sum(sizes.values()) + dark_slots, np.inf)
         end = 0
         for (key, run), size in sizes.items():
             regions[run][key] = slots[label][end:end + size]
@@ -425,35 +423,27 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     finally:  # the worker is joined also when this thread's run fails
         later = [worker.result() for worker in workers]
     routed += later
+    # only the routed views, popped channel by channel below, now hold the
+    # channel arrays, so an array that the merge copies is freed
+    del regions, workers
 
     sigma = chain.jitter_fwhm_ns / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     channels = {}
     for label in chain.channels:
         merged = slots.pop(label)
         # the channel's photon clicks in the order of the full-length
-        # arrays: per photon, each run's region
-        parts = []
-        for key in probability:
-            if key[0] == label:
-                for owned, filled in zip(regions, routed):
-                    parts.append(owned[key][:filled[key]])
-                    owned.pop(key)[filled[key]:] = np.inf
-        if chain.jitter_fwhm_ns != 0:  # in chunks across the parts, in their order
-            starts = np.cumsum([0] + [len(part) for part in parts]).tolist()
-            for lo in range(0, starts[-1], _JITTER_CHUNK):
-                jitter = rng.normal(0.0, sigma, size=min(_JITTER_CHUNK, starts[-1] - lo))
-                for part, start in zip(parts, starts):
-                    a, b = max(lo, start), min(lo + len(jitter), start + len(part))
-                    if a < b:
-                        part[a - start:b - start] += jitter[a - lo:b - lo]
-                del jitter  # before the next chunk is drawn
+        # arrays: per photon, each run's filled region
+        parts = [filled.pop(key) for key in probability if key[0] == label for filled in routed]
+        if chain.jitter_fwhm_ns != 0:
+            for part in parts:
+                for lo in range(0, len(part), _JITTER_CHUNK):
+                    chunk = part[lo:lo + _JITTER_CHUNK]
+                    chunk += rng.normal(0.0, sigma, size=len(chunk))
         n_dark = int(rng.poisson(chain.dark_rate_hz * window_s))
         if n_dark > dark_slots:
             raise CoverageError(f"channel {label}: more dark counts than the "
                                 f"{dark_slots} slots sized for them")
-        dark = merged[len(merged) - dark_slots:]
-        dark[n_dark:] = np.inf
-        dark = rng.random(out=dark[:n_dark])
+        dark = rng.random(out=merged[len(merged) - dark_slots:][:n_dark])
         dark *= window_ns  # as uniform(0.0, window_ns) computes it
         merged.sort()
         merged = merged[np.searchsorted(merged, 0.0):np.searchsorted(merged, window_ns)]

@@ -325,6 +325,37 @@ def test_simulate_tags_split_matches_reference_and_one_thread(monkeypatch, mean_
         assert np.array_equal(one_thread.channels[label], times), label
 
 
+@pytest.mark.parametrize("chunk", [1, 5, "between"])
+@pytest.mark.parametrize("topology", ["pair", "heralded"])
+def test_simulate_tags_jitter_chunks_change_no_value(monkeypatch, topology, chunk):
+    """The jitter drawn region by region in chunks of 1, 5 or a size
+    between the smallest and the largest filled region, on two routing
+    runs: regions end in short chunks, and some fit in one, and the arrays
+    still equal the full-length reference."""
+    src = ct.SourceRates(1.5 * ct._PAIR_BLOCK / 100.0, 100.0)  # mean pairs per 1 s
+    chain = ct.DetectionChain(topology=topology, dark_rate_hz=500.0, integration_time_ms=1000.0)
+    between = {"pair": 10_000, "heralded": 4_000}[topology]
+    chunk = between if chunk == "between" else chunk
+    filled = []
+    route_pairs = ct._route_pairs
+
+    def recorded_route_pairs(*args):
+        routed = route_pairs(*args)
+        filled.append([len(part) for part in routed.values()])
+        return routed
+
+    monkeypatch.setattr(ct, "_route_pairs", recorded_route_pairs)
+    monkeypatch.setattr(ct, "_JITTER_CHUNK", chunk)
+    tags = ct.simulate_tags(src, chain, seed=11)
+    assert len(filled) == 2
+    sizes = sum(filled, [])
+    assert min(sizes) < between < max(sizes)
+    assert chunk == 1 or any(size % chunk for size in sizes)  # a region ends in a short chunk
+    reference = simulate_tags_reference(src, chain, 11)
+    for label, times in reference.items():
+        assert np.array_equal(tags.channels[label], times), label
+
+
 @pytest.mark.parametrize("topology", ["pair", "heralded"])
 def test_simulate_tags_memory_follows_clicks_not_pairs(topology):
     """1.16 M pairs but under 10 k clicks: the traced peak stays near one
