@@ -78,7 +78,7 @@ ANALYZE = {
 def _simulate_table() -> dict:
     from . import counting
     chain = schema.dataclass_table(counting.DetectionChain)
-    chain["topology"] = (one_of("pair", "heralded"), "pair")
+    chain["topology"] = (one_of(*counting.ROUTES), chain["topology"][1])
     return {"chain": (chain, REQUIRED),
             "source": (schema.dataclass_table(counting.SourceRates), REQUIRED)}
 
@@ -187,11 +187,9 @@ def cmd_simulate(args, cfg: dict, given: dict) -> int:
         "raw": counts,
         "corrected": corrected,
     }
-    if chain.topology == "heralded":
+    if counts["triples_per_s"] is not None:
         try:
-            g2, g2_err = counting.heralded_g2(counts)
-            payload["heralded_g2"] = g2
-            payload["heralded_g2_err"] = g2_err
+            payload["heralded_g2"], payload["heralded_g2_err"] = counting.heralded_g2(counts)
         except SpdclabError as exc:
             payload["heralded_g2"] = None
             payload["heralded_g2_note"] = str(exc)

@@ -6,14 +6,15 @@ The counters return the ``raw`` and ``corrected`` objects of
 
 Model notes
 -----------
-* The fused fiber coupler's quoted insertion loss (3.7 dB -> 43% per output
-  port) already contains the 50:50 split, so in the two-channel pair
-  topology the photons of a surviving pair are routed to opposite channels
-  deterministically and ``eta_insertion`` is applied per photon.  This
-  makes the simulated coincidence efficiency equal the bookkeeping
-  eta_coin = eta_coupling * eta_insertion^2 * eta_detector^2 by
-  construction, which the closure tests rely on (the efficiency oracle in
-  ``tests/conftest.py``).
+* ``ROUTES`` gives each photon of a pair its channels, with their shares
+  and the coupler passages (transmission ``eta_insertion`` each) on the
+  way.  The fused coupler of ``pair`` quotes an insertion loss (3.7 dB ->
+  43% per output port) that already contains its 50:50 split, so the
+  photons of a pair go to opposite channels.  This makes the simulated
+  coincidence efficiency equal the bookkeeping eta_coin = eta_coupling *
+  eta_insertion^2 * eta_detector^2 by construction, which the closure
+  tests rely on (the efficiency oracle in ``tests/conftest.py``).
+  ``heralded`` cascades two 50:50 couplers: the herald arm passes one.
 * Fiber coupling acts on the pair as a whole (the photons share one spatial
   mode), so ``eta_coupling`` is drawn once per pair.
 * A coincidence means |t_a - t_b| <= window; the accidental rate of two
@@ -54,12 +55,18 @@ _PAIR_BLOCK = 1 << 16
 # most jitter values that simulate_tags draws at a time (2 MB of doubles),
 # which caps its memory above the channel arrays
 _JITTER_CHUNK = 1 << 18
-# per-pair random arrays of each topology: times, coupling, then two
-# detection draws (pair) or a routing and a loss draw per photon (heralded)
-_DRAWS = {"pair": 4, "heralded": 6}
 
 PAIR_CHANNELS = ("1", "2")
 HERALDED_CHANNELS = ("h", "1", "2")
+
+# per topology and photon of a pair: its routes (channel, share, coupler passages)
+ROUTES = {
+    "pair": ((("1", 1.0, 1),), (("2", 1.0, 1),)),
+    "heralded": ((("h", 0.5, 1), ("1", 0.25, 2), ("2", 0.25, 2)),) * 2,
+}
+# per-pair random arrays: times, coupling, per photon a routing (if several routes) and a loss draw
+_DRAWS = {topology: 2 + sum(1 + (len(routes) > 1) for routes in photons)
+          for topology, photons in ROUTES.items()}
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,7 @@ class DetectionChain:
     dark_rate_hz: float = 0.0
     coincidence_window_ns: float = 1.0
     integration_time_ms: float = 100.0
-    topology: str = "pair"  # "pair" (2 channels) | "heralded" (3 channels)
+    topology: str = "pair"  # a key of ROUTES
     jitter_fwhm_ns: float = 0.35
 
     def __post_init__(self):
@@ -87,14 +94,16 @@ class DetectionChain:
         if not self.coincidence_window_ns < self.integration_time_ms * 1e6:
             raise DomainError(f"coincidence window {self.coincidence_window_ns} ns is not shorter "
                               f"than the integration time {self.integration_time_ms} ms")
-        if self.topology not in ("pair", "heralded"):
+        if self.topology not in ROUTES:
             raise DomainError(f"unknown topology {self.topology!r}")
-        if self.dark_rate_hz < 0 or self.jitter_fwhm_ns < 0:
+        if not (self.dark_rate_hz >= 0 and self.jitter_fwhm_ns >= 0):  # NaN fails
             raise DomainError("dark rate and jitter must be nonnegative")
+        if not (self.jitter_fwhm_ns < np.inf and self.integration_time_ms < np.inf):
+            raise DomainError("jitter and integration time must be finite")
 
     @property
     def channels(self) -> tuple:
-        return PAIR_CHANNELS if self.topology == "pair" else HERALDED_CHANNELS
+        return tuple(dict.fromkeys(r[0] for routes in ROUTES[self.topology] for r in routes))
 
 
 @dataclass(frozen=True)
@@ -105,8 +114,10 @@ class SourceRates:
     pump_power_uW: float
 
     def __post_init__(self):
-        if self.pairs_per_s_per_uW < 0 or self.pump_power_uW < 0:
+        if not (self.pairs_per_s_per_uW >= 0 and self.pump_power_uW >= 0):  # NaN fails
             raise DomainError("source rates must be nonnegative")
+        if max(self.pairs_per_s_per_uW, self.pump_power_uW) == np.inf:
+            raise DomainError("source rates must be finite")
 
     @property
     def pair_rate_hz(self) -> float:
@@ -199,18 +210,16 @@ def _render_rows(times, labels) -> bytes:
     return b"".join(parts)
 
 
-def _streams(state: dict, draws: int, n_pairs: int, first: int) -> list:
-    """``draws`` generators from the PCG64 ``state``, the k-th at pair
-    ``first`` of the k-th of ``draws`` consecutive ``n_pairs``-double arrays
-    drawn from that state.  ``uniform`` and ``random`` take one 64-bit
-    PCG64 output per value, so that pair is ``k * n_pairs + first`` outputs
-    on."""
-    streams = []
+def _streams(state: dict, draws: int, n_pairs: int, first: int):
+    """Yields ``draws`` generators from the PCG64 ``state``, the k-th at
+    pair ``first`` of the k-th of ``draws`` consecutive ``n_pairs``-double
+    arrays drawn from that state.  ``uniform`` and ``random`` take one
+    64-bit PCG64 output per value, so that pair is ``k * n_pairs + first``
+    outputs on."""
     for k in range(draws):
         bit_generator = np.random.PCG64()
         bit_generator.state = state
-        streams.append(np.random.Generator(bit_generator.advance(k * n_pairs + first)))
-    return streams
+        yield np.random.Generator(bit_generator.advance(k * n_pairs + first))
 
 
 def _pair_runs(n_pairs: int) -> list:
@@ -231,16 +240,16 @@ def _route_pairs(chain: DetectionChain, state: dict, n_pairs: int, first: int, s
     PCG64 ``state`` into ``regions``: per (channel, photon) a view of its
     region in the channel's array, filled from its start in pair order,
     one block of ``_PAIR_BLOCK`` pairs at a time.  Returns per (channel,
-    photon) the filled start of its region; a block that would run past its
+    photon) the filled part of its region; a block that would run past its
     region is refused."""
     window_ns = chain.integration_time_ms * 1e6
-    times, coupling, *per_photon = _streams(state, _DRAWS[chain.topology], n_pairs, first)
+    streams = _streams(state, _DRAWS[chain.topology], n_pairs, first)
+    times, coupling = next(streams), next(streams)
+    # per photon: channels, routing (or None) and loss generators, route starts in u, survivals
+    photons = [(labels, next(streams) if len(labels) > 1 else None, next(streams),
+                np.cumsum(shares)[:-1], survival)
+               for labels, shares, survival in _photon_routes(chain)]
     filled = dict.fromkeys(regions, 0)
-    # anti-correlated pair routing: eta_insertion is the per-port coupler
-    # transmission (split already included).  Heralded: two cascaded 50:50
-    # couplers with per-passage excess transmission eta_insertion; the
-    # herald arm passes one coupler, arms 1/2 pass two.
-    s1, s2 = _arm_survival(chain)
     # one block's draws of one per-pair array at a time: the pair times are
     # drawn last, once the pairs that click are known (each array has a
     # generator of its own, so the order of the arrays does not matter)
@@ -250,19 +259,20 @@ def _route_pairs(chain: DetectionChain, state: dict, n_pairs: int, first: int, s
         draws = buffer[:min(_PAIR_BLOCK, stop - start)]
         coupled = coupling.random(out=draws) < chain.eta_coupling
         clicks = {}  # per (channel, photon): the block's pairs that click there
-        if chain.topology == "pair":
-            for label, detection in zip(PAIR_CHANNELS, per_photon):
-                clicks[label, 0] = np.flatnonzero(coupled & (detection.random(out=draws) < s1))
-        else:
-            for photon in range(2):  # the two photons of each pair, independently
-                keep = per_photon[2 * photon + 1].random(out=draws)
-                # the photons that survive on some arm, in increasing pair index
-                alive = np.flatnonzero(coupled & (keep < max(s1, s2)))
-                keep = keep[alive]
-                u = per_photon[2 * photon].random(out=draws)[alive]
-                clicks["h", photon] = alive[(u < 0.5) & (keep < s1)]
-                clicks["1", photon] = alive[(u >= 0.5) & (u < 0.75) & (keep < s2)]
-                clicks["2", photon] = alive[(u >= 0.75) & (keep < s2)]
+        for photon, (labels, router, loss, starts, survival) in enumerate(photons):
+            keep = loss.random(out=draws)
+            # the photons that survive on some route, in increasing pair index
+            alive = np.flatnonzero(coupled & (keep < max(survival)))
+            if router is None:  # a photon of one route clicks wherever it survives
+                clicks[labels[0], photon] = alive
+                continue
+            keep = keep[alive]  # a copy, before the routing draws overwrite draws
+            u = router.random(out=draws)[alive]
+            route = np.zeros(len(alive), dtype=np.uint8)  # route k: the u at or above k starts
+            for start in starts:
+                route += u >= start
+            for k, (label, s) in enumerate(zip(labels, survival)):
+                clicks[label, photon] = alive[(route == k) & (keep < s)]
         pair_times = times.random(out=draws)
         pair_times *= window_ns  # as uniform(0.0, window_ns) computes it: 0.0 + window_ns * u
         for key, index in clicks.items():
@@ -301,27 +311,21 @@ class Worker(threading.Thread):
         return value
 
 
-def _arm_survival(chain: DetectionChain):
-    """(s1, s2): the probability that a routed photon clicks after one
-    coupler passage (either channel of ``pair``, the herald arm) and after
-    two (arms 1 and 2 of ``heralded``)."""
-    return (chain.eta_insertion * chain.eta_detector,
-            chain.eta_insertion ** 2 * chain.eta_detector)
+def _photon_routes(chain: DetectionChain):
+    """Per photon of a pair, its ``ROUTES`` as its channels, their shares
+    and the probability that the photon, routed to each, clicks."""
+    for routes in ROUTES[chain.topology]:
+        labels, shares, passages = zip(*routes)
+        yield labels, shares, [chain.eta_insertion ** n * chain.eta_detector for n in passages]
 
 
 def _click_probabilities(chain: DetectionChain) -> dict:
     """Per (channel, photon) that can click there, the probability that
-    this photon of a pair does: the pair couples (``eta_coupling``), and
-    the photon survives its arm with probability s1 (either channel of
-    ``pair``, whose first photon goes to channel 1 and second to channel
-    2, both keyed photon 0; the herald arm, half the photons of
-    ``heralded``) or s2 (arm 1 or 2, a quarter each)."""
-    s1, s2 = _arm_survival(chain)
-    if chain.topology == "pair":
-        return {(label, 0): chain.eta_coupling * s1 for label in PAIR_CHANNELS}
-    share = {"h": 0.5 * s1, "1": 0.25 * s2, "2": 0.25 * s2}
-    return {(label, photon): chain.eta_coupling * share[label]
-            for label in HERALDED_CHANNELS for photon in range(2)}
+    this photon of a pair does: the pair couples (``eta_coupling``), the
+    photon takes that route and survives it (:func:`_photon_routes`)."""
+    return {(label, photon): chain.eta_coupling * (share * survival)
+            for photon, routes in enumerate(_photon_routes(chain))
+            for label, share, survival in zip(*routes)}
 
 
 def _expected_clicks(src: SourceRates, chain: DetectionChain) -> float:
@@ -351,17 +355,17 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
 
     The seed fixes the output through one draw order from
     ``default_rng(seed)``: the pair count n (Poisson), n pair times, n
-    coupling draws, then n draws each of ``u`` and ``keep`` for the first
-    photon and for the second (heralded), or n detection draws for channel
-    1 and for channel 2 (pair); then, channel by channel, the jitter of its
-    photon clicks in pair order (first photon, then second), its dark count
-    and its dark times.  The pairs are drawn and routed in blocks of
-    ``_PAIR_BLOCK``, each block reading its slice of every per-pair array
-    from a generator advanced to that array's start, so memory follows the
-    clicks plus a block per thread, not the pairs.  The blocks are halved
-    into two contiguous runs (:func:`_pair_runs`): the caller's thread
-    routes the first and one worker thread the second, each from its own
-    generators advanced to its first pair.
+    coupling draws, then for the first photon and for the second n routing
+    draws ``u`` (only for a photon of several ``ROUTES``) and n loss draws
+    ``keep``; then, channel by channel, the jitter of its photon clicks in
+    pair order (first photon, then second), its dark count and its dark
+    times.  The pairs are drawn and routed in blocks of ``_PAIR_BLOCK``,
+    each block reading its slice of every per-pair array from a generator
+    advanced to that array's start, so memory follows the clicks plus a
+    block per thread, not the pairs.  The blocks are halved into two
+    contiguous runs (:func:`_pair_runs`): the caller's thread routes the
+    first and one worker thread the second, each from its own generators
+    advanced to its first pair.
 
     Each click is held once.  Before routing, every channel gets one array
     of +inf with a region per (photon, run), sized by :func:`_capacity` for
@@ -379,23 +383,18 @@ def simulate_tags(src: SourceRates, chain: DetectionChain, seed: int) -> TagStre
     """
     window_ns = chain.integration_time_ms * 1e6
     window_s = chain.integration_time_ms * 1e-3
-    rate = src.pair_rate_hz
+    mean_pairs = src.pair_rate_hz * window_s
 
     expected = _expected_clicks(src, chain)
     if expected >= _GUARD_MAX_EXPECTED_CLICKS:
-        raise DomainError(
-            f"expected {expected:.3g} clicks per window exceeds the "
-            f"{_GUARD_MAX_EXPECTED_CLICKS:.0e} memory guard"
-        )
-
-    if rate * window_s >= _GUARD_MAX_EXPECTED_PAIRS:
-        raise DomainError(
-            f"expected {rate * window_s:.3g} pairs per window exceeds the "
-            f"{_GUARD_MAX_EXPECTED_PAIRS:.0e} run-time guard"
-        )
+        raise DomainError(f"expected {expected:.3g} clicks per window exceeds the "
+                          f"{_GUARD_MAX_EXPECTED_CLICKS:.0e} memory guard")
+    if mean_pairs >= _GUARD_MAX_EXPECTED_PAIRS:
+        raise DomainError(f"expected {mean_pairs:.3g} pairs per window exceeds the "
+                          f"{_GUARD_MAX_EXPECTED_PAIRS:.0e} run-time guard")
 
     rng = np.random.default_rng(seed)
-    n_pairs = int(rng.poisson(rate * window_s))
+    n_pairs = int(rng.poisson(mean_pairs))
     state = rng.bit_generator.state
     rng.bit_generator.advance(_DRAWS[chain.topology] * n_pairs)  # past the per-pair arrays
     runs = _pair_runs(n_pairs)

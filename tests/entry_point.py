@@ -84,6 +84,9 @@ CASES = [
     # on one CPU the heralded chain's two blocks, routed on two threads,
     # give the same bytes
     {**HERALDED, "name": "one_cpu_heralded_chain", "one_cpu": True},
+    # the pair chain at 800 uW: about 116 k pairs, routed in two runs
+    {"name": "paper_chain_800uW", "config": CHAIN["config"], "args": CHAIN["args"],
+     "edits": {"source.pump_power_uW": 800}, "sha256": {"tags.csv": "paper_chain_800uW/tags.csv"}},
     # analyze imports no numpy, so the BLAS kernel chosen for the CPU
     # cannot change its bytes
     {**ANALYZE, "name": "paper_analyze_zen", "env": {"OPENBLAS_CORETYPE": "Zen"}},

@@ -35,6 +35,33 @@ def test_chain_validation():
         ct.DetectionChain(topology="ring")
     with pytest.raises(DomainError):
         ct.SourceRates(-1.0, 1.0)
+    # the channels of ROUTES, in order of first mention
+    assert ct.DetectionChain().channels == ct.PAIR_CHANNELS
+    assert ct.DetectionChain(topology="heralded").channels == ct.HERALDED_CHANNELS
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ct.DetectionChain(dark_rate_hz=-1.0), "dark rate and jitter must be nonnegative"),
+    (lambda: ct.DetectionChain(dark_rate_hz=_NAN), "dark rate and jitter must be nonnegative"),
+    (lambda: ct.DetectionChain(jitter_fwhm_ns=_NAN), "dark rate and jitter must be nonnegative"),
+    (lambda: ct.DetectionChain(jitter_fwhm_ns=_INF), "jitter and integration time must be finite"),
+    (lambda: ct.DetectionChain(integration_time_ms=_INF),
+     "jitter and integration time must be finite"),
+    (lambda: ct.SourceRates(1450.0, _NAN), "source rates must be nonnegative"),
+    (lambda: ct.SourceRates(_NAN, 7.0), "source rates must be nonnegative"),
+    (lambda: ct.SourceRates(_INF, 0.0), "source rates must be finite"),
+    (lambda: ct.SourceRates(1450.0, _INF), "source rates must be finite"),
+], ids=["negative-dark", "nan-dark", "nan-jitter", "inf-jitter", "inf-time", "nan-power",
+        "nan-rate", "inf-rate-no-power", "inf-power"])
+def test_non_finite_chain_and_source_values_are_refused(make, message):
+    """Each refused as a DomainError: a NaN or infinite jitter left every
+    photon click out of the window, and a NaN dark rate or pair rate (0 x
+    inf included) reached numpy's draws as a bare ValueError."""
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        make()
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +506,22 @@ def test_expected_clicks_matches_simulation(topology):
     # about 1e-9 of the clicks out of the window
     chain = ct.DetectionChain(dark_rate_hz=2000.0, topology=topology)
     src = ct.SourceRates(1e3, 100.0)  # 1e4 pairs per 100 ms window
+    for routes in ct.ROUTES[topology]:  # each photon takes one of its routes
+        assert sum(share for _, share, _ in routes) == 1.0
+    window_s = chain.integration_time_ms * 1e-3
+    per_channel = dict.fromkeys(chain.channels, chain.dark_rate_hz * window_s)
+    for (label, _), p in ct._click_probabilities(chain).items():
+        per_channel[label] += src.pair_rate_hz * window_s * p
     expected = ct._expected_clicks(src, chain)
-    clicks = [sum(len(t) for t in ct.simulate_tags(src, chain, seed).channels.values())
-              for seed in range(20)]
-    # a pair gives 0, 1 or 2 clicks, so the variance of a window's total is
-    # at most twice its mean: 5 standard errors of the mean of 20 windows
-    assert abs(np.mean(clicks) - expected) < 5 * np.sqrt(2 * expected / len(clicks))
+    assert sum(per_channel.values()) == pytest.approx(expected, rel=1e-12)
+    runs = [ct.simulate_tags(src, chain, seed).channels for seed in range(20)]
+    # a pair gives 0, 1 or 2 clicks, in all and on one channel, so the
+    # variance of a window's count is at most twice its mean: 5 standard
+    # errors of the mean of 20 windows
+    for label, mean in [*per_channel.items(), ("all", expected)]:
+        clicks = [sum(len(t) for channel, t in channels.items() if label in (channel, "all"))
+                  for channels in runs]
+        assert abs(np.mean(clicks) - mean) < 5 * np.sqrt(2 * mean / len(clicks)), label
 
 
 def test_dark_counts_poisson_statistics():
