@@ -35,14 +35,14 @@ def read(path):
         return fh.read()
 
 
-def jsa_json(measured):
+def jsa_json(measured, te_free_fs, te_fiber_fs):
     """The sidecars and te_report.json of a jsa run."""
     def sidecar(domain, units):
         return {"axis_units": units, "domain": domain, "measured": measured,
                 "normalized": not measured}
     return {"jsi.json": sidecar("spectral", "rad/s"), "jti.json": sidecar("temporal", "s"),
-            "te_report.json": {"config": ..., "entanglement_time_fiber_fs": ...,
-                               "entanglement_time_free_fs": ..., "fiber_beta_fs2": 33000.0,
+            "te_report.json": {"config": ..., "entanglement_time_fiber_fs": te_fiber_fs,
+                               "entanglement_time_free_fs": te_free_fs, "fiber_beta_fs2": 33000.0,
                                "measured_input": measured}}
 
 
@@ -58,7 +58,8 @@ TUNING, JSA, CHAIN, SCENARIO, ANALYZE = PAPER = [
      "golden": {"tuning_summary.json": "golden_tuning_summary.json",
                 "tuning_curve.csv": "golden_tuning_curve.csv"}},
     {"name": "paper_jsa", "config": "configs/paper_jsa.json", "args": ["jsa"],
-     "json": jsa_json(False)},
+     "json": jsa_json(False, 133.25411103674415, 2572.5833179620568),
+     "sha256": {"jsi.csv": "paper_jsa/jsi.csv", "jti.csv": "paper_jsa/jti.csv"}},
     {"name": "paper_chain", "config": "configs/paper_chain.json",
      "args": ["simulate", "--seed", "42"],
      "golden": {"count_summary.json": "golden_count_summary_seed42.json"},
@@ -92,7 +93,8 @@ CASES = [
     {**ANALYZE, "name": "paper_analyze_zen", "env": {"OPENBLAS_CORETYPE": "Zen"}},
     # the measured-JSI path, whose resampler needs no scipy: the model's own
     # jsi.csv read back on its angular-frequency axes
-    {**JSA, "name": "measured_jsa", "json": jsa_json(True),
+    {**JSA, "name": "measured_jsa", "json": jsa_json(True, 70.69120459469868, 2589.4441928452325),
+     "sha256": {"jsi.csv": "measured_jsa/jsi.csv", "jti.csv": "measured_jsa/jti.csv"},
      "edits": {"measured_jsi_csv": "{work}/paper_jsa/jsi.csv", "measured_axis_units": "rad/s"}},
     # a crystal held at 10 C or 200 C is at that + 49.1 C inside, where
     # tuning-curve never evaluates: its curve and summary are the paper
