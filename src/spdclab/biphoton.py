@@ -20,7 +20,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import math
 import warnings
@@ -96,7 +96,9 @@ class GridSpec:
 class JointSpectrum:
     """Amplitude sampled on a 2D (signal, idler) grid: real until a phase
     (:func:`apply_fiber_phase`) or the transform (:func:`to_temporal`)
-    makes it complex.
+    makes it complex.  It holds the n x n matrix, except that the model JSA
+    of :func:`build_jsa` is a :class:`BandSpectrum`, which holds its band's
+    cells and makes the matrix when ``amplitude`` is read.
 
     In the spectral domain the axes are angular frequencies in rad/s; in
     the temporal domain they are times in seconds.
@@ -126,6 +128,26 @@ class JointSpectrum:
         return True
 
 
+class BandSpectrum(JointSpectrum):
+    """A real spectral-domain :class:`JointSpectrum` held as the cells of a
+    band: ``values`` at the cells (``rows``, ``cols``), in row-major order;
+    every other cell is 0.  ``amplitude`` makes the dense n x n matrix anew
+    on each read, so :func:`to_temporal` and :func:`export_matrix_csv` read
+    the cells themselves, and ``dataclasses.replace`` does not apply."""
+
+    def __init__(self, rows, cols, values, axis_s, axis_i):
+        for name, value in (("rows", rows), ("cols", cols), ("values", values),
+                            ("axis_s", axis_s), ("axis_i", axis_i), ("domain", "spectral")):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @property
+    def amplitude(self) -> np.ndarray:
+        amp = np.zeros((len(self.axis_s), len(self.axis_i)), self.values.dtype)
+        amp[self.rows, self.cols] = self.values
+        return amp
+
+
 def pump_envelope(env: PumpEnvelope, omega_s, omega_i):
     """Gaussian pump amplitude exp(-(w_s + w_i - w_p)^2 / (2 sigma_p^2)).
 
@@ -146,26 +168,27 @@ def phase_matching_function(cfg: CrystalConfig, omega_s, omega_i):
     return np.sinc(x / np.pi)
 
 
-def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpectrum:
-    """Normalized joint spectral amplitude alpha * phi on a square grid, a
-    real float64 matrix.
+def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> BandSpectrum:
+    """Normalized joint spectral amplitude alpha * phi on a square grid,
+    real float64 values on the cells of a band.
 
     Only the band of anti-diagonals i + j that the pump envelope reaches is
-    evaluated (:func:`_pump_band`); every other cell is 0.  Raises
-    CoverageError when no cell of the band holds an envelope above 1e-16,
-    then when a non-negligible fraction of the squared mass sits in the
-    outermost grid ring, i.e. the grid truncates the spectrum.  Before any
-    array is made, raises MemoryError when numpy cannot index it, then
-    DomainError when the crystal's effective temperature is outside the
-    material window.  The call holds the JSA, its square for the
-    normalisation and arrays of the band's size.
+    evaluated (:func:`_pump_band`), and only its cells whose envelope
+    exceeds 1e-16 are kept; every other cell is 0.  Raises CoverageError
+    when no cell of the band holds such an envelope, then when a
+    non-negligible fraction of the squared mass sits in the outermost grid
+    ring, i.e. the grid truncates the spectrum.  Before any array is made,
+    raises MemoryError when numpy cannot index it, then DomainError when
+    the crystal's effective temperature is outside the material window.
+    The squared JSA is summed as an n x n float64 matrix, so the total and
+    every value keep the bits of the dense build; that square is freed
+    before the call returns, which leaves arrays of the band's size.
     """
     if int(grid.n) ** 2 > np.iinfo(np.intp).max:
         raise MemoryError(f"grid.n {grid.n} makes a {grid.n} x {grid.n} matrix, "
                           "larger than numpy can index")
     cfg.model.check_temperature(cfg.effective_temperature_C)  # before any n x n array
     axis = grid.omega_axis()
-    amp = np.zeros((len(axis), len(axis)))
     rows, cols = _pump_band(env, axis)
     alpha = pump_envelope(env, axis[rows], axis[cols])
     # Only evaluate the dispersion model where the pump envelope is
@@ -176,10 +199,11 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpe
     if not np.any(mask):
         raise CoverageError("grid does not overlap the pump envelope")
     rows, cols = rows[mask], cols[mask]
-    amp[rows, cols] = alpha[mask] * phase_matching_function(cfg, axis[rows], axis[cols])
-    del alpha, mask, rows, cols
+    values = alpha[mask] * phase_matching_function(cfg, axis[rows], axis[cols])
+    del alpha, mask
 
-    intensity = amp ** 2
+    intensity = np.zeros((len(axis), len(axis)))
+    intensity[rows, cols] = values ** 2
     total = float(np.sum(intensity))
     if total == 0.0:
         raise CoverageError("grid does not overlap the joint spectrum")
@@ -194,8 +218,8 @@ def build_jsa(cfg: CrystalConfig, env: PumpEnvelope, grid: GridSpec) -> JointSpe
             f"grid too narrow: boundary ring holds {fraction:.3e} of the squared mass")
 
     dw = axis[1] - axis[0]
-    amp /= np.sqrt(total * dw * dw)
-    return JointSpectrum(amplitude=amp, axis_s=axis.copy(), axis_i=axis.copy(), domain="spectral")
+    values /= np.sqrt(total * dw * dw)
+    return BandSpectrum(rows, cols, values, axis.copy(), axis.copy())
 
 
 def _pump_band(env: PumpEnvelope, axis: np.ndarray):
@@ -249,7 +273,7 @@ def apply_fiber_phase(js: JointSpectrum, beta_fs2: float, reference_omega: float
     phase_s, phase_i = _fiber_phases(js, beta_fs2, reference_omega)
     amp = js.amplitude * phase_s[:, None]
     amp *= phase_i[None, :]
-    return replace(js, amplitude=amp)
+    return JointSpectrum(amp, js.axis_s, js.axis_i, js.domain)
 
 
 def to_temporal(js: JointSpectrum, beta_fs2: float = 0.0,
@@ -262,14 +286,17 @@ def to_temporal(js: JointSpectrum, beta_fs2: float = 0.0,
 
     Time axes are derived from the frequency spacing; the phase origin of
     the transform is the sample at index n // 2 of each frequency axis.
-    The input is left unchanged: the ``ifftshift`` of the input is written
-    into the one complex n x n buffer as four block copies, times phase_s
-    of each source row, and the buffer is then multiplied in place by the
-    shifted phase_i, so each value is (input * phase_s) * phase_i as
-    :func:`apply_fiber_phase` forms it.  The transform, the scaling and the
-    ``fftshift`` (:func:`_fftshift_in_place`) also work in place
-    (``fft2``'s ``out`` needs numpy >= 2.0).  So the call holds that
-    buffer, two rows and the phase vectors besides its input.  A real
+    The input is left unchanged: the ``ifftshift`` of the input, times
+    phase_s of each source row, is written into the one complex n x n
+    buffer, and the buffer is then multiplied in place by the shifted
+    phase_i, so each value is (input * phase_s) * phase_i as
+    :func:`apply_fiber_phase` forms it.  A dense input is written as four
+    block copies; a :class:`BandSpectrum` is scattered into the zeroed
+    buffer, its cells' ``values * phase_s[rows]`` formed as one array.
+    The transform, the scaling and the ``fftshift``
+    (:func:`_fftshift_in_place`) also work in place (``fft2``'s ``out``
+    needs numpy >= 2.0).  So the call holds that buffer, two rows, the
+    phase vectors and arrays of a band's size besides its input.  A real
     amplitude is promoted to the matching complex type, as ``fft2`` would,
     or to complex128 by a phase.  Every refusal comes before the buffer
     exists.
@@ -280,21 +307,38 @@ def to_temporal(js: JointSpectrum, beta_fs2: float = 0.0,
         raise DomainError("fiber dispersion must be finite")
     if not js.axes_uniform():
         raise DomainError("FFT requires uniformly spaced axes")
-    n_s, n_i = js.amplitude.shape
+    n_s, n_i = len(js.axis_s), len(js.axis_i)
+    band = isinstance(js, BandSpectrum)
+    source = js.values if band else js.amplitude
     dw_s, dw_i = js.step("s"), js.step("i")
     scale = dw_s * dw_i / TWO_PI  # unitary continuum normalization
     if beta_fs2 == 0.0:
         phase_s = phase_i = None
-        jta = np.empty((n_s, n_i), np.result_type(js.amplitude, 1j))
+        dtype = np.result_type(source, 1j)
     else:
         phase_s, phase_i = _fiber_phases(js, beta_fs2, reference_omega)
-        jta = np.empty((n_s, n_i), np.result_type(js.amplitude, phase_s))
-    for src_s, dst_s in _ifftshift_blocks(n_s):
-        for src_i, dst_i in _ifftshift_blocks(n_i):
-            if phase_s is None:
-                jta[dst_s, dst_i] = js.amplitude[src_s, src_i]
-            else:
-                np.multiply(js.amplitude[src_s, src_i], phase_s[src_s, None], out=jta[dst_s, dst_i])
+        dtype = np.result_type(source, phase_s)
+    if band:
+        # the flat ifftshifted cells; a phase times a real value rounds once
+        # per part, so the product over one long array has the bits of the
+        # dense path's blocks
+        cells = js.rows - n_s // 2
+        cells %= n_s
+        cells *= n_i
+        cells += (js.cols - n_i // 2) % n_i
+        if phase_s is not None:
+            source = phase_s[js.rows]
+            source *= js.values
+        jta = np.zeros((n_s, n_i), dtype)
+        jta.reshape(-1)[cells] = source
+    else:
+        jta = np.empty((n_s, n_i), dtype)
+        for src_s, dst_s in _ifftshift_blocks(n_s):
+            for src_i, dst_i in _ifftshift_blocks(n_i):
+                if phase_s is None:
+                    jta[dst_s, dst_i] = source[src_s, src_i]
+                else:
+                    np.multiply(source[src_s, src_i], phase_s[src_s, None], out=jta[dst_s, dst_i])
     if phase_i is not None:
         # whole rows: numpy rounds an in-place complex product over a run of
         # one value (a one-column block) differently from a longer run
@@ -410,8 +454,10 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path, measured: bool)
     ``\\n``.  The header rows are written by that expression.  The matrix
     is written in chunks of at most ``_EXPORT_CHUNK_VALUES`` values
     (:func:`_write_matrix`), and the intensity ``|a|**2`` is computed one
-    chunk at a time, so the export holds no n x n array besides ``js``,
-    which it leaves unchanged.  A chunk of +0.0 and positive values of at least
+    chunk at a time into one reused buffer; a :class:`BandSpectrum`'s
+    chunk is zeroed and takes the squares of the band cells that lie in
+    it.  So the export holds no n x n array besides ``js``, which it leaves
+    unchanged.  A chunk of +0.0 and positive values of at least
     1e-290 whose text has a two-digit exponent, as the JSI and JTI of
     ``spdclab jsa`` are, is rendered from integer digits in 19-byte slots,
     ``d.dddddddddddde±dd`` plus the separator; a zero cell is a copy of
@@ -438,16 +484,26 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path, measured: bool)
     its chunk to the value-by-value writer.
     """
     units = "rad/s" if js.domain == "spectral" else "s"
+    shape = (len(js.axis_s), len(js.axis_i))
+    if isinstance(js, BandSpectrum):
+        cells = js.rows * shape[1] + js.cols  # row-major, so increasing
+        squares = np.square(js.values)  # the bits of np.abs(v) ** 2
+
+        def intensity(lo, hi, out):
+            first, last = np.searchsorted(cells, (lo, hi))
+            out[:] = 0.0
+            out[cells[first:last] - lo] = squares[first:last]
+            return out
+    else:
+        flat = js.amplitude.reshape(-1)
+
+        def intensity(lo, hi, out):  # np.abs(a) ** 2 into the reused buffer
+            return np.square(np.abs(flat[lo:hi], out=out), out=out)
+
     with open(csv_path, "wb") as fh:
         fh.write(("# axis_s: " + " ".join(f"{v:.12e}" for v in js.axis_s) + "\n").encode())
         fh.write(("# axis_i: " + " ".join(f"{v:.12e}" for v in js.axis_i) + "\n").encode())
-        square = np.empty(min(js.amplitude.size, _EXPORT_CHUNK_VALUES))
-
-        def intensity(chunk):  # np.abs(chunk) ** 2 into one reused buffer
-            out = square[:len(chunk)]
-            return np.square(np.abs(chunk, out=out), out=out)
-
-        _write_matrix(fh, js.amplitude, intensity)
+        _write_matrix(fh, shape, intensity)
     sidecar = {
         "domain": js.domain,
         "axis_units": units,
@@ -457,8 +513,11 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path, measured: bool)
     write_json(sidecar, sidecar_path)
 
 
-# values per chunk of export_matrix_csv and per row block of _resample_uniform
-_EXPORT_CHUNK_VALUES = 1 << 16
+# values per chunk of export_matrix_csv
+_EXPORT_CHUNK_VALUES = 1 << 14
+
+# cells per row block of _resample_uniform
+_RESAMPLE_BLOCK_VALUES = 1 << 16
 
 # fl(10**k) for k = -_POW10_ZERO .. 308, correctly rounded by float()
 _POW10_ZERO = 307
@@ -474,24 +533,27 @@ _HALF_WINDOW = 2.5e-3
 _ZERO_E12 = np.frombuffer(b"0.000000000000e+00", dtype=np.uint8)
 
 
-def _write_matrix(fh, matrix, values) -> None:
-    """Write ``np.savetxt(fh, values(matrix), delimiter=",", fmt="%.12e")``
-    to the binary ``fh``.  ``values`` acts elementwise; it is applied to one
-    flat run of at most ``_EXPORT_CHUNK_VALUES`` cells at a time, so no
-    full-size result is held.  The rendering arrays are allocated once
+def _write_matrix(fh, shape, values) -> None:
+    """Write ``np.savetxt(fh, m, delimiter=",", fmt="%.12e")`` of the real
+    matrix ``m`` of ``shape`` to the binary ``fh``, one flat run of at most
+    ``_EXPORT_CHUNK_VALUES`` cells at a time: ``values(lo, hi, out)``
+    returns the cells lo:hi of ``m`` (``out`` is a buffer of that length),
+    so no full-size matrix need exist.  The buffers are allocated once
     (:class:`_E12Scratch`) and reused for every run."""
-    flat = matrix.reshape(-1)
-    scratch = _E12Scratch(min(flat.size, _EXPORT_CHUNK_VALUES))
-    for lo in range(0, flat.size, _EXPORT_CHUNK_VALUES):
-        fh.write(_render_e12(values(flat[lo:lo + _EXPORT_CHUNK_VALUES]), lo, matrix.shape[1],
-                             scratch))
+    size = shape[0] * shape[1]
+    scratch = _E12Scratch(min(size, _EXPORT_CHUNK_VALUES))
+    for lo in range(0, size, _EXPORT_CHUNK_VALUES):
+        hi = min(lo + _EXPORT_CHUNK_VALUES, size)
+        fh.write(_render_e12(values(lo, hi, scratch.cells[:hi - lo]), lo, shape[1], scratch))
 
 
 class _E12Scratch:
-    """The arrays that :func:`_render_e12` fills for a run of up to
-    ``size`` values; the slot of value k is row k of ``slots``."""
+    """The arrays that :func:`_write_matrix` fills for a run of up to
+    ``size`` values: ``cells`` for the run itself, the others by
+    :func:`_render_e12`; the slot of value k is row k of ``slots``."""
 
     def __init__(self, size: int):
+        self.cells = np.empty(size)
         self.nonzero = np.empty(size, dtype=bool)
         self.flag = np.empty(size, dtype=bool)
         self.magnitude = np.empty(size)
@@ -680,7 +742,7 @@ def _resample_uniform(axis_s, axis_i, intensity):
     so none takes a fill value.
 
     The result is written into one preallocated array, a block of about
-    ``_EXPORT_CHUNK_VALUES`` cells (whole rows) at a time, so the
+    ``_RESAMPLE_BLOCK_VALUES`` cells (whole rows) at a time, so the
     temporaries of the expression are block-sized and the call holds no
     n x n array besides ``intensity`` and the result.
     """
@@ -693,7 +755,7 @@ def _resample_uniform(axis_s, axis_i, intensity):
     (i, y0), (j, y1) = _cells(axis_s, uni_s), _cells(axis_i, uni_i)
     y1 = y1[None, :]
     resampled = np.empty((len(uni_s), len(uni_i)))
-    rows = max(1, _EXPORT_CHUNK_VALUES // len(uni_i))
+    rows = max(1, _RESAMPLE_BLOCK_VALUES // len(uni_i))
     for r in range(0, len(uni_s), rows):
         block = slice(r, r + rows)
         w = y0[block, None]

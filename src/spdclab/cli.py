@@ -140,12 +140,12 @@ def cmd_jsa(args, cfg: dict, given: dict) -> int:
         jsa = biphoton.build_jsa(crystal, env, grid)
         reference_omega = env.omega_p / 2.0
 
-    # the JSA stays real; each to_temporal holds it and one n x n complex
-    # buffer, into which it copies the JSA shifted (and, for the fiber,
-    # phased): the free JTA is reduced to its T_e at once, and the JSA is
-    # dropped once the fiber JTA exists.  The free FFT and T_e come before
-    # jsi.*, the fiber T_e before jti.*: a refused T_e leaves no matrix it
-    # comes from.
+    # the JSA stays real (the model's as its band, a measured one dense);
+    # each to_temporal holds it and one n x n complex buffer, into which it
+    # copies the JSA shifted (and, for the fiber, phased): the free JTA is
+    # reduced to its T_e at once, and the JSA is dropped once the fiber JTA
+    # exists.  The free FFT and T_e come before jsi.*, the fiber T_e before
+    # jti.*: a refused T_e leaves no matrix it comes from.
     te_free = biphoton.entanglement_time_from_jti(biphoton.to_temporal(jsa))
     biphoton.export_matrix_csv(jsa, os.path.join(args.out, "jsi.csv"),
                                os.path.join(args.out, "jsi.json"), measured)

@@ -345,7 +345,8 @@ def apply_fiber_phase_reference(js, beta_fs2, reference_omega):
     beta = beta_fs2 * FS ** 2
     phase_s = np.exp(1j * beta / 2.0 * (js.axis_s - reference_omega) ** 2)
     phase_i = np.exp(1j * beta / 2.0 * (js.axis_i - reference_omega) ** 2)
-    return replace(js, amplitude=js.amplitude * phase_s[:, None] * phase_i[None, :])
+    return biphoton.JointSpectrum(js.amplitude * phase_s[:, None] * phase_i[None, :],
+                                  js.axis_s, js.axis_i, js.domain)
 
 
 def to_temporal_reference(js):

@@ -207,16 +207,42 @@ def test_fiber_phase_refuses_non_finite_beta(jsa_1024, jta_free_1024, pump, beta
 # ---------------------------------------------------------------------------
 # in-place pipeline against the out-of-place expressions, bit for bit
 
+def _band_case(crystal, pump_fwhm_nm, window_um_min):
+    """The crystal and pump of a band case: ``window_um_min`` (None: the
+    material's) lowers the crystal's wavelength window, so that a band
+    over the whole grid can be evaluated."""
+    if window_um_min is not None:
+        crystal = replace(crystal, model=replace(crystal.model, wavelength_um_min=window_um_min))
+    return crystal, PumpEnvelope.from_wavelength(LAMBDA_P_NM, pump_fwhm_nm)
+
+
 # the band-only build against the full grid: centred on 2 lambda_p, where
 # the pump band runs corner to corner, and off it, where its anti-diagonals
-# end on the top and left (790 nm) or the bottom and right (840 nm) edges
-@pytest.mark.parametrize("grid", [GridSpec(n=1024, center_lambda_nm=810.0, half_span_nm=60.0),
-                                  GridSpec(n=301, center_lambda_nm=812.0, half_span_nm=45.0),
-                                  GridSpec(n=64, center_lambda_nm=810.0, half_span_nm=60.0),
-                                  GridSpec(n=2048, center_lambda_nm=810.0, half_span_nm=60.0),
-                                  GridSpec(n=256, center_lambda_nm=790.0, half_span_nm=60.0),
-                                  GridSpec(n=301, center_lambda_nm=840.0, half_span_nm=90.0)])
-def test_build_jsa_bytes_equal_meshgrid_reference(crystal, pump, grid):
+# end on the top and left (790 nm) or the bottom and right (840 nm) edges.
+# The paper pump keeps three anti-diagonals at n = 1023 (odd, so ifftshift
+# splits its runs), 1024 and 2048, and one on the coarser grids.  A 60 nm
+# pump makes a band that fills the grid (the window lowered to 300 nm,
+# where the grid's sums reach); a 0.3 nm pump on 30 nm puts squared mass on
+# the grid edge, which the ring check refuses
+@pytest.mark.parametrize("grid, pump_fwhm_nm, window_um_min, refusal", [
+    (GridSpec(n=1024, center_lambda_nm=810.0, half_span_nm=60.0), 0.01, None, None),
+    (GridSpec(n=301, center_lambda_nm=812.0, half_span_nm=45.0), 0.01, None, None),
+    (GridSpec(n=64, center_lambda_nm=810.0, half_span_nm=60.0), 0.01, None, None),
+    (GridSpec(n=2048, center_lambda_nm=810.0, half_span_nm=60.0), 0.01, None, None),
+    (GridSpec(n=256, center_lambda_nm=790.0, half_span_nm=60.0), 0.01, None, None),
+    (GridSpec(n=301, center_lambda_nm=840.0, half_span_nm=90.0), 0.01, None, None),
+    (GridSpec(n=1023, center_lambda_nm=810.0, half_span_nm=60.0), 0.01, None, None),
+    (GridSpec(n=33, center_lambda_nm=810.0, half_span_nm=60.0), 60.0, 0.3, None),
+    (GridSpec(n=255, center_lambda_nm=810.0, half_span_nm=30.0), 0.3, None,
+     "grid too narrow: boundary ring holds 7.330e-03 of the squared mass"),
+], ids=[*(f"grid{k}" for k in range(6)), "odd-n", "full-band", "ring-refusal"])
+def test_build_jsa_bytes_equal_meshgrid_reference(crystal, grid, pump_fwhm_nm, window_um_min,
+                                                  refusal):
+    crystal, pump = _band_case(crystal, pump_fwhm_nm, window_um_min)
+    if refusal:
+        with pytest.raises(CoverageError, match=f"^{refusal}$"):
+            build_jsa(crystal, pump, grid)
+        return
     js, ref = build_jsa(crystal, pump, grid), build_jsa_reference(crystal, pump, grid)
     assert js.amplitude.tobytes() == ref.amplitude.tobytes()
     assert js.axis_s.tobytes() == ref.axis_s.tobytes() == js.axis_i.tobytes()
@@ -224,6 +250,8 @@ def test_build_jsa_bytes_equal_meshgrid_reference(crystal, pump, grid):
     if grid.center_lambda_nm != 810.0:
         assert (band.max() < grid.n - 1) == (grid.center_lambda_nm < 810.0)
         assert (band.min() > grid.n - 1) == (grid.center_lambda_nm > 810.0)
+    if pump_fwhm_nm == 60.0:
+        assert len(js.values) == grid.n ** 2
 
 
 @pytest.mark.parametrize("grid", [GridSpec(n=64, center_lambda_nm=700.0, half_span_nm=20.0),
@@ -286,7 +314,8 @@ def test_to_temporal_non_complex128_input_equals_reference(dtype):
     assert amplitude.tobytes() == before.tobytes()
 
 
-def test_pipeline_bytes_equal_reference_model(jsa_1024, jta_free_1024, jta_fiber_1024, pump):
+def test_pipeline_bytes_equal_reference_model(crystal, jsa_1024, jta_free_1024, jta_fiber_1024,
+                                              pump):
     # jta_fiber_1024 is to_temporal(jsa_1024, beta, w_p / 2), as spdclab jsa
     # computes it
     fiber = (BETA_FIBER_FS2, pump.omega_p / 2.0)
@@ -301,6 +330,18 @@ def test_pipeline_bytes_equal_reference_model(jsa_1024, jta_free_1024, jta_fiber
     assert (to_temporal(jsa_1024, *fiber).amplitude.tobytes()
             == jta_fiber_1024.amplitude.tobytes())
     assert jsa_1024.amplitude.tobytes() == before.tobytes()
+    # the band cases of test_build_jsa_bytes_equal_meshgrid_reference: one
+    # anti-diagonal, an odd n, a band that fills the grid; beta = 0 as well
+    for grid, pump_fwhm_nm, window_um_min in [
+            (GridSpec(n=64, center_lambda_nm=810.0, half_span_nm=60.0), 0.01, None),
+            (GridSpec(n=1023, center_lambda_nm=810.0, half_span_nm=60.0), 0.01, None),
+            (GridSpec(n=33, center_lambda_nm=810.0, half_span_nm=60.0), 60.0, 0.3)]:
+        jsa = build_jsa(*_band_case(crystal, pump_fwhm_nm, window_um_min), grid)
+        for beta_fs2 in (BETA_FIBER_FS2, 0.0):
+            ref = to_temporal_reference(apply_fiber_phase_reference(jsa, beta_fs2, fiber[1]))
+            jta = to_temporal(jsa, beta_fs2, fiber[1])
+            assert jta.amplitude.tobytes() == ref.amplitude.tobytes(), (grid, beta_fs2)
+            assert jta.axis_s.tobytes() == ref.axis_s.tobytes()
 
 
 @pytest.mark.parametrize("beta_fs2", [float("nan"), float("inf"), float("-inf"), BETA_FIBER_FS2])
@@ -550,7 +591,11 @@ def test_export_bytes_equal_reference_jsa_256(tmp_path, crystal, pump):
     jsa = build_jsa(crystal, pump, GridSpec(n=256, center_lambda_nm=810.0, half_span_nm=60.0))
     jti = to_temporal(apply_fiber_phase(jsa, BETA_FIBER_FS2, pump.omega_p / 2.0))
     assert jti.axis_s[0] < 0
-    for js in (jsa, jti):
+    # and the bands of an odd grid and of one that the band fills
+    odd = build_jsa(crystal, pump, GridSpec(n=301, center_lambda_nm=812.0, half_span_nm=45.0))
+    full = build_jsa(*_band_case(crystal, 60.0, 0.3),
+                     GridSpec(n=33, center_lambda_nm=810.0, half_span_nm=60.0))
+    for js in (jsa, jti, odd, full):
         _assert_export_identical(js, tmp_path)
 
 
@@ -640,8 +685,9 @@ def _matrices(draw):
 def _assert_matrix_identical(matrix, tmp_path):
     # export_matrix_csv writes |amplitude|**2 through _write_matrix, which
     # takes any real matrix: negative, NaN and infinite cells included
+    flat = matrix.reshape(-1)
     with open(tmp_path / "m.csv", "wb") as fh:
-        biphoton._write_matrix(fh, matrix, lambda chunk: chunk)
+        biphoton._write_matrix(fh, matrix.shape, lambda lo, hi, out: flat[lo:hi])
     with open(tmp_path / "ref.csv", "w") as fh:
         np.savetxt(fh, matrix, delimiter=",", fmt="%.12e")
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -527,16 +527,21 @@ def test_jsa_measured_outputs_equal_reference(tmp_path):
 @pytest.mark.parametrize("beta_fs2, measured", [(33000.0, False), (0.0, False), (33000.0, True)],
                          ids=["33000.0", "0.0", "measured"])
 def test_jsa_peak_memory_is_two_matrices(tmp_path, monkeypatch, beta_fs2, measured):
-    # n = 1024: at 512 one 65 536-value export chunk adds 0.68 of a matrix
-    n = 1024
-    given = {**SMALL_JSA, "fiber_beta_fs2": beta_fs2, "grid": {"n": n, "half_span_nm": 60.0}}
+    # the model JSA is a band, so a run holds one complex n x n buffer, the
+    # export scratch and the band; a measured JSA is a real n x n matrix
+    # held beside that buffer.  n = 1024 for the measured path: at 512 one
+    # 65 536-cell resample block adds 0.66 of a matrix.  The model's grid
+    # keeps the paper grid's step, so its fiber JTI fits the time window
+    from spdclab import biphoton
+    n = 1024 if measured else 512
+    given = {**SMALL_JSA, "fiber_beta_fs2": beta_fs2,
+             "grid": {"n": n, "half_span_nm": 60.0 * n / 1024}}
     cfg = write_json(tmp_path / "jsa.json", given)
     assert run("jsa", "--config", cfg, "--out", str(tmp_path / "warm")) == 0
     if measured:  # the model's own JSI read back on its angular-frequency axes
         cfg = write_json(tmp_path / "measured.json", {
             **given, "measured_jsi_csv": str(tmp_path / "warm" / "jsi.csv"),
             "measured_axis_units": "rad/s"})
-        from spdclab import biphoton
         import_jsi_csv, import_peak = biphoton.import_jsi_csv, []
 
         def traced_import(*args, **kwargs):  # nothing large is allocated before it
@@ -545,18 +550,37 @@ def test_jsa_peak_memory_is_two_matrices(tmp_path, monkeypatch, beta_fs2, measur
             return js
 
         monkeypatch.setattr(biphoton, "import_jsi_csv", traced_import)
+    else:
+        build_jsa, band = biphoton.build_jsa, []
+
+        def kept_build(*args, **kwargs):
+            js = build_jsa(*args, **kwargs)
+            band.append(js.rows.nbytes + js.cols.nbytes + js.values.nbytes)
+            return js
+
+        monkeypatch.setattr(biphoton, "build_jsa", kept_build)
     tracemalloc.start()
     try:
         assert run("jsa", "--config", cfg, "--out", str(tmp_path / "out")) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the real JSA (8 n^2 bytes) and the one complex buffer of to_temporal
-    # (16 n^2), which it fills straight from the JSA: 1.53 x 16 n^2 measured
-    # (numpy 2.4); one more shifted or phased n x n copy reads 2.0
-    assert peak < 1.6 * 16 * n * n
-    if measured:  # the loaded and the resampled float64 intensity
+    if measured:
+        # the real JSA (8 n^2 bytes) and the one complex buffer of
+        # to_temporal (16 n^2), which it fills straight from the JSA: 1.53 x
+        # 16 n^2 measured (numpy 2.4); one more shifted or phased n x n copy
+        # reads 2.0.  The import holds the loaded and the resampled intensity
+        assert peak < 1.6 * 16 * n * n
         assert import_peak[0] < 1.3 * 16 * n * n
+    else:
+        # 1.02 x 16 n^2 beside the scratch and the band measured (numpy
+        # 2.4): 0.1 x 16 n^2 leaves room for row vectors, the 8192-value
+        # buffer of the in-place phase_i product and the axis header text,
+        # not for a dense real JSA (0.5 x 16 n^2)
+        scratch = biphoton._E12Scratch(biphoton._EXPORT_CHUNK_VALUES)
+        held = [*vars(scratch).values(), *scratch.digits]
+        scratch_bytes = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+        assert peak < 1.1 * 16 * n * n + scratch_bytes + band[0]
 
 
 def test_jsa_grid_that_misses_the_pump_exits_1(tmp_path, capsys):
