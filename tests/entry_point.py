@@ -35,14 +35,14 @@ def read(path):
         return fh.read()
 
 
-def jsa_json(measured, te_free_fs, te_fiber_fs):
-    """The sidecars and te_report.json of a jsa run."""
+def jsa_json(measured, te_free_fs, te_fiber_fs, beta_fs2=33000.0):
+    """The sidecars and te_report.json of a jsa run behind ``beta_fs2``."""
     def sidecar(domain, units):
         return {"axis_units": units, "domain": domain, "measured": measured,
                 "normalized": not measured}
     return {"jsi.json": sidecar("spectral", "rad/s"), "jti.json": sidecar("temporal", "s"),
             "te_report.json": {"config": ..., "entanglement_time_fiber_fs": te_fiber_fs,
-                               "entanglement_time_free_fs": te_free_fs, "fiber_beta_fs2": 33000.0,
+                               "entanglement_time_free_fs": te_free_fs, "fiber_beta_fs2": beta_fs2,
                                "measured_input": measured}}
 
 
@@ -96,6 +96,16 @@ CASES = [
     {**JSA, "name": "measured_jsa", "json": jsa_json(True, 70.69120459469868, 2589.4441928452325),
      "sha256": {"jsi.csv": "measured_jsa/jsi.csv", "jti.csv": "measured_jsa/jti.csv"},
      "edits": {"measured_jsi_csv": "{work}/paper_jsa/jsi.csv", "measured_axis_units": "rad/s"}},
+    # both in free space: the fiber JTI is the free one, whose bytes no
+    # other case fixes; the model's jsi.csv is paper_jsa's
+    {**JSA, "name": "paper_jsa_free", "edits": {"fiber_beta_fs2": 0},
+     "json": jsa_json(False, 133.25411103674415, 133.25411103674415, 0),
+     "sha256": {"jsi.csv": "paper_jsa/jsi.csv", "jti.csv": "paper_jsa_free/jti.csv"}},
+    {**JSA, "name": "measured_jsa_free",
+     "json": jsa_json(True, 70.69120459469868, 70.69120459469868, 0),
+     "sha256": {"jsi.csv": "measured_jsa/jsi.csv", "jti.csv": "measured_jsa_free/jti.csv"},
+     "edits": {"measured_jsi_csv": "{work}/paper_jsa/jsi.csv", "measured_axis_units": "rad/s",
+               "fiber_beta_fs2": 0}},
     # a crystal held at 10 C or 200 C is at that + 49.1 C inside, where
     # tuning-curve never evaluates: its curve and summary are the paper
     # config's but for the echoed config
