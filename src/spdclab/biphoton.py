@@ -259,8 +259,8 @@ def apply_fiber_phase(js: JointSpectrum, beta_fs2: float, reference_omega: float
     exp(i beta/2 (omega - reference_omega)^2) of each arm, beta_fs2 being
     the group delay dispersion in fs^2 that each photon sees outside the
     crystal; beta = 0 is free space and returns ``js`` itself.
-    :func:`to_temporal` applies the same phase, value for value, while it
-    copies its input.
+    :func:`to_temporal` applies the same two products, value for value,
+    to its buffer once it has placed its input there.
 
     Pure phase: |output| == |input| pointwise, marginals unchanged.
     """
@@ -286,20 +286,18 @@ def to_temporal(js: JointSpectrum, beta_fs2: float = 0.0,
 
     Time axes are derived from the frequency spacing; the phase origin of
     the transform is the sample at index n // 2 of each frequency axis.
-    The input is left unchanged: the ``ifftshift`` of the input, times
-    phase_s of each source row, is written into the one complex n x n
-    buffer, and the buffer is then multiplied in place by the shifted
-    phase_i, so each value is (input * phase_s) * phase_i as
-    :func:`apply_fiber_phase` forms it.  A dense input is written as four
-    block copies; a :class:`BandSpectrum` is scattered into the zeroed
-    buffer, its cells' ``values * phase_s[rows]`` formed as one array.
-    The transform, the scaling and the ``fftshift``
-    (:func:`_fftshift_in_place`) also work in place (``fft2``'s ``out``
-    needs numpy >= 2.0).  So the call holds that buffer, two rows, the
-    phase vectors and arrays of a band's size besides its input.  A real
-    amplitude is promoted to the matching complex type, as ``fft2`` would,
-    or to complex128 by a phase.  Every refusal comes before the buffer
-    exists.
+    The input is left unchanged.  It is placed, then phased: its
+    ``ifftshift`` is written into the one complex n x n buffer (a dense
+    input as four block copies, a :class:`BandSpectrum` scattered into the
+    zeroed buffer at its cells), and a fiber phase then multiplies the
+    whole buffer in place by the shifted phase_s, then phase_i, the two
+    products of :func:`apply_fiber_phase` in its order.  The transform,
+    the scaling and the ``fftshift`` (:func:`_fftshift_in_place`) also
+    work in place (``fft2``'s ``out`` needs numpy >= 2.0).  So the call
+    holds that buffer, two rows, the phase vectors and arrays of a band's
+    size besides its input.  A real amplitude is promoted to the matching
+    complex type, as ``fft2`` would, or to complex128 by a phase.  Every
+    refusal comes before the buffer exists.
     """
     if js.domain != "spectral":
         raise DomainError("to_temporal expects a spectral-domain spectrum")
@@ -312,36 +310,23 @@ def to_temporal(js: JointSpectrum, beta_fs2: float = 0.0,
     source = js.values if band else js.amplitude
     dw_s, dw_i = js.step("s"), js.step("i")
     scale = dw_s * dw_i / TWO_PI  # unitary continuum normalization
-    if beta_fs2 == 0.0:
-        phase_s = phase_i = None
-        dtype = np.result_type(source, 1j)
-    else:
-        phase_s, phase_i = _fiber_phases(js, beta_fs2, reference_omega)
-        dtype = np.result_type(source, phase_s)
+    phases = None if beta_fs2 == 0.0 else _fiber_phases(js, beta_fs2, reference_omega)
+    dtype = np.result_type(source, 1j if phases is None else phases[0])
     if band:
-        # the flat ifftshifted cells; a phase times a real value rounds once
-        # per part, so the product over one long array has the bits of the
-        # dense path's blocks
-        cells = js.rows - n_s // 2
+        cells = js.rows - n_s // 2  # the flat ifftshifted cells
         cells %= n_s
         cells *= n_i
         cells += (js.cols - n_i // 2) % n_i
-        if phase_s is not None:
-            source = phase_s[js.rows]
-            source *= js.values
         jta = np.zeros((n_s, n_i), dtype)
         jta.reshape(-1)[cells] = source
     else:
         jta = np.empty((n_s, n_i), dtype)
         for src_s, dst_s in _ifftshift_blocks(n_s):
             for src_i, dst_i in _ifftshift_blocks(n_i):
-                if phase_s is None:
-                    jta[dst_s, dst_i] = source[src_s, src_i]
-                else:
-                    np.multiply(source[src_s, src_i], phase_s[src_s, None], out=jta[dst_s, dst_i])
-    if phase_i is not None:
-        # whole rows: numpy rounds an in-place complex product over a run of
-        # one value (a one-column block) differently from a longer run
+                jta[dst_s, dst_i] = source[src_s, src_i]
+    if phases is not None:
+        phase_s, phase_i = phases
+        jta *= np.fft.ifftshift(phase_s)[:, None]
         jta *= np.fft.ifftshift(phase_i)[None, :]
     np.fft.fft2(jta, out=jta)
     jta *= scale

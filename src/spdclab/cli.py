@@ -142,7 +142,7 @@ def cmd_jsa(args, cfg: dict, given: dict) -> int:
 
     # the JSA stays real (the model's as its band, a measured one dense);
     # each to_temporal holds it and one n x n complex buffer, into which it
-    # copies the JSA shifted (and, for the fiber, phased): the free JTA is
+    # places the JSA shifted, then (for the fiber) phases it: the free JTA is
     # reduced to its T_e at once, and the JSA is dropped once the fiber JTA
     # exists.  The free FFT and T_e come before jsi.*, the fiber T_e before
     # jti.*: a refused T_e leaves no matrix it comes from.

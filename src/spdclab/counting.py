@@ -56,9 +56,6 @@ _PAIR_BLOCK = 1 << 16
 # which caps its memory above the channel arrays
 _JITTER_CHUNK = 1 << 18
 
-PAIR_CHANNELS = ("1", "2")
-HERALDED_CHANNELS = ("h", "1", "2")
-
 # per topology and photon of a pair: its routes (channel, share, coupler passages)
 ROUTES = {
     "pair": ((("1", 1.0, 1),), (("2", 1.0, 1),)),
@@ -67,6 +64,10 @@ ROUTES = {
 # per-pair random arrays: times, coupling, per photon a routing (if several routes) and a loss draw
 _DRAWS = {topology: 2 + sum(1 + (len(routes) > 1) for routes in photons)
           for topology, photons in ROUTES.items()}
+# per topology: its channels, in order of first mention
+_CHANNELS = {topology: tuple(dict.fromkeys(r[0] for routes in photons for r in routes))
+             for topology, photons in ROUTES.items()}
+HERALDED_CHANNELS = _CHANNELS["heralded"]
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class DetectionChain:
 
     @property
     def channels(self) -> tuple:
-        return tuple(dict.fromkeys(r[0] for routes in ROUTES[self.topology] for r in routes))
+        return _CHANNELS[self.topology]
 
 
 @dataclass(frozen=True)

@@ -256,7 +256,7 @@ def simulate_tags_reference(src, chain, seed: int) -> dict:
     clicks = {label: [] for label in chain.channels}
     if chain.topology == "pair":
         survive = chain.eta_insertion * chain.eta_detector
-        for label in counting.PAIR_CHANNELS:
+        for label in chain.channels:
             detected = coupled & (rng.random(n_pairs) < survive)
             clicks[label].append(pair_times[detected])
     else:

@@ -283,8 +283,8 @@ def test_pipeline_bytes_equal_reference_random(shape, seed):
     assert phased.amplitude.tobytes() == phased_ref.tobytes()
     jta = to_temporal(phased)
     assert jta.amplitude.tobytes() == to_temporal_reference(phased).amplitude.tobytes()
-    # the phase applied while the shifted input is copied into the FFT
-    # buffer, on a complex input and on a real one (as the model and the
+    # the phase applied to the FFT buffer once the shifted input is placed
+    # there, on a complex input and on a real one (as the model and the
     # measured JSA are), against the phased copy transformed out of place
     real = replace(js, amplitude=js.amplitude.real.copy())
     for spectrum in (js, real):
@@ -301,16 +301,19 @@ def test_pipeline_bytes_equal_reference_random(shape, seed):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex64])
 def test_to_temporal_non_complex128_input_equals_reference(dtype):
     # a real Gaussian JSA transforms to a complex JTA, as the out-of-place
-    # fft2 gives it; single precision stays single precision
+    # fft2 gives it; single precision stays single precision in free space
+    # and is promoted to complex128 by a fiber phase
     js = _random_spectrum((64, 48), 3)
     g = np.exp(-np.linspace(-3, 3, 64)[:, None] ** 2 - np.linspace(-2, 2, 48)[None, :] ** 2)
     amplitude = (g if dtype in (np.float64, np.float32) else g + 0.5j * g).astype(dtype)
     js = replace(js, amplitude=amplitude)
     before = amplitude.copy()
-    jta = to_temporal(js).amplitude
-    ref = to_temporal_reference(js).amplitude
-    assert jta.dtype == ref.dtype == np.result_type(dtype, 1j)
-    assert jta.tobytes() == ref.tobytes()
+    for beta_fs2, expected in ((0.0, np.result_type(dtype, 1j)), (BETA_FIBER_FS2, np.complex128)):
+        fiber = (beta_fs2, float(js.axis_s[21]))
+        jta = to_temporal(js, *fiber).amplitude
+        ref = to_temporal_reference(apply_fiber_phase_reference(js, *fiber)).amplitude
+        assert jta.dtype == ref.dtype == expected
+        assert jta.tobytes() == ref.tobytes()
     assert amplitude.tobytes() == before.tobytes()
 
 
