@@ -439,9 +439,9 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path, measured: bool)
     ``\\n``.  The header rows are written by that expression.  The matrix
     is written in chunks of at most ``_EXPORT_CHUNK_VALUES`` values
     (:func:`_write_matrix`), and the intensity ``|a|**2`` is computed one
-    chunk at a time into one reused buffer; a :class:`BandSpectrum`'s
-    chunk is zeroed and takes the squares of the band cells that lie in
-    it.  So the export holds no n x n array besides ``js``, which it leaves
+    chunk at a time, as a new array; a :class:`BandSpectrum`'s chunk
+    starts as zeros and takes the squares of the band cells that lie in it.
+    So the export holds no n x n array besides ``js``, which it leaves
     unchanged.  A chunk of +0.0 and positive values of at least
     1e-290 whose text has a two-digit exponent, as the JSI and JTI of
     ``spdclab jsa`` are, is rendered from integer digits in 19-byte slots,
@@ -474,16 +474,16 @@ def export_matrix_csv(js: JointSpectrum, csv_path, sidecar_path, measured: bool)
         cells = js.rows * shape[1] + js.cols  # row-major, so increasing
         squares = np.square(js.values)  # the bits of np.abs(v) ** 2
 
-        def intensity(lo, hi, out):
+        def intensity(lo, hi):
             first, last = np.searchsorted(cells, (lo, hi))
-            out[:] = 0.0
+            out = np.zeros(hi - lo)
             out[cells[first:last] - lo] = squares[first:last]
             return out
     else:
         flat = js.amplitude.reshape(-1)
 
-        def intensity(lo, hi, out):  # np.abs(a) ** 2 into the reused buffer
-            return np.square(np.abs(flat[lo:hi], out=out), out=out)
+        def intensity(lo, hi):  # the bits of np.abs(a) ** 2
+            return np.square(np.abs(flat[lo:hi]))
 
     with open(csv_path, "wb") as fh:
         fh.write(("# axis_s: " + " ".join(f"{v:.12e}" for v in js.axis_s) + "\n").encode())
@@ -521,90 +521,59 @@ _ZERO_E12 = np.frombuffer(b"0.000000000000e+00", dtype=np.uint8)
 def _write_matrix(fh, shape, values) -> None:
     """Write ``np.savetxt(fh, m, delimiter=",", fmt="%.12e")`` of the real
     matrix ``m`` of ``shape`` to the binary ``fh``, one flat run of at most
-    ``_EXPORT_CHUNK_VALUES`` cells at a time: ``values(lo, hi, out)``
-    returns the cells lo:hi of ``m`` (``out`` is a buffer of that length),
-    so no full-size matrix need exist.  The buffers are allocated once
-    (:class:`_E12Scratch`) and reused for every run."""
+    ``_EXPORT_CHUNK_VALUES`` cells at a time: ``values(lo, hi)`` returns the
+    cells lo:hi of ``m``, so no full-size matrix need exist.  Only the work
+    arrays of :func:`digits` are made once, for every run."""
     size = shape[0] * shape[1]
-    scratch = _E12Scratch(min(size, _EXPORT_CHUNK_VALUES))
+    work = digit_work(min(size, _EXPORT_CHUNK_VALUES))
     for lo in range(0, size, _EXPORT_CHUNK_VALUES):
         hi = min(lo + _EXPORT_CHUNK_VALUES, size)
-        fh.write(_render_e12(values(lo, hi, scratch.cells[:hi - lo]), lo, shape[1], scratch))
+        fh.write(_render_e12(values(lo, hi), lo, shape[1], work))
 
 
-class _E12Scratch:
-    """The arrays that :func:`_write_matrix` fills for a run of up to
-    ``size`` values: ``cells`` for the run itself, the others by
-    :func:`_render_e12`; the slot of value k is row k of ``slots``."""
-
-    def __init__(self, size: int):
-        self.cells = np.empty(size)
-        self.nonzero = np.empty(size, dtype=bool)
-        self.flag = np.empty(size, dtype=bool)
-        self.magnitude = np.empty(size)
-        self.q = np.empty(size)
-        self.work = np.empty(size)
-        self.exponent = np.empty(size, dtype=np.int64)
-        self.index = np.empty(size, dtype=np.int64)
-        self.digits = digit_work(size)
-        self.field = np.empty((18, size), dtype=np.uint8)
-        self.slots = np.empty((size, 19), dtype=np.uint8)
-
-
-def _render_e12(values, first: int, n_cols: int, scratch: _E12Scratch):
+def _render_e12(values, first: int, n_cols: int, work):
     """``'%.12e' % v`` plus its separator for each value of a flat run of a
     row-major matrix that starts at flat index ``first``: ``\\n`` after the
     last column, ``,`` after the others.  Returns the text as bytes or as
-    the rows of ``scratch.slots`` that hold it.
+    the uint8 rows of its slots; ``work`` is passed to :func:`digits`.
 
     The slot layout, and the proof of the error bound that decides which
     values take their slot from ``'%.12e'``, are in
     :func:`export_matrix_csv`.
     """
-    slots = scratch.slots[:len(values)]
-    separators = slots[:, 18]
-    separators[...] = ord(",")
-    separators[(n_cols - 1 - first) % n_cols::n_cols] = ord("\n")
-    nonzero = np.not_equal(values, 0.0, out=scratch.nonzero[:len(values)])
-    count = int(np.count_nonzero(nonzero))
-    magnitude = (values if count == len(values)
-                 else np.compress(nonzero, values, out=scratch.magnitude[:count]))
-    fits = not np.signbit(values, out=scratch.flag[:len(values)]).any() and (
+    slots = np.empty((len(values), 19), dtype=np.uint8)
+    slots[:, 18] = ord(",")
+    slots[(n_cols - 1 - first) % n_cols::n_cols, 18] = ord("\n")
+    nonzero = values != 0.0
+    magnitude = values if nonzero.all() else values[nonzero]
+    count = len(magnitude)
+    fits = not np.signbit(values).any() and (
         count == 0 or (magnitude.min() >= _MIN_SCALED and magnitude.max() <= np.finfo(float).max))
-    if fits and count:
-        q, work, flag = scratch.q[:count], scratch.work[:count], scratch.flag[:count]
-        exponent, index = scratch.exponent[:count], scratch.index[:count]
-        np.copyto(exponent, np.floor(np.log10(magnitude, out=q), out=q), casting="unsafe")
-        _scale(magnitude, exponent, index, work, q)
-        exponent += np.greater_equal(q, 1e13, out=flag)
-        exponent -= np.less(q, 1e12, out=flag)
-        _scale(magnitude, exponent, index, work, q)
-        np.subtract(q, np.floor(q, out=work), out=work)
-        np.abs(np.subtract(work, 0.5, out=work), out=work)
-        fallback = np.flatnonzero(np.less(work, _HALF_WINDOW, out=flag))
-        mantissa = np.rint(q, out=q)
-        carry = np.equal(mantissa, 1e13, out=flag)  # 9.999999999999|5.. rounds up to 1.000000000000e(E+1)
-        np.copyto(mantissa, 1e12, where=carry)
+    if fits:  # a chunk of zeros takes this path with empty arrays
+        exponent = np.floor(np.log10(magnitude)).astype(np.int64)
+        q = magnitude * _POW10[_POW10_ZERO + 12 - exponent]
+        exponent += q >= 1e13
+        exponent -= q < 1e12
+        q = magnitude * _POW10[_POW10_ZERO + 12 - exponent]
+        fallback = np.flatnonzero(np.abs(q - np.floor(q) - 0.5) < _HALF_WINDOW)
+        mantissa = np.rint(q)
+        carry = mantissa == 1e13  # 9.999999999999|5.. rounds up to 1.000000000000e(E+1)
+        mantissa[carry] = 1e12
         exponent += carry
         exponent[fallback] = 0  # a fallback takes its exponent from its text
         texts = [b"%.12e" % v for v in magnitude[fallback].tolist()]
-        fits = -100 < exponent.min() and exponent.max() < 100 and all(len(t) == 18 for t in texts)
+        fits = np.abs(exponent).max(initial=0) < 100 and all(len(t) == 18 for t in texts)
     if not fits:
-        return b"".join(b"%.12e%c" % pair for pair in zip(values.tolist(), separators.tolist()))
-    if count == 0:
-        slots[:, :18] = _ZERO_E12
-        return slots
+        return b"".join(b"%.12e%c" % pair for pair in zip(values.tolist(), slots[:, 18].tolist()))
 
     # byte j of every nonzero field in row j: d.dddddddddddde±dd
-    field = scratch.field[:, :count]
-    np.copyto(index, mantissa, casting="unsafe")
-    digits(index, field[1:14], scratch.digits)
+    field = np.empty((18, count), dtype=np.uint8)
+    digits(mantissa.astype(np.int64), field[1:14], work)
     field[0] = field[1]
     field[1] = ord(".")
     field[14] = ord("e")
-    field[15] = ord("+")
-    np.copyto(field[15], ord("-"), where=np.less(exponent, 0, out=flag))
-    digits(np.abs(exponent, out=exponent), field[16:], scratch.digits)
+    field[15] = np.where(exponent < 0, ord("-"), ord("+"))
+    digits(np.abs(exponent), field[16:], work)
     if texts:
         field[:, fallback] = np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(-1, 18).T
 
@@ -614,15 +583,6 @@ def _render_e12(values, first: int, n_cols: int, scratch: _E12Scratch):
         slots[:, :18] = _ZERO_E12
         slots[nonzero, :18] = field.T
     return slots
-
-
-def _scale(magnitude, exponent, index, work, out) -> None:
-    """``out = magnitude * _POW10[_POW10_ZERO + 12 - exponent]``, through
-    the int64 ``index`` and the float ``work``; every exponent of a
-    rendered value keeps the index inside ``_POW10``, so clipping it
-    changes nothing and spares ``take`` its copy of ``work``."""
-    np.subtract(_POW10_ZERO + 12, exponent, out=index)
-    np.multiply(magnitude, np.take(_POW10, index, out=work, mode="clip"), out=out)
 
 
 def import_jsi_csv(csv_path, axis_units: str) -> JointSpectrum:
@@ -684,7 +644,7 @@ def _parse_axis(name: str, line: str) -> np.ndarray:
 
 
 def _check_axis(name: str, values: np.ndarray, units: str) -> np.ndarray:
-    """``values`` in rad/s, which must be finite and strictly monotonic."""
+    """``values`` in rad/s, which must be finite, strictly monotonic and, in nm, positive."""
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 nm is inf rad/s, rejected below
         axis = wavelength_nm_to_omega(values) if units == "nm" else values
         step = np.diff(axis)
@@ -694,6 +654,9 @@ def _check_axis(name: str, values: np.ndarray, units: str) -> np.ndarray:
         k = int(np.argmax(bad))
         raise DomainError(f"{name} must be finite and strictly monotonic in rad/s; "
                           f"value {k} (0-based) is {values[k]}")
+    if units == "nm" and np.any(values <= 0):  # negative nm pass above as negative rad/s
+        k = int(np.argmax(values <= 0))
+        raise DomainError(f"{name} must be positive in nm; value {k} (0-based) is {values[k]}")
     return axis
 
 

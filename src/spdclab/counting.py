@@ -53,7 +53,9 @@ _PIECE_CLICKS = 1 << 14
 # pairs drawn and routed per block in simulate_tags
 _PAIR_BLOCK = 1 << 16
 # most jitter values that simulate_tags draws at a time (2 MB of doubles),
-# which caps its memory above the channel arrays
+# which caps its memory above the channel arrays.  Freeing a chunk that
+# large also lifts glibc's dynamic mmap threshold, so the tag dump's
+# per-piece arrays then come from the heap instead of fresh mappings
 _JITTER_CHUNK = 1 << 18
 
 # per topology and photon of a pair: its routes (channel, share, coupler passages)

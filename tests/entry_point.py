@@ -149,6 +149,10 @@ CASES = [
     refusal("headerless_measured_jsa", JSA,
             {"measured_jsi_csv": "{repo}/configs/rate_table_solvent.csv"},
             "matrix CSV must start with two axis header rows"),
+    # a measured JSI on negative wavelengths, finite and monotonic in rad/s
+    refusal("negative_axis_measured_jsa", JSA,
+            {"measured_jsi_csv": "{repo}/tests/data/negative_axis_jsi.csv"},
+            "axis_s must be positive in nm; value 0 (0-based) is -870.0"),
     # a chain without pairs: no herald has a partner, so g2 is undefined
     # and noted, not refused
     {"name": "no_pump_heralded_chain", "config": HERALDED["config"], "args": CHAIN["args"],

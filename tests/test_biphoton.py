@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import tracemalloc
 from dataclasses import fields, replace
@@ -602,6 +603,21 @@ def test_export_bytes_equal_reference_jsa_256(tmp_path, crystal, pump):
         _assert_export_identical(js, tmp_path)
 
 
+@pytest.mark.parametrize("name", ["jsa_1024", "jta_fiber_1024"])
+def test_export_holds_arrays_of_a_chunk(name, request, tmp_path):
+    # below a quarter of one 1024 x 1024 float64 matrix, so no n x n
+    # intermediate fits: 0.94 MiB for the band JSI, 1.70 MiB for the dense
+    # complex JTI measured (numpy 2.4)
+    js = request.getfixturevalue(name)
+    tracemalloc.start()
+    try:
+        export_matrix_csv(js, os.devnull, tmp_path / "m.json", False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def _half_tie(k, m):
     """An exactly representable float of 14 significant digits, the last
     a 5: D 10**-m with D = 10 k' + 5 in [1e13, 1e14) for m = -2, -1, 0, or
@@ -690,7 +706,7 @@ def _assert_matrix_identical(matrix, tmp_path):
     # takes any real matrix: negative, NaN and infinite cells included
     flat = matrix.reshape(-1)
     with open(tmp_path / "m.csv", "wb") as fh:
-        biphoton._write_matrix(fh, matrix.shape, lambda lo, hi, out: flat[lo:hi])
+        biphoton._write_matrix(fh, matrix.shape, lambda lo, hi: flat[lo:hi])
     with open(tmp_path / "ref.csv", "w") as fh:
         np.savetxt(fh, matrix, delimiter=",", fmt="%.12e")
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

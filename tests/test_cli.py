@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from spdclab import cli, counting
 
-from conftest import jsa_outputs_reference, src_env
+from conftest import entanglement_time_cw_oracle, jsa_outputs_reference, src_env
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -573,14 +574,12 @@ def test_jsa_peak_memory_is_two_matrices(tmp_path, monkeypatch, beta_fs2, measur
         assert peak < 1.6 * 16 * n * n
         assert import_peak[0] < 1.3 * 16 * n * n
     else:
-        # 1.02 x 16 n^2 beside the scratch and the band measured (numpy
-        # 2.4): 0.1 x 16 n^2 leaves room for row vectors, the 8192-value
-        # buffer of the in-place phase_i product and the axis header text,
-        # not for a dense real JSA (0.5 x 16 n^2)
-        scratch = biphoton._E12Scratch(biphoton._EXPORT_CHUNK_VALUES)
-        held = [*vars(scratch).values(), *scratch.digits]
-        scratch_bytes = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
-        assert peak < 1.1 * 16 * n * n + scratch_bytes + band[0]
+        # 1.02 x 16 n^2 beside the export's chunk arrays and the band
+        # measured (numpy 2.4): 0.1 x 16 n^2 leaves room for row vectors,
+        # the 8192-value buffer of the in-place phase_i product and the axis
+        # header text, not for a dense real JSA (0.5 x 16 n^2).  The export
+        # is allowed 115 bytes per chunk value (1 884 160 bytes)
+        assert peak < 1.1 * 16 * n * n + 115 * biphoton._EXPORT_CHUNK_VALUES + band[0]
 
 
 def test_jsa_grid_that_misses_the_pump_exits_1(tmp_path, capsys):
@@ -611,6 +610,8 @@ def test_jsa_non_finite_measured_input_exits_1(tmp_path, capsys):
     ("800 810 820", "1,x,1", "not a number at matrix row 1, column 1"),
     ("800", "1,2,1", "axis_s has 1 value(s)"),
     ("0 810 820", "1,2,1", "axis_s must be finite and strictly monotonic in rad/s; value 0"),
+    # finite and monotonic in rad/s, but no wavelength
+    ("-870 -810 -750", "1,2,1", "axis_s must be positive in nm; value 0 (0-based) is -870.0"),
     ("800 810 820", None, "matrix shape does not match axis headers"),
 ])
 # a warning raised on the way would be an exception here, not a line on stderr
@@ -631,6 +632,42 @@ def test_jsa_coverage_error_exits_1(tmp_path):
     cfg = write_json(tmp_path / "jsa.json",
                      {**SMALL_JSA, "grid": {"n": 64, "half_span_nm": 0.05}})
     assert run("jsa", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+
+
+# Off the paper grid or crystal, the 2D path reports an unconverged T_e
+# with exit 0, or refuses with the profile walk's message, which names no
+# cause.  Either both T_e are within 1 % of the 1D CW oracle, or a
+# CoverageError (exit 1) names another cause.  At 1e200 fs^2 the oracle's
+# own grid aliases the chirp, so only a refusal is right there.
+@pytest.mark.xfail(strict=True, reason="the 2D path does not check that its grid resolves T_e")
+@pytest.mark.parametrize("edits, resolvable", [
+    # exit 0 with a fiber T_e of 2406.53 fs (-6.5 %)
+    pytest.param({"grid": {"n": 256, "half_span_nm": 60.0}}, True, id="n-256"),
+    # exit 1 with the profile walk's message, as every odd n tried
+    pytest.param({"grid": {"n": 1023, "half_span_nm": 60.0}}, True, id="n-1023"),
+    # 0.02 C above degeneracy: the same, after jsi.* is written
+    pytest.param({"crystal": {**PAPER_JSA["crystal"], "temperature_C": 59.42}}, True,
+                 id="temperature-59.42"),
+    # exit 0 with a fiber T_e of 101.43 fs
+    pytest.param({"grid": {"n": 256, "half_span_nm": 60.0}, "fiber_beta_fs2": 1e200}, False,
+                 id="n-256-beta-1e200"),
+])
+def test_jsa_te_converges_or_is_refused(tmp_path, material, edits, resolvable):
+    from spdclab import phasematch, schema
+    from spdclab.errors import CoverageError
+    given = {**PAPER_JSA, **edits}
+    try:
+        cli.cmd_jsa(argparse.Namespace(out=str(tmp_path)), schema.check(cli.JSA, given), given)
+    except CoverageError as exc:
+        assert "JTI profile does not drop below half maximum" not in str(exc)
+        return
+    assert resolvable
+    report = load_json(tmp_path / "te_report.json")
+    crystal = phasematch.CrystalConfig(material, **given["crystal"])
+    for key, beta_fs2 in (("entanglement_time_free_fs", 0.0),
+                          ("entanglement_time_fiber_fs", given["fiber_beta_fs2"])):
+        oracle = entanglement_time_cw_oracle(crystal, given["lambda_p_nm"], beta_fs2)
+        assert report[key] == pytest.approx(oracle, rel=0.01), key
 
 
 @pytest.mark.parametrize("config, message", [
